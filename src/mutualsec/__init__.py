@@ -36,7 +36,6 @@ from .network import (
     aggregates,
     critical_members,
     critical_traffic,
-    generate,
     has_mct,
     inbound_within,
     load_edge_csv,
@@ -101,7 +100,6 @@ __all__ = [
     "fds_sufficient",
     "feasible_period_interval",
     "first_best",
-    "generate",
     "has_mct",
     "ic_check",
     "ic_region_beta_max",

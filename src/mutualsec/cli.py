@@ -13,7 +13,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import itertools
 import json
@@ -101,15 +100,12 @@ def _require(cfg: dict, section: str) -> dict:
 
 def _build_environment(cfg: dict) -> Environment:
     sec = _require(cfg, "environment")
-    fields = dict(sec)
-    if "p_bar" in fields and "p_high" not in fields:
-        fields["p_high"] = fields.pop("p_bar")
     try:
         return Environment(
-            p_high=float(fields.pop("p_high")),
-            p_low=float(fields.pop("p_low")),
-            c=float(fields.pop("c")),
-            beta=float(fields.pop("beta")),
+            p_high=float(sec["p_high"]),
+            p_low=float(sec["p_low"]),
+            c=float(sec["c"]),
+            beta=float(sec["beta"]),
         )
     except KeyError as e:
         raise ConfigError(f"environment.{e.args[0]}: missing")
@@ -227,9 +223,17 @@ def _design_dict(result: DesignResult) -> dict:
 
 def _emit(payload: str, out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(payload)
+            if not payload.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader went away (e.g. `| head`).  Point stdout at devnull
+            # so the flush at interpreter exit does not fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         with open(out, "w") as fh:
             fh.write(payload)
@@ -238,7 +242,7 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2)
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 def _csv_rows(header: list[str], rows: list[list]) -> str:
@@ -349,6 +353,8 @@ def cmd_threshold(cfg: dict, args) -> int:
         )
     except KeyError as e:
         raise ConfigError(f"threshold.{e.args[0]}: missing")
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"threshold: {e}")
     rows = [
         {
             "cores": r.cores,
@@ -481,23 +487,10 @@ def cmd_simulate(cfg: dict, args) -> int:
     else:
         raise ConfigError(f"simulate.mode: unknown mode {mode!r}")
 
-    _emit(report.to_json(indent=2), args.out)
+    _emit(report.to_json(indent=2, allow_nan=False), args.out)
     if args.time_series is not None:
         report.write_time_series_csv(args.time_series)
     return 0
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("MUTUALSEC_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"MUTUALSEC_THREADS: not an integer: {raw!r}")
-    if cap < 1:
-        raise ConfigError("MUTUALSEC_THREADS: must be at least 1")
-    return cap
 
 
 def _sweep_point(cfg: dict, names: list[str], values: tuple) -> dict:
@@ -557,9 +550,7 @@ def cmd_sweep(cfg: dict, args) -> int:
             raise ConfigError(f"sweep.parameters.{name}: must be a nonempty "
                               "list")
         grids.append(vals)
-    combos = list(itertools.product(*grids))
-    with concurrent.futures.ThreadPoolExecutor(_thread_cap()) as pool:
-        rows = list(pool.map(lambda v: _sweep_point(cfg, names, v), combos))
+    rows = [_sweep_point(cfg, names, v) for v in itertools.product(*grids)]
     columns = names + ["n", "critical_traffic", "feasible", "t_star",
                        "g_star", "p0_star", "p1_star", "j_star",
                        "j_first_best", "normalized_cost"]

@@ -86,10 +86,10 @@ class Environment:
             raise ValueError("p_high must lie in [0, 1]")
         if self.p_low >= self.p_high:
             raise ValueError("p_low must be strictly below p_high")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError("c must be positive and finite")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError("beta must be positive and finite")
 
     @property
     def gap(self) -> float:
@@ -112,13 +112,15 @@ class MonitoringModel:
         self._ts: np.ndarray | None = None
         self._eps: np.ndarray | None = None
         if kind == "rational":
-            if w0 is None or w0 <= 0:
-                raise ValueError("w0 must be positive")
+            if w0 is None or not (math.isfinite(w0) and w0 > 0):
+                raise ValueError("w0 must be positive and finite")
         elif kind == "tabulated":
             ts = np.array([t for t, _ in table], dtype=float)
             es = np.array([e for _, e in table], dtype=float)
             if len(ts) < 2:
                 raise ValueError("tabulated curve needs at least 2 points")
+            if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(es))):
+                raise ValueError("tabulated periods and errors must be finite")
             if np.any(np.diff(ts) <= 0):
                 raise ValueError("tabulated periods must be strictly increasing")
             if ts[0] < 0:
@@ -177,6 +179,9 @@ class RatingDesign:
     subset: Subset
 
     def __post_init__(self) -> None:
+        for name in ("T", "p0", "p1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.T <= 0:
             raise ValueError("T must be positive")
         if self.p1 > self.p0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "aggregates",
     "critical_members",
     "critical_traffic",
-    "generate",
     "has_mct",
     "inbound_within",
     "load_edge_csv",
@@ -244,50 +243,15 @@ def load_edge_csv(path, n: int | None = None) -> TrafficMatrix:
         i, j, rate = int(rec[0]) - 1, int(rec[1]) - 1, float(rec[2])
         if i < 0 or j < 0:
             raise ValueError("edge CSV indices are 1-based")
-        directed = len(rec) > 3 and rec[3] not in ("", "0", "false", "False")
-        edges.append((i, j, rate, directed))
+        edges.append((i, j, rate))
+        if len(rec) <= 3 or rec[3] in ("", "0", "false", "False"):
+            edges.append((j, i, rate))
         size = max(size, i + 1, j + 1)
     if n is not None:
         if n < size:
             raise ValueError(f"edge CSV references AS {size} but n={n}")
         size = int(n)
-    arr = np.zeros((size, size))
-    for i, j, rate, directed in edges:
-        arr[i, j] = rate
-        if not directed:
-            arr[j, i] = rate
-    return TrafficMatrix(arr)
-
-
-def generate(spec: dict) -> TrafficMatrix:
-    """Build a TrafficMatrix from a topology description dict (see cli docs).
-
-    Recognized kinds: complete, ring_lattice, line, star, core_periphery,
-    edges, matrix.  Edge lists given here are 0-based (library level)."""
-    kind = spec.get("kind")
-    if kind == "complete":
-        return TrafficMatrix.complete(int(spec["n"]), float(spec["rate"]))
-    if kind == "ring_lattice":
-        return TrafficMatrix.ring_lattice(
-            int(spec["n"]), int(spec["degree"]), float(spec["rate"])
-        )
-    if kind == "line":
-        return TrafficMatrix.line(int(spec["n"]), float(spec["rate"]))
-    if kind == "star":
-        return TrafficMatrix.star(int(spec["n"]), float(spec["rate"]))
-    if kind == "core_periphery":
-        return TrafficMatrix.restricted_core_periphery(
-            int(spec["cores"]), int(spec["periphery_per_core"]), float(spec["rate"])
-        )
-    if kind == "edges":
-        return TrafficMatrix.from_edges(
-            int(spec["n"]),
-            [(int(i), int(j), float(r)) for i, j, r in spec["edges"]],
-            directed=bool(spec.get("directed", False)),
-        )
-    if kind == "matrix":
-        return TrafficMatrix.from_matrix(spec["rates"])
-    raise ValueError(f"unknown topology kind: {kind!r}")
+    return TrafficMatrix.from_edges(size, edges, directed=True)
 
 
 # ---- analysis -----------------------------------------------------------

@@ -180,6 +180,8 @@ def core_periphery_threshold(env: Environment, mon: MonitoringModel, *,
         raise ValueError("periphery_per_core must be at least 1")
     if k_max <= 2:
         raise ValueError("k_max must exceed 2")
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError("rate must be finite and non-negative")
     rows = []
     k_star = 0
     never_worth = env.gap * rate <= env.c

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from mutualsec.cli import main
 from support import REFERENCE_ENV
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -56,10 +58,23 @@ class TestDesignCommand:
 
     def test_config_error_names_field(self, tmp_path, capsys):
         cfg = reference_config(tmp_path)
-        code = main(["design", "--config", cfg,
-                     "--set", "environment.p_low=0.9"])
-        assert code == 1
-        assert "p_low" in capsys.readouterr().err
+        cases = [
+            ("design", "environment.p_low=0.9", "p_low"),
+            ("design", "environment.beta=NaN", "beta must be"),
+            ("design", "environment.c=Infinity", "c must be"),
+            ("design", "monitoring.w0=NaN", "w0 must be"),
+            ("design", 'monitoring={"kind": "tabulated", '
+             '"points": [[0, 0.5], [NaN, 0.2]]}', "periods and errors"),
+            ("simulate", 'simulate={"design": {"T": NaN, "p0": 0.2, '
+             '"p1": 0.05}}', "simulate.design: T must be finite"),
+            ("sweep", 'sweep={"parameters": {"w0": [0.1, NaN]}}',
+             "w0 must be"),
+        ]
+        for command, setting, field in cases:
+            code = main([command, "--config", cfg, "--set", setting])
+            err = capsys.readouterr().err
+            assert code == 1, setting
+            assert field in err, (setting, err)
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         cfg = reference_config(tmp_path)
@@ -89,6 +104,22 @@ class TestDesignCommand:
 
 
 class TestNetworkLoading:
+    @pytest.mark.parametrize("network, n", [
+        ({"kind": "complete", "n": 4, "rate": 1.0}, 4),
+        ({"kind": "regular", "degree": 3, "rate": 1.0}, 4),
+        ({"kind": "ring_lattice", "n": 6, "degree": 2, "rate": 1.0}, 6),
+        ({"kind": "line", "n": 3, "rate": 1.0}, 3),
+        ({"kind": "star", "n": 5, "rate": 2.0}, 5),
+        ({"kind": "core_periphery", "cores": 3, "periphery_per_core": 1,
+          "rate": 1.0}, 6),
+        ({"kind": "edges", "n": 3, "edges": [[1, 2, 1.0], [2, 3, 2.0]]}, 3),
+        ({"kind": "matrix", "rates": [[0, 1], [1, 0]]}, 2),
+    ], ids=lambda v: v["kind"] if isinstance(v, dict) else str(v))
+    def test_every_network_kind(self, tmp_path, capsys, network, n):
+        cfg = write_config(tmp_path, {"network": network})
+        assert main(["mct", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == n
+
     def test_matrix_file(self, tmp_path, capsys):
         tm = TrafficMatrix.complete(4, 2.0)
         mpath = tmp_path / "m.csv"
@@ -196,6 +227,20 @@ class TestThresholdCommand:
         assert main(["threshold", "--config", cfg]) == 1
         assert "threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, field", [
+        ("threshold.k_max=2", "k_max"),
+        ("threshold.periphery_per_core=0", "periphery_per_core"),
+        ("threshold.rate=-1", "rate"),
+        ("threshold.rate=NaN", "rate"),
+        ("environment.c=Infinity", "c must be"),
+    ])
+    def test_bad_values_are_config_errors(self, capsys, setting, field):
+        code = main(["threshold", "--config",
+                     str(CONFIGS / "core_periphery_threshold.json"),
+                     "--set", setting])
+        assert code == 1
+        assert field in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_profile_mode(self, tmp_path, capsys):
@@ -291,22 +336,6 @@ class TestSweepCommand:
         assert rows[0]["w0"] == 0.1
         assert rows[0]["g_star"] < rows[1]["g_star"]
 
-    def test_thread_cap_respected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MUTUALSEC_THREADS", "1")
-        cfg = reference_config(tmp_path, sweep={
-            "parameters": {"beta": [0.2, 0.3]},
-        })
-        assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
-        assert len(json.loads(capsys.readouterr().out)) == 2
-
-    def test_bad_thread_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MUTUALSEC_THREADS", "many")
-        cfg = reference_config(tmp_path, sweep={
-            "parameters": {"w0": [0.1]},
-        })
-        assert main(["sweep", "--config", cfg]) == 1
-        assert "MUTUALSEC_THREADS" in capsys.readouterr().err
-
     def test_unknown_parameter(self, tmp_path, capsys):
         cfg = reference_config(tmp_path, sweep={
             "parameters": {"phase_of_moon": [1]},
@@ -332,3 +361,15 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["feasible"]
+
+    def test_closed_stdout_pipe(self, tmp_path):
+        cfg = reference_config(tmp_path)
+        path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mutualsec", "design", "--config", cfg],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # the reader leaves before the child writes
+        err = proc.stderr.read()
+        assert proc.wait() == 0
+        assert err == b""

@@ -7,7 +7,6 @@ from mutualsec import (
     aggregates,
     critical_members,
     critical_traffic,
-    generate,
     has_mct,
     inbound_within,
     load_edge_csv,
@@ -205,27 +204,6 @@ class TestMct:
         tm = TrafficMatrix.complete(25, 1.0)
         with pytest.raises(ValueError):
             has_mct(tm, limit=20)
-
-
-class TestGenerate:
-    def test_dispatch(self):
-        assert generate({"kind": "complete", "n": 4, "rate": 1.0}).n == 4
-        assert generate({"kind": "line", "n": 3, "rate": 1.0}).n == 3
-        assert generate({"kind": "star", "n": 5, "rate": 2.0}).n == 5
-        assert generate(
-            {"kind": "ring_lattice", "n": 6, "degree": 2, "rate": 1.0}).n == 6
-        assert generate(
-            {"kind": "core_periphery", "cores": 3, "periphery_per_core": 1,
-             "rate": 1.0}).n == 6
-        tm = generate({"kind": "edges", "n": 3,
-                       "edges": [(0, 1, 1.0), (1, 2, 2.0)]})
-        assert tm.rates[2, 1] == 2.0
-        tm2 = generate({"kind": "matrix", "rates": tm.rates})
-        assert tm2 == tm
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            generate({"kind": "torus", "n": 4})
 
 
 class TestCsvRoundTrip:
