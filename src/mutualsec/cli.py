@@ -98,6 +98,20 @@ def _require(cfg: dict, section: str) -> dict:
     return cfg[section]
 
 
+def _int_field(name: str, value) -> int:
+    """An integer config value; anything non-numeric, non-finite or
+    fractional is a config error naming the field."""
+    if isinstance(value, int):
+        return int(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    if not number.is_integer():
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    return int(number)
+
+
 def _build_environment(cfg: dict) -> Environment:
     sec = _require(cfg, "environment")
     try:
@@ -283,7 +297,7 @@ def cmd_design(cfg: dict, args) -> int:
 def cmd_mct(cfg: dict, args) -> int:
     _require_json(args)
     tm = _build_network(cfg)
-    limit = int(cfg.get("mct_limit", 20))
+    limit = _int_field("mct_limit", cfg.get("mct_limit", 20))
     ok, witness = has_mct(tm, limit=limit)
     payload = {
         "mct": ok,
@@ -329,7 +343,7 @@ def cmd_bruteforce(cfg: dict, args) -> int:
     env = _build_environment(cfg)
     mon = _build_monitoring(cfg)
     tm = _build_network(cfg)
-    cap = int(cfg.get("bruteforce_cap", 16))
+    cap = _int_field("bruteforce_cap", cfg.get("bruteforce_cap", 16))
     result = brute_force_optimal(env, mon, tm, cap=cap)
     payload = {
         "subset": _ones(result.subset.members),
@@ -434,10 +448,15 @@ def cmd_simulate(cfg: dict, args) -> int:
     tm = _build_network(cfg)
     sec = _require(cfg, "simulate")
     mode = sec.get("mode", "profile")
-    horizon = int(args.horizon if args.horizon is not None
-                  else sec.get("horizon", cfg.get("horizon", 1000)))
-    seed = int(args.seed if args.seed is not None
-               else sec.get("seed", cfg.get("seed", 0)))
+
+    def int_setting(key: str, override, default: int) -> int:
+        if override is not None:
+            return override
+        name = f"simulate.{key}" if key in sec else key
+        return _int_field(name, sec.get(key, cfg.get(key, default)))
+
+    horizon = int_setting("horizon", args.horizon, 1000)
+    seed = int_setting("seed", args.seed, 0)
     want_ts = bool(sec.get("time_series", False)) or args.time_series is not None
 
     if mode == "profile":

@@ -29,12 +29,19 @@ over the feasible periods, i.e. those where the boundary p0 stays within
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .network import Subset, TrafficMatrix, critical_members, critical_traffic
+from .network import (
+    Subset,
+    TrafficMatrix,
+    _as_subset,
+    _inbound_vector,
+    critical_traffic,
+)
 
 __all__ = [
     "AssumptionCheck",
@@ -134,6 +141,8 @@ class MonitoringModel:
                 if np.any(second < -1e-9):
                     raise ValueError("tabulated errors must be convex")
             self._ts, self._eps = ts, es
+            # Plain-float copies for scalar lookups (see design._epsilon).
+            self._ts_list, self._eps_list = ts.tolist(), es.tolist()
         else:
             raise ValueError(f"unknown monitoring kind: {kind!r}")
 
@@ -316,14 +325,62 @@ def _loss_factor(env: Environment, mon: MonitoringModel, T):
     return np.where(denom > 0, out, np.inf)
 
 
-def _ic_headroom(env: Environment, mon: MonitoringModel, T):
-    """exp(beta*T) / (1 - 2*epsilon(T)); IC designs exist at T iff this is
-    at most (p_high - p_low) * nu_crit / c."""
-    eps = mon.epsilon(T)
+def _epsilon(mon: MonitoringModel, t: float) -> float:
+    """epsilon(t) in plain floats, equal to float(mon.epsilon(t)): the same
+    formula for the rational family, and np.interp's arithmetic for tables
+    (endpoint values held outside the table)."""
+    if mon.kind == "rational":
+        return mon.w0 / (t + 2 * mon.w0)
+    if t != t:
+        return t
+    ts, es = mon._ts_list, mon._eps_list
+    j = bisect_right(ts, t) - 1
+    if j < 0:
+        return es[0]
+    if j == len(ts) - 1 or ts[j] == t:
+        return es[j]
+    slope = (es[j + 1] - es[j]) / (ts[j + 1] - ts[j])
+    return slope * (t - ts[j]) + es[j]
+
+
+def _loss_at(env: Environment, mon: MonitoringModel, t: float) -> float:
+    """g(t) in plain floats; inf where epsilon >= 1/2 or exp overflows."""
+    eps = _epsilon(mon, t)
     denom = 1.0 - 2.0 * eps
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = np.exp(env.beta * np.asarray(T, dtype=float)) / denom
-    return np.where(denom > 0, out, np.inf)
+    if denom <= 0.0:
+        return math.inf
+    try:
+        return math.exp(env.beta * t) * eps / denom
+    except OverflowError:
+        return math.inf
+
+
+def _newton(phi, dphi, t: float, direction: float) -> float:
+    """Newton's method on a convex phi, started on the outer side of a root
+    so that the iterates move monotonically toward it (rightward when
+    direction > 0); stops at the first step that makes no progress."""
+    for _ in range(100):
+        slope = dphi(t)
+        if slope == 0.0:
+            break
+        t_new = t - phi(t) / slope
+        if (t_new - t) * direction <= 0.0:
+            break
+        t = t_new
+    return t
+
+
+def _tighten(fits, t: float, t_in: float) -> float:
+    """Move an edge estimate t toward t_in, where fits holds, until fits(t):
+    ulp steps cover rounding, bisection the near-tangent cases where the
+    float edge sits further from the root."""
+    for _ in range(16):
+        if fits(t):
+            return t
+        t = math.nextafter(t, t_in)
+    if t < t_in:
+        return _bisect_edge(fits, t, t_in, True)
+    return _bisect_edge(fits, t_in, t, False)
 
 
 # ---- operations -----------------------------------------------------------
@@ -333,35 +390,63 @@ def efficiency_loss_factor(env: Environment, mon: MonitoringModel, T: float) -> 
     """g(T); the per-unit-traffic overhead multiplier of the binding design."""
     if T <= 0:
         raise ValueError("T must be positive")
-    if float(mon.epsilon(T)) >= 0.5:
+    if _epsilon(mon, T) >= 0.5:
         raise ValueError("efficiency loss factor undefined where epsilon >= 1/2")
-    return float(_loss_factor(env, mon, T))
+    return _loss_at(env, mon, T)
 
 
 def feasible_period_interval(
     env: Environment, mon: MonitoringModel, nu_crit: float
 ) -> PeriodInterval | None:
     """Assessment periods admitting an IC design with prices in
-    [p_low, p_high] for critical traffic nu_crit; None when empty."""
+    [p_low, p_high] for critical traffic nu_crit; None when empty.
+
+    These are the periods whose headroom h(T) = exp(beta*T) / (1 -
+    2*epsilon(T)) is at most bound = (p_high - p_low) * nu_crit / c, and
+    both returned edges pass that test.  Only T <= log(bound)/beta can pass.
+
+    Rational monitors: h(T) = exp(beta*T) * (1 + 2*w0/T), so
+    phi(T) = log(h(T)/bound) = beta*T + log1p(2*w0/T) - log(bound) is
+    convex with its minimum at T_m = (2*w0/beta) / (w0 + sqrt(w0**2 +
+    2*w0/beta)).  The set is empty when phi(T_m) > 0.  Otherwise Newton's
+    method on phi finds the low edge from 2*w0/(bound - 1), which lies left
+    of it, and the high edge from log(bound)/beta, which lies right of it;
+    each edge is then stepped inward until h(edge) <= bound.
+
+    Tabulated monitors: golden-section search for the minimum of h on
+    (0, log(bound)/beta], then bisection for each edge; lo is 0.0 when
+    h(T) is within the bound as T -> 0."""
     if nu_crit <= 0:
         return None
     bound = env.gap * nu_crit / env.c
     if bound <= 1.0:
         return None
-    t_cap = math.log(bound) / env.beta
-    h = lambda t: float(_ic_headroom(env, mon, t))
+    beta = env.beta
+    log_bound = math.log(bound)
+    t_cap = log_bound / beta
+    if mon.kind == "rational":
+        w0 = mon.w0
+        phi = lambda t: beta * t + math.log1p(2.0 * w0 / t) - log_bound
+        dphi = lambda t: beta - 2.0 * w0 / (t * (t + 2.0 * w0))
+        fits = lambda t: math.exp(beta * t) * (1.0 + 2.0 * w0 / t) <= bound
+        t_m = (2.0 * w0 / beta) / (w0 + math.sqrt(w0 * w0 + 2.0 * w0 / beta))
+        if phi(t_m) > 0.0 or not fits(t_m):
+            return None
+        lo = min(_newton(phi, dphi, 2.0 * w0 / (bound - 1.0), 1.0), t_m)
+        hi = max(_newton(phi, dphi, t_cap, -1.0), t_m)
+        return PeriodInterval(_tighten(fits, lo, t_m), _tighten(fits, hi, t_m))
+
+    def h(t: float) -> float:
+        denom = 1.0 - 2.0 * _epsilon(mon, t)
+        return math.exp(beta * t) / denom if denom > 0.0 else math.inf
+
+    fits = lambda t: h(t) <= bound
     t_min, h_min = _golden_min(h, t_cap * 1e-12, t_cap)
     if h_min > bound:
         return None
     t_tiny = t_cap * 1e-15
-    if h(t_tiny) <= bound:
-        lo = 0.0
-    else:
-        lo = _bisect_edge(lambda t: h(t) <= bound, t_tiny, t_min, True)
-    if h(t_cap) <= bound:
-        hi = t_cap
-    else:
-        hi = _bisect_edge(lambda t: h(t) <= bound, t_min, t_cap, False)
+    lo = 0.0 if fits(t_tiny) else _bisect_edge(fits, t_tiny, t_min, True)
+    hi = t_cap if fits(t_cap) else _bisect_edge(fits, t_min, t_cap, False)
     return PeriodInterval(lo, hi)
 
 
@@ -370,19 +455,26 @@ def minimize_loss_factor(
 ) -> tuple[float, float] | None:
     """(T*, g*) minimizing the loss factor over feasible periods, or None.
 
-    Coarse log-spaced bracketing (1024 points) followed by golden-section
-    refinement to 1e-9 relative width."""
+    Rational monitors: g(T) = w0 * exp(beta*T) / T is log-convex with its
+    minimum at 1/beta, so T* = min(max(1/beta, lo), hi) on the feasible
+    interval [lo, hi] and g* = w0 * exp(beta*T*) / T*.
+
+    Tabulated monitors: a 1024-point log-spaced scan of the interval
+    brackets the minimum, golden-section search refines it to 1e-9
+    relative width, and the scan's endpoints win when they are lower."""
     interval = feasible_period_interval(env, mon, nu_crit)
     if interval is None:
         return None
+    if mon.kind == "rational":
+        t_star = min(max(1.0 / env.beta, interval.lo), interval.hi)
+        return t_star, mon.w0 * math.exp(env.beta * t_star) / t_star
     lo = max(interval.lo, interval.hi * 1e-12)
     ts = np.geomspace(lo, interval.hi, 1024)
     gs = _loss_factor(env, mon, ts)
     i = int(np.argmin(gs))
-    a = ts[max(i - 1, 0)]
-    b = ts[min(i + 1, len(ts) - 1)]
-    f = lambda t: float(_loss_factor(env, mon, t))
-    t_star, g_star = _golden_min(f, float(a), float(b))
+    a = float(ts[max(i - 1, 0)])
+    b = float(ts[min(i + 1, len(ts) - 1)])
+    t_star, g_star = _golden_min(lambda t: _loss_at(env, mon, t), a, b)
     for t_cand, g_cand in ((float(ts[0]), float(gs[0])), (float(ts[-1]), float(gs[-1]))):
         if g_cand < g_star:
             t_star, g_star = t_cand, g_cand
@@ -400,7 +492,7 @@ def ic_check(design: RatingDesign, env: Environment, mon: MonitoringModel,
     from .network import inbound_within
 
     nu_i = inbound_within(tm, design.subset, i)
-    eps = float(mon.epsilon(design.T))
+    eps = _epsilon(mon, design.T)
     lhs = (1.0 - 2.0 * eps) * math.exp(-env.beta * design.T) * (
         design.p0 - design.p1
     ) * nu_i
@@ -412,10 +504,10 @@ def ic_region_beta_max(design: RatingDesign, env: Environment,
     """Largest beta keeping the given design IC at critical traffic nu_crit
     (0.0 when none), plus the T->0 headroom condition under which every
     finite beta admits some IC design."""
-    eps = float(mon.epsilon(design.T))
+    eps = _epsilon(mon, design.T)
     arg = (1.0 - 2.0 * eps) * (design.p0 - design.p1) * nu_crit / env.c
     beta_max = math.log(arg) / design.T if arg > 1.0 else 0.0
-    eps0 = float(mon.epsilon(0.0))
+    eps0 = _epsilon(mon, 0.0)
     threshold = 0.5 * (1.0 - env.c / (env.gap * nu_crit)) if nu_crit > 0 else -1.0
     return IcRegion(beta_max=beta_max, ic_for_all_beta=eps0 <= threshold)
 
@@ -426,12 +518,12 @@ def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
 
     Feasible results bind the IC constraint at the critical member:
     p1* = p_low and p0* sits exactly at the one-shot-deviation boundary."""
-    p = Subset.full(tm.n) if subset is None else (
-        subset if isinstance(subset, Subset) else Subset.of(subset, tm.n)
-    )
+    p = Subset.full(tm.n) if subset is None else _as_subset(tm, subset)
     if len(p) == 0:
         raise ValueError("optimal_design needs a nonempty deployment set")
-    nu_crit = critical_traffic(tm, p)
+    inbound = _inbound_vector(tm, p)
+    k = int(np.argmin(inbound))
+    nu_crit = float(inbound[k])
     if nu_crit <= 0:
         return DesignResult.infeasible(
             p,
@@ -446,7 +538,7 @@ def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
             "satisfy the one-shot deviation constraint at this critical traffic",
         )
     t_star, g_star = found
-    eps = float(mon.epsilon(t_star))
+    eps = _epsilon(mon, t_star)
     p0 = math.exp(env.beta * t_star) * env.c / ((1.0 - 2.0 * eps) * nu_crit) + env.p_low
     p0 = min(p0, env.p_high)
     outbound = tm.rates.sum(axis=1)
@@ -455,7 +547,6 @@ def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
     mu_out = float(outbound.sum()) - mu_in
     j = (env.p_low + g_star * env.c / nu_crit) * mu_in + env.p_high * mu_out \
         + len(p) * env.c
-    binding = critical_members(tm, p)[0]
     return DesignResult(
         subset=p,
         feasible=True,
@@ -464,7 +555,7 @@ def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
         p1_star=env.p_low,
         g_star=g_star,
         j_star=j,
-        binding_as=binding,
+        binding_as=p.members[k],
     )
 
 
@@ -479,7 +570,7 @@ def security_cost(design: RatingDesign, env: Environment, mon: MonitoringModel,
     )
     if violators:
         raise NotIncentiveCompatibleError(violators)
-    eps = float(mon.epsilon(design.T))
+    eps = _epsilon(mon, design.T)
     outbound = tm.rates.sum(axis=1)
     if len(design.subset) == 0:
         return float(env.p_high * outbound.sum())

@@ -548,11 +548,13 @@ def run_strategy_comparison(kind: str, env: Environment, mon: MonitoringModel,
     rows = []
     for beta in beta_grid:
         env_b = replace(env, beta=float(beta))
+        if kind == "rating":
+            # The design does not depend on the seed.
+            result = optimal_design(env_b, mon, tm, full)
         costs = []
         punish = []
         for s in seeds:
             if kind == "rating":
-                result = optimal_design(env_b, mon, tm, full)
                 if result.feasible:
                     rep = simulate(result.design(), BehaviorProfile.compliant(n),
                                    env_b, mon, tm, horizon, s)

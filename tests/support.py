@@ -64,6 +64,20 @@ def random_feasible_instance(rng, n_lo=3, n_hi=8, *, require_assumptions=False,
     raise RuntimeError("could not draw a feasible instance")
 
 
+def random_convex_table(rng):
+    """Tabulated monitor on an even period grid, decreasing and convex: each
+    step's drop is a fixed fraction of the one before.  The grid starts at
+    0 or, half the time, later (so epsilon is held flat below it)."""
+    m = int(rng.integers(2, 16))
+    start = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.1, 2.0))
+    ts = np.linspace(start, start + rng.uniform(2.0, 20.0), m)
+    eps0 = rng.uniform(0.05, 0.5)
+    drops = rng.uniform(0.2, 0.95) ** np.arange(m - 1)
+    drops *= eps0 * rng.uniform(0.3, 0.99) / drops.sum()
+    es = eps0 - np.concatenate(([0.0], np.cumsum(drops)))
+    return MonitoringModel.tabulated(list(zip(ts.tolist(), es.tolist())))
+
+
 REFERENCE_ENV = Environment(p_high=0.3, p_low=0.05, c=0.3, beta=0.2)
 
 

@@ -19,6 +19,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def child_env():
+    """Environment for a child `python -m mutualsec`: this checkout's `src`
+    first on PYTHONPATH, so the child imports the code under test."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -204,6 +211,36 @@ class TestBruteforceCommand:
         assert code == 3  # library refuses; surfaced as internal error
 
 
+class TestIntegerFields:
+    @pytest.mark.parametrize("command, config, setting, field", [
+        ("simulate", "reference_simulation", "simulate.horizon=NaN",
+         "simulate.horizon"),
+        ("simulate", "reference_simulation", "simulate.horizon=Infinity",
+         "simulate.horizon"),
+        ("simulate", "reference_simulation", "simulate.seed=1.5",
+         "simulate.seed"),
+        ("mct", "square_mct_true", "mct_limit=NaN", "mct_limit"),
+        ("mct", "square_mct_true", "mct_limit=x", "mct_limit"),
+        ("bruteforce", "six_as_deletion", "bruteforce_cap=NaN",
+         "bruteforce_cap"),
+    ])
+    def test_non_integers_are_config_errors(self, capsys, command, config,
+                                            setting, field):
+        code = main([command, "--config", str(CONFIGS / f"{config}.json"),
+                     "--set", setting])
+        assert code == 1
+        assert f"config error: {field}:" in capsys.readouterr().err
+
+    def test_integral_values_accepted(self, capsys):
+        code = main(["simulate", "--config",
+                     str(CONFIGS / "reference_simulation.json"),
+                     "--set", "simulate.seed=3.0",
+                     "--set", "simulate.horizon=\"50\""])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["seed"], out["horizon"]) == (3, 50)
+
+
 class TestThresholdCommand:
     def test_json_summary(self, capsys):
         assert main(["threshold", "--config",
@@ -358,17 +395,15 @@ class TestEntryPoint:
         cfg = reference_config(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-m", "mutualsec", "design", "--config", cfg],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["feasible"]
 
     def test_closed_stdout_pipe(self, tmp_path):
         cfg = reference_config(tmp_path)
-        path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         proc = subprocess.Popen(
             [sys.executable, "-m", "mutualsec", "design", "--config", cfg],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
         proc.stdout.close()  # the reader leaves before the child writes
         err = proc.stderr.read()
         assert proc.wait() == 0

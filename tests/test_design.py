@@ -24,10 +24,12 @@ from mutualsec import (
     security_cost,
     validate_assumptions,
 )
+from mutualsec import design
 
 from support import (
     REFERENCE_ENV,
     random_connected_matrix,
+    random_convex_table,
     random_feasible_instance,
     reference_instance,
 )
@@ -58,6 +60,24 @@ class TestMonitoringModel:
         out = mon.epsilon(np.array([1.0, 2.0, 4.0]))
         assert out.shape == (3,)
         assert np.all(np.diff(out) < 0)
+
+    def test_scalar_epsilon_matches_array_path(self):
+        # the kernel's plain-float epsilon is bit-identical to np.interp (and
+        # to the rational formula) at breakpoints, between them and outside
+        # the table
+        rng = np.random.default_rng(21)
+        for k in range(60):
+            mon = (MonitoringModel.rational(float(rng.uniform(0.001, 5.0)))
+                   if k % 4 == 0 else random_convex_table(rng))
+            t_end = 30.0 if mon._ts is None else float(mon._ts[-1])
+            points = list(rng.uniform(-1.0, t_end + 5.0, 200))
+            points += [0.0, 1e-300, t_end, t_end * 2.0]
+            if mon._ts is not None:
+                points += mon._ts.tolist()
+                points += [math.nextafter(t, math.inf) for t in mon._ts]
+                points += [math.nextafter(t, -math.inf) for t in mon._ts]
+            for t in points:
+                assert design._epsilon(mon, t) == float(mon.epsilon(t)), t
 
     def test_rational_validation(self):
         with pytest.raises(ValueError, match="w0"):
@@ -141,6 +161,28 @@ class TestFeasibleInterval:
                                  Subset.full(8))
         assert ic_check(design_in, env, mon, tm, 0)
 
+    def test_rational_edges_are_tight(self):
+        # both edges pass the headroom test h(T) <= bound, and moving either
+        # one outward by 1e-9 relative fails it
+        rng = np.random.default_rng(31)
+        checked = 0
+        for _ in range(1500):
+            beta = math.exp(rng.uniform(math.log(0.003), math.log(6.0)))
+            w0 = math.exp(rng.uniform(math.log(0.001), math.log(5.0)))
+            bound = math.exp(rng.uniform(0.001, math.log(1e5)))
+            env = Environment(p_high=0.3, p_low=0.05, c=0.25 / bound,
+                              beta=beta)
+            interval = feasible_period_interval(
+                env, MonitoringModel.rational(w0), 1.0)
+            if interval is None:
+                continue
+            bound = env.gap / env.c
+            h = lambda t: math.exp(beta * t) * (1.0 + 2.0 * w0 / t)
+            assert h(interval.lo) <= bound < h(interval.lo * (1 - 1e-9))
+            assert h(interval.hi) <= bound < h(interval.hi * (1 + 1e-9))
+            checked += 1
+        assert checked > 300
+
     def test_infeasible_when_cost_dominates(self):
         env = Environment(p_high=0.3, p_low=0.05, c=5.0, beta=0.2)
         mon = MonitoringModel.rational(0.1)
@@ -187,6 +229,59 @@ class TestMinimizeLossFactor:
             grid = np.linspace(lo, interval.hi, 20000)
             grid_vals = [efficiency_loss_factor(env, mon, t) for t in grid]
             assert g_star <= min(grid_vals) * (1 + 1e-6)
+
+    def test_matches_dense_grid_tabulated(self):
+        # tabulated curves go through the numeric search; its optimum must
+        # be feasible and at least as good as a dense grid evaluated with
+        # numpy's interpolation
+        rng = np.random.default_rng(12)
+        checked = 0
+        while checked < 40:
+            mon = random_convex_table(rng)
+            beta = float(rng.uniform(0.02, 1.5))
+            probe = np.geomspace(1e-6, 60.0, 4000)
+            eps = mon.epsilon(probe)
+            h_min = float((np.exp(beta * probe) / (1 - 2 * eps)).min())
+            if not math.isfinite(h_min):
+                continue
+            bound = h_min * float(rng.uniform(1.05, 4.0))
+            env = Environment(p_high=0.3, p_low=0.05, c=0.25 / bound,
+                              beta=beta)
+            interval = feasible_period_interval(env, mon, 1.0)
+            if interval is None:
+                continue
+            t_star, g_star = minimize_loss_factor(env, mon, 1.0)
+            assert interval.contains(t_star)
+            lo = interval.lo if interval.lo > 0 else interval.hi * 1e-9
+            grid = np.linspace(lo, interval.hi, 20000)
+            eps = mon.epsilon(grid)
+            grid_vals = np.exp(beta * grid) * eps / (1 - 2 * eps)
+            assert g_star <= grid_vals.min() * (1 + 1e-6)
+            checked += 1
+
+    def test_rational_optimum_is_clamped_inverse_beta(self):
+        # g(T) = w0 exp(beta T) / T is minimized at 1/beta, so the optimum is
+        # exactly 1/beta clamped into the feasible interval
+        rng = np.random.default_rng(13)
+        checked = 0
+        for _ in range(600):
+            beta = math.exp(rng.uniform(math.log(0.003), math.log(6.0)))
+            w0 = math.exp(rng.uniform(math.log(0.001), math.log(5.0)))
+            env = Environment(p_high=0.3, p_low=0.05,
+                              c=0.25 / math.exp(rng.uniform(0.001, 11.5)),
+                              beta=beta)
+            mon = MonitoringModel.rational(w0)
+            interval = feasible_period_interval(env, mon, 1.0)
+            found = minimize_loss_factor(env, mon, 1.0)
+            assert (interval is None) == (found is None)
+            if found is None:
+                continue
+            t_star, g_star = found
+            assert t_star == min(max(1.0 / beta, interval.lo), interval.hi)
+            assert g_star == pytest.approx(w0 * math.exp(beta * t_star)
+                                           / t_star, rel=1e-14)
+            checked += 1
+        assert checked > 100
 
     def test_none_when_infeasible(self):
         env = Environment(p_high=0.3, p_low=0.05, c=5.0, beta=0.2)

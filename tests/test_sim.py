@@ -309,6 +309,24 @@ class TestStrategyComparison:
         r = optimal_design(env, mon, tm)
         assert rows[0].avg_cost == pytest.approx(r.j_star, rel=0.01)
 
+    def test_rating_designs_once_per_beta(self, monkeypatch):
+        # the design does not depend on the seed, so each beta prices it once
+        from mutualsec import sim
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].beta)
+            return optimal_design(*args, **kwargs)
+
+        env, mon, tm = reference_instance()
+        monkeypatch.setattr(sim, "optimal_design", counted)
+        rows = run_strategy_comparison("rating", env, mon, tm, T=1.0,
+                                       horizon=50, seeds=4,
+                                       beta_grid=[0.2, 0.3])
+        assert calls == [0.2, 0.3]
+        assert [r.seeds for r in rows] == [4, 4]
+
     def test_unknown_kind(self):
         env, mon, tm = reference_instance()
         with pytest.raises(ValueError):
