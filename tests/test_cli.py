@@ -172,6 +172,12 @@ class TestMctCommand:
         assert out["mct"] is False
         assert out["witness"] == [2, 3, 4]
 
+    def test_limit_below_n(self, capsys):
+        code = main(["mct", "--config", str(CONFIGS / "square_mct_true.json"),
+                     "--set", "mct_limit=2"])
+        assert code == 1
+        assert "config error: mct_limit:" in capsys.readouterr().err
+
 
 class TestIdCommand:
     def test_six_as_trace(self, capsys):
@@ -208,7 +214,8 @@ class TestBruteforceCommand:
         cfg = reference_config(tmp_path)
         code = main(["bruteforce", "--config", cfg,
                      "--set", "network.n=18"])
-        assert code == 3  # library refuses; surfaced as internal error
+        assert code == 1
+        assert "config error: bruteforce_cap:" in capsys.readouterr().err
 
 
 class TestIntegerFields:
@@ -312,6 +319,24 @@ class TestSimulateCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("beta,kind,avg_cost")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("seeds", ["0", "2.5", '"a"', "[]", "[1, -2]",
+                                       '[1, "x"]'])
+    def test_bad_comparison_seeds(self, capsys, seeds):
+        code = main(["simulate", "--config",
+                     str(CONFIGS / "strategy_beta_comparison.json"),
+                     "--set", f"simulate.seeds={seeds}"])
+        assert code == 1
+        assert "config error: simulate.seeds:" in capsys.readouterr().err
+
+    def test_comparison_seed_list(self, capsys):
+        code = main(["simulate", "--config",
+                     str(CONFIGS / "strategy_beta_comparison.json"),
+                     "--set", "simulate.seeds=[3, 4]",
+                     "--set", "simulate.horizon=50"])
+        assert code == 0
+        assert [r["seeds"] for r in json.loads(capsys.readouterr().out)] == \
+            [2, 2, 2]
 
     def test_explicit_design(self, tmp_path, capsys):
         cfg = reference_config(tmp_path, simulate={

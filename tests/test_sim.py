@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +251,12 @@ class TestDeviationGain:
         with pytest.raises(ValueError):
             deviation_gain(d, env, mon, tm, 1, horizon=200, seeds=[])
 
+    @pytest.mark.parametrize("i", [-1, 8])
+    def test_as_index_checked(self, i):
+        d, env, mon, tm = reference_design()
+        with pytest.raises(ValueError, match="out of range"):
+            deviation_gain(d, env, mon, tm, i, horizon=10, seeds=1)
+
 
 class TestBenchmarks:
     def test_no_otc_matches_rating_independent_exactly(self):
@@ -327,6 +337,13 @@ class TestStrategyComparison:
         assert calls == [0.2, 0.3]
         assert [r.seeds for r in rows] == [4, 4]
 
+    @pytest.mark.parametrize("seeds", [0, []])
+    def test_needs_a_seed(self, seeds):
+        env, mon, tm = reference_instance()
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_strategy_comparison("trigger", env, mon, tm, T=1.0,
+                                    horizon=10, seeds=seeds, beta_grid=[0.2])
+
     def test_unknown_kind(self):
         env, mon, tm = reference_instance()
         with pytest.raises(ValueError):
@@ -358,8 +375,6 @@ class TestTimeSeries:
             rep.write_time_series_csv("/tmp/nope.csv")
 
     def test_json_round_trip(self):
-        import json
-
         d, env, mon, tm = reference_design()
         rep = simulate(d, BehaviorProfile.uniform(8, "grim-trigger"),
                        env, mon, tm, 30, 0, time_series=True)
@@ -367,3 +382,143 @@ class TestTimeSeries:
         assert parsed["avg_cost"] == rep.avg_cost
         # rating columns are null for schemes without ratings
         assert parsed["time_series"]["mean_rating"][0] is None
+
+
+# ---- streamed runs ---------------------------------------------------------
+
+GOLDEN = Path(__file__).with_name("sim_golden.json")
+
+
+def _golden_cases():
+    """Named simulate() argument tuples whose horizons fall before, on and
+    across block edges, covering every behavior kind and all three paths."""
+    env, mon, tm = reference_instance()
+    rated = optimal_design(env, mon, tm).design()
+    plan = RatingDesign(1.0, env.p_high, env.p_low, Subset.full(8))
+    mixed = BehaviorProfile((
+        Behavior("one-shot-deviator", at_period=0),
+        Behavior("compliant"),
+        Behavior("persistent-deviator"),
+        Behavior("one-shot-deviator", at_period=8192),
+        Behavior("compliant"),
+        Behavior("never-deploy"),
+        Behavior("always-deploy"),
+        Behavior("one-shot-deviator", at_period=1024),
+    ))
+    quiet = MonitoringModel.rational(1e-5)  # grim trigger fires late
+    runs = {
+        "compliant": (rated, BehaviorProfile.compliant(8), mon),
+        "mixed": (rated, mixed, mon),
+        "trigger": (plan, BehaviorProfile.uniform(8, "grim-trigger"), mon),
+        "trigger-quiet": (plan, BehaviorProfile.uniform(8, "grim-trigger"),
+                          quiet),
+        "tft": (plan, BehaviorProfile.uniform(8, "tit-for-tat"), mon),
+    }
+    for name, (design, profile, monitor) in runs.items():
+        for horizon in (1, 1025, 8193, 30000):
+            for seed in (2, 4):
+                yield (f"{name}/H={horizon}/seed={seed}",
+                       (design, profile, env, monitor, tm, horizon, seed))
+    tm40 = TrafficMatrix.complete(40, 1.0)
+    plan40 = RatingDesign(1.0, env.p_high, env.p_low, Subset.full(40))
+    for seed in (2, 4):
+        yield (f"tft-n40/H=1000/seed={seed}",
+               (plan40, BehaviorProfile.uniform(40, "tit-for-tat"), env, mon,
+                tm40, 1000, seed))
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype="<i8").tobytes()).hexdigest()
+
+
+def _fingerprint(rep) -> dict:
+    """JSON-ready summary of a time-series report: every report field, the
+    final state, the integer time-series columns as digests, and the
+    total-cost column sampled at fixed periods plus its sum."""
+    out = rep.to_dict()
+    del out["time_series"]
+    out["final_state"] = json.loads(json.dumps(dataclasses.asdict(
+        rep.final_state)))
+    ts = rep.time_series
+    h, n = rep.horizon, len(rep.avg_cost_per_as)
+    cost = np.asarray(ts["total_cost"])
+    rating = np.asarray(ts["mean_rating"], dtype=float)
+    picks = {0, 1, h - 2, h - 1, *range(0, h, max(1, h // 16))}
+    picks |= {m + d for m in (1024, 8192, 16384, 24576) for d in (-1, 0, 1)}
+    out["ts"] = {
+        "period": _digest(ts["period"]),
+        "trigger_fired": _digest(ts["trigger_fired"]),
+        "high_ratings": _digest(np.where(np.isnan(rating), -1,
+                                         np.rint(rating * n))),
+        "total_cost_sum": float(cost.sum()),
+        "total_cost": {str(k): float(cost[k]) for k in sorted(picks)
+                       if 0 <= k < h},
+    }
+    return out
+
+
+def _assert_matches(got, want, path="report"):
+    """Integers, booleans, strings and None exactly; floats within 1e-12
+    relative."""
+    if isinstance(want, float):
+        assert isinstance(got, float), path
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), \
+            f"{path}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), path
+        for k in want:
+            _assert_matches(got[k], want[k], f"{path}.{k}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{path}[{k}]")
+    else:
+        assert type(got) is type(want) and got == want, \
+            f"{path}: {got!r} != {want!r}"
+
+
+class TestStreaming:
+    """Runs are streamed in fixed-size period blocks; the reports must not
+    depend on the block length."""
+
+    def test_matches_whole_horizon_reports(self):
+        # sim_golden.json holds _fingerprint of each case as reported by the
+        # simulator before it was streamed (whole-horizon arrays).
+        golden = json.loads(GOLDEN.read_text())
+        cases = dict(_golden_cases())
+        assert cases.keys() == golden.keys()
+        for name, args in cases.items():
+            rep = simulate(*args, time_series=True)
+            _assert_matches(json.loads(json.dumps(_fingerprint(rep))),
+                            golden[name], name)
+
+    @pytest.mark.parametrize("elements", [1, 7, 64, 1000])
+    def test_block_length_does_not_matter(self, monkeypatch, elements):
+        from mutualsec import sim
+
+        cases = [args for name, args in _golden_cases()
+                 if "H=1025/" in name or name.startswith("tft-n40/")]
+        default = [_fingerprint(simulate(*a, time_series=True))
+                   for a in cases]
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", elements)
+        for args, want in zip(cases, default):
+            got = _fingerprint(simulate(*args, time_series=True))
+            _assert_matches(got, want)
+
+    @pytest.mark.parametrize("kind,n,horizon", [
+        ("tit-for-tat", 40, 10_000),
+        ("compliant", 8, 200_000),
+    ])
+    def test_memory_does_not_grow_with_horizon(self, kind, n, horizon):
+        import tracemalloc
+
+        env, mon, tm = reference_instance(n=n)
+        d = RatingDesign(1.0, env.p_high, env.p_low, Subset.full(n))
+        profile = BehaviorProfile.uniform(n, kind)
+        tracemalloc.start()
+        try:
+            simulate(d, profile, env, mon, tm, horizon, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
