@@ -16,6 +16,7 @@ import argparse
 import copy
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -98,18 +99,34 @@ def _require(cfg: dict, section: str) -> dict:
     return cfg[section]
 
 
-def _int_field(name: str, value) -> int:
-    """An integer config value; anything non-numeric, non-finite or
-    fractional is a config error naming the field."""
-    if isinstance(value, int):
-        return int(value)
+def _number(value) -> float:
+    """float(value), or NaN for a boolean or anything non-numeric."""
+    if isinstance(value, bool):
+        return math.nan
     try:
-        number = float(value)
+        return float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+        return math.nan
+
+
+def _int_field(name: str, value) -> int:
+    """An integer config value; a boolean, or anything non-numeric,
+    non-finite or fractional, is a config error naming the field."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _number(value)
     if not number.is_integer():
         raise ConfigError(f"{name}: expected an integer, got {value!r}")
     return int(number)
+
+
+def _float_field(name: str, value) -> float:
+    """A finite number config value; a boolean, or anything non-numeric or
+    non-finite, is a config error naming the field."""
+    number = _number(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+    return number
 
 
 def _seeds_field(value) -> int | list[int]:
@@ -173,35 +190,36 @@ def _build_network(cfg: dict) -> TrafficMatrix:
     kind = sec.get("kind")
     if kind is None:
         raise ConfigError("network.kind: missing")
+    count = lambda key: _int_field(f"network.{key}", sec[key])
     try:
         if kind == "complete":
-            return TrafficMatrix.complete(int(sec["n"]), float(sec["rate"]))
+            return TrafficMatrix.complete(count("n"), float(sec["rate"]))
         if kind == "regular":
             # Uniform-degree shorthand: complete graph on degree + 1 nodes.
-            return TrafficMatrix.complete(int(sec["degree"]) + 1,
+            return TrafficMatrix.complete(count("degree") + 1,
                                           float(sec["rate"]))
         if kind == "ring_lattice":
-            return TrafficMatrix.ring_lattice(int(sec["n"]),
-                                              int(sec["degree"]),
+            return TrafficMatrix.ring_lattice(count("n"), count("degree"),
                                               float(sec["rate"]))
         if kind == "line":
-            return TrafficMatrix.line(int(sec["n"]), float(sec["rate"]))
+            return TrafficMatrix.line(count("n"), float(sec["rate"]))
         if kind == "star":
-            return TrafficMatrix.star(int(sec["n"]), float(sec["rate"]))
+            return TrafficMatrix.star(count("n"), float(sec["rate"]))
         if kind == "core_periphery":
             return TrafficMatrix.restricted_core_periphery(
-                int(sec["cores"]), int(sec["periphery_per_core"]),
+                count("cores"), count("periphery_per_core"),
                 float(sec["rate"]))
         if kind == "edges":
             if "path" in sec:
-                return load_edge_csv(sec["path"], n=sec.get("n"))
+                return load_edge_csv(sec["path"],
+                                     n=count("n") if "n" in sec else None)
             edges = []
             for item in sec["edges"]:
                 i, j, rate = item[0], item[1], item[2]
                 if i < 1 or j < 1:
                     raise ConfigError("network.edges: indices are 1-based")
                 edges.append((int(i) - 1, int(j) - 1, float(rate)))
-            n = int(sec["n"])
+            n = count("n")
             return TrafficMatrix.from_edges(n, edges,
                                             directed=bool(sec.get("directed",
                                                                   False)))
@@ -384,10 +402,13 @@ def cmd_threshold(cfg: dict, args) -> int:
     try:
         result = core_periphery_threshold(
             env, mon,
-            periphery_per_core=int(sec["periphery_per_core"]),
+            periphery_per_core=_int_field("threshold.periphery_per_core",
+                                          sec["periphery_per_core"]),
             rate=float(sec["rate"]),
-            k_max=int(sec["k_max"]),
+            k_max=_int_field("threshold.k_max", sec["k_max"]),
         )
+    except ConfigError:
+        raise
     except KeyError as e:
         raise ConfigError(f"threshold.{e.args[0]}: missing")
     except (TypeError, ValueError) as e:
@@ -420,12 +441,13 @@ def cmd_threshold(cfg: dict, args) -> int:
 
 
 def _parse_profile(spec, n: int) -> BehaviorProfile:
-    if isinstance(spec, str):
-        return BehaviorProfile.uniform(n, spec)
-    if isinstance(spec, list):
+    try:
+        if isinstance(spec, str):
+            return BehaviorProfile.uniform(n, spec)
+        if not isinstance(spec, list):
+            raise ValueError("must be a string or a list")
         if len(spec) != n:
-            raise ConfigError(
-                f"simulate.profile: expected {n} entries, got {len(spec)}")
+            raise ValueError(f"expected {n} entries, got {len(spec)}")
         behaviors = []
         for item in spec:
             if isinstance(item, str):
@@ -434,10 +456,12 @@ def _parse_profile(spec, n: int) -> BehaviorProfile:
                 behaviors.append(Behavior(item["kind"],
                                           item.get("at_period")))
             else:
-                raise ConfigError("simulate.profile: entries must be "
-                                  "strings or objects")
+                raise ValueError("entries must be strings or objects")
         return BehaviorProfile(tuple(behaviors))
-    raise ConfigError("simulate.profile: must be a string or a list")
+    except KeyError as e:
+        raise ConfigError(f"simulate.profile: entry needs {e.args[0]!r}")
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"simulate.profile: {e}")
 
 
 def _parse_design(cfg: dict, sec: dict, env, mon, tm) -> RatingDesign:
@@ -498,7 +522,10 @@ def cmd_simulate(cfg: dict, args) -> int:
             raise ConfigError("simulate.benchmark: missing")
         fixed = sec.get("fixed")
         if fixed is not None:
-            fixed = tuple(float(x) for x in fixed)
+            if not isinstance(fixed, list):
+                raise ConfigError(f"simulate.fixed: expected [T, p0, p1], "
+                                  f"got {fixed!r}")
+            fixed = tuple(_float_field("simulate.fixed", x) for x in fixed)
         try:
             report = run_benchmark(kind, env, mon, tm, horizon, seed,
                                    fixed, time_series=want_ts)
@@ -509,11 +536,13 @@ def cmd_simulate(cfg: dict, args) -> int:
         try:
             rows = run_strategy_comparison(
                 sec["kind"], env, mon, tm,
-                T=float(sec.get("T", 1.0)),
+                T=_float_field("simulate.T", sec.get("T", 1.0)),
                 horizon=horizon,
                 seeds=seeds,
                 beta_grid=[float(b) for b in sec["beta_grid"]],
             )
+        except ConfigError:
+            raise
         except KeyError as e:
             raise ConfigError(f"simulate.{e.args[0]}: missing")
         except ValueError as e:

@@ -109,8 +109,10 @@ class MonitoringModel:
     Two kinds: the rational family epsilon(T) = w0 / (T + 2*w0), and
     tabulated curves interpolated piecewise-linearly.  Validity (the curve
     is non-increasing, convex, starts at or below 1/2) is analytic for the
-    rational family and checked on the table for custom curves; tabulated
-    curves hold their endpoint values outside the table's range.
+    rational family and checked for tables on the curve as held on [0, inf):
+    endpoint values extend flat beyond the table, so a table starting after
+    0 must not drop at its first step.  The held curve is kept as linear
+    pieces (t_left, t_right, epsilon(t_left), slope) for the design kernel.
     """
 
     def __init__(self, kind: str, w0: float | None = None, table=None) -> None:
@@ -136,13 +138,21 @@ class MonitoringModel:
                 raise ValueError("tabulated errors must lie in [0, 0.5]")
             if np.any(np.diff(es) > 1e-12):
                 raise ValueError("tabulated errors must be non-increasing")
-            if len(es) >= 3:
-                second = np.diff(es, 2)
-                if np.any(second < -1e-9):
-                    raise ValueError("tabulated errors must be convex")
             self._ts, self._eps = ts, es
             # Plain-float copies for scalar lookups (see design._epsilon).
             self._ts_list, self._eps_list = ts.tolist(), es.tolist()
+            held = list(zip(self._ts_list, self._eps_list))
+            if held[0][0] > 0:
+                held.insert(0, (0.0, held[0][1]))
+            self._pieces = [(t0, t1, e0, (e1 - e0) / (t1 - t0))
+                            for (t0, e0), (t1, e1) in zip(held, held[1:])]
+            self._pieces.append((held[-1][0], math.inf, held[-1][1], 0.0))
+            # Slope steps scaled to second differences on an even grid.
+            for (t0, t1, _, s0), (_, t2, _, s1) in zip(self._pieces,
+                                                       self._pieces[1:-1]):
+                if (s1 - s0) * 2.0 / (1.0 / (t1 - t0) + 1.0 / (t2 - t1)) < -1e-9:
+                    raise ValueError("tabulated errors must be convex from "
+                                     "T=0, where the first value is held")
         else:
             raise ValueError(f"unknown monitoring kind: {kind!r}")
 
@@ -277,53 +287,6 @@ class AssumptionReport:
 
 # ---- numeric helpers ------------------------------------------------------
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, a: float, b: float, rel_tol: float = 1e-9,
-                max_iter: int = 256) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f on [a, b]."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= rel_tol * max(abs(a), abs(b), 1e-300):
-            break
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    x = (a + b) / 2.0
-    return x, f(x)
-
-
-def _bisect_edge(pred, lo: float, hi: float, want_high_true: bool,
-                 iters: int = 64) -> float:
-    """Boundary of a monotone predicate on [lo, hi].
-
-    want_high_true: pred holds at hi and fails at lo (returns the smallest
-    true point); otherwise pred holds at lo and fails at hi (largest true
-    point)."""
-    for _ in range(iters):
-        mid = (lo + hi) / 2.0
-        if pred(mid) == want_high_true:
-            hi = mid
-        else:
-            lo = mid
-    return hi if want_high_true else lo
-
-
-def _loss_factor(env: Environment, mon: MonitoringModel, T):
-    eps = mon.epsilon(T)
-    denom = 1.0 - 2.0 * eps
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = np.exp(env.beta * np.asarray(T, dtype=float)) * eps / denom
-    return np.where(denom > 0, out, np.inf)
-
 
 def _epsilon(mon: MonitoringModel, t: float) -> float:
     """epsilon(t) in plain floats, equal to float(mon.epsilon(t)): the same
@@ -378,9 +341,13 @@ def _tighten(fits, t: float, t_in: float) -> float:
         if fits(t):
             return t
         t = math.nextafter(t, t_in)
-    if t < t_in:
-        return _bisect_edge(fits, t, t_in, True)
-    return _bisect_edge(fits, t_in, t, False)
+    for _ in range(64):
+        mid = (t + t_in) / 2.0
+        if fits(mid):
+            t_in = mid
+        else:
+            t = mid
+    return t_in
 
 
 # ---- operations -----------------------------------------------------------
@@ -413,9 +380,14 @@ def feasible_period_interval(
     of it, and the high edge from log(bound)/beta, which lies right of it;
     each edge is then stepped inward until h(edge) <= bound.
 
-    Tabulated monitors: golden-section search for the minimum of h on
-    (0, log(bound)/beta], then bisection for each edge; lo is 0.0 when
-    h(T) is within the bound as T -> 0."""
+    Tabulated monitors: epsilon is convex from T=0, so log h is convex.
+    On a piece epsilon(T) = e + s*(T - t0) its minimum is where 1 - 2*epsilon
+    = -2*s/beta, clamped to the piece; T_m is the best of these.  Each edge
+    is Newton's method on psi(T) = beta*T - log1p(-2*epsilon(T)) -
+    log(bound) along the piece that brackets it, from the piece's outer end
+    (for the low edge no lower than where 1 - 2*epsilon = 1/bound), stepped
+    inward as above.  lo is 0.0 when h(T) fits as T -> 0, and hi is
+    log(bound)/beta when h fits there."""
     if nu_crit <= 0:
         return None
     bound = env.gap * nu_crit / env.c
@@ -441,12 +413,30 @@ def feasible_period_interval(
         return math.exp(beta * t) / denom if denom > 0.0 else math.inf
 
     fits = lambda t: h(t) <= bound
-    t_min, h_min = _golden_min(h, t_cap * 1e-12, t_cap)
-    if h_min > bound:
+
+    def edge(piece, direction: float) -> float:
+        t0, t1, e0, s = piece
+        eps = lambda t: e0 + s * (t - t0)
+        psi = lambda t: beta * t - math.log1p(-2.0 * eps(t)) - log_bound
+        dpsi = lambda t: beta + 2.0 * s / (1.0 - 2.0 * eps(t))
+        if direction < 0.0:
+            t = min(t1, t_cap)
+        else:
+            t = min(t0 if s >= 0.0 else
+                    max(t0 + (0.5 - 0.5 / bound - e0) / s, t0), t_m)
+        return _tighten(fits, _newton(psi, dpsi, t, direction), t_m)
+
+    pieces = [p for p in mon._pieces if p[0] < t_cap]
+    t_m = min((t0 if s >= 0.0 else
+               min(max(t0 + (0.5 + s / beta - e0) / s, t0), t1, t_cap)
+               for t0, t1, e0, s in pieces), key=h)
+    if not fits(t_m):
         return None
-    t_tiny = t_cap * 1e-15
-    lo = 0.0 if fits(t_tiny) else _bisect_edge(fits, t_tiny, t_min, True)
-    hi = t_cap if fits(t_cap) else _bisect_edge(fits, t_min, t_cap, False)
+    lo = 0.0 if fits(t_cap * 1e-15) else edge(
+        next(p for p in pieces if fits(min(p[1], t_m))), 1.0)
+    hi = t_cap if fits(t_cap) else edge(
+        next(p for p in pieces if p[1] >= t_cap or not fits(max(p[1], t_m))),
+        -1.0)
     return PeriodInterval(lo, hi)
 
 
@@ -459,25 +449,31 @@ def minimize_loss_factor(
     minimum at 1/beta, so T* = min(max(1/beta, lo), hi) on the feasible
     interval [lo, hi] and g* = w0 * exp(beta*T*) / T*.
 
-    Tabulated monitors: a 1024-point log-spaced scan of the interval
-    brackets the minimum, golden-section search refines it to 1e-9
-    relative width, and the scan's endpoints win when they are lower."""
+    Tabulated monitors: on a piece of slope s, d log g / dT = beta + s /
+    (epsilon * (1 - 2*epsilon)) vanishes where epsilon = (1 +- sqrt(1 +
+    8*s/beta)) / 4.  So T* is the best of the interval ends (the low end
+    at least hi * 1e-12), the breakpoints inside and those stationary
+    points, ties going to the smaller T."""
     interval = feasible_period_interval(env, mon, nu_crit)
     if interval is None:
         return None
     if mon.kind == "rational":
         t_star = min(max(1.0 / env.beta, interval.lo), interval.hi)
         return t_star, mon.w0 * math.exp(env.beta * t_star) / t_star
-    lo = max(interval.lo, interval.hi * 1e-12)
-    ts = np.geomspace(lo, interval.hi, 1024)
-    gs = _loss_factor(env, mon, ts)
-    i = int(np.argmin(gs))
-    a = float(ts[max(i - 1, 0)])
-    b = float(ts[min(i + 1, len(ts) - 1)])
-    t_star, g_star = _golden_min(lambda t: _loss_at(env, mon, t), a, b)
-    for t_cand, g_cand in ((float(ts[0]), float(gs[0])), (float(ts[-1]), float(gs[-1]))):
-        if g_cand < g_star:
-            t_star, g_star = t_cand, g_cand
+    lo, hi = max(interval.lo, interval.hi * 1e-12), interval.hi
+    candidates = [lo, hi]
+    for t0, t1, e0, s in mon._pieces:
+        if t0 >= hi:
+            break
+        if t0 > lo:
+            candidates.append(t0)
+        disc = 1.0 + 8.0 * s / env.beta
+        if s < 0.0 and disc >= 0.0:
+            for sign in (-1.0, 1.0):
+                t = t0 + ((1.0 + sign * math.sqrt(disc)) / 4.0 - e0) / s
+                if max(lo, t0) < t < min(hi, t1):
+                    candidates.append(t)
+    g_star, t_star = min((_loss_at(env, mon, t), t) for t in candidates)
     return t_star, g_star
 
 

@@ -65,12 +65,12 @@ def random_feasible_instance(rng, n_lo=3, n_hi=8, *, require_assumptions=False,
 
 
 def random_convex_table(rng):
-    """Tabulated monitor on an even period grid, decreasing and convex: each
-    step's drop is a fixed fraction of the one before.  The grid starts at
-    0 or, half the time, later (so epsilon is held flat below it)."""
+    """Tabulated monitor on an even period grid from T=0, decreasing and
+    convex: each step's drop is a fixed fraction of the one before.  (A
+    grid starting later would hold epsilon flat below its first period,
+    a concave kink that MonitoringModel rejects.)"""
     m = int(rng.integers(2, 16))
-    start = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.1, 2.0))
-    ts = np.linspace(start, start + rng.uniform(2.0, 20.0), m)
+    ts = np.linspace(0.0, rng.uniform(2.0, 20.0), m)
     eps0 = rng.uniform(0.05, 0.5)
     drops = rng.uniform(0.2, 0.95) ** np.arange(m - 1)
     drops *= eps0 * rng.uniform(0.3, 0.99) / drops.sum()

@@ -72,6 +72,9 @@ class TestDesignCommand:
             ("design", "monitoring.w0=NaN", "w0 must be"),
             ("design", 'monitoring={"kind": "tabulated", '
              '"points": [[0, 0.5], [NaN, 0.2]]}', "periods and errors"),
+            ("design", 'monitoring={"kind": "tabulated", '
+             '"points": [[1, 0.3], [2, 0.1], [3, 0.05]]}',
+             "monitoring: tabulated errors must be convex"),
             ("simulate", 'simulate={"design": {"T": NaN, "p0": 0.2, '
              '"p1": 0.05}}', "simulate.design: T must be finite"),
             ("sweep", 'sweep={"parameters": {"w0": [0.1, NaN]}}',
@@ -230,6 +233,21 @@ class TestIntegerFields:
         ("mct", "square_mct_true", "mct_limit=x", "mct_limit"),
         ("bruteforce", "six_as_deletion", "bruteforce_cap=NaN",
          "bruteforce_cap"),
+        ("simulate", "reference_simulation", "simulate.horizon=true",
+         "simulate.horizon"),
+        ("design", "reference_design", "network.n=8.5", "network.n"),
+        ("design", "reference_design", 'network={"kind": "ring_lattice", '
+         '"n": 8, "degree": 2.5, "rate": 1.0}', "network.degree"),
+        ("design", "reference_design", 'network={"kind": "core_periphery", '
+         '"cores": true, "periphery_per_core": 1, "rate": 1.0}',
+         "network.cores"),
+        ("design", "reference_design", 'network={"kind": "core_periphery", '
+         '"cores": 3, "periphery_per_core": 1.5, "rate": 1.0}',
+         "network.periphery_per_core"),
+        ("threshold", "core_periphery_threshold",
+         "threshold.periphery_per_core=1.5", "threshold.periphery_per_core"),
+        ("threshold", "core_periphery_threshold", "threshold.k_max=true",
+         "threshold.k_max"),
     ])
     def test_non_integers_are_config_errors(self, capsys, command, config,
                                             setting, field):
@@ -356,6 +374,26 @@ class TestSimulateCommand:
         })
         assert main(["simulate", "--config", cfg]) == 1
         assert "profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, settings, field", [
+        ("reference_simulation", ['simulate.profile="bogus"'],
+         "simulate.profile"),
+        ("reference_simulation",
+         [f"simulate.profile={json.dumps([{'at_period': 1}] * 8)}"],
+         "simulate.profile"),
+        ("reference_simulation", ["simulate.mode=benchmark",
+                                  "simulate.benchmark=fixed",
+                                  'simulate.fixed=["a", 1, 2]'],
+         "simulate.fixed"),
+        ("strategy_beta_comparison", ["simulate.T=null"], "simulate.T"),
+    ])
+    def test_bad_fields_are_config_errors(self, capsys, config, settings,
+                                          field):
+        argv = ["simulate", "--config", str(CONFIGS / f"{config}.json")]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert main(argv) == 1
+        assert f"config error: {field}:" in capsys.readouterr().err
 
     def test_unknown_benchmark(self, tmp_path, capsys):
         cfg = reference_config(tmp_path, simulate={

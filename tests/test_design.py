@@ -101,6 +101,15 @@ class TestMonitoringModel:
         with pytest.raises(ValueError, match="convex"):
             MonitoringModel.tabulated(
                 [(0.0, 0.4), (1.0, 0.39), (2.0, 0.2)])
+        # held flat at 0.3 below T=1, so the drop at the first step is a
+        # concave kink
+        with pytest.raises(ValueError, match="convex"):
+            MonitoringModel.tabulated([(1.0, 0.3), (2.0, 0.1), (3.0, 0.05)])
+        # on an uneven grid convexity compares slopes, not value steps
+        with pytest.raises(ValueError, match="convex"):
+            MonitoringModel.tabulated([(0.0, 0.4), (10.0, 0.3), (11.0, 0.2)])
+        MonitoringModel.tabulated([(0.0, 0.4), (1.0, 0.3), (10.0, 0.2)])
+        MonitoringModel.tabulated([(1.0, 0.3), (2.0, 0.3), (3.0, 0.3)])
 
     def test_validity_report(self):
         ok, detail = MonitoringModel.rational(0.3).validity_report()
@@ -183,6 +192,37 @@ class TestFeasibleInterval:
             checked += 1
         assert checked > 300
 
+    def test_tabulated_edges_are_tight(self):
+        # as for rational monitors: both edges pass h(T) <= bound and moving
+        # either one outward by 1e-9 relative fails it.  The first case has
+        # its minimum headroom at the kink T=2 and a bound 1e-12 above it.
+        rng = np.random.default_rng(32)
+        kink = MonitoringModel.tabulated(
+            [(0.0, 0.5), (1.0, 0.3), (2.0, 0.1), (3.0, 0.05)])
+        cases = [(kink, 0.2, math.exp(0.4) / 0.8 * (1 + 1e-12))]
+        while len(cases) < 300:
+            mon = random_convex_table(rng)
+            beta = float(rng.uniform(0.02, 1.5))
+            probe = np.geomspace(1e-6, 60.0, 4000)
+            eps = mon.epsilon(probe)
+            h_min = float((np.exp(beta * probe) / (1 - 2 * eps)).min())
+            if math.isfinite(h_min):
+                cases.append((mon, beta,
+                              h_min * float(rng.uniform(1.001, 1.5))))
+        checked = 0
+        for mon, beta, bound in cases:
+            env = Environment(p_high=0.3, p_low=0.05, c=0.25 / bound,
+                              beta=beta)
+            interval = feasible_period_interval(env, mon, 1.0)
+            assert interval is not None
+            bound = env.gap / env.c
+            h = lambda t: math.exp(beta * t) / (1 - 2 * float(mon.epsilon(t)))
+            if interval.lo > 0:
+                assert h(interval.lo) <= bound < h(interval.lo * (1 - 1e-9))
+                checked += 1
+            assert h(interval.hi) <= bound < h(interval.hi * (1 + 1e-9))
+        assert checked > 40
+
     def test_infeasible_when_cost_dominates(self):
         env = Environment(p_high=0.3, p_low=0.05, c=5.0, beta=0.2)
         mon = MonitoringModel.rational(0.1)
@@ -231,24 +271,40 @@ class TestMinimizeLossFactor:
             assert g_star <= min(grid_vals) * (1 + 1e-6)
 
     def test_matches_dense_grid_tabulated(self):
-        # tabulated curves go through the numeric search; its optimum must
-        # be feasible and at least as good as a dense grid evaluated with
-        # numpy's interpolation
+        # the per-piece optimum of a tabulated curve must be feasible and at
+        # least as good as a dense grid evaluated with numpy's
+        # interpolation.  The first case is fixed: its optimum is the last
+        # breakpoint, g = 0.2161326, where a search that skips breakpoints
+        # stops near T = 2.368, g = 0.2162939.
+        fixed = (
+            Environment(p_high=0.2891793790490087, p_low=0.12847397449277279,
+                        c=0.03241867198640178, beta=0.46573371078478015),
+            MonitoringModel.tabulated(list(zip(
+                np.linspace(0, 2.7625722772375125, 8).tolist(),
+                [0.23016433280844367, 0.18011111903206678, 0.142199166982136,
+                 0.1134834062987609, 0.09173314372882349, 0.07525877875979431,
+                 0.06278055233562674, 0.05332913281290086]))),
+        )
         rng = np.random.default_rng(12)
         checked = 0
         while checked < 40:
-            mon = random_convex_table(rng)
-            beta = float(rng.uniform(0.02, 1.5))
-            probe = np.geomspace(1e-6, 60.0, 4000)
-            eps = mon.epsilon(probe)
-            h_min = float((np.exp(beta * probe) / (1 - 2 * eps)).min())
-            if not math.isfinite(h_min):
-                continue
-            bound = h_min * float(rng.uniform(1.05, 4.0))
-            env = Environment(p_high=0.3, p_low=0.05, c=0.25 / bound,
-                              beta=beta)
+            if checked == 0:
+                env, mon = fixed
+            else:
+                mon = random_convex_table(rng)
+                beta = float(rng.uniform(0.02, 1.5))
+                probe = np.geomspace(1e-6, 60.0, 4000)
+                eps = mon.epsilon(probe)
+                h_min = float((np.exp(beta * probe) / (1 - 2 * eps)).min())
+                if not math.isfinite(h_min):
+                    continue
+                bound = h_min * float(rng.uniform(1.05, 4.0))
+                env = Environment(p_high=0.3, p_low=0.05, c=0.25 / bound,
+                                  beta=beta)
+            beta = env.beta
             interval = feasible_period_interval(env, mon, 1.0)
             if interval is None:
+                assert checked > 0, "the fixed case is feasible"
                 continue
             t_star, g_star = minimize_loss_factor(env, mon, 1.0)
             assert interval.contains(t_star)
@@ -258,6 +314,17 @@ class TestMinimizeLossFactor:
             grid_vals = np.exp(beta * grid) * eps / (1 - 2 * eps)
             assert g_star <= grid_vals.min() * (1 + 1e-6)
             checked += 1
+
+    def test_tabulated_breakpoint_optimum_is_exact(self):
+        # g falls on [1, 2] and [2, 3] and rises beyond the table, and the
+        # last piece's slope -0.05 is below -beta/8, so no stationary point:
+        # the optimum is the breakpoint itself
+        env, _, tm = reference_instance()
+        mon = MonitoringModel.tabulated(
+            [(0.0, 0.5), (1.0, 0.3), (2.0, 0.1), (3.0, 0.05)])
+        r = optimal_design(env, mon, tm)
+        assert r.t_star == 3.0
+        assert r.g_star == efficiency_loss_factor(env, mon, 3.0)
 
     def test_rational_optimum_is_clamped_inverse_beta(self):
         # g(T) = w0 exp(beta T) / T is minimized at 1/beta, so the optimum is
