@@ -13,13 +13,14 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import itertools
 import json
-import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -43,11 +44,13 @@ from .network import (
 from .sim import (
     Behavior,
     BehaviorProfile,
+    ComparisonRow,
     run_benchmark,
     run_strategy_comparison,
     simulate,
 )
 from .strategy import (
+    ThresholdRow,
     brute_force_optimal,
     core_periphery_threshold,
     iterative_deletion,
@@ -58,6 +61,9 @@ __all__ = ["main"]
 
 class ConfigError(ValueError):
     pass
+
+
+_ABSENT = object()
 
 
 def _load_config(path: str) -> dict:
@@ -99,14 +105,36 @@ def _require(cfg: dict, section: str) -> dict:
     return cfg[section]
 
 
-def _number(value) -> float:
-    """float(value), or NaN for a boolean or anything non-numeric."""
+def _field(sec: dict, section: str, key: str, read, default=_ABSENT):
+    """read(f"{section}.{key}", sec[key]).  An absent key gives `default`,
+    or is a config error when there is none."""
+    if key not in sec:
+        if default is _ABSENT:
+            raise ConfigError(f"{section}.{key}: missing")
+        return default
+    return read(f"{section}.{key}", sec[key])
+
+
+@contextlib.contextmanager
+def _section(name: str):
+    """Report a library ValueError, or a file error, as a config error in
+    section `name`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, OSError) as e:
+        raise ConfigError(f"{name}: {e}")
+
+
+def _number(value) -> float | None:
+    """float(value), or None for a boolean or anything non-numeric."""
     if isinstance(value, bool):
-        return math.nan
+        return None
     try:
         return float(value)
     except (TypeError, ValueError):
-        return math.nan
+        return None
 
 
 def _int_field(name: str, value) -> int:
@@ -115,140 +143,161 @@ def _int_field(name: str, value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     number = _number(value)
-    if not number.is_integer():
+    if number is None or not number.is_integer():
         raise ConfigError(f"{name}: expected an integer, got {value!r}")
     return int(number)
 
 
 def _float_field(name: str, value) -> float:
-    """A finite number config value; a boolean, or anything non-numeric or
-    non-finite, is a config error naming the field."""
+    """A number config value (NaN and inf pass, for the library to
+    reject); a boolean, or anything non-numeric, is a config error."""
     number = _number(value)
-    if not math.isfinite(number):
-        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+    if number is None:
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
     return number
 
 
-def _seeds_field(value) -> int | list[int]:
-    """simulate.seeds: a positive count (seeds 0, 1, ...) or a nonempty
-    list of non-negative integer seeds."""
-    name = "simulate.seeds"
-    if not isinstance(value, list):
-        count = _int_field(name, value)
-        if count < 1:
-            raise ConfigError(f"{name}: expected a positive count, "
-                              f"got {value!r}")
-        return count
-    seeds = [_int_field(name, v) for v in value]
-    if not seeds or min(seeds) < 0:
-        raise ConfigError(f"{name}: expected a nonempty list of non-negative "
-                          f"integers, got {value!r}")
+def _instance_of(kind: type, what: str):
+    """A reader for a value that must already be a `kind`."""
+    def read(name: str, value):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name}: expected {what}, got {value!r}")
+        return value
+    return read
+
+
+_bool_field = _instance_of(bool, "true or false")
+_str_field = _instance_of(str, "a string")
+
+
+def _list_of(read):
+    """A reader for a JSON list whose items are each read by `read`."""
+    def read_list(name: str, value) -> list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name}: expected a list, got {value!r}")
+        return [read(name, item) for item in value]
+    return read_list
+
+
+def _tuple_of(shape: str, *reads):
+    """A reader for a fixed-length JSON list such as [T, eps], item k read
+    by reads[k]."""
+    def read_tuple(name: str, value) -> tuple:
+        if not isinstance(value, list) or len(value) != len(reads):
+            raise ConfigError(f"{name}: expected {shape}, got {value!r}")
+        return tuple(read(name, item) for read, item in zip(reads, value))
+    return read_tuple
+
+
+_point_field = _tuple_of("[T, eps] pairs", _float_field, _float_field)
+_fixed_field = _tuple_of("[T, p0, p1]", _float_field, _float_field,
+                         _float_field)
+
+
+def _edge_field(name: str, value) -> tuple[int, int, float]:
+    """An edge [i, j, rate] with 1-based integer indices, made 0-based."""
+    i, j, rate = _tuple_of("[i, j, rate] triples", _int_field, _int_field,
+                           _float_field)(name, value)
+    if i < 1 or j < 1:
+        raise ConfigError(f"{name}: indices are 1-based")
+    return i - 1, j - 1, rate
+
+
+def _subset_field(name: str, value, n: int) -> Subset:
+    """A nonempty list of 1-based AS indices in 1..n, made 0-based."""
+    members = _list_of(_int_field)(name, value)
+    if not members or not all(1 <= v <= n for v in members):
+        raise ConfigError(f"{name}: expected a nonempty list of 1-based "
+                          f"indices in 1..{n}, got {value!r}")
+    with _section(name):
+        return Subset.of([v - 1 for v in members], n)
+
+
+def _seeds_field(name: str, value) -> int | list[int]:
+    """A positive count (seeds 0, 1, ...) or a nonempty list of
+    non-negative integer seeds."""
+    if isinstance(value, list):
+        seeds = _list_of(_int_field)(name, value)
+        valid = bool(seeds) and min(seeds) >= 0
+    else:
+        seeds = _int_field(name, value)
+        valid = seeds >= 1
+    if not valid:
+        raise ConfigError(f"{name}: expected a positive count or a nonempty "
+                          f"list of non-negative integers, got {value!r}")
     return seeds
 
 
 def _build_environment(cfg: dict) -> Environment:
-    sec = _require(cfg, "environment")
-    try:
-        return Environment(
-            p_high=float(sec["p_high"]),
-            p_low=float(sec["p_low"]),
-            c=float(sec["c"]),
-            beta=float(sec["beta"]),
-        )
-    except KeyError as e:
-        raise ConfigError(f"environment.{e.args[0]}: missing")
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"environment: {e}")
+    get = partial(_field, _require(cfg, "environment"), "environment")
+    with _section("environment"):
+        return Environment(**{key: get(key, _float_field)
+                              for key in ("p_high", "p_low", "c", "beta")})
 
 
 def _build_monitoring(cfg: dict) -> MonitoringModel:
     sec = _require(cfg, "monitoring")
+    get = partial(_field, sec, "monitoring")
     kind = sec.get("kind", "rational")
-    try:
+    with _section("monitoring"):
         if kind == "rational":
-            if "w0" not in sec:
-                raise ConfigError("monitoring.w0: missing")
-            return MonitoringModel.rational(float(sec["w0"]))
+            return MonitoringModel.rational(get("w0", _float_field))
         if kind == "tabulated":
             if "path" in sec:
-                pts = np.loadtxt(sec["path"], delimiter=",", ndmin=2)
-                points = [(float(t), float(e)) for t, e in pts]
+                rows = np.loadtxt(get("path", _str_field), delimiter=",",
+                                  ndmin=2)
+                points = _list_of(_point_field)("monitoring.path",
+                                                rows.tolist())
             elif "points" in sec:
-                points = [(float(t), float(e)) for t, e in sec["points"]]
+                points = get("points", _list_of(_point_field))
             else:
                 raise ConfigError("monitoring: tabulated needs points or path")
             return MonitoringModel.tabulated(points)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OSError) as e:
-        raise ConfigError(f"monitoring: {e}")
     raise ConfigError(f"monitoring.kind: unknown kind {kind!r}")
 
 
 def _build_network(cfg: dict) -> TrafficMatrix:
     sec = _require(cfg, "network")
-    kind = sec.get("kind")
-    if kind is None:
-        raise ConfigError("network.kind: missing")
-    count = lambda key: _int_field(f"network.{key}", sec[key])
-    try:
+    get = partial(_field, sec, "network")
+    kind = get("kind", _str_field)
+    count = lambda key: get(key, _int_field)
+    rate = lambda: get("rate", _float_field)
+    with _section("network"):
         if kind == "complete":
-            return TrafficMatrix.complete(count("n"), float(sec["rate"]))
+            return TrafficMatrix.complete(count("n"), rate())
         if kind == "regular":
             # Uniform-degree shorthand: complete graph on degree + 1 nodes.
-            return TrafficMatrix.complete(count("degree") + 1,
-                                          float(sec["rate"]))
+            return TrafficMatrix.complete(count("degree") + 1, rate())
         if kind == "ring_lattice":
             return TrafficMatrix.ring_lattice(count("n"), count("degree"),
-                                              float(sec["rate"]))
+                                              rate())
         if kind == "line":
-            return TrafficMatrix.line(count("n"), float(sec["rate"]))
+            return TrafficMatrix.line(count("n"), rate())
         if kind == "star":
-            return TrafficMatrix.star(count("n"), float(sec["rate"]))
+            return TrafficMatrix.star(count("n"), rate())
         if kind == "core_periphery":
             return TrafficMatrix.restricted_core_periphery(
-                count("cores"), count("periphery_per_core"),
-                float(sec["rate"]))
+                count("cores"), count("periphery_per_core"), rate())
         if kind == "edges":
             if "path" in sec:
-                return load_edge_csv(sec["path"],
-                                     n=count("n") if "n" in sec else None)
-            edges = []
-            for item in sec["edges"]:
-                i, j, rate = item[0], item[1], item[2]
-                if i < 1 or j < 1:
-                    raise ConfigError("network.edges: indices are 1-based")
-                edges.append((int(i) - 1, int(j) - 1, float(rate)))
-            n = count("n")
-            return TrafficMatrix.from_edges(n, edges,
-                                            directed=bool(sec.get("directed",
-                                                                  False)))
+                return load_edge_csv(get("path", _str_field),
+                                     n=get("n", _int_field, None))
+            edges = get("edges", _list_of(_edge_field))
+            return TrafficMatrix.from_edges(
+                count("n"), edges, directed=get("directed", _bool_field, False))
         if kind == "matrix":
             if "path" in sec:
-                return load_matrix_csv(sec["path"])
-            return TrafficMatrix.from_matrix(np.asarray(sec["rates"],
-                                                        dtype=float))
-    except ConfigError:
-        raise
-    except KeyError as e:
-        raise ConfigError(f"network.{e.args[0]}: missing")
-    except (TypeError, ValueError, OSError) as e:
-        raise ConfigError(f"network: {e}")
+                return load_matrix_csv(get("path", _str_field))
+            rows = get("rates", _list_of(_list_of(_float_field)))
+            return TrafficMatrix.from_matrix(np.asarray(rows, dtype=float))
     raise ConfigError(f"network.kind: unknown kind {kind!r}")
 
 
-def _build_subset(cfg: dict, n: int) -> Subset | None:
+def _build_subset(cfg: dict, n: int) -> Subset:
+    """The top-level `subset`, or everyone."""
     if "subset" not in cfg:
-        return None
-    raw = cfg["subset"]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("subset: must be a nonempty list of 1-based indices")
-    members = []
-    for v in raw:
-        if not isinstance(v, int) or v < 1 or v > n:
-            raise ConfigError(f"subset: index {v!r} out of range 1..{n}")
-        members.append(v - 1)
-    return Subset.of(members, n)
+        return Subset.full(n)
+    return _subset_field("subset", cfg["subset"], n)
 
 
 def _ones(indices) -> list[int]:
@@ -271,11 +320,11 @@ def _design_dict(result: DesignResult) -> dict:
 
 
 def _emit(payload: str, out: str | None) -> None:
+    if not payload.endswith("\n"):
+        payload += "\n"
     if out is None or out == "-":
         try:
             sys.stdout.write(payload)
-            if not payload.endswith("\n"):
-                sys.stdout.write("\n")
             sys.stdout.flush()
         except BrokenPipeError:
             # The reader went away (e.g. `| head`).  Point stdout at devnull
@@ -286,15 +335,13 @@ def _emit(payload: str, out: str | None) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(payload)
-            if not payload.endswith("\n"):
-                fh.write("\n")
 
 
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False)
 
 
-def _csv_rows(header: list[str], rows: list[list]) -> str:
+def _csv_rows(header: list[str], rows: list[dict]) -> str:
     def cell(v):
         if v is None:
             return ""
@@ -305,7 +352,7 @@ def _csv_rows(header: list[str], rows: list[list]) -> str:
         return str(v)
 
     lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    lines.extend(",".join(cell(row[h]) for h in header) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -319,7 +366,7 @@ def cmd_design(cfg: dict, args) -> int:
     env = _build_environment(cfg)
     mon = _build_monitoring(cfg)
     tm = _build_network(cfg)
-    subset = _build_subset(cfg, tm.n) or Subset.full(tm.n)
+    subset = _build_subset(cfg, tm.n)
     result = optimal_design(env, mon, tm, subset)
     report = validate_assumptions(env, mon, tm, subset)
     payload = _design_dict(result)
@@ -333,10 +380,8 @@ def cmd_mct(cfg: dict, args) -> int:
     _require_json(args)
     tm = _build_network(cfg)
     limit = _int_field("mct_limit", cfg.get("mct_limit", 20))
-    try:
+    with _section("mct_limit"):
         ok, witness = has_mct(tm, limit=limit)
-    except ValueError as e:
-        raise ConfigError(f"mct_limit: {e}")
     payload = {
         "mct": ok,
         "witness": None if witness is None else _ones(witness.members),
@@ -354,17 +399,14 @@ def cmd_id(cfg: dict, args) -> int:
     tm = _build_network(cfg)
     result = iterative_deletion(env, mon, tm)
     trace = result.trace
-    iterations = []
-    for it in trace.iterations:
-        row = {
-            "subset": _ones(it.subset.members),
-            "critical_traffic": it.critical_traffic,
-            "critical_ases": _ones(it.critical_ases),
-            "evaluated": it.evaluated,
-            "skip_reason": it.skip_reason,
-            "design": None if it.design is None else _design_dict(it.design),
-        }
-        iterations.append(row)
+    iterations = [{
+        "subset": _ones(it.subset.members),
+        "critical_traffic": it.critical_traffic,
+        "critical_ases": _ones(it.critical_ases),
+        "evaluated": it.evaluated,
+        "skip_reason": it.skip_reason,
+        "design": None if it.design is None else _design_dict(it.design),
+    } for it in trace.iterations]
     payload = {
         "chosen_iteration": trace.chosen,
         "subset": _ones(result.subset.members),
@@ -382,10 +424,8 @@ def cmd_bruteforce(cfg: dict, args) -> int:
     mon = _build_monitoring(cfg)
     tm = _build_network(cfg)
     cap = _int_field("bruteforce_cap", cfg.get("bruteforce_cap", 16))
-    try:
+    with _section("bruteforce_cap"):
         result = brute_force_optimal(env, mon, tm, cap=cap)
-    except ValueError as e:
-        raise ConfigError(f"bruteforce_cap: {e}")
     payload = {
         "subset": _ones(result.subset.members),
         "evaluations": result.evaluations,
@@ -398,37 +438,18 @@ def cmd_bruteforce(cfg: dict, args) -> int:
 def cmd_threshold(cfg: dict, args) -> int:
     env = _build_environment(cfg)
     mon = _build_monitoring(cfg)
-    sec = _require(cfg, "threshold")
-    try:
+    get = partial(_field, _require(cfg, "threshold"), "threshold")
+    with _section("threshold"):
         result = core_periphery_threshold(
             env, mon,
-            periphery_per_core=_int_field("threshold.periphery_per_core",
-                                          sec["periphery_per_core"]),
-            rate=float(sec["rate"]),
-            k_max=_int_field("threshold.k_max", sec["k_max"]),
+            periphery_per_core=get("periphery_per_core", _int_field),
+            rate=get("rate", _float_field),
+            k_max=get("k_max", _int_field),
         )
-    except ConfigError:
-        raise
-    except KeyError as e:
-        raise ConfigError(f"threshold.{e.args[0]}: missing")
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"threshold: {e}")
-    rows = [
-        {
-            "cores": r.cores,
-            "n": r.n,
-            "j_full": r.j_full,
-            "j_core": r.j_core,
-            "exact_diff": r.exact_diff,
-            "closed_form_diff": r.closed_form_diff,
-        }
-        for r in result.rows
-    ]
+    rows = [r.__dict__ for r in result.rows]
     if args.format == "csv":
-        header = ["cores", "n", "j_full", "j_core", "exact_diff",
-                  "closed_form_diff"]
-        table = [[row[h] for h in header] for row in rows]
-        _emit(_csv_rows(header, table), args.out)
+        header = [f.name for f in fields(ThresholdRow)]
+        _emit(_csv_rows(header, rows), args.out)
     else:
         payload = {
             "k_star": result.k_star,
@@ -441,7 +462,7 @@ def cmd_threshold(cfg: dict, args) -> int:
 
 
 def _parse_profile(spec, n: int) -> BehaviorProfile:
-    try:
+    with _section("simulate.profile"):
         if isinstance(spec, str):
             return BehaviorProfile.uniform(n, spec)
         if not isinstance(spec, list):
@@ -453,20 +474,19 @@ def _parse_profile(spec, n: int) -> BehaviorProfile:
             if isinstance(item, str):
                 behaviors.append(Behavior(item))
             elif isinstance(item, dict):
+                if "kind" not in item:
+                    raise ValueError("entry needs 'kind'")
+                get = partial(_field, item, "simulate.profile")
                 behaviors.append(Behavior(item["kind"],
-                                          item.get("at_period")))
+                                          get("at_period", _int_field, None)))
             else:
                 raise ValueError("entries must be strings or objects")
         return BehaviorProfile(tuple(behaviors))
-    except KeyError as e:
-        raise ConfigError(f"simulate.profile: entry needs {e.args[0]!r}")
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"simulate.profile: {e}")
 
 
 def _parse_design(cfg: dict, sec: dict, env, mon, tm) -> RatingDesign:
     spec = sec.get("design", "optimal")
-    subset = _build_subset(cfg, tm.n) or Subset.full(tm.n)
+    subset = _build_subset(cfg, tm.n)
     if spec == "optimal":
         result = optimal_design(env, mon, tm, subset)
         if not result.feasible:
@@ -475,16 +495,11 @@ def _parse_design(cfg: dict, sec: dict, env, mon, tm) -> RatingDesign:
                 f"{result.diagnostic}")
         return result.design()
     if isinstance(spec, dict):
-        try:
-            members = spec.get("subset")
-            sub = (subset if members is None
-                   else _build_subset({"subset": members}, tm.n))
-            return RatingDesign(float(spec["T"]), float(spec["p0"]),
-                                float(spec["p1"]), sub)
-        except KeyError as e:
-            raise ConfigError(f"simulate.design.{e.args[0]}: missing")
-        except ValueError as e:
-            raise ConfigError(f"simulate.design: {e}")
+        get = partial(_field, spec, "simulate.design")
+        sub = get("subset", partial(_subset_field, n=tm.n), subset)
+        with _section("simulate.design"):
+            return RatingDesign(get("T", _float_field), get("p0", _float_field),
+                                get("p1", _float_field), sub)
     raise ConfigError("simulate.design: must be \"optimal\" or an object "
                       "with T, p0, p1")
 
@@ -494,6 +509,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     mon = _build_monitoring(cfg)
     tm = _build_network(cfg)
     sec = _require(cfg, "simulate")
+    get = partial(_field, sec, "simulate")
     mode = sec.get("mode", "profile")
 
     def int_setting(key: str, override, default: int) -> int:
@@ -504,57 +520,39 @@ def cmd_simulate(cfg: dict, args) -> int:
 
     horizon = int_setting("horizon", args.horizon, 1000)
     seed = int_setting("seed", args.seed, 0)
-    want_ts = bool(sec.get("time_series", False)) or args.time_series is not None
+    want_ts = (get("time_series", _bool_field, False)
+               or args.time_series is not None)
 
     if mode == "profile":
         _require_json(args)
         design = _parse_design(cfg, sec, env, mon, tm)
         profile = _parse_profile(sec.get("profile", "compliant"), tm.n)
-        try:
+        with _section("simulate"):
             report = simulate(design, profile, env, mon, tm, horizon, seed,
                               time_series=want_ts)
-        except ValueError as e:
-            raise ConfigError(f"simulate: {e}")
     elif mode == "benchmark":
         _require_json(args)
-        kind = sec.get("benchmark")
-        if kind is None:
-            raise ConfigError("simulate.benchmark: missing")
-        fixed = sec.get("fixed")
-        if fixed is not None:
-            if not isinstance(fixed, list):
-                raise ConfigError(f"simulate.fixed: expected [T, p0, p1], "
-                                  f"got {fixed!r}")
-            fixed = tuple(_float_field("simulate.fixed", x) for x in fixed)
-        try:
+        kind = get("benchmark", _str_field)
+        fixed = get("fixed", _fixed_field, None)
+        with _section("simulate"):
             report = run_benchmark(kind, env, mon, tm, horizon, seed,
                                    fixed, time_series=want_ts)
-        except ValueError as e:
-            raise ConfigError(f"simulate: {e}")
     elif mode == "comparison":
-        seeds = _seeds_field(sec.get("seeds", 5))
-        try:
+        seeds = get("seeds", _seeds_field, 5)
+        with _section("simulate"):
             rows = run_strategy_comparison(
-                sec["kind"], env, mon, tm,
-                T=_float_field("simulate.T", sec.get("T", 1.0)),
+                get("kind", _str_field), env, mon, tm,
+                T=get("T", _float_field, 1.0),
                 horizon=horizon,
                 seeds=seeds,
-                beta_grid=[float(b) for b in sec["beta_grid"]],
+                beta_grid=get("beta_grid", _list_of(_float_field)),
             )
-        except ConfigError:
-            raise
-        except KeyError as e:
-            raise ConfigError(f"simulate.{e.args[0]}: missing")
-        except ValueError as e:
-            raise ConfigError(f"simulate: {e}")
+        rows = [r.__dict__ for r in rows]
         if args.format == "csv":
-            header = ["beta", "kind", "avg_cost", "avg_cost_std",
-                      "punishment_fraction", "seeds"]
-            table = [[r.beta, r.kind, r.avg_cost, r.avg_cost_std,
-                      r.punishment_fraction, r.seeds] for r in rows]
-            _emit(_csv_rows(header, table), args.out)
+            header = [f.name for f in fields(ComparisonRow)]
+            _emit(_csv_rows(header, rows), args.out)
         else:
-            _emit(_json([r.__dict__ for r in rows]), args.out)
+            _emit(_json(rows), args.out)
         return 0
     else:
         raise ConfigError(f"simulate.mode: unknown mode {mode!r}")
@@ -565,30 +563,30 @@ def cmd_simulate(cfg: dict, args) -> int:
     return 0
 
 
+_SWEEP_SECTIONS = {"w0": "monitoring", "beta": "environment",
+                   "d": "network", "n": "network"}
+
+
 def _sweep_point(cfg: dict, names: list[str], values: tuple) -> dict:
     point = copy.deepcopy(cfg)
     for name, value in zip(names, values):
-        if name == "w0":
-            point.setdefault("monitoring", {})["w0"] = value
-        elif name == "beta":
-            point.setdefault("environment", {})["beta"] = value
-        elif name == "d":
-            net = point.setdefault("network", {})
-            if net.get("kind") == "ring_lattice":
-                net["degree"] = value
-            else:
-                net["kind"] = "regular"
-                net["degree"] = value
-                net.setdefault("rate", 1.0)
-                net.pop("n", None)
-        elif name == "n":
-            point.setdefault("network", {})["n"] = value
-        else:
+        if name not in _SWEEP_SECTIONS:
             raise ConfigError(f"sweep.parameters: unknown parameter {name!r}")
+        section = _SWEEP_SECTIONS[name]
+        point.setdefault(section, {})
+        sec = _require(point, section)
+        if name == "d":
+            sec["degree"] = value
+            if sec.get("kind") != "ring_lattice":
+                sec["kind"] = "regular"
+                sec.setdefault("rate", 1.0)
+                sec.pop("n", None)
+        else:
+            sec[name] = value
     env = _build_environment(point)
     mon = _build_monitoring(point)
     tm = _build_network(point)
-    subset = _build_subset(point, tm.n) or Subset.full(tm.n)
+    subset = _build_subset(point, tm.n)
     result = optimal_design(env, mon, tm, subset)
     jfb = first_best(env, tm)
     row = {name: value for name, value in zip(names, values)}
@@ -623,16 +621,13 @@ def cmd_sweep(cfg: dict, args) -> int:
                               "list")
         grids.append(vals)
     rows = [_sweep_point(cfg, names, v) for v in itertools.product(*grids)]
-    columns = names + ["n", "critical_traffic", "feasible", "t_star",
-                       "g_star", "p0_star", "p1_star", "j_star",
-                       "j_first_best", "normalized_cost"]
-    seen = set()
-    header = [c for c in columns if not (c in seen or seen.add(c))]
+    header = list(dict.fromkeys(names + [
+        "n", "critical_traffic", "feasible", "t_star", "g_star", "p0_star",
+        "p1_star", "j_star", "j_first_best", "normalized_cost"]))
     if args.format == "json":
         _emit(_json(rows), args.out)
     else:
-        table = [[row[h] for h in header] for row in rows]
-        _emit(_csv_rows(header, table), args.out)
+        _emit(_csv_rows(header, rows), args.out)
     return 0
 
 

@@ -41,6 +41,7 @@ from .network import (
     _as_subset,
     _inbound_vector,
     critical_traffic,
+    inbound_within,
 )
 
 __all__ = [
@@ -485,8 +486,6 @@ def ic_check(design: RatingDesign, env: Environment, mon: MonitoringModel,
         raise ValueError(f"AS index {i} out of range")
     if i not in design.subset:
         return True
-    from .network import inbound_within
-
     nu_i = inbound_within(tm, design.subset, i)
     eps = _epsilon(mon, design.T)
     lhs = (1.0 - 2.0 * eps) * math.exp(-env.beta * design.T) * (
@@ -647,7 +646,7 @@ def validate_assumptions(env: Environment, mon: MonitoringModel,
 
     note = None
     if subset is not None:
-        p = subset if isinstance(subset, Subset) else Subset.of(subset, tm.n)
+        p = _as_subset(tm, subset)
         if len(p) > 0:
             nu_p = critical_traffic(tm, p)
             note = f"subset critical traffic {nu_p:.6g}"

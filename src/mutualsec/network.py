@@ -219,8 +219,9 @@ def load_matrix_csv(path) -> TrafficMatrix:
 
 def load_edge_csv(path, n: int | None = None) -> TrafficMatrix:
     """Edge list CSV with columns i,j,rate and an optional directed flag
-    column.  Indices are 1-based (this format is CLI-facing).  Rows without
-    the flag, or with a falsy flag, are applied in both directions.
+    column: 1 or true (any case) for one way, 0, false or empty for both
+    ways; anything else is an error.  Indices are 1-based (this format is
+    CLI-facing).  Rows without the flag are applied in both directions.
     A header row is detected and skipped.  The collection size is inferred
     from the largest index unless ``n`` is given."""
     records = []
@@ -243,8 +244,12 @@ def load_edge_csv(path, n: int | None = None) -> TrafficMatrix:
         i, j, rate = int(rec[0]) - 1, int(rec[1]) - 1, float(rec[2])
         if i < 0 or j < 0:
             raise ValueError("edge CSV indices are 1-based")
+        flag = rec[3].lower() if len(rec) > 3 else ""
+        if flag not in ("", "0", "false", "1", "true"):
+            raise ValueError(f"edge CSV row {','.join(rec)!r}: directed flag "
+                             "must be 0, 1, true, false or empty")
         edges.append((i, j, rate))
-        if len(rec) <= 3 or rec[3] in ("", "0", "false", "False"):
+        if flag in ("", "0", "false"):
             edges.append((j, i, rate))
         size = max(size, i + 1, j + 1)
     if n is not None:

@@ -86,8 +86,11 @@ class Behavior:
         if self.kind not in KINDS:
             raise ValueError(f"unknown behavior kind: {self.kind!r}")
         if self.kind == "one-shot-deviator":
-            if self.at_period is None or self.at_period < 0:
-                raise ValueError("one-shot-deviator needs at_period >= 0")
+            at = self.at_period
+            if (isinstance(at, bool) or not isinstance(at, (int, np.integer))
+                    or at < 0):
+                raise ValueError("one-shot-deviator needs an integer "
+                                 "at_period >= 0")
         elif self.at_period is not None:
             raise ValueError(f"{self.kind} takes no at_period")
 

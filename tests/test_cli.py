@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -464,10 +465,101 @@ class TestEntryPoint:
 
     def test_closed_stdout_pipe(self, tmp_path):
         cfg = reference_config(tmp_path)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "mutualsec", "design", "--config", cfg],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
-        proc.stdout.close()  # the reader leaves before the child writes
-        err = proc.stderr.read()
-        assert proc.wait() == 0
+        with subprocess.Popen(
+                [sys.executable, "-m", "mutualsec", "design", "--config", cfg],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=child_env()) as proc:
+            proc.stdout.close()  # the reader leaves before the child writes
+            err = proc.stderr.read()
+            assert proc.wait() == 0
         assert err == b""
+
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+BUNDLED_RUNS = [
+    ("design", "reference_design"),
+    ("mct", "square_mct_true"),
+    ("mct", "square_mct_false"),
+    ("id", "six_as_deletion"),
+    ("bruteforce", "six_as_deletion"),
+    ("threshold", "core_periphery_threshold"),
+    ("simulate", "reference_simulation"),
+    ("simulate", "strategy_beta_comparison"),
+    ("sweep", "benchmark_error_sweep"),
+    ("sweep", "degree_error_sweep"),
+]
+# A float literal: digits with a fraction or an exponent.  Integers stay
+# part of the text, which must match exactly.
+FLOAT = re.compile(r"(-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+))")
+
+
+def assert_same_output(got: str, want: str, label: str):
+    """Equal text outside float literals; floats within 1e-12 relative."""
+    got_parts, want_parts = FLOAT.split(got), FLOAT.split(want)
+    assert got_parts[0::2] == want_parts[0::2], label
+    got_floats = [float(v) for v in got_parts[1::2]]
+    want_floats = [float(v) for v in want_parts[1::2]]
+    assert got_floats == pytest.approx(want_floats, rel=1e-12, abs=0), label
+
+
+class TestBundledRuns:
+    def test_outputs_match_golden(self, capsys):
+        # cli_golden.json holds each bundled run's exit code, stdout and
+        # stderr as printed before the typed config reader.
+        golden = json.loads(GOLDEN.read_text())
+        assert [f"{c}:{n}" for c, n in BUNDLED_RUNS] == list(golden)
+        for command, name in BUNDLED_RUNS:
+            label = f"{command}:{name}"
+            code = main([command, "--config", str(CONFIGS / f"{name}.json")])
+            out, err = capsys.readouterr()
+            want = golden[label]
+            assert (code, err) == (want["code"], want["stderr"]), label
+            assert_same_output(out, want["stdout"], label)
+
+
+class TestTypedFields:
+    @pytest.mark.parametrize("command, config, setting, field", [
+        ("design", "reference_design", "network.rate=true", "network.rate"),
+        ("design", "reference_design", "environment.beta=true",
+         "environment.beta"),
+        ("design", "reference_design", "monitoring.w0=true", "monitoring.w0"),
+        ("threshold", "core_periphery_threshold", "threshold.rate=true",
+         "threshold.rate"),
+        ("simulate", "reference_simulation",
+         'simulate.design={"T": true, "p0": 0.2, "p1": 0.05}',
+         "simulate.design.T"),
+        ("simulate", "strategy_beta_comparison", "simulate.beta_grid=[true]",
+         "simulate.beta_grid"),
+        ("mct", "square_mct_true",
+         'network={"kind": "matrix", "rates": [[0, true], [1, 0]]}',
+         "network.rates"),
+        ("sweep", "benchmark_error_sweep",
+         'sweep={"parameters": {"w0": [true]}}', "monitoring.w0"),
+        ("design", "reference_design", "subset=[true, 2]", "subset"),
+        ("mct", "square_mct_true", "network.edges=[[1.5, 2, 1.0]]",
+         "network.edges"),
+        ("mct", "square_mct_true", 'network.directed="false"',
+         "network.directed"),
+        ("simulate", "reference_simulation", 'simulate.time_series="no"',
+         "simulate.time_series"),
+        ("mct", "square_mct_true", "network.edges=[[1, 2]]", "network.edges"),
+        ("simulate", "reference_simulation",
+         'simulate.design={"T": null, "p0": 0.2, "p1": 0.05}',
+         "simulate.design.T"),
+        ("simulate", "strategy_beta_comparison", "simulate.beta_grid=2",
+         "simulate.beta_grid"),
+        ("simulate", "reference_simulation", "simulate.profile="
+         + json.dumps([{"kind": "one-shot-deviator", "at_period": 1.5}]
+                      + ["compliant"] * 7),
+         "simulate.profile.at_period"),
+        ("mct", "square_mct_true", 'network.edges=[["a", 2, 1.0]]',
+         "network.edges"),
+        ("design", "reference_design", 'monitoring={"kind": "tabulated", '
+         '"points": [[0, 0.4, 9], [1, 0.2]]}', "monitoring.points"),
+    ])
+    def test_misread_values_are_config_errors(self, capsys, command, config,
+                                              setting, field):
+        code = main([command, "--config", str(CONFIGS / f"{config}.json"),
+                     "--set", setting])
+        assert code == 1
+        assert f"config error: {field}:" in capsys.readouterr().err

@@ -238,3 +238,15 @@ class TestCsvRoundTrip:
         path.write_text("0,1,2.0\n")
         with pytest.raises(ValueError):
             load_edge_csv(path)
+
+    def test_edge_csv_flag_spellings(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("1,2,1.0,TRUE\n2,3,2.0,FALSE\n3,4,3.0,\n4,1,4.0,True\n")
+        tm = load_edge_csv(path)
+        assert (tm.rates[0, 1], tm.rates[1, 0]) == (1.0, 0.0)
+        assert (tm.rates[1, 2], tm.rates[2, 1]) == (2.0, 2.0)
+        assert (tm.rates[2, 3], tm.rates[3, 2]) == (3.0, 3.0)
+        assert (tm.rates[3, 0], tm.rates[0, 3]) == (4.0, 0.0)
+        path.write_text("1,2,1.0,0\n2,3,2.0,no\n")
+        with pytest.raises(ValueError, match="2,3,2.0,no"):
+            load_edge_csv(path)

@@ -45,6 +45,11 @@ class TestBehaviorProfile:
         b = Behavior("one-shot-deviator", at_period=2)
         assert b.at_period == 2
 
+    @pytest.mark.parametrize("at_period", [1.5, True, "3"])
+    def test_one_shot_period_must_be_an_integer(self, at_period):
+        with pytest.raises(ValueError, match="integer at_period"):
+            Behavior("one-shot-deviator", at_period=at_period)
+
     def test_constructors(self):
         p = BehaviorProfile.compliant(4)
         assert len(p) == 4
