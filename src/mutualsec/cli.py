@@ -333,7 +333,7 @@ def _emit(payload: str, out: str | None) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
     else:
-        with open(out, "w") as fh:
+        with _section("--out"), open(out, "w") as fh:
             fh.write(payload)
 
 
@@ -559,7 +559,8 @@ def cmd_simulate(cfg: dict, args) -> int:
 
     _emit(report.to_json(indent=2, allow_nan=False), args.out)
     if args.time_series is not None:
-        report.write_time_series_csv(args.time_series)
+        with _section("--time-series"):
+            report.write_time_series_csv(args.time_series)
     return 0
 
 

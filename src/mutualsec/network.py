@@ -15,7 +15,9 @@ input and output.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -60,8 +62,12 @@ class Subset:
         return cls(tuple(range(n)))
 
     def without(self, remove: Iterable[int]) -> "Subset":
-        drop = set(remove)
-        return Subset(tuple(i for i in self.members if i not in drop))
+        # A subsequence of valid members is valid: skip __post_init__, which
+        # would dominate the deletion walk's O(n) steps.
+        kept = object.__new__(Subset)
+        object.__setattr__(kept, "members", tuple(
+            filterfalse(set(remove).__contains__, self.members)))
+        return kept
 
     def __len__(self) -> int:
         return len(self.members)
@@ -217,13 +223,32 @@ def load_matrix_csv(path) -> TrafficMatrix:
     return TrafficMatrix(rows)
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _edge_cell(row: str, column: str, text: str, parse, what: str):
+    try:
+        value = parse(text)
+        if math.isfinite(value):
+            return value
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"{row}: column {column} must be {what}, got {text!r}")
+
+
 def load_edge_csv(path, n: int | None = None) -> TrafficMatrix:
     """Edge list CSV with columns i,j,rate and an optional directed flag
     column: 1 or true (any case) for one way, 0, false or empty for both
     ways; anything else is an error.  Indices are 1-based (this format is
     CLI-facing).  Rows without the flag are applied in both directions.
-    A header row is detected and skipped.  The collection size is inferred
-    from the largest index unless ``n`` is given."""
+    A first row with no number among its first three cells is a header
+    and is skipped.  The collection size is inferred from the largest index
+    unless ``n`` is given."""
     records = []
     with open(path, newline="") as fh:
         for rec in csv.reader(fh):
@@ -232,22 +257,23 @@ def load_edge_csv(path, n: int | None = None) -> TrafficMatrix:
             records.append([field.strip() for field in rec])
     if not records:
         raise ValueError("edge CSV is empty")
-    try:
-        float(records[0][0])
-    except ValueError:
+    if not any(_is_number(cell) for cell in records[0][:3]):
         records = records[1:]
     edges = []
     size = 0
     for rec in records:
+        row = f"edge CSV row {','.join(rec)!r}"
         if len(rec) < 3:
-            raise ValueError("edge rows need at least i,j,rate")
-        i, j, rate = int(rec[0]) - 1, int(rec[1]) - 1, float(rec[2])
+            raise ValueError(f"{row}: needs at least i,j,rate")
+        i = _edge_cell(row, "i", rec[0], int, "a 1-based integer") - 1
+        j = _edge_cell(row, "j", rec[1], int, "a 1-based integer") - 1
+        rate = _edge_cell(row, "rate", rec[2], float, "a finite number")
         if i < 0 or j < 0:
-            raise ValueError("edge CSV indices are 1-based")
+            raise ValueError(f"{row}: indices are 1-based")
         flag = rec[3].lower() if len(rec) > 3 else ""
         if flag not in ("", "0", "false", "1", "true"):
-            raise ValueError(f"edge CSV row {','.join(rec)!r}: directed flag "
-                             "must be 0, 1, true, false or empty")
+            raise ValueError(f"{row}: directed flag must be 0, 1, true, "
+                             "false or empty")
         edges.append((i, j, rate))
         if flag in ("", "0", "false"):
             edges.append((j, i, rate))
@@ -309,51 +335,78 @@ def critical_members(tm: TrafficMatrix, subset) -> tuple[int, ...]:
     return tuple(m for m, v in zip(p.members, inb) if v == low)
 
 
+# Low bits of the subset mask tabulated at once in has_mct: an (n, 2^10)
+# block per step, whatever the cap.
+_LOW_BITS = 10
+
+
+def _exact_critical(rates: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """`critical_traffic` of each column of an (n, c) membership block, to
+    the bit: member rows are added in index order from zero, as numpy sums
+    the columns of the `np.ix_` block, and a non-member adds an exact 0.0."""
+    inbound = np.zeros(members.shape)
+    for row, present in zip(rates, members):
+        inbound += row[:, None] * present
+    return np.where(members, inbound, np.inf).min(axis=0)
+
+
 def has_mct(tm: TrafficMatrix, limit: int = 20) -> tuple[bool, Subset | None]:
     """Exhaustively test the maximal-critical-traffic property.
 
     Returns (True, None) when every nonempty proper subset has critical
     traffic at most the full set's, else (False, witness).  The witness is
     canonical: among violating subsets it maximizes critical traffic, then
-    size, then compares lexicographically.  Enumeration walks subsets in
-    Gray-code order so each step updates one row; candidate witnesses are
-    recomputed from scratch before being accepted, so accumulated float
-    drift cannot produce a false witness.
+    size.  That singles out one subset: the union of two violating subsets
+    is proper and violates with at least the smaller of their values, so
+    the largest subset at the top value holds every other one.
+
+    Subsets are enumerated by splitting the mask in two: the inbound
+    vectors of every combination of the low members are tabulated once,
+    and each combination of the high members adds its row sum to that
+    whole table, giving the critical traffic of a block of subsets in one
+    step.  Those values carry the rounding of the tabulated sums, so they
+    only prefilter: every subset within a small absolute tolerance of the
+    full set's value is recomputed exactly as `critical_traffic` computes
+    it, and it is a violation exactly when that value exceeds the full
+    set's.
     """
     n = tm.n
     if n > limit:
         raise ValueError(
             f"exhaustive subset enumeration capped at n={limit} (got n={n})"
         )
-    full_value = critical_traffic(tm, Subset.full(n))
     rates = tm.rates
-    inbound = np.zeros(n)
-    members = np.zeros(n, dtype=bool)
-    prev_gray = 0
-    best: tuple[float, int, tuple[int, ...]] | None = None
+    full_value = critical_traffic(tm, Subset.full(n))
+    floor = full_value - 1e-9 * rates.sum(axis=0).max()
     full_mask = (1 << n) - 1
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        bit = gray ^ prev_gray
-        j = bit.bit_length() - 1
-        if gray & bit:
-            inbound += rates[j]
-            members[j] = True
-        else:
-            inbound -= rates[j]
-            members[j] = False
-        prev_gray = gray
-        if gray == full_mask:
+    k = min(n, _LOW_BITS)
+    # low[:, m]: inbound of every AS from the low members in mask m, and
+    # +inf for the low ASs outside m, so a column minimum skips them
+    low = np.zeros((n, 1 << k))
+    for b in range(k):
+        low[:, 1 << b:2 << b] = low[:, :1 << b] + rates[b][:, None]
+    low[:k][(np.arange(1 << k) >> np.arange(k)[:, None]) & 1 == 0] = np.inf
+    best: tuple[float, int] | None = None
+    witness = None
+    for high in range(1 << (n - k)):
+        in_high = (high >> np.arange(n - k)) & 1 == 1
+        shift = rates[k:][in_high].sum(axis=0)
+        shift[k:][~in_high] = np.inf
+        value = (low + shift[:, None]).min(axis=0)
+        masks = high << k | np.flatnonzero(value >= floor)
+        masks = masks[(masks != 0) & (masks != full_mask)]
+        if masks.size == 0:
             continue
-        value = inbound[members].min()
-        if value > full_value:
-            cand = tuple(int(i) for i in np.flatnonzero(members))
-            exact = critical_traffic(tm, Subset(cand))
-            if exact > full_value:
-                key = (exact, len(cand), tuple(-i for i in cand))
-                if best is None or key > best:
-                    best = (exact, len(cand), tuple(-i for i in cand))
-    if best is None:
+        members = (masks >> np.arange(n)[:, None]) & 1 == 1
+        exact = _exact_critical(rates, members)
+        hits = np.flatnonzero(exact > full_value)
+        if hits.size == 0:
+            continue
+        top = hits[exact[hits] == exact[hits].max()]
+        h = top[members[:, top].sum(axis=0).argmax()]
+        key = (float(exact[h]), int(members[:, h].sum()))
+        if best is None or key > best:
+            best, witness = key, members[:, h]
+    if witness is None:
         return True, None
-    witness = Subset(tuple(-i for i in best[2]))
-    return False, witness
+    return False, Subset(tuple(np.flatnonzero(witness).tolist()))

@@ -8,6 +8,12 @@ no-better loss factor and pushes ambient-rate traffic outside).  So the
 search walks from the full set toward the empty set, deleting all current
 critical members each step, and prices out a subset only when its critical
 traffic strictly exceeds everything evaluated before.
+
+The walk keeps one running inbound vector and subtracts each step's
+deleted rows, so a step costs O(n) plus an exact re-summation of the few
+members near the running minimum; its critical traffic and members are
+the ones `critical_traffic` and `critical_members` give, to the bit.
+Brute force prices every subset with `optimal_design`.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
 
 from .design import (
     DesignResult,
@@ -23,7 +32,7 @@ from .design import (
     optimal_design,
     validate_assumptions,
 )
-from .network import Subset, TrafficMatrix, critical_members, critical_traffic
+from .network import Subset, TrafficMatrix
 
 __all__ = [
     "IdIteration",
@@ -61,6 +70,45 @@ class StrategyResult:
     trace: IdTrace | None = None
 
 
+def _deletion_steps(
+    tm: TrafficMatrix,
+) -> Iterator[tuple[Subset, float, tuple[int, ...]]]:
+    """Yield (subset, critical traffic, critical members) from the full set
+    down, deleting the critical members each step.
+
+    One inbound vector is kept and the deleted rows are subtracted from it.
+    Its drift stays below an absolute window sized from the largest column
+    sum, so the members within that window of its minimum include every
+    true critical member.
+    """
+    rates = tm.rates
+    inbound = rates.sum(axis=0)
+    window = 1e-9 * inbound.max()
+    alive = np.ones(tm.n, dtype=bool)
+    p = Subset.full(tm.n)
+    while len(p) > 0:
+        nu, crit = _live_critical(rates, inbound, alive, window)
+        dropped = crit.tolist()
+        yield p, nu, tuple(dropped)
+        inbound -= rates[crit].sum(axis=0)
+        alive[crit] = False
+        p = p.without(dropped)
+
+
+def _live_critical(rates: np.ndarray, inbound: np.ndarray, alive: np.ndarray,
+                  window: float) -> tuple[float, np.ndarray]:
+    """Critical traffic and members of the live set: the members whose
+    running inbound lies within `window` of the minimum are summed again,
+    row by row in member order as `critical_traffic` sums them, and the
+    exact minimum and its ties are taken from those sums.  (A function of
+    its own so that its temporaries are freed before a design is priced.)"""
+    running = np.where(alive, inbound, np.inf)
+    cand = np.flatnonzero(running <= running.min() + window)
+    exact = np.cumsum(rates[np.ix_(alive, cand)], axis=0)[-1]
+    nu = exact.min()
+    return float(nu), cand[exact == nu]
+
+
 def iterative_deletion(env: Environment, mon: MonitoringModel,
                        tm: TrafficMatrix, *,
                        check_assumptions: bool = True) -> StrategyResult:
@@ -83,13 +131,10 @@ def iterative_deletion(env: Environment, mon: MonitoringModel,
                 ),
                 stacklevel=2,
             )
-    p = Subset.full(tm.n)
     iterations: list[IdIteration] = []
     best_priced = -math.inf
     evaluations = 0
-    while len(p) > 0:
-        nu = critical_traffic(tm, p)
-        crit = critical_members(tm, p)
+    for p, nu, crit in _deletion_steps(tm):
         if nu > best_priced:
             result = optimal_design(env, mon, tm, p)
             evaluations += 1
@@ -102,7 +147,6 @@ def iterative_deletion(env: Environment, mon: MonitoringModel,
                 "traffic costs strictly more"
             )
             iterations.append(IdIteration(p, nu, crit, False, None, reason))
-        p = p.without(crit)
     chosen: int | None = None
     best_j = math.inf
     for i, it in enumerate(iterations):

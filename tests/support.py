@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: seeded random instances.
+"""Shared helpers for the test suite: seeded random instances and direct
+references for the subset searches.
 
 Instances are drawn by rejection so that every returned (environment,
 monitor, traffic matrix) triple admits a feasible design; the stricter
@@ -6,13 +7,18 @@ variant also requires the viability and social-gain assumption checks to
 pass, which the subset-search guarantees need.
 """
 
+import math
+
 import numpy as np
 
 from mutualsec import (
     Environment,
+    IdIteration,
+    IdTrace,
     MonitoringModel,
     Subset,
     TrafficMatrix,
+    critical_members,
     critical_traffic,
     optimal_design,
     validate_assumptions,
@@ -84,3 +90,63 @@ REFERENCE_ENV = Environment(p_high=0.3, p_low=0.05, c=0.3, beta=0.2)
 def reference_instance(w0=0.1, n=8, rate=1.0):
     return (REFERENCE_ENV, MonitoringModel.rational(w0),
             TrafficMatrix.complete(n, rate))
+
+
+def random_grid_matrix(rng, n, density=0.6):
+    """Directed matrix with rates on the 1/16 grid: sums are exact, so
+    critical traffic ties between subsets are real ties."""
+    arr = rng.integers(1, 17, (n, n)) / 16.0
+    arr[rng.random((n, n)) > density] = 0.0
+    np.fill_diagonal(arr, 0.0)
+    return TrafficMatrix.from_matrix(arr)
+
+
+def canonical_mct_witness(tm):
+    """(verdict, witness) of the MCT check by direct enumeration: among
+    the proper subsets whose critical traffic exceeds the full set's, the
+    largest value, then the largest size, then the lexicographically
+    smallest members."""
+    n = tm.n
+    full = critical_traffic(tm, Subset.full(n))
+    violations = []
+    for mask in range(1, (1 << n) - 1):
+        members = tuple(i for i in range(n) if mask >> i & 1)
+        value = critical_traffic(tm, Subset(members))
+        if value > full:
+            violations.append((value, members))
+    if not violations:
+        return True, None
+    top = max(value for value, _ in violations)
+    tied = [members for value, members in violations if value == top]
+    size = max(len(members) for members in tied)
+    return False, Subset(min(m for m in tied if len(m) == size))
+
+
+def reference_deletion_trace(env, mon, tm):
+    """IdTrace of the deletion search with every step recomputed from
+    scratch by `critical_traffic` and `critical_members`."""
+    p = Subset.full(tm.n)
+    iterations = []
+    best_priced = -math.inf
+    while len(p) > 0:
+        nu = critical_traffic(tm, p)
+        crit = critical_members(tm, p)
+        if nu > best_priced:
+            best_priced = nu
+            design = optimal_design(env, mon, tm, p)
+            iterations.append(IdIteration(p, nu, crit, True, design))
+        else:
+            reason = (
+                f"critical traffic {nu:g} does not exceed the best priced "
+                f"value {best_priced:g}; a nested set with no-higher critical "
+                "traffic costs strictly more"
+            )
+            iterations.append(IdIteration(p, nu, crit, False, None, reason))
+        p = p.without(crit)
+    chosen = None
+    best_j = math.inf
+    for i, it in enumerate(iterations):
+        if it.evaluated and it.design.feasible and it.design.j_star < best_j:
+            best_j = it.design.j_star
+            chosen = i
+    return IdTrace(tuple(iterations), chosen)

@@ -64,6 +64,12 @@ class TestDesignCommand:
         assert main(["design", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["feasible"]
 
+    def test_unwritable_out(self, tmp_path, capsys):
+        cfg = reference_config(tmp_path)
+        out = tmp_path / "missing" / "result.json"
+        assert main(["design", "--config", cfg, "--out", str(out)]) == 1
+        assert "config error: --out:" in capsys.readouterr().err
+
     def test_config_error_names_field(self, tmp_path, capsys):
         cfg = reference_config(tmp_path)
         cases = [
@@ -318,6 +324,14 @@ class TestSimulateCommand:
         assert rep["horizon"] == 200
         assert rep["seed"] == 4
         assert len(ts.read_text().strip().splitlines()) == 201
+
+    def test_unwritable_time_series(self, tmp_path, capsys):
+        ts = tmp_path / "missing" / "ts.csv"
+        code = main(["simulate", "--config",
+                     str(CONFIGS / "reference_simulation.json"),
+                     "--horizon", "20", "--time-series", str(ts)])
+        assert code == 1
+        assert "config error: --time-series:" in capsys.readouterr().err
 
     def test_benchmark_mode(self, tmp_path, capsys):
         cfg = reference_config(tmp_path, simulate={

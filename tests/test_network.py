@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,11 @@ from mutualsec import (
     load_matrix_csv,
 )
 
-from support import random_connected_matrix
+from support import (
+    canonical_mct_witness,
+    random_connected_matrix,
+    random_grid_matrix,
+)
 
 
 class TestSubset:
@@ -146,17 +152,6 @@ class TestTrafficAnalysis:
             assert critical_traffic(tm, full) <= min(agg.inbound) + 1e-12
 
 
-def _mct_brute_force(tm):
-    """Direct enumeration oracle for the subset-maximality check."""
-    n = tm.n
-    full_nu = critical_traffic(tm, Subset.full(n))
-    for mask in range(1, 2 ** n - 1):
-        members = [i for i in range(n) if mask >> i & 1]
-        if critical_traffic(tm, Subset.of(members)) > full_nu:
-            return False
-    return True
-
-
 class TestMct:
     def test_uniform_topologies_have_it(self):
         for tm in (
@@ -193,12 +188,58 @@ class TestMct:
             n = int(rng.integers(3, 8))
             tm = random_connected_matrix(rng, n, lo=0.2, hi=5.0)
             ok, witness = has_mct(tm)
-            assert ok == _mct_brute_force(tm)
+            assert (ok, witness) == canonical_mct_witness(tm)
             if not ok:
                 seen_false += 1
                 full_nu = critical_traffic(tm, Subset.full(n))
                 assert critical_traffic(tm, witness) > full_nu
         assert seen_false > 0
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_matches_canonical_witness(self, n):
+        # grid rates tie exactly; 0.1-multiples and random floats tie only
+        # up to rounding, which the verdict must not smooth over
+        rng = np.random.default_rng(40 + n)
+        cases = [
+            random_grid_matrix(rng, n),
+            random_grid_matrix(rng, n, density=0.9),
+            random_connected_matrix(rng, n, lo=0.2, hi=5.0),
+            TrafficMatrix(rng.uniform(0.0, 1.0, (n, n)) * (1 - np.eye(n))),
+            TrafficMatrix.line(n, 0.1),
+            TrafficMatrix.star(n, 0.1),
+        ]
+        for tm in cases:
+            assert has_mct(tm) == canonical_mct_witness(tm)
+
+    def test_near_tie_follows_definition(self):
+        # the subset's critical traffic is 1.1, the full set's
+        # 1.0999999999999999: a violation by the definition
+        tm = TrafficMatrix([
+            [0, .1, 0, .3, .1, .7, 0], [.1, 0, 0, 0, .7, .2, .1],
+            [0, 0, 0, .7, 0, .2, .2], [.3, 0, .7, 0, 0, .2, .7],
+            [.1, .7, 0, 0, 0, .3, .7], [.7, .2, .2, .2, .3, 0, .7],
+            [0, .1, .2, .7, .7, .7, 0],
+        ])
+        witness = Subset.of([0, 1, 3, 4, 5, 6])
+        assert critical_traffic(tm, witness) > critical_traffic(
+            tm, Subset.full(7))
+        assert has_mct(tm) == (False, witness)
+
+    def test_block_rounding_keeps_violation(self):
+        # n=14 splits into 10 low and 4 high members.  AS 0's inbound adds
+        # 1.0 and four rates just over half an ulp: in member order it
+        # rounds up to 1+4u, but the block adds the four high rates first
+        # and reads 1+2u, below the full set's 1+3u (AS 1).  Every subset
+        # holding AS 0, AS 2 and all high members, but not AS 1, violates.
+        n, u = 14, 2.0 ** -52
+        rates = np.zeros((n, n))
+        rates[0, 1], rates[0, 2:] = 1 + 3 * u, 5.0
+        rates[2, 0] = 1.0
+        rates[10:, 0] = 0.51 * u
+        tm = TrafficMatrix(rates)
+        expected = (False, Subset.full(n).without([1]))
+        assert canonical_mct_witness(tm) == expected
+        assert has_mct(tm) == expected
 
     def test_size_limit(self):
         tm = TrafficMatrix.complete(25, 1.0)
@@ -249,4 +290,25 @@ class TestCsvRoundTrip:
         assert (tm.rates[3, 0], tm.rates[0, 3]) == (4.0, 0.0)
         path.write_text("1,2,1.0,0\n2,3,2.0,no\n")
         with pytest.raises(ValueError, match="2,3,2.0,no"):
+            load_edge_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.5,2,1.0", "row '1.5,2,1.0': column i must be a 1-based integer"),
+        ("1,x,1.0", "row '1,x,1.0': column j must be a 1-based integer"),
+        ("1,2,abc", "row '1,2,abc': column rate must be a finite number"),
+        ("1,2,nan", "row '1,2,nan': column rate must be a finite number"),
+        ("1,2,-inf", "row '1,2,-inf': column rate must be a finite number"),
+        ("0,2,1.0", "row '0,2,1.0': indices are 1-based"),
+        ("1,2", "row '1,2': needs at least i,j,rate"),
+    ])
+    def test_edge_csv_names_row_and_column(self, tmp_path, row, message):
+        path = tmp_path / "e.csv"
+        path.write_text(f"1,3,1.0\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_edge_csv(path)
+
+    def test_edge_csv_bad_first_row_is_not_a_header(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("x,2,1.0\n2,3,1.0\n")
+        with pytest.raises(ValueError, match="row 'x,2,1.0': column i"):
             load_edge_csv(path)

@@ -15,6 +15,7 @@ from mutualsec import (
 from support import (
     REFERENCE_ENV,
     random_feasible_instance,
+    reference_deletion_trace,
     reference_instance,
 )
 
@@ -78,6 +79,49 @@ class TestIterativeDeletion:
         assert result.design.feasible
         assert result.design.j_star == pytest.approx(env.p_high * 12.0)
         assert len(result.design.subset) == 0
+
+
+class TestDeletionTraceReference:
+    """The running inbound vector reproduces, field for field, the trace of
+    the walk that recomputes every step from scratch."""
+
+    @staticmethod
+    def assert_same_trace(tm):
+        env, mon = REFERENCE_ENV, MonitoringModel.rational(0.1)
+        result = iterative_deletion(env, mon, tm, check_assumptions=False)
+        assert result.trace == reference_deletion_trace(env, mon, tm)
+
+    def test_integer_matrices_with_ties(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            rates = rng.integers(0, 4, (40, 40)).astype(float)
+            np.fill_diagonal(rates, 0.0)
+            self.assert_same_trace(TrafficMatrix(rates))
+
+    def test_tenths_matrices_with_rounded_ties(self):
+        # equal decimal sums that round apart by an ulp: the running vector
+        # alone would pick the wrong critical members
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            rates = rng.integers(0, 8, (40, 40)) / 10.0
+            np.fill_diagonal(rates, 0.0)
+            self.assert_same_trace(TrafficMatrix(rates))
+
+    def test_random_float_matrix(self):
+        rng = np.random.default_rng(9)
+        rates = rng.uniform(0.5, 1.5, (300, 300))
+        np.fill_diagonal(rates, 0.0)
+        self.assert_same_trace(TrafficMatrix(rates))
+
+    def test_wide_range_senders(self):
+        # a few senders at 1e9 make the low columns small beside the
+        # rounding of the large ones
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            rates = rng.uniform(0.5, 1.5, (60, 60))
+            rates[rng.choice(60, size=3, replace=False)] *= 1e9
+            np.fill_diagonal(rates, 0.0)
+            self.assert_same_trace(TrafficMatrix(rates))
 
 
 class TestBruteForce:
