@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Every command reads a single JSON config file; a few flags override the
-file (``--seed``, ``--horizon``, ``--out``, ``--format``, and repeated
-``--set dotted.key=value`` for anything else).  AS indices are 1-based in
-configs and in all output, matching how interconnection diagrams are
-usually labeled; the library itself is 0-based.
+file (``--out``, ``--format``, ``--seed`` and ``--horizon`` for
+``simulate``, and repeated ``--set dotted.key=value`` for anything else).
+AS indices are 1-based in configs and in all output, matching how
+interconnection diagrams are usually labeled; the library itself is
+0-based.
 
-Exit codes: 0 success, 1 config error, 2 no feasible design, 3 internal
-error.
+Exit codes: 0 success, 1 config or usage error, 2 no feasible design, 3
+internal error.
 """
 
 from __future__ import annotations
@@ -379,9 +380,7 @@ def cmd_design(cfg: dict, args) -> int:
 def cmd_mct(cfg: dict, args) -> int:
     _require_json(args)
     tm = _build_network(cfg)
-    limit = _int_field("mct_limit", cfg.get("mct_limit", 20))
-    with _section("mct_limit"):
-        ok, witness = has_mct(tm, limit=limit)
+    ok, witness = has_mct(tm)
     payload = {
         "mct": ok,
         "witness": None if witness is None else _ones(witness.members),
@@ -557,10 +556,11 @@ def cmd_simulate(cfg: dict, args) -> int:
     else:
         raise ConfigError(f"simulate.mode: unknown mode {mode!r}")
 
-    _emit(report.to_json(indent=2, allow_nan=False), args.out)
+    # the time series first, so that a failed write leaves no report behind
     if args.time_series is not None:
         with _section("--time-series"):
             report.write_time_series_csv(args.time_series)
+    _emit(report.to_json(indent=2, allow_nan=False), args.out)
     return 0
 
 
@@ -632,8 +632,17 @@ def cmd_sweep(cfg: dict, args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, but 2 means "no feasible design"
+    here: exit 1, as for a config error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mutualsec",
         description="Design and simulate rating-based incentives for "
                     "mutual security investment.",
@@ -655,8 +664,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None,
                        help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
         p.add_argument("--format", choices=("json", "csv"),
                        default="csv" if name == "sweep" else "json",
                        help="output format")
@@ -665,12 +672,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override a config field (dotted path, JSON "
                             "value)")
         if name == "simulate":
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
             p.add_argument("--horizon", type=int, default=None,
                            help="override the config horizon")
             p.add_argument("--time-series", default=None, metavar="PATH",
                            help="also write a per-period CSV")
-        else:
-            p.set_defaults(horizon=None, time_series=None)
     return parser
 
 

@@ -8,6 +8,11 @@ the minimum of those rates over P (the "critical traffic" of P).  A matrix
 has the maximal-critical-traffic (MCT) property when no proper subset has
 strictly larger critical traffic than the full set.
 
+Inbound rates are summed in member order throughout, so every function
+here gives a subset the same critical traffic to the bit.  The deletion
+walk, which strips a set's critical members from the full set down, serves
+both `has_mct` and the deletion search in `strategy`.
+
 Indices are 0-based throughout the library; the CLI converts to 1-based on
 input and output.
 """
@@ -309,7 +314,8 @@ def inbound_within(tm: TrafficMatrix, subset, i: int) -> float:
     if i not in p:
         raise ValueError(f"AS {i} is not in the subset")
     idx = np.fromiter(p.members, dtype=int)
-    return float(tm.rates[idx, i].sum())
+    # cumsum adds in member order; a 1-D .sum() would add pairwise
+    return float(np.cumsum(tm.rates[idx, i])[-1])
 
 
 def _inbound_vector(tm: TrafficMatrix, p: Subset) -> np.ndarray:
@@ -335,78 +341,69 @@ def critical_members(tm: TrafficMatrix, subset) -> tuple[int, ...]:
     return tuple(m for m, v in zip(p.members, inb) if v == low)
 
 
-# Low bits of the subset mask tabulated at once in has_mct: an (n, 2^10)
-# block per step, whatever the cap.
-_LOW_BITS = 10
+def _deletion_steps(
+    tm: TrafficMatrix,
+) -> Iterator[tuple[Subset, float, tuple[int, ...]]]:
+    """Yield (subset, critical traffic, critical members) from the full set
+    down, deleting the critical members each step.
+
+    One inbound vector is kept and the deleted rows are subtracted from it,
+    so a step costs O(n) plus an exact re-summation of the few members
+    near its minimum.  Its drift stays below an absolute window sized from the largest column
+    sum, so the members within that window of its minimum include every
+    true critical member.
+    """
+    rates = tm.rates
+    inbound = rates.sum(axis=0)
+    window = 1e-9 * inbound.max()
+    alive = np.ones(tm.n, dtype=bool)
+    p = Subset.full(tm.n)
+    while len(p) > 0:
+        nu, crit = _live_critical(rates, inbound, alive, window)
+        dropped = crit.tolist()
+        yield p, nu, tuple(dropped)
+        inbound -= rates[crit].sum(axis=0)
+        alive[crit] = False
+        p = p.without(dropped)
 
 
-def _exact_critical(rates: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """`critical_traffic` of each column of an (n, c) membership block, to
-    the bit: member rows are added in index order from zero, as numpy sums
-    the columns of the `np.ix_` block, and a non-member adds an exact 0.0."""
-    inbound = np.zeros(members.shape)
-    for row, present in zip(rates, members):
-        inbound += row[:, None] * present
-    return np.where(members, inbound, np.inf).min(axis=0)
+def _live_critical(rates: np.ndarray, inbound: np.ndarray, alive: np.ndarray,
+                  window: float) -> tuple[float, np.ndarray]:
+    """Critical traffic and members of the live set: the members whose
+    running inbound lies within `window` of the minimum are summed again,
+    row by row in member order as `critical_traffic` sums them, and the
+    exact minimum and its ties are taken from those sums.  (A function of
+    its own so that its temporaries are freed before a design is priced.)"""
+    running = np.where(alive, inbound, np.inf)
+    cand = np.flatnonzero(running <= running.min() + window)
+    exact = np.cumsum(rates[np.ix_(alive, cand)], axis=0)[-1]
+    nu = exact.min()
+    return float(nu), cand[exact == nu]
 
 
-def has_mct(tm: TrafficMatrix, limit: int = 20) -> tuple[bool, Subset | None]:
-    """Exhaustively test the maximal-critical-traffic property.
+def has_mct(tm: TrafficMatrix) -> tuple[bool, Subset | None]:
+    """Test the maximal-critical-traffic property.
 
     Returns (True, None) when every nonempty proper subset has critical
-    traffic at most the full set's, else (False, witness).  The witness is
-    canonical: among violating subsets it maximizes critical traffic, then
-    size.  That singles out one subset: the union of two violating subsets
-    is proper and violates with at least the smaller of their values, so
-    the largest subset at the top value holds every other one.
+    traffic at most the full set's, else (False, witness), where the
+    witness is the largest subset of maximal critical traffic.  It is
+    unique: a member's inbound sum, taken in member order over non-negative
+    rates, only grows when the set grows (in floats too, as rounding is
+    monotone), so the union of two maximizers is one.
 
-    Subsets are enumerated by splitting the mask in two: the inbound
-    vectors of every combination of the low members are tabulated once,
-    and each combination of the high members adds its row sum to that
-    whole table, giving the critical traffic of a block of subsets in one
-    step.  Those values carry the rounding of the tabulated sums, so they
-    only prefilter: every subset within a small absolute tolerance of the
-    full set's value is recomputed exactly as `critical_traffic` computes
-    it, and it is a violation exactly when that value exceeds the full
-    set's.
+    One pass of the deletion walk answers this.  Every walk set contains
+    that largest maximizer S until the walk reaches it: while a walk set's
+    critical traffic is below the maximum, each member of S has inbound
+    within it at least its inbound within S, which is at least the
+    maximum, so no member of S is critical and none is deleted; a walk set
+    at the maximum is a maximizer containing S, so it is S.  The walk ends empty, so it does reach S, and S is the walk set
+    where the running maximum of critical traffic last rises.  (This is
+    the threshold peeling behind k-cores.)
     """
-    n = tm.n
-    if n > limit:
-        raise ValueError(
-            f"exhaustive subset enumeration capped at n={limit} (got n={n})"
-        )
-    rates = tm.rates
-    full_value = critical_traffic(tm, Subset.full(n))
-    floor = full_value - 1e-9 * rates.sum(axis=0).max()
-    full_mask = (1 << n) - 1
-    k = min(n, _LOW_BITS)
-    # low[:, m]: inbound of every AS from the low members in mask m, and
-    # +inf for the low ASs outside m, so a column minimum skips them
-    low = np.zeros((n, 1 << k))
-    for b in range(k):
-        low[:, 1 << b:2 << b] = low[:, :1 << b] + rates[b][:, None]
-    low[:k][(np.arange(1 << k) >> np.arange(k)[:, None]) & 1 == 0] = np.inf
-    best: tuple[float, int] | None = None
+    steps = _deletion_steps(tm)
+    _, best, _ = next(steps)
     witness = None
-    for high in range(1 << (n - k)):
-        in_high = (high >> np.arange(n - k)) & 1 == 1
-        shift = rates[k:][in_high].sum(axis=0)
-        shift[k:][~in_high] = np.inf
-        value = (low + shift[:, None]).min(axis=0)
-        masks = high << k | np.flatnonzero(value >= floor)
-        masks = masks[(masks != 0) & (masks != full_mask)]
-        if masks.size == 0:
-            continue
-        members = (masks >> np.arange(n)[:, None]) & 1 == 1
-        exact = _exact_critical(rates, members)
-        hits = np.flatnonzero(exact > full_value)
-        if hits.size == 0:
-            continue
-        top = hits[exact[hits] == exact[hits].max()]
-        h = top[members[:, top].sum(axis=0).argmax()]
-        key = (float(exact[h]), int(members[:, h].sum()))
-        if best is None or key > best:
-            best, witness = key, members[:, h]
-    if witness is None:
-        return True, None
-    return False, Subset(tuple(np.flatnonzero(witness).tolist()))
+    for p, nu, _ in steps:
+        if nu > best:
+            best, witness = nu, p
+    return witness is None, witness

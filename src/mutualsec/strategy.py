@@ -9,11 +9,9 @@ search walks from the full set toward the empty set, deleting all current
 critical members each step, and prices out a subset only when its critical
 traffic strictly exceeds everything evaluated before.
 
-The walk keeps one running inbound vector and subtracts each step's
-deleted rows, so a step costs O(n) plus an exact re-summation of the few
-members near the running minimum; its critical traffic and members are
-the ones `critical_traffic` and `critical_members` give, to the bit.
-Brute force prices every subset with `optimal_design`.
+The walk itself lives in `network`, which also answers the MCT question
+with it; this module adds the pricing.  Brute force prices every subset
+with `optimal_design`.
 """
 
 from __future__ import annotations
@@ -21,9 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
 
 from .design import (
     DesignResult,
@@ -32,7 +27,7 @@ from .design import (
     optimal_design,
     validate_assumptions,
 )
-from .network import Subset, TrafficMatrix
+from .network import Subset, TrafficMatrix, _deletion_steps
 
 __all__ = [
     "IdIteration",
@@ -68,45 +63,6 @@ class StrategyResult:
     design: DesignResult
     evaluations: int
     trace: IdTrace | None = None
-
-
-def _deletion_steps(
-    tm: TrafficMatrix,
-) -> Iterator[tuple[Subset, float, tuple[int, ...]]]:
-    """Yield (subset, critical traffic, critical members) from the full set
-    down, deleting the critical members each step.
-
-    One inbound vector is kept and the deleted rows are subtracted from it.
-    Its drift stays below an absolute window sized from the largest column
-    sum, so the members within that window of its minimum include every
-    true critical member.
-    """
-    rates = tm.rates
-    inbound = rates.sum(axis=0)
-    window = 1e-9 * inbound.max()
-    alive = np.ones(tm.n, dtype=bool)
-    p = Subset.full(tm.n)
-    while len(p) > 0:
-        nu, crit = _live_critical(rates, inbound, alive, window)
-        dropped = crit.tolist()
-        yield p, nu, tuple(dropped)
-        inbound -= rates[crit].sum(axis=0)
-        alive[crit] = False
-        p = p.without(dropped)
-
-
-def _live_critical(rates: np.ndarray, inbound: np.ndarray, alive: np.ndarray,
-                  window: float) -> tuple[float, np.ndarray]:
-    """Critical traffic and members of the live set: the members whose
-    running inbound lies within `window` of the minimum are summed again,
-    row by row in member order as `critical_traffic` sums them, and the
-    exact minimum and its ties are taken from those sums.  (A function of
-    its own so that its temporaries are freed before a design is priced.)"""
-    running = np.where(alive, inbound, np.inf)
-    cand = np.flatnonzero(running <= running.min() + window)
-    exact = np.cumsum(rates[np.ix_(alive, cand)], axis=0)[-1]
-    nu = exact.min()
-    return float(nu), cand[exact == nu]
 
 
 def iterative_deletion(env: Environment, mon: MonitoringModel,

@@ -182,11 +182,14 @@ class TestMctCommand:
         assert out["mct"] is False
         assert out["witness"] == [2, 3, 4]
 
-    def test_limit_below_n(self, capsys):
+    def test_core_periphery_at_scale(self, capsys):
         code = main(["mct", "--config", str(CONFIGS / "square_mct_true.json"),
-                     "--set", "mct_limit=2"])
-        assert code == 1
-        assert "config error: mct_limit:" in capsys.readouterr().err
+                     "--set", 'network={"kind": "core_periphery", "cores": 30, '
+                     '"periphery_per_core": 2, "rate": 1.0}'])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["n"], out["mct"]) == (90, False)
+        assert out["witness"] == list(range(1, 31))
 
 
 class TestIdCommand:
@@ -236,8 +239,6 @@ class TestIntegerFields:
          "simulate.horizon"),
         ("simulate", "reference_simulation", "simulate.seed=1.5",
          "simulate.seed"),
-        ("mct", "square_mct_true", "mct_limit=NaN", "mct_limit"),
-        ("mct", "square_mct_true", "mct_limit=x", "mct_limit"),
         ("bruteforce", "six_as_deletion", "bruteforce_cap=NaN",
          "bruteforce_cap"),
         ("simulate", "reference_simulation", "simulate.horizon=true",
@@ -327,11 +328,14 @@ class TestSimulateCommand:
 
     def test_unwritable_time_series(self, tmp_path, capsys):
         ts = tmp_path / "missing" / "ts.csv"
+        out = tmp_path / "rep.json"
         code = main(["simulate", "--config",
                      str(CONFIGS / "reference_simulation.json"),
-                     "--horizon", "20", "--time-series", str(ts)])
+                     "--horizon", "20", "--out", str(out),
+                     "--time-series", str(ts)])
         assert code == 1
         assert "config error: --time-series:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_benchmark_mode(self, tmp_path, capsys):
         cfg = reference_config(tmp_path, simulate={
@@ -487,6 +491,38 @@ class TestEntryPoint:
             err = proc.stderr.read()
             assert proc.wait() == 0
         assert err == b""
+
+
+class TestUsageErrors:
+    # argparse's own exit code, 2, would read as "no feasible design"
+    @pytest.mark.parametrize("argv", [
+        ["design", "--config", str(CONFIGS / "reference_design.json"),
+         "--bogus"],
+        ["design"],
+        ["nosuchcommand"],
+        ["simulate", "--config", str(CONFIGS / "reference_simulation.json"),
+         "--horizon", "ten"],
+    ])
+    def test_exit_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage: mutualsec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config", [
+        ("design", "reference_design"),
+        ("mct", "square_mct_true"),
+        ("id", "six_as_deletion"),
+        ("bruteforce", "six_as_deletion"),
+        ("threshold", "core_periphery_threshold"),
+        ("sweep", "benchmark_error_sweep"),
+    ])
+    def test_seed_is_simulate_only(self, capsys, command, config):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(CONFIGS / f"{config}.json"),
+                  "--seed", "5"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
