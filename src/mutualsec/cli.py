@@ -511,16 +511,20 @@ def cmd_simulate(cfg: dict, args) -> int:
     get = partial(_field, sec, "simulate")
     mode = sec.get("mode", "profile")
 
-    def int_setting(key: str, override, default: int) -> int:
+    def int_setting(key: str, override, default: int, least: int) -> int:
         if override is not None:
-            return override
-        name = f"simulate.{key}" if key in sec else key
-        return _int_field(name, sec.get(key, cfg.get(key, default)))
+            name, value = f"--{key}", override
+        else:
+            name = f"simulate.{key}" if key in sec else key
+            value = _int_field(name, sec.get(key, cfg.get(key, default)))
+        if value < least:
+            raise ConfigError(f"{name}: must be at least {least}, got {value}")
+        return value
 
-    horizon = int_setting("horizon", args.horizon, 1000)
-    seed = int_setting("seed", args.seed, 0)
-    want_ts = (get("time_series", _bool_field, False)
-               or args.time_series is not None)
+    horizon = int_setting("horizon", args.horizon, 1000, 1)
+    seed = int_setting("seed", args.seed, 0, 0)
+    ts_field = get("time_series", _bool_field, False)
+    want_ts = ts_field or args.time_series is not None
 
     if mode == "profile":
         _require_json(args)
@@ -537,6 +541,12 @@ def cmd_simulate(cfg: dict, args) -> int:
             report = run_benchmark(kind, env, mon, tm, horizon, seed,
                                    fixed, time_series=want_ts)
     elif mode == "comparison":
+        # A comparison runs simulate.seeds and reports no single path.
+        for name, given in (("--seed", args.seed is not None),
+                            ("--time-series", args.time_series is not None),
+                            ("simulate.time_series", ts_field)):
+            if given:
+                raise ConfigError(f"{name}: not used in comparison mode")
         seeds = get("seeds", _seeds_field, 5)
         with _section("simulate"):
             rows = run_strategy_comparison(

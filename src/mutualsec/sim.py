@@ -29,6 +29,14 @@ blocks' draws continue one random stream, so a seed gives the same path as
 a single whole-horizon draw; only the summation order of the float totals
 depends on the blocking.  Compared with the earlier whole-horizon
 simulator, those totals agree to about 1e-12 relative.
+
+Two shortcuts keep the blocks cheap without changing a result.  The
+discounted sums stop at the first block whose last weight delta ** t is
+exactly 0.0 (about 745 / (beta*T) periods in): every later period adds
+exactly 0.0.  And under steady actions an AS's cost in a rating period is
+one of two values, rated high or rated low, so the rating path computes
+those two cost rows once per run and picks between them by the ratings;
+only periods with one-shot deviations are costed by the general formula.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -220,7 +229,15 @@ def _blocks(horizon: int, width: int):
 
 class _Ledger:
     """Running totals of per-period cost rows (per-AS cost and discounted
-    cost) and, when requested, the time-series columns, filled in place."""
+    cost), high-rating counts and, when requested, the time-series columns,
+    filled in place.
+
+    Column sums are products with a vector of ones (one BLAS call, where
+    an axis-0 reduction of a tall, narrow block is a slow strided loop).
+    Discount weights are non-increasing in the period, so once a block's
+    last weight delta ** t is exactly 0.0 every later period adds exactly
+    0.0 to the discounted cost, and neither its weights nor its product
+    are computed.  Weights that are merely subnormal are still used."""
 
     def __init__(self, n: int, horizon: int, T: float, delta: float,
                  want_ts: bool) -> None:
@@ -228,6 +245,8 @@ class _Ledger:
         self.delta = delta
         self.cost = np.zeros(n)
         self.discounted = np.zeros(n)
+        self.high = np.zeros(n)
+        self.weighted = True  # some weight from here on may be nonzero
         self.ts = None
         if want_ts:
             self.ts = {
@@ -237,13 +256,23 @@ class _Ledger:
                 "mean_rating": np.full(horizon, np.nan),
             }
 
-    def add(self, start: int, cost: np.ndarray) -> None:
-        """Book the cost rows of periods start, start + 1, ..."""
+    def add(self, start: int, cost: np.ndarray,
+            ratings: np.ndarray | None = None) -> None:
+        """Book the cost rows (and, for rating runs, the rating rows) of
+        periods start, start + 1, ..."""
         stop = start + len(cost)
-        self.cost += cost.sum(axis=0)
-        self.discounted += self.delta ** np.arange(start, stop) @ cost
+        ones = np.ones(len(cost))
+        self.cost += ones @ cost
+        if self.weighted:
+            weights = self.delta ** np.arange(start, stop, dtype=float)
+            self.discounted += weights @ cost
+            self.weighted = weights[-1] != 0.0
+        if ratings is not None:
+            self.high += ones @ ratings
         if self.ts is not None:
             self.ts["total_cost"][start:stop] = cost.sum(axis=1) / self.T
+            if ratings is not None:
+                self.ts["mean_rating"][start:stop] = ratings.mean(axis=1)
 
 
 def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
@@ -296,7 +325,7 @@ def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
     rec = np.zeros(n, dtype=bool)
     rec[list(design.subset.members)] = True
     steady = rec.copy()  # each AS's action outside one-shot deviations
-    one_shots = []
+    flips = {}  # period -> mask of the ASs deviating once in it
     for i, b in enumerate(profile.behaviors):
         if b.kind == "persistent-deviator":
             steady[i] = ~rec[i]
@@ -304,28 +333,41 @@ def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
             steady[i] = False
         elif b.kind == "always-deploy":
             steady[i] = True
-        elif b.kind == "one-shot-deviator":
-            one_shots.append((b.at_period, i))
+        elif b.kind == "one-shot-deviator" and b.at_period < horizon:
+            mask = flips.setdefault(int(b.at_period), np.zeros(n, dtype=bool))
+            mask[i] = True
+    shot_periods = sorted(flips)
     inbound = tm.rates.sum(axis=0)
-    high = np.zeros(n, dtype=np.int64)
-    last_signal = np.ones(n, dtype=bool)  # ratings start high
-    for start, stop in _blocks(horizon, n):
-        actions = np.tile(steady, (stop - start, 1))
-        for t, i in one_shots:
-            if start <= t < stop:
-                actions[t - start, i] = ~rec[i]
-        compliant = actions == rec
-        signal_high = (rng.random((stop - start, n)) < 1.0 - eps) == compliant
-        ratings = np.concatenate((last_signal[None], signal_high[:-1]))
-        last_signal = signal_high[-1]
+
+    def cost_rows(actions, ratings):
         deployed_in = actions.astype(float) @ tm.rates
         p_recv = np.where(ratings, design.p1, design.p0)
-        ledger.add(start, (p_recv * deployed_in
-                           + env.p_high * (inbound - deployed_in)
-                           + actions * env.c) * design.T)
-        high += ratings.sum(axis=0)
-        if ledger.ts is not None:
-            ledger.ts["mean_rating"][start:stop] = ratings.mean(axis=1)
+        return (p_recv * deployed_in
+                + env.p_high * (inbound - deployed_in)
+                + actions * env.c) * design.T
+
+    # Under steady actions an AS's cost in a period is one of two rows:
+    # rated high, or rated low.
+    hi, lo = cost_rows(np.array([steady, steady]), np.array([[True], [False]]))
+    steady_compliant = steady == rec
+    last_signal = np.ones(n, dtype=bool)  # ratings start high
+    for start, stop in _blocks(horizon, n):
+        signal_high = ((rng.random((stop - start, n)) < 1.0 - eps)
+                       == steady_compliant)
+        shots = shot_periods[bisect_left(shot_periods, start):
+                             bisect_left(shot_periods, stop)]
+        if shots:
+            # A one-shot deviation flips its ASs' actions, hence their
+            # signals; only these periods' costs leave the two rows.
+            rows = np.array(shots) - start
+            flip = np.array([flips[t] for t in shots])
+            signal_high[rows] ^= flip
+        ratings = np.concatenate((last_signal[None], signal_high[:-1]))
+        last_signal = signal_high[-1]
+        cost = np.where(ratings, hi, lo)
+        if shots:
+            cost[rows] = cost_rows(steady ^ flip, ratings[rows])
+        ledger.add(start, cost, ratings)
     state = SimState(
         period=horizon,
         ratings=tuple(int(r) for r in ratings[-1]),
@@ -333,7 +375,7 @@ def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
         trigger_fired=False,
     )
     extra = {
-        "rating_high_fraction": tuple(float(x) for x in high / horizon),
+        "rating_high_fraction": tuple(float(x) for x in ledger.high / horizon),
         "final_state": state,
     }
     meta = {"mode": "rating", "profile": list(profile.kinds()),

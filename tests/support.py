@@ -1,5 +1,6 @@
-"""Shared helpers for the test suite: seeded random instances and direct
-references for the subset searches.
+"""Shared helpers for the test suite: seeded random instances, direct
+references for the subset searches and a whole-horizon reference for the
+simulator's rating path.
 
 Instances are drawn by rejection so that every returned (environment,
 monitor, traffic matrix) triple admits a feasible design; the stricter
@@ -150,3 +151,46 @@ def reference_deletion_trace(env, mon, tm):
             best_j = it.design.j_star
             chosen = i
     return IdTrace(tuple(iterations), chosen)
+
+
+def whole_horizon_rating_run(design, profile, env, mon, tm, horizon, seed):
+    """The rating path of `simulate` from scratch, with whole-horizon
+    arrays: one (horizon, n) signal draw, the full cost matrix by the
+    general formula and every discount weight delta ** t.  Returns the
+    report's fields (and time-series columns) as plain values."""
+    n, T = tm.n, design.T
+    eps = float(mon.epsilon(T))
+    rec = np.zeros(n, dtype=bool)
+    rec[list(design.subset.members)] = True
+    actions = np.tile(rec, (horizon, 1))
+    for i, b in enumerate(profile.behaviors):
+        if b.kind == "persistent-deviator":
+            actions[:, i] = ~rec[i]
+        elif b.kind == "never-deploy":
+            actions[:, i] = False
+        elif b.kind == "always-deploy":
+            actions[:, i] = True
+        elif b.kind == "one-shot-deviator" and b.at_period < horizon:
+            actions[b.at_period, i] = ~rec[i]
+    u = np.random.default_rng(seed).random((horizon, n))
+    signal_high = (u < 1.0 - eps) == (actions == rec)
+    ratings = np.concatenate((np.ones((1, n), dtype=bool), signal_high[:-1]))
+    deployed_in = actions.astype(float) @ tm.rates
+    cost = (np.where(ratings, design.p1, design.p0) * deployed_in
+            + env.p_high * (tm.rates.sum(axis=0) - deployed_in)
+            + actions * env.c) * T
+    weights = math.exp(-env.beta * T) ** np.arange(horizon)
+    per_as = cost.sum(axis=0) / (horizon * T)
+    return {
+        "horizon": horizon,
+        "period_length": T,
+        "seed": seed,
+        "avg_cost": float(per_as.sum()),
+        "avg_cost_per_as": per_as.tolist(),
+        "discounted_utility": (-(weights @ cost)).tolist(),
+        "rating_high_fraction": (ratings.sum(axis=0) / horizon).tolist(),
+        "punishment_fraction": None,
+        "final_ratings": ratings[-1].astype(int).tolist(),
+        "total_cost": cost.sum(axis=1) / T,
+        "mean_rating": ratings.mean(axis=1),
+    }

@@ -256,11 +256,19 @@ class TestIntegerFields:
          "threshold.periphery_per_core=1.5", "threshold.periphery_per_core"),
         ("threshold", "core_periphery_threshold", "threshold.k_max=true",
          "threshold.k_max"),
+        # out of range where they enter; a flag row is passed as is
+        ("simulate", "reference_simulation", "--horizon=0", "--horizon"),
+        ("simulate", "reference_simulation", "simulate.horizon=-3",
+         "simulate.horizon"),
+        ("simulate", "reference_simulation", "--seed=-1", "--seed"),
+        ("simulate", "reference_simulation", "simulate.seed=-2",
+         "simulate.seed"),
     ])
     def test_non_integers_are_config_errors(self, capsys, command, config,
                                             setting, field):
+        flag = [setting] if setting.startswith("--") else ["--set", setting]
         code = main([command, "--config", str(CONFIGS / f"{config}.json"),
-                     "--set", setting])
+                     *flag])
         assert code == 1
         assert f"config error: {field}:" in capsys.readouterr().err
 
@@ -365,6 +373,23 @@ class TestSimulateCommand:
                      "--set", f"simulate.seeds={seeds}"])
         assert code == 1
         assert "config error: simulate.seeds:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--seed", "5"], "--seed"),
+        (["--time-series", "ts.csv"], "--time-series"),
+        (["--set", "simulate.time_series=true"], "simulate.time_series"),
+    ])
+    def test_comparison_rejects_single_run_inputs(self, tmp_path, capsys,
+                                                  flags, field):
+        # a comparison runs simulate.seeds and has no single path to write
+        flags = [str(tmp_path / f) if f.endswith(".csv") else f
+                 for f in flags]
+        code = main(["simulate", "--config",
+                     str(CONFIGS / "strategy_beta_comparison.json"), *flags])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert f"config error: {field}:" in err
+        assert out == "" and not list(tmp_path.iterdir())
 
     def test_comparison_seed_list(self, capsys):
         code = main(["simulate", "--config",

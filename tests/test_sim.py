@@ -24,7 +24,7 @@ from mutualsec import (
     simulate,
 )
 
-from support import reference_instance
+from support import reference_instance, whole_horizon_rating_run
 
 PERFECT = MonitoringModel.tabulated([(0.0, 0.0), (10.0, 0.0)])
 
@@ -513,6 +513,7 @@ class TestStreaming:
     @pytest.mark.parametrize("kind,n,horizon", [
         ("tit-for-tat", 40, 10_000),
         ("compliant", 8, 200_000),
+        ("grim-trigger", 8, 200_000),
     ])
     def test_memory_does_not_grow_with_horizon(self, kind, n, horizon):
         import tracemalloc
@@ -527,3 +528,84 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+# ---- whole-horizon reference -----------------------------------------------
+
+def _shots(spec):
+    """Profile of one-shot deviators at the given periods (None: compliant)."""
+    return BehaviorProfile(tuple(
+        Behavior("compliant") if t is None
+        else Behavior("one-shot-deviator", at_period=t) for t in spec))
+
+
+def _reference_cases():
+    """Named simulate() argument tuples for the rating path: blocks with
+    several ASs deviating in one period, discount weights that are exactly
+    0.0, all normal, or subnormal where the only cost falls."""
+    env, mon, tm = reference_instance()
+    rated = optimal_design(env, mon, tm).design()
+    # 8 ASs, 8192-period blocks: ASs deviate together at a block's first
+    # period, its last and the next block's first.
+    together = _shots([0, 0, 8191, 8191, 8192, 8192, 8192, None])
+    partial = dataclasses.replace(rated, subset=Subset((0, 1, 2, 3, 4)))
+    for name, design in (("full", rated), ("partial", partial)):
+        for seed in (2, 4):
+            yield (f"together/{name}/seed={seed}",
+                   (design, together, env, mon, tm, 10_000, seed))
+    plan = RatingDesign(1.0, env.p_high, env.p_low, Subset.full(8))
+    mixed = BehaviorProfile((
+        Behavior("one-shot-deviator", at_period=3),
+        Behavior("persistent-deviator"),
+        Behavior("never-deploy"),
+        Behavior("always-deploy"),
+        *[Behavior("compliant")] * 4,
+    ))
+    for name, beta in (("delta=0", 800.0), ("delta~1", 1e-6)):
+        env_b = dataclasses.replace(env, beta=beta)
+        yield (f"{name}/together", (plan, together, env_b, mon, tm, 10_000, 1))
+        yield (f"{name}/mixed", (plan, mixed, env_b, mon, tm, 20_000, 1))
+    # 64 ASs, 1024-period blocks; AS 63 receives no traffic, so its only
+    # cost is its one-shot deployment at period 1060, in a block whose
+    # weights are all subnormal or zero.
+    n = 64
+    rates = np.ones((n, n)) - np.eye(n)
+    rates[:, n - 1] = 0.0
+    lonely = TrafficMatrix.from_matrix(rates)
+    design = RatingDesign(1.0, env.p_high, env.p_low, Subset(tuple(range(63))))
+    shot = _shots([None] * 63 + [1060])
+    yield ("subnormal", (design, shot,
+                         dataclasses.replace(env, beta=math.log(2.0)), mon,
+                         lonely, 1100, 3))
+
+
+class TestWholeHorizonReference:
+    """Every report field against a from-scratch whole-horizon run."""
+
+    @pytest.mark.parametrize("name,args", list(_reference_cases()),
+                             ids=[name for name, _ in _reference_cases()])
+    def test_matches_reference(self, name, args):
+        ref = whole_horizon_rating_run(*args)
+        rep = simulate(*args, time_series=True)
+        got = rep.to_dict()
+        for key in ("horizon", "period_length", "seed", "avg_cost",
+                    "avg_cost_per_as", "discounted_utility",
+                    "rating_high_fraction", "punishment_fraction"):
+            _assert_matches(got[key], ref[key], key)
+        assert list(rep.final_state.ratings) == ref["final_ratings"]
+        assert rep.final_state.period == rep.horizon
+        assert rep.final_state.tft_grudges is None
+        assert not rep.final_state.trigger_fired
+        for key in ("total_cost", "mean_rating"):
+            np.testing.assert_allclose(rep.time_series[key], ref[key],
+                                       rtol=1e-12, atol=0.0, err_msg=key)
+
+    def test_weight_regimes(self):
+        cases = dict(_reference_cases())
+        env = cases["delta=0/mixed"][2]
+        assert math.exp(-env.beta * 1.0) == 0.0
+        env = cases["delta~1/mixed"][2]
+        assert math.exp(-env.beta * 1.0) ** 20_000 > 0.9
+        # the lonely AS's utility is one subnormal discounted deployment
+        rep = simulate(*cases["subnormal"])
+        assert 0.0 < -rep.discounted_utility[63] < 2.0 ** -1022
