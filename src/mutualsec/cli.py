@@ -543,6 +543,8 @@ def cmd_simulate(cfg: dict, args) -> int:
     elif mode == "comparison":
         # A comparison runs simulate.seeds and reports no single path.
         for name, given in (("--seed", args.seed is not None),
+                            ("simulate.seed", "seed" in sec),
+                            ("seed", "seed" in cfg),
                             ("--time-series", args.time_series is not None),
                             ("simulate.time_series", ts_field)):
             if given:

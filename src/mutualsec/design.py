@@ -40,6 +40,7 @@ from .network import (
     TrafficMatrix,
     _as_subset,
     _inbound_vector,
+    _member_index,
     critical_traffic,
     inbound_within,
 )
@@ -516,8 +517,9 @@ def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
     p = Subset.full(tm.n) if subset is None else _as_subset(tm, subset)
     if len(p) == 0:
         raise ValueError("optimal_design needs a nonempty deployment set")
-    inbound = _inbound_vector(tm, p)
-    k = int(np.argmin(inbound))
+    idx = _member_index(tm, p)
+    inbound = _inbound_vector(tm, idx)
+    k = int(inbound.argmin())
     nu_crit = float(inbound[k])
     if nu_crit <= 0:
         return DesignResult.infeasible(
@@ -536,10 +538,8 @@ def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
     eps = _epsilon(mon, t_star)
     p0 = math.exp(env.beta * t_star) * env.c / ((1.0 - 2.0 * eps) * nu_crit) + env.p_low
     p0 = min(p0, env.p_high)
-    outbound = tm.rates.sum(axis=1)
-    idx = np.fromiter(p.members, dtype=int)
-    mu_in = float(outbound[idx].sum())
-    mu_out = float(outbound.sum()) - mu_in
+    mu_in = float((tm.outbound if idx is None else tm.outbound[idx]).sum())
+    mu_out = tm._outbound_total - mu_in
     j = (env.p_low + g_star * env.c / nu_crit) * mu_in + env.p_high * mu_out \
         + len(p) * env.c
     return DesignResult(
@@ -566,12 +566,11 @@ def security_cost(design: RatingDesign, env: Environment, mon: MonitoringModel,
     if violators:
         raise NotIncentiveCompatibleError(violators)
     eps = _epsilon(mon, design.T)
-    outbound = tm.rates.sum(axis=1)
     if len(design.subset) == 0:
-        return float(env.p_high * outbound.sum())
-    idx = np.fromiter(design.subset.members, dtype=int)
-    mu_in = float(outbound[idx].sum())
-    mu_out = float(outbound.sum()) - mu_in
+        return env.p_high * tm._outbound_total
+    idx = np.fromiter(design.subset.members, dtype=np.intp)
+    mu_in = float(tm.outbound[idx].sum())
+    mu_out = tm._outbound_total - mu_in
     mix = (1.0 - eps) * design.p1 + eps * design.p0
     return mix * mu_in + env.p_high * mu_out + len(design.subset) * env.c
 
@@ -587,14 +586,13 @@ def fds_sufficient(env: Environment, mon: MonitoringModel,
     """Sufficient condition for full deployment to be the optimal
     recommendation: the minimized loss factor is small enough that every
     AS's filtering benefit to others covers its deployment cost."""
-    outbound = tm.rates.sum(axis=1)
-    nu_crit = critical_traffic(tm, Subset.full(tm.n))
+    nu_crit = float(tm.inbound.min())
     found = minimize_loss_factor(env, mon, nu_crit)
     if found is None:
         return False
     _, g_star = found
-    threshold = ((env.gap * float(outbound.min()) - env.c) / float(outbound.sum())) \
-        * nu_crit / env.c
+    threshold = ((env.gap * float(tm.outbound.min()) - env.c)
+                 / tm._outbound_total) * nu_crit / env.c
     return g_star <= threshold
 
 
@@ -607,13 +605,14 @@ def validate_assumptions(env: Environment, mon: MonitoringModel,
     below the achievable benefit, c < (p_high - p_low) * max(nu_i, mu_i).
     social_gain: the minimized full-set loss factor does not exceed
     min_i ((p_high - p_low) * mu_i - c) * nu_crit / (c * mu_i), so each
-    member's contribution covers its cost after monitoring losses.
+    member's contribution covers its cost after monitoring losses.  An AS
+    that sends no traffic (mu_i = 0) benefits no one by filtering, so it
+    fails this check, and the detail names it.
     """
     ok_mon, detail_mon = mon.validity_report()
     monitor = AssumptionCheck("monitor", ok_mon, detail_mon)
 
-    inbound = tm.rates.sum(axis=0)
-    outbound = tm.rates.sum(axis=1)
+    inbound, outbound = tm.inbound, tm.outbound
     failing = [
         int(i)
         for i in range(tm.n)
@@ -627,16 +626,26 @@ def validate_assumptions(env: Environment, mon: MonitoringModel,
         else f"cost covers no achievable benefit for ASs {failing} (0-based)",
     )
 
-    nu_crit = critical_traffic(tm, Subset.full(tm.n))
+    nu_crit = float(inbound.min())
     found = minimize_loss_factor(env, mon, nu_crit)
+    silent = np.flatnonzero(outbound == 0).tolist()
     if found is None:
         social = AssumptionCheck(
             "social_gain", False,
             "no IC design exists for the full set, loss factor undefined",
         )
+    elif silent:
+        social = AssumptionCheck(
+            "social_gain", False,
+            f"ASs {silent} (0-based) send no traffic, so their filtering "
+            "benefits no one and cannot cover their cost",
+        )
     else:
         _, g_star = found
-        margins = (env.gap * outbound - env.c) * nu_crit / (env.c * outbound)
+        # A subnormal outbound rate overflows its margin to -inf, the limit
+        # at zero, which fails the check as it should.
+        with np.errstate(over="ignore"):
+            margins = (env.gap * outbound - env.c) * nu_crit / (env.c * outbound)
         rhs = float(margins.min())
         social = AssumptionCheck(
             "social_gain",

@@ -64,15 +64,21 @@ class Subset:
 
     @classmethod
     def full(cls, n: int) -> "Subset":
-        return cls(tuple(range(n)))
+        return cls._trusted(tuple(range(n)))
+
+    @classmethod
+    def _trusted(cls, members: tuple[int, ...]) -> "Subset":
+        """A subset of members already sorted, unique and non-negative.
+        Skips __post_init__, which would dominate the deletion walk's O(n)
+        steps and brute force's 2^n sets."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "members", members)
+        return s
 
     def without(self, remove: Iterable[int]) -> "Subset":
-        # A subsequence of valid members is valid: skip __post_init__, which
-        # would dominate the deletion walk's O(n) steps.
-        kept = object.__new__(Subset)
-        object.__setattr__(kept, "members", tuple(
+        # A subsequence of valid members is valid.
+        return Subset._trusted(tuple(
             filterfalse(set(remove).__contains__, self.members)))
-        return kept
 
     def __len__(self) -> int:
         return len(self.members)
@@ -97,10 +103,15 @@ class TrafficAggregates:
 
 
 class TrafficMatrix:
-    """Immutable N x N matrix of non-negative traffic rates, zero diagonal."""
+    """Immutable N x N matrix of non-negative traffic rates, zero diagonal.
+
+    Its row sums (`outbound`) and column sums (`inbound`) are computed once,
+    with the rates, and are read-only like them.  The rates are stored in
+    row-major order, so every column sum adds the rows one by one in order,
+    as the subset sums in this module do."""
 
     def __init__(self, rates) -> None:
-        arr = np.array(rates, dtype=float)
+        arr = np.array(rates, dtype=float, order="C")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("traffic matrix must be square")
         if arr.shape[0] < 2:
@@ -113,10 +124,25 @@ class TrafficMatrix:
             raise ValueError("traffic matrix diagonal must be zero")
         arr.setflags(write=False)
         self._rates = arr
+        self._outbound = arr.sum(axis=1)
+        self._outbound.setflags(write=False)
+        self._inbound = arr.sum(axis=0)
+        self._inbound.setflags(write=False)
+        self._outbound_total = float(self._outbound.sum())
 
     @property
     def rates(self) -> np.ndarray:
         return self._rates
+
+    @property
+    def outbound(self) -> np.ndarray:
+        """Per-AS outbound rate: the row sums."""
+        return self._outbound
+
+    @property
+    def inbound(self) -> np.ndarray:
+        """Per-AS inbound rate from all ASs: the column sums."""
+        return self._inbound
 
     @property
     def n(self) -> int:
@@ -302,10 +328,8 @@ def _as_subset(tm: TrafficMatrix, subset) -> Subset:
 
 
 def aggregates(tm: TrafficMatrix) -> TrafficAggregates:
-    return TrafficAggregates(
-        outbound=tuple(float(x) for x in tm.rates.sum(axis=1)),
-        inbound=tuple(float(x) for x in tm.rates.sum(axis=0)),
-    )
+    return TrafficAggregates(outbound=tuple(tm.outbound.tolist()),
+                             inbound=tuple(tm.inbound.tolist()))
 
 
 def inbound_within(tm: TrafficMatrix, subset, i: int) -> float:
@@ -318,9 +342,27 @@ def inbound_within(tm: TrafficMatrix, subset, i: int) -> float:
     return float(np.cumsum(tm.rates[idx, i])[-1])
 
 
-def _inbound_vector(tm: TrafficMatrix, p: Subset) -> np.ndarray:
-    idx = np.fromiter(p.members, dtype=int)
-    return tm.rates[np.ix_(idx, idx)].sum(axis=0)
+def _member_index(tm: TrafficMatrix, p: Subset) -> np.ndarray | None:
+    """The members of `p` as an index array, or None for the full set."""
+    if len(p) == tm.n:
+        return None
+    return np.fromiter(p.members, dtype=np.intp, count=len(p))
+
+
+def _inbound_vector(tm: TrafficMatrix, idx: np.ndarray | None) -> np.ndarray:
+    """Each member's inbound rate from within the set, in member order.
+
+    Only the member rows are summed, in place through a row mask and with
+    no copy of them: the axis-0 sum adds them one by one in member order,
+    then the member columns are picked, which equals the column sums of
+    the members' k x k block to the bit.  Its only temporaries are n-long,
+    so the memory a pricing takes does not depend on the set's size.  The
+    full set (idx None) reads the stored column sums."""
+    if idx is None:
+        return tm.inbound
+    rows = np.zeros(tm.n, dtype=bool)
+    rows[idx] = True
+    return tm.rates.sum(axis=0, where=rows[:, None]).take(idx)
 
 
 def critical_traffic(tm: TrafficMatrix, subset) -> float:
@@ -328,7 +370,7 @@ def critical_traffic(tm: TrafficMatrix, subset) -> float:
     p = _as_subset(tm, subset)
     if len(p) == 0:
         raise ValueError("critical traffic is undefined for the empty subset")
-    return float(_inbound_vector(tm, p).min())
+    return float(_inbound_vector(tm, _member_index(tm, p)).min())
 
 
 def critical_members(tm: TrafficMatrix, subset) -> tuple[int, ...]:
@@ -336,7 +378,7 @@ def critical_members(tm: TrafficMatrix, subset) -> tuple[int, ...]:
     p = _as_subset(tm, subset)
     if len(p) == 0:
         raise ValueError("critical traffic is undefined for the empty subset")
-    inb = _inbound_vector(tm, p)
+    inb = _inbound_vector(tm, _member_index(tm, p))
     low = inb.min()
     return tuple(m for m, v in zip(p.members, inb) if v == low)
 
@@ -354,7 +396,7 @@ def _deletion_steps(
     true critical member.
     """
     rates = tm.rates
-    inbound = rates.sum(axis=0)
+    inbound = tm.inbound.copy()  # subtracted from in place below
     window = 1e-9 * inbound.max()
     alive = np.ones(tm.n, dtype=bool)
     p = Subset.full(tm.n)

@@ -337,7 +337,7 @@ def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
             mask = flips.setdefault(int(b.at_period), np.zeros(n, dtype=bool))
             mask[i] = True
     shot_periods = sorted(flips)
-    inbound = tm.rates.sum(axis=0)
+    inbound = tm.inbound
 
     def cost_rows(actions, ratings):
         deployed_in = actions.astype(float) @ tm.rates
@@ -388,7 +388,7 @@ def _simulate_trigger(design, env, tm, horizon, eps, rng, ledger):
     n = tm.n
     rec = np.zeros(n, dtype=bool)
     rec[list(design.subset.members)] = True
-    inbound = tm.rates.sum(axis=0)
+    inbound = tm.inbound
     deployed_in = rec.astype(float) @ tm.rates
     pre_cost = (env.p_low * deployed_in
                 + env.p_high * (inbound - deployed_in)

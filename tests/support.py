@@ -102,6 +102,13 @@ def random_grid_matrix(rng, n, density=0.6):
     return TrafficMatrix.from_matrix(arr)
 
 
+def reference_inbound(tm, members):
+    """Each member's inbound rate from within `members`, as the column sums
+    of the members' k x k block of the rates."""
+    idx = np.asarray(members, dtype=int)
+    return tm.rates[np.ix_(idx, idx)].sum(axis=0)
+
+
 def canonical_mct_witness(tm):
     """(verdict, witness) of the MCT check by direct enumeration: among
     the proper subsets whose critical traffic exceeds the full set's, the

@@ -204,6 +204,21 @@ class TestIdCommand:
         assert [it["evaluated"] for it in out["iterations"]] == \
             [True, True, True, False, False]
 
+    @pytest.mark.filterwarnings("ignore:validity conditions fail:UserWarning")
+    def test_as_that_sends_nothing(self, tmp_path, capsys):
+        # runs under the suite's error::RuntimeWarning filter, so a division
+        # by the silent AS's zero outbound rate would exit 3
+        cfg = reference_config(tmp_path, network={
+            "kind": "edges", "n": 3, "directed": True,
+            "edges": [[1, 2, 4], [2, 1, 4], [1, 3, 4], [2, 3, 4]]})
+        assert main(["id", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["subset"] == [1, 2, 3]
+        assert main(["design", "--config", cfg]) == 0
+        social = json.loads(capsys.readouterr().out)["assumptions"][
+            "social_gain"]
+        assert not social["passed"]
+        assert "ASs [2] (0-based) send no traffic" in social["detail"]
+
     def test_nothing_feasible_exit_2(self, tmp_path, capsys):
         cfg = reference_config(tmp_path)
         with pytest.warns(UserWarning, match="validity"):
@@ -378,6 +393,8 @@ class TestSimulateCommand:
         (["--seed", "5"], "--seed"),
         (["--time-series", "ts.csv"], "--time-series"),
         (["--set", "simulate.time_series=true"], "simulate.time_series"),
+        (["--set", "simulate.seed=5"], "simulate.seed"),
+        (["--set", "seed=5"], "seed"),
     ])
     def test_comparison_rejects_single_run_inputs(self, tmp_path, capsys,
                                                   flags, field):

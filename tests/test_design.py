@@ -537,6 +537,28 @@ class TestAssumptions:
         report = validate_assumptions(env, MonitoringModel.rational(5.0), tm)
         assert not report.social_gain.passed
 
+    def test_social_gain_fails_for_an_as_that_sends_nothing(self):
+        # AS 2 sends no traffic: its filtering benefits no one, and the
+        # margin bound would divide by its zero outbound rate
+        tm = TrafficMatrix.from_edges(
+            3, [(0, 1, 4.0), (1, 0, 4.0), (0, 2, 4.0), (1, 2, 4.0)],
+            directed=True)
+        report = validate_assumptions(REFERENCE_ENV,
+                                      MonitoringModel.rational(0.1), tm)
+        assert report.viability.passed
+        assert not report.social_gain.passed
+        assert "ASs [2] (0-based) send no traffic" in report.social_gain.detail
+        assert not report.all_ok
+
+    def test_social_gain_fails_for_a_subnormal_sender(self):
+        # its margin bound overflows to -inf: a failed check, not a warning
+        tm = TrafficMatrix.from_matrix(
+            [[0.0, 4.0, 4.0], [4.0, 0.0, 4.0], [1e-310, 0.0, 0.0]])
+        report = validate_assumptions(REFERENCE_ENV,
+                                      MonitoringModel.rational(0.1), tm)
+        assert not report.social_gain.passed
+        assert "margin bound -inf" in report.social_gain.detail
+
 
 class TestFdsSufficient:
     def test_reference_cases(self):

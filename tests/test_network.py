@@ -1,9 +1,11 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mutualsec import (
+    MonitoringModel,
     Subset,
     TrafficMatrix,
     aggregates,
@@ -11,14 +13,19 @@ from mutualsec import (
     critical_traffic,
     has_mct,
     inbound_within,
+    iterative_deletion,
     load_edge_csv,
     load_matrix_csv,
+    optimal_design,
 )
+from mutualsec.network import _inbound_vector, _member_index
 
 from support import (
     canonical_mct_witness,
     random_connected_matrix,
+    random_environment,
     random_grid_matrix,
+    reference_inbound,
 )
 
 
@@ -65,6 +72,31 @@ class TestTrafficMatrix:
         tm = TrafficMatrix.complete(3, 1.0)
         with pytest.raises(ValueError):
             tm.rates[0, 1] = 9.0
+
+    def test_stored_sums(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 7, 12, 64):
+            arr = rng.uniform(0.0, 3.0, (n, n)) * (1 - np.eye(n))
+            # a column-major input is stored row-major like any other
+            for tm in (TrafficMatrix(arr), TrafficMatrix(np.asfortranarray(arr))):
+                assert np.array_equal(tm.outbound, tm.rates.sum(axis=1))
+                assert np.array_equal(tm.inbound, tm.rates.sum(axis=0))
+                with pytest.raises(ValueError):
+                    tm.outbound[0] = 9.0
+                with pytest.raises(ValueError):
+                    tm.inbound[0] = 9.0
+
+    def test_searches_leave_stored_sums_alone(self):
+        # the deletion walk subtracts from a copy of the column sums
+        rng = np.random.default_rng(12)
+        tm = random_grid_matrix(rng, 12)
+        before = tm.inbound.copy()
+        has_mct(tm)
+        env = random_environment(rng, float(before.min()) + 1.0)
+        iterative_deletion(env, MonitoringModel.rational(0.1), tm,
+                           check_assumptions=False)
+        assert np.array_equal(tm.inbound, before)
+        assert np.array_equal(tm.inbound, tm.rates.sum(axis=0))
 
     def test_from_edges_symmetric_default(self):
         tm = TrafficMatrix.from_edges(3, [(0, 1, 2.0), (1, 2, 0.5)])
@@ -135,6 +167,61 @@ class TestTrafficAnalysis:
             p = Subset.of(np.flatnonzero(rng.random(n) < 0.8).tolist() or [0, 1])
             for k in critical_members(tm, p):
                 assert inbound_within(tm, p, k) == critical_traffic(tm, p)
+
+    @pytest.mark.parametrize("n", [2, 7, 12, 64])
+    def test_row_gather_matches_block_sums(self, n):
+        # gathering the member rows and then picking the member columns
+        # adds each column in member order, as the k x k block's sum does
+        rng = np.random.default_rng(n)
+        arr = rng.uniform(0.0, 3.0, (n, n)) * (1 - np.eye(n))
+        if n > 2:
+            arr[rng.random((n, n)) < 0.3] = 0.0
+        tm = TrafficMatrix(np.asfortranarray(arr) if n == 12 else arr)
+        everyone = list(range(n))
+        subsets = [everyone, [0], [n - 1], everyone[1:], everyone[:-1],
+                   everyone[::2], everyone[1::3] or [1]]
+        subsets += [[i for i in everyone if i != k] for k in range(0, n, 5)]
+        subsets += [sorted(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                      replace=False).tolist())
+                    for _ in range(20)]
+        env = random_environment(rng, float(tm.inbound.min()))
+        mon = MonitoringModel.rational(0.05)
+        priced = 0
+        for members in subsets:
+            p = Subset.of(members, n)
+            ref = reference_inbound(tm, p.members)
+            assert np.array_equal(_inbound_vector(tm, _member_index(tm, p)), ref)
+            assert critical_traffic(tm, p) == float(ref.min())
+            assert critical_members(tm, p) == tuple(
+                m for m, v in zip(p.members, ref) if v == ref.min())
+            result = optimal_design(env, mon, tm, p)
+            assert result.binding_as in (None, p.members[int(np.argmin(ref))])
+            if result.feasible:
+                priced += 1
+                outbound = tm.rates.sum(axis=1)
+                mu_in = float(outbound[np.array(p.members)].sum())
+                mu_out = float(outbound.sum()) - mu_in
+                nu = float(ref.min())
+                j = (env.p_low + result.g_star * env.c / nu) * mu_in \
+                    + env.p_high * mu_out + len(p) * env.c
+                assert result.j_star == j
+        assert priced > 0
+
+    def test_gather_copies_no_member_rows(self):
+        # Pricing a set takes n-long temporaries only, whatever its size, so
+        # the deletion walk's peak memory does not hinge on which sets it
+        # prices.  A copy of the member rows would take k * n floats.
+        n = 400
+        tm = random_connected_matrix(np.random.default_rng(5), n)
+        idx = _member_index(tm, Subset.full(n).without([7]))
+        _inbound_vector(tm, idx)
+        tracemalloc.start()
+        try:
+            _inbound_vector(tm, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * 8
 
     def test_critical_traffic_complete(self):
         tm = TrafficMatrix.complete(6, 2.0)
