@@ -290,7 +290,7 @@ def _build_network(cfg: dict) -> TrafficMatrix:
             if "path" in sec:
                 return load_matrix_csv(get("path", _str_field))
             rows = get("rates", _list_of(_list_of(_float_field)))
-            return TrafficMatrix.from_matrix(np.asarray(rows, dtype=float))
+            return TrafficMatrix(rows)
     raise ConfigError(f"network.kind: unknown kind {kind!r}")
 
 
@@ -373,6 +373,9 @@ def cmd_design(cfg: dict, args) -> int:
     payload = _design_dict(result)
     payload["j_first_best"] = first_best(env, tm)
     payload["assumptions"] = report.to_dict()
+    for check in report.checks:
+        if not check.passed:
+            payload["assumptions"][check.name]["ases"] = _ones(check.ases)
     _emit(_json(payload), args.out)
     return 0 if result.feasible else 2
 

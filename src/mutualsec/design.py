@@ -50,17 +50,14 @@ __all__ = [
     "AssumptionReport",
     "DesignResult",
     "Environment",
-    "IcRegion",
     "MonitoringModel",
     "NotIncentiveCompatibleError",
     "PeriodInterval",
     "RatingDesign",
-    "efficiency_loss_factor",
     "feasible_period_interval",
     "fds_sufficient",
     "first_best",
     "ic_check",
-    "ic_region_beta_max",
     "minimize_loss_factor",
     "optimal_design",
     "security_cost",
@@ -217,9 +214,6 @@ class PeriodInterval:
     lo: float
     hi: float
 
-    def contains(self, t: float) -> bool:
-        return self.lo <= t <= self.hi
-
 
 @dataclass(frozen=True)
 class DesignResult:
@@ -250,20 +244,13 @@ class DesignResult:
 
 
 @dataclass(frozen=True)
-class IcRegion:
-    """Largest discount rate an existing design tolerates, plus whether the
-    monitoring error at T -> 0 is small enough that every finite discount
-    rate admits some IC design."""
-
-    beta_max: float
-    ic_for_all_beta: bool
-
-
-@dataclass(frozen=True)
 class AssumptionCheck:
+    """One validity check; `ases` lists the (0-based) ASs that fail it."""
+
     name: str
     passed: bool
     detail: str
+    ases: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -274,14 +261,16 @@ class AssumptionReport:
     subset_note: str | None = None
 
     @property
+    def checks(self) -> tuple[AssumptionCheck, ...]:
+        return (self.monitor, self.viability, self.social_gain)
+
+    @property
     def all_ok(self) -> bool:
-        return self.monitor.passed and self.viability.passed and self.social_gain.passed
+        return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        d = {
-            c.name: {"passed": c.passed, "detail": c.detail}
-            for c in (self.monitor, self.viability, self.social_gain)
-        }
+        d = {c.name: {"passed": c.passed, "detail": c.detail}
+             for c in self.checks}
         if self.subset_note:
             d["subset_note"] = self.subset_note
         return d
@@ -353,15 +342,6 @@ def _tighten(fits, t: float, t_in: float) -> float:
 
 
 # ---- operations -----------------------------------------------------------
-
-
-def efficiency_loss_factor(env: Environment, mon: MonitoringModel, T: float) -> float:
-    """g(T); the per-unit-traffic overhead multiplier of the binding design."""
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if _epsilon(mon, T) >= 0.5:
-        raise ValueError("efficiency loss factor undefined where epsilon >= 1/2")
-    return _loss_at(env, mon, T)
 
 
 def feasible_period_interval(
@@ -495,19 +475,6 @@ def ic_check(design: RatingDesign, env: Environment, mon: MonitoringModel,
     return lhs >= env.c * (1.0 - 1e-9)
 
 
-def ic_region_beta_max(design: RatingDesign, env: Environment,
-                       mon: MonitoringModel, nu_crit: float) -> IcRegion:
-    """Largest beta keeping the given design IC at critical traffic nu_crit
-    (0.0 when none), plus the T->0 headroom condition under which every
-    finite beta admits some IC design."""
-    eps = _epsilon(mon, design.T)
-    arg = (1.0 - 2.0 * eps) * (design.p0 - design.p1) * nu_crit / env.c
-    beta_max = math.log(arg) / design.T if arg > 1.0 else 0.0
-    eps0 = _epsilon(mon, 0.0)
-    threshold = 0.5 * (1.0 - env.c / (env.gap * nu_crit)) if nu_crit > 0 else -1.0
-    return IcRegion(beta_max=beta_max, ic_for_all_beta=eps0 <= threshold)
-
-
 def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
                    subset=None) -> DesignResult:
     """Cost-minimizing IC design for the given deployment set (default all).
@@ -607,28 +574,30 @@ def validate_assumptions(env: Environment, mon: MonitoringModel,
     min_i ((p_high - p_low) * mu_i - c) * nu_crit / (c * mu_i), so each
     member's contribution covers its cost after monitoring losses.  An AS
     that sends no traffic (mu_i = 0) benefits no one by filtering, so it
-    fails this check, and the detail names it.
+    fails this check.  A failed check lists the ASs that fail it in `ases`.
     """
     ok_mon, detail_mon = mon.validity_report()
     monitor = AssumptionCheck("monitor", ok_mon, detail_mon)
 
     inbound, outbound = tm.inbound, tm.outbound
-    failing = [
-        int(i)
+    failing = tuple(
+        i
         for i in range(tm.n)
         if env.c >= env.gap * max(float(inbound[i]), float(outbound[i]))
-    ]
+    )
     viability = AssumptionCheck(
         "viability",
         not failing,
         "c below (p_high - p_low) * max(inbound, outbound) for every AS"
         if not failing
-        else f"cost covers no achievable benefit for ASs {failing} (0-based)",
+        else f"cost covers no achievable benefit for {len(failing)} of "
+             f"{tm.n} ASs",
+        failing,
     )
 
     nu_crit = float(inbound.min())
     found = minimize_loss_factor(env, mon, nu_crit)
-    silent = np.flatnonzero(outbound == 0).tolist()
+    silent = tuple(np.flatnonzero(outbound == 0).tolist())
     if found is None:
         social = AssumptionCheck(
             "social_gain", False,
@@ -637,8 +606,9 @@ def validate_assumptions(env: Environment, mon: MonitoringModel,
     elif silent:
         social = AssumptionCheck(
             "social_gain", False,
-            f"ASs {silent} (0-based) send no traffic, so their filtering "
+            f"{len(silent)} of {tm.n} ASs send no traffic, so their filtering "
             "benefits no one and cannot cover their cost",
+            silent,
         )
     else:
         _, g_star = found
@@ -651,6 +621,7 @@ def validate_assumptions(env: Environment, mon: MonitoringModel,
             "social_gain",
             g_star <= rhs,
             f"minimized loss factor {g_star:.6g} vs per-AS margin bound {rhs:.6g}",
+            tuple(np.flatnonzero(margins < g_star).tolist()),
         )
 
     note = None

@@ -29,9 +29,7 @@ import numpy as np
 
 __all__ = [
     "Subset",
-    "TrafficAggregates",
     "TrafficMatrix",
-    "aggregates",
     "critical_members",
     "critical_traffic",
     "has_mct",
@@ -90,18 +88,6 @@ class Subset:
         return i in self.members
 
 
-@dataclass(frozen=True)
-class TrafficAggregates:
-    """Per-AS outbound (row sum) and inbound (column sum) traffic rates."""
-
-    outbound: tuple[float, ...]
-    inbound: tuple[float, ...]
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.outbound))
-
-
 class TrafficMatrix:
     """Immutable N x N matrix of non-negative traffic rates, zero diagonal.
 
@@ -157,10 +143,6 @@ class TrafficMatrix:
         return f"TrafficMatrix(n={self.n})"
 
     # ---- generators -----------------------------------------------------
-
-    @classmethod
-    def from_matrix(cls, rates) -> "TrafficMatrix":
-        return cls(rates)
 
     @classmethod
     def from_edges(
@@ -325,11 +307,6 @@ def _as_subset(tm: TrafficMatrix, subset) -> Subset:
             raise ValueError("subset member out of range")
         return subset
     return Subset.of(subset, tm.n)
-
-
-def aggregates(tm: TrafficMatrix) -> TrafficAggregates:
-    return TrafficAggregates(outbound=tuple(tm.outbound.tolist()),
-                             inbound=tuple(tm.inbound.tolist()))
 
 
 def inbound_within(tm: TrafficMatrix, subset, i: int) -> float:

@@ -475,6 +475,14 @@ class DeviationGain:
     significantly_negative: bool
 
 
+def _seed_list(seeds) -> list[int]:
+    """A count n (seeds 0..n-1) or an iterable of seeds, as a nonempty list."""
+    seeds = list(range(seeds) if isinstance(seeds, int) else seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    return seeds
+
+
 def deviation_gain(design: RatingDesign, env: Environment,
                    mon: MonitoringModel, tm: TrafficMatrix, i: int,
                    horizon: int, seeds) -> DeviationGain:
@@ -483,11 +491,7 @@ def deviation_gain(design: RatingDesign, env: Environment,
     The same seed is reused for the compliant and deviant runs (common
     random numbers), so for an IC design the estimate concentrates at or
     below zero; significance flags are one-sided z-tests at 95%."""
-    if isinstance(seeds, int):
-        seeds = range(seeds)
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
+    seeds = _seed_list(seeds)
     n = tm.n
     if not 0 <= i < n:
         raise ValueError(f"AS index {i} out of range")
@@ -615,36 +619,28 @@ def run_strategy_comparison(kind: str, env: Environment, mon: MonitoringModel,
     period); "tft" and "trigger" run at the given period T."""
     if kind not in ("tft", "trigger", "rating"):
         raise ValueError(f"unknown comparison kind: {kind!r}")
-    if isinstance(seeds, int):
-        seeds = range(seeds)
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
+    seeds = _seed_list(seeds)
     n = tm.n
     full = Subset.full(n)
     rows = []
     for beta in beta_grid:
         env_b = replace(env, beta=float(beta))
-        if kind == "rating":
-            # The design does not depend on the seed.
-            result = optimal_design(env_b, mon, tm, full)
+        # The design and profile do not depend on the seed.
+        if kind != "rating":
+            design = RatingDesign(T, env.p_high, env.p_low, full)
+            behavior = "tit-for-tat" if kind == "tft" else "grim-trigger"
+            profile = BehaviorProfile.uniform(n, behavior)
+        elif (result := optimal_design(env_b, mon, tm, full)).feasible:
+            design = result.design()
+            profile = BehaviorProfile.compliant(n)
+        else:
+            # the no-otc benchmark: nobody deploys
+            design = RatingDesign(1.0, env.p_high, env.p_high, Subset(()))
+            profile = BehaviorProfile.never_deploy(n)
         costs = []
         punish = []
         for s in seeds:
-            if kind == "rating":
-                if result.feasible:
-                    rep = simulate(result.design(), BehaviorProfile.compliant(n),
-                                   env_b, mon, tm, horizon, s)
-                else:
-                    rep = run_benchmark("no-otc", env_b, mon, tm, horizon, s)
-            elif kind == "tft":
-                design = RatingDesign(T, env.p_high, env.p_low, full)
-                rep = simulate(design, BehaviorProfile.uniform(n, "tit-for-tat"),
-                               env_b, mon, tm, horizon, s)
-            else:
-                design = RatingDesign(T, env.p_high, env.p_low, full)
-                rep = simulate(design, BehaviorProfile.uniform(n, "grim-trigger"),
-                               env_b, mon, tm, horizon, s)
+            rep = simulate(design, profile, env_b, mon, tm, horizon, s)
             costs.append(rep.avg_cost)
             if rep.punishment_fraction is not None:
                 punish.append(rep.punishment_fraction)

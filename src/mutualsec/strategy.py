@@ -82,9 +82,7 @@ def iterative_deletion(env: Environment, mon: MonitoringModel,
             warnings.warn(
                 "validity conditions fail; the deletion search no longer "
                 "guarantees optimality: " + "; ".join(
-                    c.detail for c in (report.monitor, report.viability,
-                                       report.social_gain) if not c.passed
-                ),
+                    c.detail for c in report.checks if not c.passed),
                 stacklevel=2,
             )
     iterations: list[IdIteration] = []

@@ -40,7 +40,7 @@ def random_connected_matrix(rng, n, lo=0.5, hi=4.0):
         if i != j and arr[i, j] == 0:
             rate = rng.uniform(lo, hi)
             arr[i, j] = arr[j, i] = rate
-    return TrafficMatrix.from_matrix(arr)
+    return TrafficMatrix(arr)
 
 
 def random_environment(rng, nu_crit):
@@ -99,7 +99,14 @@ def random_grid_matrix(rng, n, density=0.6):
     arr = rng.integers(1, 17, (n, n)) / 16.0
     arr[rng.random((n, n)) > density] = 0.0
     np.fill_diagonal(arr, 0.0)
-    return TrafficMatrix.from_matrix(arr)
+    return TrafficMatrix(arr)
+
+
+def loss_factor(env, mon, t):
+    """The loss factor g(t) = exp(beta*t) * eps / (1 - 2*eps) with eps from
+    the monitor's numpy curve (np.interp for tables); t may be an array."""
+    eps = mon.epsilon(t)
+    return np.exp(env.beta * np.asarray(t)) * eps / (1 - 2 * eps)
 
 
 def reference_inbound(tm, members):

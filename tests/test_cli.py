@@ -204,20 +204,26 @@ class TestIdCommand:
         assert [it["evaluated"] for it in out["iterations"]] == \
             [True, True, True, False, False]
 
-    @pytest.mark.filterwarnings("ignore:validity conditions fail:UserWarning")
     def test_as_that_sends_nothing(self, tmp_path, capsys):
         # runs under the suite's error::RuntimeWarning filter, so a division
-        # by the silent AS's zero outbound rate would exit 3
+        # by the silent AS's zero outbound rate would exit 3.  The deletion
+        # search's validity warning, printed to stderr, names no library
+        # (0-based) index.
         cfg = reference_config(tmp_path, network={
             "kind": "edges", "n": 3, "directed": True,
             "edges": [[1, 2, 4], [2, 1, 4], [1, 3, 4], [2, 3, 4]]})
-        assert main(["id", "--config", cfg]) == 0
+        with pytest.warns(UserWarning, match="validity") as caught:
+            assert main(["id", "--config", cfg]) == 0
         assert json.loads(capsys.readouterr().out)["subset"] == [1, 2, 3]
+        assert "0-based" not in str(caught[0].message)
         assert main(["design", "--config", cfg]) == 0
-        social = json.loads(capsys.readouterr().out)["assumptions"][
-            "social_gain"]
-        assert not social["passed"]
-        assert "ASs [2] (0-based) send no traffic" in social["detail"]
+        out = capsys.readouterr().out
+        assert "0-based" not in out
+        assumptions = json.loads(out)["assumptions"]
+        # AS 3 (1-based) sends nothing; only the failing check lists ASs
+        assert assumptions["social_gain"]["passed"] is False
+        assert assumptions["social_gain"]["ases"] == [3]
+        assert "ases" not in assumptions["viability"]
 
     def test_nothing_feasible_exit_2(self, tmp_path, capsys):
         cfg = reference_config(tmp_path)

@@ -13,12 +13,10 @@ from mutualsec import (
     Subset,
     TrafficMatrix,
     critical_traffic,
-    efficiency_loss_factor,
     fds_sufficient,
     feasible_period_interval,
     first_best,
     ic_check,
-    ic_region_beta_max,
     minimize_loss_factor,
     optimal_design,
     security_cost,
@@ -28,6 +26,7 @@ from mutualsec import design
 
 from support import (
     REFERENCE_ENV,
+    loss_factor,
     random_connected_matrix,
     random_convex_table,
     random_feasible_instance,
@@ -123,12 +122,12 @@ class TestLossFactor:
     def test_known_values(self):
         env = Environment(p_high=0.3, p_low=0.05, c=0.3, beta=0.2)
         mon = MonitoringModel.rational(0.4)
-        got = efficiency_loss_factor(env, mon, 5.0)
+        got = design._loss_at(env, mon, 5.0)
         # equals w0 * exp(beta T) / T for this error family
         assert got == pytest.approx(0.4 * math.e / 5.0, rel=1e-12)
         assert got == pytest.approx(0.21746254627672362, rel=1e-12)
         env2 = Environment(p_high=0.3, p_low=0.05, c=0.3, beta=0.4)
-        got2 = efficiency_loss_factor(env2, MonitoringModel.rational(0.1), 2.5)
+        got2 = design._loss_at(env2, MonitoringModel.rational(0.1), 2.5)
         assert got2 == pytest.approx(0.10873127313836181, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -139,19 +138,15 @@ class TestLossFactor:
         # eps = w0 / (T + 2 w0); the implementation computes the former
         env = Environment(p_high=0.3, p_low=0.05, c=0.3, beta=beta)
         mon = MonitoringModel.rational(w0)
-        got = efficiency_loss_factor(env, mon, t)
+        got = design._loss_at(env, mon, t)
         assert got == pytest.approx(w0 * math.exp(beta * t) / t, rel=1e-11)
 
-    def test_rejects_bad_period(self):
+    def test_infinite_where_error_reaches_half(self):
+        # the rational family has epsilon(0) = 1/2; the flat table holds it
         env, mon, _ = reference_instance()
-        with pytest.raises(ValueError):
-            efficiency_loss_factor(env, mon, 0.0)
-
-    def test_rejects_half_error(self):
-        env = REFERENCE_ENV
+        assert design._loss_at(env, mon, 0.0) == math.inf
         flat = MonitoringModel.tabulated([(0.0, 0.5), (1.0, 0.5)])
-        with pytest.raises(ValueError):
-            efficiency_loss_factor(env, flat, 0.5)
+        assert design._loss_at(env, flat, 0.5) == math.inf
 
 
 class TestFeasibleInterval:
@@ -161,7 +156,7 @@ class TestFeasibleInterval:
         interval = feasible_period_interval(env, mon, nu)
         assert interval is not None
         assert interval.lo > 0
-        assert interval.contains(5.0)
+        assert interval.lo <= 5.0 <= interval.hi
         # just past either endpoint the maximal-spread design loses IC
         design_hi = RatingDesign(interval.hi * 1.01, env.p_high, env.p_low,
                                  Subset.full(8))
@@ -267,8 +262,7 @@ class TestMinimizeLossFactor:
             t_star, g_star = minimize_loss_factor(env, mon, nu)
             lo = interval.lo if interval.lo > 0 else interval.hi * 1e-9
             grid = np.linspace(lo, interval.hi, 20000)
-            grid_vals = [efficiency_loss_factor(env, mon, t) for t in grid]
-            assert g_star <= min(grid_vals) * (1 + 1e-6)
+            assert g_star <= loss_factor(env, mon, grid).min() * (1 + 1e-6)
 
     def test_matches_dense_grid_tabulated(self):
         # the per-piece optimum of a tabulated curve must be feasible and at
@@ -307,12 +301,10 @@ class TestMinimizeLossFactor:
                 assert checked > 0, "the fixed case is feasible"
                 continue
             t_star, g_star = minimize_loss_factor(env, mon, 1.0)
-            assert interval.contains(t_star)
+            assert interval.lo <= t_star <= interval.hi
             lo = interval.lo if interval.lo > 0 else interval.hi * 1e-9
             grid = np.linspace(lo, interval.hi, 20000)
-            eps = mon.epsilon(grid)
-            grid_vals = np.exp(beta * grid) * eps / (1 - 2 * eps)
-            assert g_star <= grid_vals.min() * (1 + 1e-6)
+            assert g_star <= loss_factor(env, mon, grid).min() * (1 + 1e-6)
             checked += 1
 
     def test_tabulated_breakpoint_optimum_is_exact(self):
@@ -324,7 +316,7 @@ class TestMinimizeLossFactor:
             [(0.0, 0.5), (1.0, 0.3), (2.0, 0.1), (3.0, 0.05)])
         r = optimal_design(env, mon, tm)
         assert r.t_star == 3.0
-        assert r.g_star == efficiency_loss_factor(env, mon, 3.0)
+        assert r.g_star == loss_factor(env, mon, 3.0)
 
     def test_rational_optimum_is_clamped_inverse_beta(self):
         # g(T) = w0 exp(beta T) / T is minimized at 1/beta, so the optimum is
@@ -474,24 +466,17 @@ class TestSecurityCost:
 
 class TestIcRegion:
     def test_reference_beta_max(self):
+        # the design stays IC while (1 - 2 eps) exp(-beta T) (p0 - p1) nu
+        # >= c, so the largest such beta is log((1 - 2 eps)(p0 - p1) nu / c) / T
         env, mon, tm = reference_instance()
         d = RatingDesign(5.0, env.p_high, env.p_low, Subset.full(8))
-        region = ic_region_beta_max(d, env, mon, 7.0)
-        assert region.beta_max == pytest.approx(0.3448735758216155, rel=1e-9)
-        lo = Environment(p_high=0.3, p_low=0.05, c=0.3,
-                         beta=region.beta_max * 0.999)
-        hi = Environment(p_high=0.3, p_low=0.05, c=0.3,
-                         beta=region.beta_max * 1.001)
+        eps = float(mon.epsilon(d.T))
+        beta_max = math.log((1 - 2 * eps) * (d.p0 - d.p1) * 7.0 / env.c) / d.T
+        assert beta_max == pytest.approx(0.3448735758216155, rel=1e-9)
+        lo = Environment(p_high=0.3, p_low=0.05, c=0.3, beta=beta_max * 0.999)
+        hi = Environment(p_high=0.3, p_low=0.05, c=0.3, beta=beta_max * 1.001)
         assert ic_check(d, lo, mon, tm, 0)
         assert not ic_check(d, hi, mon, tm, 0)
-
-    def test_all_beta_flag(self):
-        env, _, tm = reference_instance()
-        rational = MonitoringModel.rational(0.1)
-        d = RatingDesign(5.0, env.p_high, env.p_low, Subset.full(8))
-        assert not ic_region_beta_max(d, env, rational, 7.0).ic_for_all_beta
-        sharp = MonitoringModel.tabulated([(0.0, 0.01), (10.0, 0.005)])
-        assert ic_region_beta_max(d, env, sharp, 7.0).ic_for_all_beta
 
 
 class TestIcCheck:
@@ -526,11 +511,12 @@ class TestAssumptions:
         np.fill_diagonal(arr, 0.0)
         arr[3, :] = arr[:, 3] = 0.0
         arr[3, 0] = arr[0, 3] = 0.1
-        tm = TrafficMatrix.from_matrix(arr)
+        tm = TrafficMatrix(arr)
         report = validate_assumptions(REFERENCE_ENV,
                                       MonitoringModel.rational(0.1), tm)
         assert not report.viability.passed
-        assert "3" in report.viability.detail
+        assert report.viability.ases == (3,)
+        assert report.social_gain.ases == ()
 
     def test_social_gain_fails_with_sloppy_monitor(self):
         env, _, tm = reference_instance()
@@ -547,17 +533,20 @@ class TestAssumptions:
                                       MonitoringModel.rational(0.1), tm)
         assert report.viability.passed
         assert not report.social_gain.passed
-        assert "ASs [2] (0-based) send no traffic" in report.social_gain.detail
+        assert report.social_gain.ases == (2,)
+        assert report.social_gain.detail.startswith(
+            "1 of 3 ASs send no traffic")
         assert not report.all_ok
 
     def test_social_gain_fails_for_a_subnormal_sender(self):
         # its margin bound overflows to -inf: a failed check, not a warning
-        tm = TrafficMatrix.from_matrix(
+        tm = TrafficMatrix(
             [[0.0, 4.0, 4.0], [4.0, 0.0, 4.0], [1e-310, 0.0, 0.0]])
         report = validate_assumptions(REFERENCE_ENV,
                                       MonitoringModel.rational(0.1), tm)
         assert not report.social_gain.passed
         assert "margin bound -inf" in report.social_gain.detail
+        assert report.social_gain.ases == (2,)
 
 
 class TestFdsSufficient:

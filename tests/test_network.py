@@ -8,7 +8,6 @@ from mutualsec import (
     MonitoringModel,
     Subset,
     TrafficMatrix,
-    aggregates,
     critical_members,
     critical_traffic,
     has_mct,
@@ -115,10 +114,9 @@ class TestTrafficMatrix:
 
     def test_complete_aggregates(self):
         tm = TrafficMatrix.complete(5, 2.0)
-        agg = aggregates(tm)
-        assert agg.inbound == (8.0,) * 5
-        assert agg.outbound == (8.0,) * 5
-        assert agg.total == 40.0
+        assert tm.inbound.tolist() == [8.0] * 5
+        assert tm.outbound.tolist() == [8.0] * 5
+        assert tm.outbound.sum() == 40.0
 
     def test_ring_lattice(self):
         tm = TrafficMatrix.ring_lattice(6, 4, 1.0)
@@ -243,11 +241,10 @@ class TestTrafficAnalysis:
         for _ in range(20):
             n = int(rng.integers(3, 9))
             tm = random_connected_matrix(rng, n)
-            agg = aggregates(tm)
-            assert sum(agg.inbound) == pytest.approx(sum(agg.outbound))
-            assert agg.total == pytest.approx(tm.rates.sum())
+            assert tm.inbound.sum() == pytest.approx(tm.outbound.sum())
+            assert tm.outbound.sum() == pytest.approx(tm.rates.sum())
             full = Subset.full(n)
-            assert critical_traffic(tm, full) <= min(agg.inbound) + 1e-12
+            assert critical_traffic(tm, full) <= tm.inbound.min() + 1e-12
 
 
 class TestMct:

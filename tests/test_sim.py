@@ -342,6 +342,21 @@ class TestStrategyComparison:
         assert calls == [0.2, 0.3]
         assert [r.seeds for r in rows] == [4, 4]
 
+    def test_infeasible_rating_runs_the_no_otc_benchmark(self):
+        # c = 5 admits no IC design, so nobody deploys at either beta
+        mon = MonitoringModel.rational(0.1)
+        env = Environment(p_high=0.3, p_low=0.05, c=5.0, beta=0.2)
+        tm = TrafficMatrix.complete(8, 1.0)
+        rows = run_strategy_comparison("rating", env, mon, tm, T=1.0,
+                                       horizon=60, seeds=[3, 4],
+                                       beta_grid=[0.2, 0.5])
+        for row in rows:
+            env_b = Environment(0.3, 0.05, 5.0, row.beta)
+            costs = [run_benchmark("no-otc", env_b, mon, tm, 60, s).avg_cost
+                     for s in (3, 4)]
+            assert row.avg_cost == np.mean(costs)
+            assert row.avg_cost_std == np.std(costs, ddof=1)
+
     @pytest.mark.parametrize("seeds", [0, []])
     def test_needs_a_seed(self, seeds):
         env, mon, tm = reference_instance()
@@ -571,7 +586,7 @@ def _reference_cases():
     n = 64
     rates = np.ones((n, n)) - np.eye(n)
     rates[:, n - 1] = 0.0
-    lonely = TrafficMatrix.from_matrix(rates)
+    lonely = TrafficMatrix(rates)
     design = RatingDesign(1.0, env.p_high, env.p_low, Subset(tuple(range(63))))
     shot = _shots([None] * 63 + [1060])
     yield ("subnormal", (design, shot,
