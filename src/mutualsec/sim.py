@@ -33,10 +33,25 @@ simulator, those totals agree to about 1e-12 relative.
 Two shortcuts keep the blocks cheap without changing a result.  The
 discounted sums stop at the first block whose last weight delta ** t is
 exactly 0.0 (about 745 / (beta*T) periods in): every later period adds
-exactly 0.0.  And under steady actions an AS's cost in a rating period is
-one of two values, rated high or rated low, so the rating path computes
-those two cost rows once per run and picks between them by the ratings;
-only periods with one-shot deviations are costed by the general formula.
+exactly 0.0.  And each path writes its period-t cost row as
+lo + step * x[t], with lo and step fixed for the run, so a block is booked
+from the plain and discounted column sums of x and no path builds a
+per-period cost matrix:
+
+- rating: x holds the ratings (1.0 high, 0.0 low), between the rated-low
+  and rated-high cost rows, since under steady actions an AS's cost is one
+  of the two.  Blocks with one-shot deviations book their general cost
+  rows as x, with lo = 0 and step = 1.
+- grim trigger: x is the fired column, between the pre- and post-trigger
+  cost rows.
+- tit-for-tat: x is each AS's traffic from filtering partners whose last
+  observation of it was wrong, contracted from the (b, n, n) 0/1
+  observation block.  Each unit costs an AS that deploys gap * T (the
+  partner punishes) and saves one that does not as much (the partner
+  does not).
+
+Each run draws into one reused buffer, and the 0/1 signals or
+observations overwrite their draws in place.
 """
 
 from __future__ import annotations
@@ -86,6 +101,12 @@ KINDS = (
 _Z95 = 1.6448536269514722  # one-sided 95% normal quantile
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class Behavior:
     kind: str
@@ -96,8 +117,7 @@ class Behavior:
             raise ValueError(f"unknown behavior kind: {self.kind!r}")
         if self.kind == "one-shot-deviator":
             at = self.at_period
-            if (isinstance(at, bool) or not isinstance(at, (int, np.integer))
-                    or at < 0):
+            if not _is_integer(at) or at < 0:
                 raise ValueError("one-shot-deviator needs an integer "
                                  "at_period >= 0")
         elif self.at_period is not None:
@@ -219,18 +239,31 @@ def _check_profile(profile: BehaviorProfile, n: int) -> None:
 _BLOCK_ELEMENTS = 1 << 16
 
 
+def _block_length(horizon: int, width: int) -> int:
+    """Periods per block: at least one, at most _BLOCK_ELEMENTS // width
+    and at most the horizon."""
+    return min(horizon, max(1, _BLOCK_ELEMENTS // width))
+
+
 def _blocks(horizon: int, width: int):
-    """(start, stop) period ranges covering [0, horizon), each at least one
-    period long and at most _BLOCK_ELEMENTS // width periods long."""
-    step = max(1, _BLOCK_ELEMENTS // width)
+    """(start, stop) period ranges covering [0, horizon), each
+    _block_length(horizon, width) periods long except perhaps the last."""
+    step = _block_length(horizon, width)
     for start in range(0, horizon, step):
         yield start, min(start + step, horizon)
 
 
 class _Ledger:
-    """Running totals of per-period cost rows (per-AS cost and discounted
-    cost), high-rating counts and, when requested, the time-series columns,
-    filled in place.
+    """Running totals of per-AS cost and discounted cost, high-rating counts
+    and, when requested, the time-series columns, filled in place.
+
+    A block is booked as an array x whose period-t cost row is
+    lo + step * x[t], with lo and step per AS (or scalars, and x may have
+    one column when a single switch moves every AS's cost).  The totals
+    then need only x's column sums and discounted column sums,
+    b*lo + step*(ones @ x) and weights.sum()*lo + step*(weights @ x), so
+    no path builds a per-period cost matrix; the row sums are formed only
+    for a time series.
 
     Column sums are products with a vector of ones (one BLAS call, where
     an axis-0 reduction of a tall, narrow block is a slow strided loop).
@@ -256,21 +289,26 @@ class _Ledger:
                 "mean_rating": np.full(horizon, np.nan),
             }
 
-    def add(self, start: int, cost: np.ndarray,
+    def add(self, start: int, x: np.ndarray, lo: np.ndarray | float = 0.0,
+            step: np.ndarray | float = 1.0,
             ratings: np.ndarray | None = None) -> None:
-        """Book the cost rows (and, for rating runs, the rating rows) of
-        periods start, start + 1, ..."""
-        stop = start + len(cost)
-        ones = np.ones(len(cost))
-        self.cost += ones @ cost
+        """Book periods start, start + 1, ... whose cost rows are
+        lo + step * x[t] and, for rating runs, whose rating rows are
+        `ratings` (which may be x itself)."""
+        b = len(x)
+        stop = start + b
+        ones = np.ones(b)
+        sums = ones @ x
+        self.cost += b * lo + step * sums
         if self.weighted:
             weights = self.delta ** np.arange(start, stop, dtype=float)
-            self.discounted += weights @ cost
+            self.discounted += weights.sum() * lo + step * (weights @ x)
             self.weighted = weights[-1] != 0.0
         if ratings is not None:
-            self.high += ones @ ratings
+            self.high += sums if ratings is x else ones @ ratings
         if self.ts is not None:
-            self.ts["total_cost"][start:stop] = cost.sum(axis=1) / self.T
+            self.ts["total_cost"][start:stop] = ((lo + step * x).sum(axis=1)
+                                                 / self.T)
             if ratings is not None:
                 self.ts["mean_rating"][start:stop] = ratings.mean(axis=1)
 
@@ -283,6 +321,10 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
     and seed reproduce the report bit for bit."""
     n = tm.n
     _check_profile(profile, n)
+    for name, value in (("horizon", horizon), ("seed", seed)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    horizon, seed = int(horizon), int(seed)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     eps = float(mon.epsilon(design.T))
@@ -349,25 +391,33 @@ def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
     # Under steady actions an AS's cost in a period is one of two rows:
     # rated high, or rated low.
     hi, lo = cost_rows(np.array([steady, steady]), np.array([[True], [False]]))
-    steady_compliant = steady == rec
-    last_signal = np.ones(n, dtype=bool)  # ratings start high
+    deviators = np.flatnonzero(steady != rec)
+    # Signals (1.0 high, 0.0 low) overwrite their draws in one buffer;
+    # row 0 holds the previous period's signal, which is the block's first
+    # rating.  Ratings start high.
+    signals = np.ones((_block_length(horizon, n) + 1, n))
+    b = 0
     for start, stop in _blocks(horizon, n):
-        signal_high = ((rng.random((stop - start, n)) < 1.0 - eps)
-                       == steady_compliant)
+        signals[0] = signals[b]
+        b = stop - start
+        new = rng.random(out=signals[1:b + 1])
+        np.less(new, 1.0 - eps, out=new)
+        # the signal of an AS that steadily deviates reads high on an error
+        new[:, deviators] = 1.0 - new[:, deviators]
+        ratings = signals[:b]
         shots = shot_periods[bisect_left(shot_periods, start):
                              bisect_left(shot_periods, stop)]
-        if shots:
-            # A one-shot deviation flips its ASs' actions, hence their
-            # signals; only these periods' costs leave the two rows.
-            rows = np.array(shots) - start
-            flip = np.array([flips[t] for t in shots])
-            signal_high[rows] ^= flip
-        ratings = np.concatenate((last_signal[None], signal_high[:-1]))
-        last_signal = signal_high[-1]
+        if not shots:
+            ledger.add(start, ratings, lo, hi - lo, ratings)
+            continue
+        # A one-shot deviation flips its ASs' actions, hence their signals;
+        # only these periods' costs leave the two rows.
+        rows = np.array(shots) - start
+        flip = np.array([flips[t] for t in shots])
+        new[rows] = new[rows] != flip
         cost = np.where(ratings, hi, lo)
-        if shots:
-            cost[rows] = cost_rows(steady ^ flip, ratings[rows])
-        ledger.add(start, cost, ratings)
+        cost[rows] = cost_rows(steady ^ flip, ratings[rows])
+        ledger.add(start, cost, ratings=ratings)
     state = SimState(
         period=horizon,
         ratings=tuple(int(r) for r in ratings[-1]),
@@ -394,15 +444,17 @@ def _simulate_trigger(design, env, tm, horizon, eps, rng, ledger):
                 + env.p_high * (inbound - deployed_in)
                 + rec * env.c) * design.T
     post_cost = env.p_high * inbound * design.T
+    u = np.empty((_block_length(horizon, n), n))
     first_bad = horizon  # first period with a "deviate" signal, if any
     for start, stop in _blocks(horizon, n):
         if first_bad == horizon:
             # Everyone complies until it fires; after that nothing is drawn.
-            bad = ~(rng.random((stop - start, n)) < 1.0 - eps).all(axis=1)
+            drawn = rng.random(out=u[:stop - start])
+            bad = ~(drawn < 1.0 - eps).all(axis=1)
             if bad.any():
                 first_bad = start + int(np.argmax(bad))
         fired = np.arange(start, stop) > first_bad
-        ledger.add(start, np.where(fired[:, None], post_cost, pre_cost))
+        ledger.add(start, fired[:, None], pre_cost, post_cost - pre_cost)
         if ledger.ts is not None:
             ledger.ts["trigger_fired"][start:stop] = fired
     state = SimState(period=horizon, ratings=None, tft_grudges=None,
@@ -426,33 +478,57 @@ def _simulate_tft(design, env, tm, horizon, eps, rng, ledger):
             "here are one-way and cannot be punished",
             stacklevel=3,
         )
-    observable = sends.T  # [j, i]: j sees i's action via i -> j traffic
+    # [j, i]: j sees i's action via i -> j traffic (a C-order copy, so the
+    # link arrays built from it are C order too)
+    observable = sends.T.copy()
     nu_mutual = (rates * sends.T).sum(axis=0)
     deploy = math.exp(-env.beta * design.T) * env.gap * nu_mutual > env.c
     deviates = ~deploy  # static actions
-    grudge_count = 0
-    last_obs = np.zeros((n, n), dtype=bool)  # no grudges in the first period
+    # Sender j filters its traffic to i (price p_low) when it deploys and
+    # did not see i deviate last period.  j's observation of i is wrong
+    # ("low") when its draw is below eps, so it reads "deviate" when wrong
+    # about an AS that deploys and when right about one that does not.
+    # With s[i] = sum_j held[j, i] * low[j, i] over the links j can punish,
+    # i's punished traffic is s[i] if i deploys and held.sum(0)[i] - s[i]
+    # if not, so its cost row is lo + step * s.
+    held = rates * (deploy[:, None] & observable)
+    # traffic filtered when no observation is wrong
+    filtered = deploy.astype(float) @ rates - np.where(deploy, 0.0,
+                                                       held.sum(axis=0))
+    T = design.T
+    lo = (env.p_high * tm.inbound - env.gap * filtered + deploy * env.c) * T
+    step = np.where(deploy, env.gap, -env.gap) * T
+    # A grudge is a low flag on an observed link into an AS that deploys,
+    # or its absence on one into an AS that does not.
+    sign = np.where(observable, np.where(deviates, -1.0, 1.0), 0.0).ravel()
+    grudge_count = horizon * np.count_nonzero(observable & deviates)
+    size = _block_length(horizon, n * n)
+    # The low flags (1.0 or 0.0) overwrite their draws in one buffer; row 0
+    # holds the previous period's, which set the block's first grudges.
+    # Before period 0 it holds `deviates`, which reads "deviate" nowhere.
+    low = np.empty((size + 1, n, n))
+    low[0] = deviates
+    s = np.empty((size, n))
+    b = 0
     for start, stop in _blocks(horizon, n * n):
-        u_obs = rng.random((stop - start, n, n))  # [t, j, i]
-        obs_deviate = ((deviates[None, None, :] ^ (u_obs < eps))
-                       & observable[None, :, :])
-        grudges = np.concatenate((last_obs[None], obs_deviate[:-1]))
-        last_obs = obs_deviate[-1]
-        quality = np.where(
-            (~deploy[None, :, None]) | grudges, env.p_high, env.p_low
-        )
-        ledger.add(start, (np.einsum("tji,ji->ti", quality, rates)
-                           + deploy * env.c) * design.T)
-        grudge_count += np.count_nonzero(grudges)
+        low[0] = low[b]
+        b = stop - start
+        new = low[1:b + 1]
+        np.less(rng.random(out=new), eps, out=new)
+        lagged = low[:b]
+        np.einsum("tji,ji->ti", lagged, held, out=s[:b])
+        grudge_count += (lagged.reshape(b, n * n) @ sign).sum()
+        ledger.add(start, s[:b], lo, step)
+    final = (deviates ^ (low[b - 1] != 0.0)) & observable
     final_grudges = tuple(
-        (int(j), int(i)) for j, i in zip(*np.nonzero(grudges[-1]))
+        (int(j), int(i)) for j, i in zip(*np.nonzero(final))
     )
     state = SimState(period=horizon, ratings=None,
                      tft_grudges=final_grudges, trigger_fired=False)
     meta = {
         "mode": "tit-for-tat",
         "deploying": [int(i) for i in np.flatnonzero(deploy)],
-        "mean_grudges_per_period": grudge_count / horizon,
+        "mean_grudges_per_period": int(grudge_count) / horizon,
         "mutual_links": int((sends & sends.T).sum()),
         "design": {"T": design.T},
     }

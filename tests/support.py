@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: seeded random instances, direct
-references for the subset searches and a whole-horizon reference for the
-simulator's rating path.
+references for the subset searches and whole-horizon references for the
+simulator's rating, grim-trigger and tit-for-tat paths.
 
 Instances are drawn by rejection so that every returned (environment,
 monitor, traffic matrix) triple admits a feasible design; the stricter
@@ -167,6 +167,24 @@ def reference_deletion_trace(env, mon, tm):
     return IdTrace(tuple(iterations), chosen)
 
 
+def _whole_horizon_fields(env, T, horizon, seed, cost):
+    """Report fields of a whole-horizon run from its (horizon, n) cost
+    matrix, with every discount weight delta ** t."""
+    weights = math.exp(-env.beta * T) ** np.arange(horizon)
+    per_as = cost.sum(axis=0) / (horizon * T)
+    return {
+        "horizon": horizon,
+        "period_length": T,
+        "seed": seed,
+        "avg_cost": float(per_as.sum()),
+        "avg_cost_per_as": per_as.tolist(),
+        "discounted_utility": (-(weights @ cost)).tolist(),
+        "rating_high_fraction": None,
+        "punishment_fraction": None,
+        "total_cost": cost.sum(axis=1) / T,
+    }
+
+
 def whole_horizon_rating_run(design, profile, env, mon, tm, horizon, seed):
     """The rating path of `simulate` from scratch, with whole-horizon
     arrays: one (horizon, n) signal draw, the full cost matrix by the
@@ -193,18 +211,68 @@ def whole_horizon_rating_run(design, profile, env, mon, tm, horizon, seed):
     cost = (np.where(ratings, design.p1, design.p0) * deployed_in
             + env.p_high * (tm.rates.sum(axis=0) - deployed_in)
             + actions * env.c) * T
-    weights = math.exp(-env.beta * T) ** np.arange(horizon)
-    per_as = cost.sum(axis=0) / (horizon * T)
-    return {
-        "horizon": horizon,
-        "period_length": T,
-        "seed": seed,
-        "avg_cost": float(per_as.sum()),
-        "avg_cost_per_as": per_as.tolist(),
-        "discounted_utility": (-(weights @ cost)).tolist(),
-        "rating_high_fraction": (ratings.sum(axis=0) / horizon).tolist(),
-        "punishment_fraction": None,
-        "final_ratings": ratings[-1].astype(int).tolist(),
-        "total_cost": cost.sum(axis=1) / T,
-        "mean_rating": ratings.mean(axis=1),
-    }
+    fields = _whole_horizon_fields(env, T, horizon, seed, cost)
+    fields.update(
+        rating_high_fraction=(ratings.sum(axis=0) / horizon).tolist(),
+        final_ratings=ratings[-1].astype(int).tolist(),
+        mean_rating=ratings.mean(axis=1),
+    )
+    return fields
+
+
+def whole_horizon_trigger_run(design, env, mon, tm, horizon, seed):
+    """The grim-trigger path of `simulate` from scratch: one (horizon, n)
+    signal draw, the first period with a "deviate" signal, and the full
+    cost matrix, pre-trigger rows until that period and cap-price rows
+    after it."""
+    n, T = tm.n, design.T
+    eps = float(mon.epsilon(T))
+    rec = np.zeros(n, dtype=bool)
+    rec[list(design.subset.members)] = True
+    inbound = tm.rates.sum(axis=0)
+    deployed_in = rec.astype(float) @ tm.rates
+    pre_cost = (env.p_low * deployed_in
+                + env.p_high * (inbound - deployed_in) + rec * env.c) * T
+    u = np.random.default_rng(seed).random((horizon, n))
+    bad = ~(u < 1.0 - eps).all(axis=1)
+    first_bad = int(np.argmax(bad)) if bad.any() else horizon
+    fired = np.arange(horizon) > first_bad
+    cost = np.where(fired[:, None], env.p_high * inbound * T, pre_cost)
+    fields = _whole_horizon_fields(env, T, horizon, seed, cost)
+    fields.update(
+        punishment_fraction=max(0, horizon - 1 - first_bad) / horizon,
+        first_bad_period=first_bad,
+        trigger_fired=fired,
+    )
+    return fields
+
+
+def whole_horizon_tft_run(design, env, mon, tm, horizon, seed):
+    """The tit-for-tat path of `simulate` from scratch: one
+    (horizon, n, n) observation draw after skipping the (horizon, n)
+    signal draws, the price of every link in every period as an
+    np.where quality array, and the full cost matrix by einsum."""
+    n, T = tm.n, design.T
+    eps = float(mon.epsilon(T))
+    rates = tm.rates
+    sends = rates > 0
+    observable = sends.T  # [j, i]: j sees i's action via i -> j traffic
+    nu_mutual = (rates * sends.T).sum(axis=0)
+    deploy = math.exp(-env.beta * T) * env.gap * nu_mutual > env.c
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(horizon * n)
+    u = rng.random((horizon, n, n))  # [t, j, i]
+    obs_deviate = (~deploy[None, None, :] ^ (u < eps)) & observable[None]
+    grudges = np.concatenate((np.zeros((1, n, n), dtype=bool),
+                              obs_deviate[:-1]))
+    quality = np.where(~deploy[None, :, None] | grudges,
+                       env.p_high, env.p_low)
+    cost = (np.einsum("tji,ji->ti", quality, rates) + deploy * env.c) * T
+    fields = _whole_horizon_fields(env, T, horizon, seed, cost)
+    fields.update(
+        deploying=np.flatnonzero(deploy).tolist(),
+        mean_grudges_per_period=int(grudges.sum()) / horizon,
+        tft_grudges=[(int(j), int(i))
+                     for j, i in zip(*np.nonzero(grudges[-1]))],
+    )
+    return fields

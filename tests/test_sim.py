@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,12 @@ from mutualsec import (
     simulate,
 )
 
-from support import reference_instance, whole_horizon_rating_run
+from support import (
+    reference_instance,
+    whole_horizon_rating_run,
+    whole_horizon_tft_run,
+    whole_horizon_trigger_run,
+)
 
 PERFECT = MonitoringModel.tabulated([(0.0, 0.0), (10.0, 0.0)])
 
@@ -86,6 +92,26 @@ class TestDeterminism:
         a = simulate(d, p, env, mon, tm, 300, 1)
         b = simulate(d, p, env, mon, tm, 300, 2)
         assert a.avg_cost != b.avg_cost
+
+
+class TestArguments:
+    @pytest.mark.parametrize("name", ["horizon", "seed"])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 2.0,
+                                       np.float64(3.0), "3", None])
+    def test_rejects_non_integers(self, name, value):
+        d, env, mon, tm = reference_design()
+        args = {"horizon": 5, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            simulate(d, BehaviorProfile.compliant(8), env, mon, tm,
+                     args["horizon"], args["seed"])
+
+    def test_numpy_integers_are_stored_as_int(self):
+        d, env, mon, tm = reference_design()
+        p = BehaviorProfile.compliant(8)
+        rep = simulate(d, p, env, mon, tm, np.int64(3), np.uint32(7))
+        assert type(rep.horizon) is int and type(rep.seed) is int
+        assert json.loads(rep.to_json())["seed"] == 7
+        assert rep.to_dict() == simulate(d, p, env, mon, tm, 3, 7).to_dict()
 
 
 class TestRatingPath:
@@ -357,6 +383,18 @@ class TestStrategyComparison:
             assert row.avg_cost == np.mean(costs)
             assert row.avg_cost_std == np.std(costs, ddof=1)
 
+    def test_tft_costs_do_not_depend_on_the_seed_when_nobody_deploys(self):
+        # the bundled comparison's instance: at beta 2.5 nobody deploys, so
+        # every period costs the cap price on all traffic, 8 * 0.3 * 14
+        env = Environment(p_high=0.3, p_low=0.05, c=0.3, beta=2.5)
+        mon = MonitoringModel.rational(0.1)
+        tm = TrafficMatrix.complete(8, 2.0)
+        rows = run_strategy_comparison("tft", env, mon, tm, T=1.0,
+                                       horizon=4000, seeds=6,
+                                       beta_grid=[2.5])
+        assert rows[0].avg_cost_std == 0.0
+        assert rows[0].avg_cost == pytest.approx(33.6, rel=1e-15)
+
     @pytest.mark.parametrize("seeds", [0, []])
     def test_needs_a_seed(self, seeds):
         env, mon, tm = reference_instance()
@@ -525,27 +563,52 @@ class TestStreaming:
             got = _fingerprint(simulate(*args, time_series=True))
             _assert_matches(got, want)
 
-    @pytest.mark.parametrize("kind,n,horizon", [
-        ("tit-for-tat", 40, 10_000),
-        ("compliant", 8, 200_000),
-        ("grim-trigger", 8, 200_000),
-    ])
-    def test_memory_does_not_grow_with_horizon(self, kind, n, horizon):
-        import tracemalloc
-
+    @staticmethod
+    def _peak_bytes(kind, n, horizon):
+        """Traced peak of one uniform-profile run on the reference env."""
         env, mon, tm = reference_instance(n=n)
         d = RatingDesign(1.0, env.p_high, env.p_low, Subset.full(n))
         profile = BehaviorProfile.uniform(n, kind)
         tracemalloc.start()
         try:
             simulate(d, profile, env, mon, tm, horizon, 0)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("kind,n,horizon", [
+        ("tit-for-tat", 40, 10_000),
+        ("compliant", 8, 200_000),
+        ("grim-trigger", 8, 200_000),
+    ])
+    def test_memory_does_not_grow_with_horizon(self, kind, n, horizon):
+        assert self._peak_bytes(kind, n, horizon) < 16 * 2**20
+
+    def test_tit_for_tat_block_allocates_no_float_cubes(self):
+        # A block's observations fill one reused (b, n, n) float buffer of
+        # about _BLOCK_ELEMENTS floats; no (b, n, n) float temporary is
+        # built beside it.
+        from mutualsec import sim
+
+        peak = self._peak_bytes("tit-for-tat", 40, 10_000)
+        assert peak < 2.5 * 8 * sim._BLOCK_ELEMENTS
 
 
 # ---- whole-horizon reference -----------------------------------------------
+
+def _assert_matches_reference(rep, ref, columns=("total_cost",)):
+    """Every report field within 1e-12 relative (integers, None and
+    strings exactly) and the given time-series columns likewise."""
+    got = rep.to_dict()
+    for key in ("horizon", "period_length", "seed", "avg_cost",
+                "avg_cost_per_as", "discounted_utility",
+                "rating_high_fraction", "punishment_fraction"):
+        _assert_matches(got[key], ref[key], key)
+    assert rep.final_state.period == rep.horizon
+    for key in columns:
+        np.testing.assert_allclose(rep.time_series[key], ref[key],
+                                   rtol=1e-12, atol=0.0, err_msg=key)
+
 
 def _shots(spec):
     """Profile of one-shot deviators at the given periods (None: compliant)."""
@@ -602,18 +665,10 @@ class TestWholeHorizonReference:
     def test_matches_reference(self, name, args):
         ref = whole_horizon_rating_run(*args)
         rep = simulate(*args, time_series=True)
-        got = rep.to_dict()
-        for key in ("horizon", "period_length", "seed", "avg_cost",
-                    "avg_cost_per_as", "discounted_utility",
-                    "rating_high_fraction", "punishment_fraction"):
-            _assert_matches(got[key], ref[key], key)
+        _assert_matches_reference(rep, ref, ("total_cost", "mean_rating"))
         assert list(rep.final_state.ratings) == ref["final_ratings"]
-        assert rep.final_state.period == rep.horizon
         assert rep.final_state.tft_grudges is None
         assert not rep.final_state.trigger_fired
-        for key in ("total_cost", "mean_rating"):
-            np.testing.assert_allclose(rep.time_series[key], ref[key],
-                                       rtol=1e-12, atol=0.0, err_msg=key)
 
     def test_weight_regimes(self):
         cases = dict(_reference_cases())
@@ -624,3 +679,140 @@ class TestWholeHorizonReference:
         # the lonely AS's utility is one subnormal discounted deployment
         rep = simulate(*cases["subnormal"])
         assert 0.0 < -rep.discounted_utility[63] < 2.0 ** -1022
+
+
+def _plan(env, tm):
+    return RatingDesign(1.0, env.p_high, env.p_low, Subset.full(tm.n))
+
+
+def _tft_cases():
+    """Named (design, env, mon, tm) tit-for-tat instances: ASs 0 and 1
+    deploy and AS 2 does not; nobody deploys; one-way links, among them
+    a filtered link that its sender cannot observe back."""
+    env, mon, tm = reference_instance()
+    mixed = TrafficMatrix([[0, 5, .1], [5, 0, .1], [.1, .1, 0]])
+    one_way = TrafficMatrix([[0, 5, 1], [5, 0, 0], [0, 2, 0]])
+    impatient = dataclasses.replace(env, beta=4.0)
+    return {
+        "mixed": (_plan(env, mixed), env, mon, mixed),
+        "nobody": (_plan(env, tm), impatient, mon, tm),
+        "one-way": (_plan(env, one_way), env, mon, one_way),
+    }
+
+
+def _trigger_cases():
+    """Named (design, env, mon, tm) grim-trigger instances: a monitor that
+    fires within a few periods, one that fires after the first block (or
+    not at all), a perfect one and a partial deployment set."""
+    env, mon, tm = reference_instance()
+    plan = _plan(env, tm)
+    partial = dataclasses.replace(plan, subset=Subset((0, 1, 2, 3, 4)))
+    return {
+        "noisy": (plan, env, mon, tm),
+        "quiet": (plan, env, MonitoringModel.rational(1e-5), tm),
+        "perfect": (plan, env, PERFECT, tm),
+        "partial": (partial, env, mon, tm),
+    }
+
+
+def _edge_horizons(width):
+    """Horizons of one and two periods and on each side of a block edge."""
+    from mutualsec import sim
+
+    edge = sim._BLOCK_ELEMENTS // width
+    return [1, 2, edge - 1, edge, edge + 1]
+
+
+def _horizon_cases(cases, width):
+    return [(name, h) for name, (_, _, _, tm) in cases.items()
+            for h in _edge_horizons(width(tm.n))]
+
+
+def _assert_tft_matches(rep, ref):
+    _assert_matches_reference(rep, ref)
+    assert rep.meta["deploying"] == ref["deploying"]
+    assert rep.meta["mean_grudges_per_period"] == \
+        ref["mean_grudges_per_period"]
+    assert list(rep.final_state.tft_grudges) == ref["tft_grudges"]
+
+
+def _assert_trigger_matches(rep, ref):
+    _assert_matches_reference(rep, ref)
+    assert rep.meta["first_bad_period"] == ref["first_bad_period"]
+    assert rep.final_state.trigger_fired == \
+        (ref["first_bad_period"] < rep.horizon)
+    np.testing.assert_array_equal(rep.time_series["trigger_fired"],
+                                  ref["trigger_fired"])
+
+
+@pytest.mark.filterwarnings("ignore:tit-for-tat punishment needs reciprocal")
+class TestWholeHorizonTitForTat:
+    """Tit-for-tat reports against a whole-horizon quality-array run."""
+
+    def test_cases_cover_deployment_patterns(self):
+        deploying = {name: whole_horizon_tft_run(*args, 5, 0)["deploying"]
+                     for name, args in _tft_cases().items()}
+        assert deploying == {"mixed": [0, 1], "nobody": [],
+                             "one-way": [0, 1]}
+
+    @pytest.mark.parametrize("name,horizon",
+                             _horizon_cases(_tft_cases(), lambda n: n * n))
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_matches_reference(self, name, horizon, seed):
+        design, env, mon, tm = _tft_cases()[name]
+        profile = BehaviorProfile.uniform(tm.n, "tit-for-tat")
+        rep = simulate(design, profile, env, mon, tm, horizon, seed,
+                       time_series=True)
+        _assert_tft_matches(rep, whole_horizon_tft_run(
+            design, env, mon, tm, horizon, seed))
+
+    @pytest.mark.parametrize("elements", [1, 7, 20])
+    @pytest.mark.parametrize("name", list(_tft_cases()))
+    def test_small_blocks(self, monkeypatch, name, elements):
+        from mutualsec import sim
+
+        design, env, mon, tm = _tft_cases()[name]
+        profile = BehaviorProfile.uniform(tm.n, "tit-for-tat")
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", elements)
+        rep = simulate(design, profile, env, mon, tm, 97, 3,
+                       time_series=True)
+        _assert_tft_matches(rep, whole_horizon_tft_run(design, env, mon, tm,
+                                                       97, 3))
+
+
+class TestWholeHorizonTrigger:
+    """Grim-trigger reports against a whole-horizon cost-matrix run."""
+
+    def test_cases_cover_firing_patterns(self):
+        # first "deviate" signal of each case at seeds 2 and 4 over 20,000
+        # periods (8192-period blocks)
+        first = {name: [whole_horizon_trigger_run(*args, 20_000, seed)
+                        ["first_bad_period"] for seed in (2, 4)]
+                 for name, args in _trigger_cases().items()}
+        assert first == {"noisy": [2, 0], "quiet": [19484, 14145],
+                         "perfect": [20_000, 20_000], "partial": [2, 0]}
+
+    @pytest.mark.parametrize(
+        "name,horizon",
+        _horizon_cases(_trigger_cases(), lambda n: n) + [("quiet", 20_000)])
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_matches_reference(self, name, horizon, seed):
+        design, env, mon, tm = _trigger_cases()[name]
+        profile = BehaviorProfile.uniform(tm.n, "grim-trigger")
+        rep = simulate(design, profile, env, mon, tm, horizon, seed,
+                       time_series=True)
+        _assert_trigger_matches(rep, whole_horizon_trigger_run(
+            design, env, mon, tm, horizon, seed))
+
+    @pytest.mark.parametrize("elements", [1, 7, 20])
+    @pytest.mark.parametrize("name", list(_trigger_cases()))
+    def test_small_blocks(self, monkeypatch, name, elements):
+        from mutualsec import sim
+
+        design, env, mon, tm = _trigger_cases()[name]
+        profile = BehaviorProfile.uniform(tm.n, "grim-trigger")
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", elements)
+        rep = simulate(design, profile, env, mon, tm, 97, 3,
+                       time_series=True)
+        _assert_trigger_matches(rep, whole_horizon_trigger_run(
+            design, env, mon, tm, 97, 3))
