@@ -294,6 +294,12 @@ def _build_network(cfg: dict) -> TrafficMatrix:
     raise ConfigError(f"network.kind: unknown kind {kind!r}")
 
 
+def _build_instance(cfg: dict
+                    ) -> tuple[Environment, MonitoringModel, TrafficMatrix]:
+    """The environment, monitor and network, read in that order."""
+    return _build_environment(cfg), _build_monitoring(cfg), _build_network(cfg)
+
+
 def _build_subset(cfg: dict, n: int) -> Subset:
     """The top-level `subset`, or everyone."""
     if "subset" not in cfg:
@@ -342,7 +348,13 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False)
 
 
-def _csv_rows(header: list[str], rows: list[dict]) -> str:
+def _emit_table(args, header: list[str], rows: list[dict], payload) -> None:
+    """Write `rows` as CSV under `header`, or `payload` as JSON, as --format
+    asks."""
+    if args.format == "json":
+        _emit(_json(payload), args.out)
+        return
+
     def cell(v):
         if v is None:
             return ""
@@ -354,7 +366,7 @@ def _csv_rows(header: list[str], rows: list[dict]) -> str:
 
     lines = [",".join(header)]
     lines.extend(",".join(cell(row[h]) for h in header) for row in rows)
-    return "\n".join(lines) + "\n"
+    _emit("\n".join(lines) + "\n", args.out)
 
 
 def _require_json(args) -> None:
@@ -364,9 +376,7 @@ def _require_json(args) -> None:
 
 def cmd_design(cfg: dict, args) -> int:
     _require_json(args)
-    env = _build_environment(cfg)
-    mon = _build_monitoring(cfg)
-    tm = _build_network(cfg)
+    env, mon, tm = _build_instance(cfg)
     subset = _build_subset(cfg, tm.n)
     result = optimal_design(env, mon, tm, subset)
     report = validate_assumptions(env, mon, tm, subset)
@@ -396,9 +406,7 @@ def cmd_mct(cfg: dict, args) -> int:
 
 def cmd_id(cfg: dict, args) -> int:
     _require_json(args)
-    env = _build_environment(cfg)
-    mon = _build_monitoring(cfg)
-    tm = _build_network(cfg)
+    env, mon, tm = _build_instance(cfg)
     result = iterative_deletion(env, mon, tm)
     trace = result.trace
     iterations = [{
@@ -422,9 +430,7 @@ def cmd_id(cfg: dict, args) -> int:
 
 def cmd_bruteforce(cfg: dict, args) -> int:
     _require_json(args)
-    env = _build_environment(cfg)
-    mon = _build_monitoring(cfg)
-    tm = _build_network(cfg)
+    env, mon, tm = _build_instance(cfg)
     cap = _int_field("bruteforce_cap", cfg.get("bruteforce_cap", 16))
     with _section("bruteforce_cap"):
         result = brute_force_optimal(env, mon, tm, cap=cap)
@@ -449,17 +455,9 @@ def cmd_threshold(cfg: dict, args) -> int:
             k_max=get("k_max", _int_field),
         )
     rows = [r.__dict__ for r in result.rows]
-    if args.format == "csv":
-        header = [f.name for f in fields(ThresholdRow)]
-        _emit(_csv_rows(header, rows), args.out)
-    else:
-        payload = {
-            "k_star": result.k_star,
-            "n_star": result.n_star,
-            "note": result.note,
-            "rows": rows,
-        }
-        _emit(_json(payload), args.out)
+    payload = {"k_star": result.k_star, "n_star": result.n_star,
+               "note": result.note, "rows": rows}
+    _emit_table(args, [f.name for f in fields(ThresholdRow)], rows, payload)
     return 0
 
 
@@ -507,9 +505,7 @@ def _parse_design(cfg: dict, sec: dict, env, mon, tm) -> RatingDesign:
 
 
 def cmd_simulate(cfg: dict, args) -> int:
-    env = _build_environment(cfg)
-    mon = _build_monitoring(cfg)
-    tm = _build_network(cfg)
+    env, mon, tm = _build_instance(cfg)
     sec = _require(cfg, "simulate")
     get = partial(_field, sec, "simulate")
     mode = sec.get("mode", "profile")
@@ -562,11 +558,7 @@ def cmd_simulate(cfg: dict, args) -> int:
                 beta_grid=get("beta_grid", _list_of(_float_field)),
             )
         rows = [r.__dict__ for r in rows]
-        if args.format == "csv":
-            header = [f.name for f in fields(ComparisonRow)]
-            _emit(_csv_rows(header, rows), args.out)
-        else:
-            _emit(_json(rows), args.out)
+        _emit_table(args, [f.name for f in fields(ComparisonRow)], rows, rows)
         return 0
     else:
         raise ConfigError(f"simulate.mode: unknown mode {mode!r}")
@@ -599,9 +591,7 @@ def _sweep_point(cfg: dict, names: list[str], values: tuple) -> dict:
                 sec.pop("n", None)
         else:
             sec[name] = value
-    env = _build_environment(point)
-    mon = _build_monitoring(point)
-    tm = _build_network(point)
+    env, mon, tm = _build_instance(point)
     subset = _build_subset(point, tm.n)
     result = optimal_design(env, mon, tm, subset)
     jfb = first_best(env, tm)
@@ -637,14 +627,24 @@ def cmd_sweep(cfg: dict, args) -> int:
                               "list")
         grids.append(vals)
     rows = [_sweep_point(cfg, names, v) for v in itertools.product(*grids)]
-    header = list(dict.fromkeys(names + [
-        "n", "critical_traffic", "feasible", "t_star", "g_star", "p0_star",
-        "p1_star", "j_star", "j_first_best", "normalized_cost"]))
-    if args.format == "json":
-        _emit(_json(rows), args.out)
-    else:
-        _emit(_csv_rows(header, rows), args.out)
+    _emit_table(args, list(rows[0]), rows, rows)
     return 0
+
+
+# name -> (handler, help text), in the order the usage lists them
+_COMMANDS = {
+    "design": (cmd_design,
+               "compute the cost-minimizing incentive-compatible design"),
+    "mct": (cmd_mct, "check whether any proper subset beats the whole "
+                     "collection's critical traffic"),
+    "id": (cmd_id, "run the deletion search over deployment sets"),
+    "bruteforce": (cmd_bruteforce,
+                   "exhaustively search deployment sets (small n)"),
+    "threshold": (cmd_threshold, "scan core-periphery sizes for the "
+                                 "full-deployment break-even point"),
+    "simulate": (cmd_simulate, "run the seeded repeated-game simulator"),
+    "sweep": (cmd_sweep, "evaluate the optimal design over a parameter grid"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -663,18 +663,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "mutual security investment.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "design": "compute the cost-minimizing incentive-compatible design",
-        "mct": "check whether any proper subset beats the whole collection's "
-               "critical traffic",
-        "id": "run the deletion search over deployment sets",
-        "bruteforce": "exhaustively search deployment sets (small n)",
-        "threshold": "scan core-periphery sizes for the full-deployment "
-                     "break-even point",
-        "simulate": "run the seeded repeated-game simulator",
-        "sweep": "evaluate the optimal design over a parameter grid",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None,
@@ -696,24 +685,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "design": cmd_design,
-    "mct": cmd_mct,
-    "id": cmd_id,
-    "bruteforce": cmd_bruteforce,
-    "threshold": cmd_threshold,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
         _apply_overrides(cfg, args.sets)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -533,8 +533,6 @@ def security_cost(design: RatingDesign, env: Environment, mon: MonitoringModel,
     if violators:
         raise NotIncentiveCompatibleError(violators)
     eps = _epsilon(mon, design.T)
-    if len(design.subset) == 0:
-        return env.p_high * tm._outbound_total
     idx = np.fromiter(design.subset.members, dtype=np.intp)
     mu_in = float(tm.outbound[idx].sum())
     mu_out = tm._outbound_total - mu_in
@@ -580,11 +578,8 @@ def validate_assumptions(env: Environment, mon: MonitoringModel,
     monitor = AssumptionCheck("monitor", ok_mon, detail_mon)
 
     inbound, outbound = tm.inbound, tm.outbound
-    failing = tuple(
-        i
-        for i in range(tm.n)
-        if env.c >= env.gap * max(float(inbound[i]), float(outbound[i]))
-    )
+    failing = tuple(np.flatnonzero(
+        env.c >= env.gap * np.maximum(inbound, outbound)).tolist())
     viability = AssumptionCheck(
         "viability",
         not failing,

@@ -73,7 +73,7 @@ from .design import (
     minimize_loss_factor,
     optimal_design,
 )
-from .network import Subset, TrafficMatrix, critical_members, critical_traffic
+from .network import Subset, TrafficMatrix, critical_traffic
 
 __all__ = [
     "Behavior",
@@ -338,14 +338,12 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
         # Skip the (horizon, n) signal draws the other paths make first, so
         # a seed gives the same observations as when they were drawn.
         rng.bit_generator.advance(horizon * n)
-        extra, meta = _simulate_tft(design, env, tm, horizon, eps, rng,
-                                    ledger)
+        fields = _simulate_tft(design, env, tm, horizon, eps, rng, ledger)
     elif kinds == {"grim-trigger"}:
-        extra, meta = _simulate_trigger(design, env, tm, horizon, eps, rng,
-                                        ledger)
+        fields = _simulate_trigger(design, env, tm, horizon, eps, rng, ledger)
     else:
-        extra, meta = _simulate_rating(design, profile, env, tm, horizon,
-                                       eps, rng, ledger)
+        fields = _simulate_rating(design, profile, env, tm, horizon, eps, rng,
+                                  ledger)
     per_as = ledger.cost / (horizon * T)
     return SimReport(
         horizon=horizon,
@@ -354,13 +352,9 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
         avg_cost=float(per_as.sum()),
         avg_cost_per_as=tuple(float(x) for x in per_as),
         discounted_utility=tuple(float(-x) for x in ledger.discounted),
-        rating_high_fraction=extra.get("rating_high_fraction"),
-        punishment_fraction=extra.get("punishment_fraction"),
-        final_state=extra["final_state"],
         time_series=ledger.ts,
-        meta=meta,
+        **fields,
     )
-
 
 def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
     n = tm.n
@@ -418,20 +412,15 @@ def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
         cost = np.where(ratings, hi, lo)
         cost[rows] = cost_rows(steady ^ flip, ratings[rows])
         ledger.add(start, cost, ratings=ratings)
-    state = SimState(
-        period=horizon,
-        ratings=tuple(int(r) for r in ratings[-1]),
-        tft_grudges=None,
-        trigger_fired=False,
-    )
-    extra = {
+    return {
         "rating_high_fraction": tuple(float(x) for x in ledger.high / horizon),
-        "final_state": state,
+        "punishment_fraction": None,
+        "final_state": SimState(horizon, tuple(int(r) for r in ratings[-1]),
+                                tft_grudges=None, trigger_fired=False),
+        "meta": {"mode": "rating", "profile": list(profile.kinds()),
+                 "design": {"T": design.T, "p0": design.p0, "p1": design.p1,
+                            "subset": list(design.subset.members)}},
     }
-    meta = {"mode": "rating", "profile": list(profile.kinds()),
-            "design": {"T": design.T, "p0": design.p0, "p1": design.p1,
-                       "subset": list(design.subset.members)}}
-    return extra, meta
 
 
 def _simulate_trigger(design, env, tm, horizon, eps, rng, ledger):
@@ -457,15 +446,14 @@ def _simulate_trigger(design, env, tm, horizon, eps, rng, ledger):
         ledger.add(start, fired[:, None], pre_cost, post_cost - pre_cost)
         if ledger.ts is not None:
             ledger.ts["trigger_fired"][start:stop] = fired
-    state = SimState(period=horizon, ratings=None, tft_grudges=None,
-                     trigger_fired=first_bad < horizon)
-    extra = {
+    return {
+        "rating_high_fraction": None,
         "punishment_fraction": max(0, horizon - 1 - first_bad) / horizon,
-        "final_state": state,
+        "final_state": SimState(horizon, ratings=None, tft_grudges=None,
+                                trigger_fired=first_bad < horizon),
+        "meta": {"mode": "trigger", "first_bad_period": first_bad, "design": {
+            "T": design.T, "subset": list(design.subset.members)}},
     }
-    meta = {"mode": "trigger", "first_bad_period": first_bad,
-            "design": {"T": design.T, "subset": list(design.subset.members)}}
-    return extra, meta
 
 
 def _simulate_tft(design, env, tm, horizon, eps, rng, ledger):
@@ -520,19 +508,18 @@ def _simulate_tft(design, env, tm, horizon, eps, rng, ledger):
         grudge_count += (lagged.reshape(b, n * n) @ sign).sum()
         ledger.add(start, s[:b], lo, step)
     final = (deviates ^ (low[b - 1] != 0.0)) & observable
-    final_grudges = tuple(
-        (int(j), int(i)) for j, i in zip(*np.nonzero(final))
-    )
-    state = SimState(period=horizon, ratings=None,
-                     tft_grudges=final_grudges, trigger_fired=False)
-    meta = {
-        "mode": "tit-for-tat",
-        "deploying": [int(i) for i in np.flatnonzero(deploy)],
-        "mean_grudges_per_period": int(grudge_count) / horizon,
-        "mutual_links": int((sends & sends.T).sum()),
-        "design": {"T": design.T},
+    grudges = tuple(map(tuple, np.argwhere(final).tolist()))
+    return {
+        "rating_high_fraction": None,
+        "punishment_fraction": None,
+        "final_state": SimState(horizon, ratings=None, tft_grudges=grudges,
+                                trigger_fired=False),
+        "meta": {"mode": "tit-for-tat",
+                 "deploying": [int(i) for i in np.flatnonzero(deploy)],
+                 "mean_grudges_per_period": int(grudge_count) / horizon,
+                 "mutual_links": int((sends & sends.T).sum()),
+                 "design": {"T": design.T}},
     }
-    return {"final_state": state}, meta
 
 
 @dataclass(frozen=True)
@@ -552,8 +539,11 @@ class DeviationGain:
 
 
 def _seed_list(seeds) -> list[int]:
-    """A count n (seeds 0..n-1) or an iterable of seeds, as a nonempty list."""
-    seeds = list(range(seeds) if isinstance(seeds, int) else seeds)
+    """A count n (seeds 0..n-1) or an iterable of seeds, as a nonempty list.
+    A bool is neither."""
+    if isinstance(seeds, (bool, np.bool_)):
+        raise ValueError(f"seeds must be a count or a list, got {seeds!r}")
+    seeds = list(range(seeds) if _is_integer(seeds) else seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     return seeds
@@ -586,12 +576,6 @@ def deviation_gain(design: RatingDesign, env: Environment,
     mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
     se = std / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
-    if se > 0:
-        pos = mean - _Z95 * se > 0
-        neg = mean + _Z95 * se < 0
-    else:
-        pos = mean > 0
-        neg = mean < 0
     return DeviationGain(
         as_index=i,
         gains=tuple(gains),
@@ -600,9 +584,27 @@ def deviation_gain(design: RatingDesign, env: Environment,
         stderr=se,
         compliant_mean=float(np.mean(comp_u)),
         deviant_mean=float(np.mean(dev_u)),
-        significantly_positive=pos,
-        significantly_negative=neg,
+        significantly_positive=mean - _Z95 * se > 0,
+        significantly_negative=mean + _Z95 * se < 0,
     )
+
+
+def _no_otc(env: Environment, n: int
+            ) -> tuple[RatingDesign, BehaviorProfile]:
+    """The no-OTC benchmark: no service anywhere, and nobody deploys."""
+    return (RatingDesign(1.0, env.p_high, env.p_high, Subset(())),
+            BehaviorProfile.never_deploy(n))
+
+
+def _optimal_plan(env: Environment, mon: MonitoringModel, tm: TrafficMatrix
+                  ) -> tuple[RatingDesign, BehaviorProfile, str]:
+    """The full-set optimum played compliantly, or no-OTC when no IC design
+    exists: (design, profile, note)."""
+    result = optimal_design(env, mon, tm, Subset.full(tm.n))
+    if result.feasible:
+        return (result.design(), BehaviorProfile.compliant(tm.n),
+                "cost-minimizing IC design")
+    return *_no_otc(env, tm.n), "no IC design exists; nobody deploys"
 
 
 def run_benchmark(kind: str, env: Environment, mon: MonitoringModel,
@@ -619,13 +621,11 @@ def run_benchmark(kind: str, env: Environment, mon: MonitoringModel,
     cost-minimizing IC design."""
     n = tm.n
     full = Subset.full(n)
-    empty = Subset(())
     never = BehaviorProfile.never_deploy(n)
     compliant = BehaviorProfile.compliant(n)
 
     if kind == "no-otc":
-        design = RatingDesign(1.0, env.p_high, env.p_high, empty)
-        profile = never
+        design, profile = _no_otc(env, n)
         note = "no service anywhere"
     elif kind == "rating-independent":
         design = RatingDesign(1.0, env.p_low, env.p_low, full)
@@ -634,8 +634,7 @@ def run_benchmark(kind: str, env: Environment, mon: MonitoringModel,
     elif kind == "worst-best":
         found = minimize_loss_factor(env, mon, critical_traffic(tm, full))
         if found is None:
-            design = RatingDesign(1.0, env.p_high, env.p_high, empty)
-            profile = never
+            design, profile = _no_otc(env, n)
             note = "maximal spread infeasible; falling back to no deployment"
         else:
             design = RatingDesign(found[0], env.p_high, env.p_low, full)
@@ -646,24 +645,16 @@ def run_benchmark(kind: str, env: Environment, mon: MonitoringModel,
             raise ValueError("fixed benchmark needs (T, p0, p1)")
         t, p0, p1 = fixed
         design = RatingDesign(t, p0, p1, full)
-        binding = critical_members(tm, full)[0]
-        if ic_check(design, env, mon, tm, binding):
+        # the binding AS: the first of least inbound traffic
+        if ic_check(design, env, mon, tm, int(tm.inbound.argmin())):
             profile = compliant
             note = "fixed design is IC; compliant play"
         else:
-            design = RatingDesign(t, p0, p1, empty)
+            design = RatingDesign(t, p0, p1, Subset(()))
             profile = never
             note = "fixed design is not IC; nobody deploys"
     elif kind == "optimal":
-        result = optimal_design(env, mon, tm, full)
-        if result.feasible:
-            design = result.design()
-            profile = compliant
-            note = "cost-minimizing IC design"
-        else:
-            design = RatingDesign(1.0, env.p_high, env.p_high, empty)
-            profile = never
-            note = "no IC design exists; nobody deploys"
+        design, profile, note = _optimal_plan(env, mon, tm)
     else:
         raise ValueError(f"unknown benchmark kind: {kind!r}")
 
@@ -697,22 +688,16 @@ def run_strategy_comparison(kind: str, env: Environment, mon: MonitoringModel,
         raise ValueError(f"unknown comparison kind: {kind!r}")
     seeds = _seed_list(seeds)
     n = tm.n
-    full = Subset.full(n)
     rows = []
     for beta in beta_grid:
         env_b = replace(env, beta=float(beta))
         # The design and profile do not depend on the seed.
-        if kind != "rating":
-            design = RatingDesign(T, env.p_high, env.p_low, full)
+        if kind == "rating":
+            design, profile, _ = _optimal_plan(env_b, mon, tm)
+        else:
+            design = RatingDesign(T, env.p_high, env.p_low, Subset.full(n))
             behavior = "tit-for-tat" if kind == "tft" else "grim-trigger"
             profile = BehaviorProfile.uniform(n, behavior)
-        elif (result := optimal_design(env_b, mon, tm, full)).feasible:
-            design = result.design()
-            profile = BehaviorProfile.compliant(n)
-        else:
-            # the no-otc benchmark: nobody deploys
-            design = RatingDesign(1.0, env.p_high, env.p_high, Subset(()))
-            profile = BehaviorProfile.never_deploy(n)
         costs = []
         punish = []
         for s in seeds:

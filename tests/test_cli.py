@@ -8,9 +8,12 @@ from pathlib import Path
 import pytest
 
 from mutualsec import (
+    Behavior,
+    BehaviorProfile,
     MonitoringModel,
     TrafficMatrix,
     optimal_design,
+    simulate,
 )
 from mutualsec.cli import main
 
@@ -92,6 +95,22 @@ class TestDesignCommand:
             err = capsys.readouterr().err
             assert code == 1, setting
             assert field in err, (setting, err)
+
+    def test_tabulated_monitor_from_file(self, tmp_path, capsys):
+        # a curve read from CSV designs exactly as the same points inline
+        points = [[0.0, 0.4], [2.0, 0.2], [6.0, 0.1]]
+        path = tmp_path / "curve.csv"
+        path.write_text("".join(f"{t},{e}\n" for t, e in points))
+        cfg = reference_config(tmp_path)
+        outputs = []
+        for monitoring in ({"kind": "tabulated", "path": str(path)},
+                           {"kind": "tabulated", "points": points}):
+            code = main(["design", "--config", cfg,
+                         "--set", f"monitoring={json.dumps(monitoring)}"])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert json.loads(outputs[0])["feasible"]
+        assert outputs[0] == outputs[1]
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         cfg = reference_config(tmp_path)
@@ -433,6 +452,33 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["avg_cost"] == pytest.approx(16.8, abs=1e-9)
+
+    def test_profile_list_matches_library(self, tmp_path, capsys):
+        spec = (["compliant"] * 5
+                + [{"kind": "one-shot-deviator", "at_period": 3},
+                   "persistent-deviator", {"kind": "never-deploy"}])
+        cfg = reference_config(tmp_path, simulate={
+            "mode": "profile", "profile": spec, "horizon": 40, "seed": 2,
+        })
+        assert main(["simulate", "--config", cfg]) == 0
+        mon = MonitoringModel.rational(0.1)
+        tm = TrafficMatrix.complete(8, 1.0)
+        profile = BehaviorProfile(
+            (Behavior("compliant"),) * 5
+            + (Behavior("one-shot-deviator", 3),
+               Behavior("persistent-deviator"), Behavior("never-deploy")))
+        rep = simulate(optimal_design(REFERENCE_ENV, mon, tm).design(),
+                       profile, REFERENCE_ENV, mon, tm, 40, 2)
+        out = capsys.readouterr().out
+        assert out == rep.to_json(indent=2, allow_nan=False) + "\n"
+
+    def test_optimal_design_needs_a_feasible_instance(self, tmp_path, capsys):
+        cfg = reference_config(tmp_path, simulate={"horizon": 10})
+        code = main(["simulate", "--config", cfg, "--set", "environment.c=5"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("config error: simulate.design: no feasible "
+                              "design for this instance")
 
     def test_bad_profile_length(self, tmp_path, capsys):
         cfg = reference_config(tmp_path, simulate={

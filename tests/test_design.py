@@ -232,6 +232,19 @@ class TestFeasibleInterval:
         assert interval is not None
         assert interval.lo == 0.0
 
+    def test_flat_table_above_the_bound_is_infeasible(self):
+        # h(T) = exp(beta*T) / (1 - 2*0.45) is at least 10 for every T, and
+        # the reference bound is 0.25 * 7 / 0.3, below 10
+        flat = MonitoringModel.tabulated([(0.0, 0.45), (10.0, 0.45)])
+        assert feasible_period_interval(REFERENCE_ENV, flat, 7.0) is None
+        env, _, tm = reference_instance()
+        assert not optimal_design(env, flat, tm).feasible
+
+    @pytest.mark.parametrize("nu", [0.0, -1.0])
+    def test_no_critical_traffic_is_infeasible(self, nu):
+        mon = MonitoringModel.rational(0.1)
+        assert feasible_period_interval(REFERENCE_ENV, mon, nu) is None
+
 
 class TestMinimizeLossFactor:
     def test_reference_instance(self):
@@ -462,6 +475,10 @@ class TestSecurityCost:
         env, mon, tm = reference_instance()
         d = RatingDesign(1.0, env.p_high, env.p_high, Subset.of([]))
         assert security_cost(d, env, mon, tm) == pytest.approx(16.8)
+        # nobody filters, so all traffic pays the cap price, to the bit
+        tm = TrafficMatrix([[0, 2, 0.3], [0.7, 0, 0.1], [1, 3, 0]])
+        d = RatingDesign(2.0, env.p_low, env.p_low, Subset.of([]))
+        assert security_cost(d, env, mon, tm) == env.p_high * (2.3 + 0.8 + 4.0)
 
 
 class TestIcRegion:

@@ -18,6 +18,7 @@ from mutualsec import (
     TrafficMatrix,
     deviation_gain,
     first_best,
+    ic_check,
     optimal_design,
     run_benchmark,
     run_strategy_comparison,
@@ -282,6 +283,18 @@ class TestDeviationGain:
         with pytest.raises(ValueError):
             deviation_gain(d, env, mon, tm, 1, horizon=200, seeds=[])
 
+    def test_numpy_count_is_a_count(self):
+        d, env, mon, tm = reference_design()
+        got = deviation_gain(d, env, mon, tm, 1, horizon=50,
+                             seeds=np.int64(2))
+        assert got == deviation_gain(d, env, mon, tm, 1, horizon=50, seeds=2)
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_bool_is_not_a_count(self, flag):
+        d, env, mon, tm = reference_design()
+        with pytest.raises(ValueError, match="seeds"):
+            deviation_gain(d, env, mon, tm, 1, horizon=50, seeds=flag)
+
     @pytest.mark.parametrize("i", [-1, 8])
     def test_as_index_checked(self, i):
         d, env, mon, tm = reference_design()
@@ -329,6 +342,31 @@ class TestBenchmarks:
         rep = run_benchmark("optimal", env, mon, tm, 100, 0)
         assert rep.avg_cost == pytest.approx(16.8, abs=1e-9)
         assert "nobody deploys" in rep.meta["note"]
+
+    def test_worst_best_falls_back_when_maximal_spread_is_infeasible(self):
+        mon = MonitoringModel.rational(0.1)
+        env = Environment(p_high=0.3, p_low=0.05, c=5.0, beta=0.2)
+        tm = TrafficMatrix.complete(8, 1.0)
+        rep = run_benchmark("worst-best", env, mon, tm, 100, 0)
+        assert rep.avg_cost == pytest.approx(16.8, abs=1e-9)
+        assert rep.meta["note"] == ("maximal spread infeasible; falling back "
+                                    "to no deployment")
+        assert rep.meta["design"]["subset"] == []
+
+    def test_fixed_checks_the_least_inbound_as(self):
+        # AS 2 (inbound 0.6) is the only AS the design does not hold, so a
+        # fixed run must check it, not AS 0, and fall back to nobody deploying
+        env, mon, _ = reference_instance()
+        tm = TrafficMatrix([[0, 2, 0.3, 0.5], [2, 0, 0.2, 1], [1, 3, 0, 2],
+                            [0.2, 1, 0.1, 0]])
+        fixed = (1.0, env.p_high, env.p_low)
+        d = RatingDesign(*fixed, Subset.full(4))
+        assert [ic_check(d, env, mon, tm, i) for i in range(4)] == \
+            [True, True, False, True]
+        rep = run_benchmark("fixed", env, mon, tm, 50, 1, fixed=fixed)
+        assert rep.meta["note"] == "fixed design is not IC; nobody deploys"
+        assert rep.meta["design"]["subset"] == []
+        assert rep.avg_cost == pytest.approx(env.p_high * 13.3, rel=1e-12)
 
 
 class TestStrategyComparison:
@@ -394,6 +432,32 @@ class TestStrategyComparison:
                                        beta_grid=[2.5])
         assert rows[0].avg_cost_std == 0.0
         assert rows[0].avg_cost == pytest.approx(33.6, rel=1e-15)
+
+    @pytest.mark.parametrize("beta, feasible", [(0.2, True), (40.0, False)])
+    def test_rating_runs_the_optimal_benchmark(self, beta, feasible):
+        # both run the full-set optimum, or nobody deploying without one
+        env, mon, tm = reference_instance()
+        env_b = dataclasses.replace(env, beta=beta)
+        assert optimal_design(env_b, mon, tm).feasible == feasible
+        row, = run_strategy_comparison("rating", env, mon, tm, T=1.0,
+                                       horizon=60, seeds=[5],
+                                       beta_grid=[beta])
+        rep = run_benchmark("optimal", env_b, mon, tm, 60, 5)
+        assert row.avg_cost == rep.avg_cost
+
+    def test_numpy_count_is_a_count(self):
+        env, mon, tm = reference_instance()
+        rows = [run_strategy_comparison("trigger", env, mon, tm, T=1.0,
+                                        horizon=40, seeds=seeds,
+                                        beta_grid=[0.2, 0.4])
+                for seeds in (np.int64(2), 2)]
+        assert rows[0] == rows[1]
+
+    def test_bool_is_not_a_count(self):
+        env, mon, tm = reference_instance()
+        with pytest.raises(ValueError, match="seeds"):
+            run_strategy_comparison("trigger", env, mon, tm, T=1.0,
+                                    horizon=10, seeds=True, beta_grid=[0.2])
 
     @pytest.mark.parametrize("seeds", [0, []])
     def test_needs_a_seed(self, seeds):
