@@ -482,7 +482,8 @@ def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
     Feasible results bind the IC constraint at the critical member:
     p1* = p_low and p0* sits exactly at the one-shot-deviation boundary."""
     p = Subset.full(tm.n) if subset is None else _as_subset(tm, subset)
-    if len(p) == 0:
+    size = len(p.members)
+    if size == 0:
         raise ValueError("optimal_design needs a nonempty deployment set")
     idx = _member_index(tm, p)
     inbound = _inbound_vector(tm, idx)
@@ -505,20 +506,12 @@ def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
     eps = _epsilon(mon, t_star)
     p0 = math.exp(env.beta * t_star) * env.c / ((1.0 - 2.0 * eps) * nu_crit) + env.p_low
     p0 = min(p0, env.p_high)
-    mu_in = float((tm.outbound if idx is None else tm.outbound[idx]).sum())
+    # The full set's outbound total is the stored sum of the same array.
+    mu_in = tm._outbound_total if idx is None else float(tm.outbound[idx].sum())
     mu_out = tm._outbound_total - mu_in
     j = (env.p_low + g_star * env.c / nu_crit) * mu_in + env.p_high * mu_out \
-        + len(p) * env.c
-    return DesignResult(
-        subset=p,
-        feasible=True,
-        t_star=t_star,
-        p0_star=p0,
-        p1_star=env.p_low,
-        g_star=g_star,
-        j_star=j,
-        binding_as=p.members[k],
-    )
+        + size * env.c
+    return DesignResult(p, True, t_star, p0, env.p_low, g_star, j, p.members[k])
 
 
 def security_cost(design: RatingDesign, env: Environment, mon: MonitoringModel,

@@ -321,9 +321,10 @@ def inbound_within(tm: TrafficMatrix, subset, i: int) -> float:
 
 def _member_index(tm: TrafficMatrix, p: Subset) -> np.ndarray | None:
     """The members of `p` as an index array, or None for the full set."""
-    if len(p) == tm.n:
+    size = len(p.members)
+    if size == tm.n:
         return None
-    return np.fromiter(p.members, dtype=np.intp, count=len(p))
+    return np.fromiter(p.members, dtype=np.intp, count=size)
 
 
 def _inbound_vector(tm: TrafficMatrix, idx: np.ndarray | None) -> np.ndarray:

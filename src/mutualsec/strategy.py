@@ -10,8 +10,9 @@ critical members each step, and prices out a subset only when its critical
 traffic strictly exceeds everything evaluated before.
 
 The walk itself lives in `network`, which also answers the MCT question
-with it; this module adds the pricing.  Brute force prices every subset
-with `optimal_design`.
+with it; this module adds the pricing.  Brute force costs every subset as
+an array and prices each distinct critical traffic once with
+`optimal_design`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .design import (
     optimal_design,
     validate_assumptions,
 )
+import numpy as np
+
 from .network import Subset, TrafficMatrix, _deletion_steps
 
 __all__ = [
@@ -115,27 +118,136 @@ def iterative_deletion(env: Environment, mon: MonitoringModel,
     return StrategyResult(picked.subset, picked, evaluations, trace)
 
 
+# Brute force enumerates the subsets in blocks of at most 2**_BLOCK_BITS
+# masks, which bounds its arrays at any cap.
+_BLOCK_BITS = 16
+
+
+def _members(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
+def _subset_blocks(tm: TrafficMatrix):
+    """Yield (first mask, inbound, critical traffic, mu_in, size) for every
+    subset of `tm`'s ASs, in blocks of consecutive bit masks.
+
+    Row r of a block is the set with mask `first + r` (bit i set when AS i
+    is a member).  `inbound[r]` holds every AS's inbound rate from the
+    members, `mu_in[r]` the members' outbound total and `size[r]` their
+    count; the empty set's critical traffic is inf.  Each sum is built by
+    the recurrence sum[mask] = sum[mask without its highest member] + row
+    of that member, from zero, so it adds the rows in member order as
+    `network._inbound_vector` does and the critical traffic equals
+    `critical_traffic` to the bit.  A table over the lowest
+    min(n, _BLOCK_BITS) members is built once; each setting of the higher
+    members, in ascending order, adds their rows to a copy of it one at a
+    time, after the lower members as member order has it.  Those copies
+    share one buffer, so a block's arrays are overwritten by the next one
+    and memory holds the table and one block whatever the caller keeps.
+    """
+    n = tm.n
+    low = min(n, _BLOCK_BITS)
+    rates, outbound = tm.rates, tm.outbound
+    inbound = np.zeros((1 << low, n))
+    member = np.zeros((1 << low, n), dtype=bool)
+    mu_in = np.zeros(1 << low)
+    size = np.zeros(1 << low, dtype=np.intp)
+    for b in range(low):
+        rest, top = slice(0, 1 << b), slice(1 << b, 2 << b)
+        np.add(inbound[rest], rates[b], out=inbound[top])
+        np.add(mu_in[rest], outbound[b], out=mu_in[top])
+        member[top] = member[rest]
+        member[top, b] = True
+        size[top] = size[rest] + 1
+    spare = (np.empty_like(inbound), np.empty_like(mu_in)) if n > low else None
+    for high in range(1 << (n - low)):
+        rows = [low + i for i in _members(high, n - low)]
+        block_in, block_mu = inbound, mu_in
+        if rows:
+            block_in, block_mu = spare
+            np.copyto(block_in, inbound)
+            np.copyto(block_mu, mu_in)
+            for r in rows:
+                block_in += rates[r]
+                block_mu += outbound[r]
+        in_high = np.zeros(n, dtype=bool)
+        in_high[rows] = True
+        crit = np.minimum.reduce(block_in, axis=1, where=member | in_high,
+                                 initial=np.inf)
+        yield high << low, block_in, crit, block_mu, size + len(rows)
+
+
 def brute_force_optimal(env: Environment, mon: MonitoringModel,
                         tm: TrafficMatrix, *, cap: int = 16) -> StrategyResult:
-    """Price every nonempty deployment set plus the empty one and keep the
-    cheapest.  Ties prefer larger sets, then lexicographically smaller
-    member tuples.  Exponential; refuses n above `cap`."""
+    """Cheapest deployment set over every nonempty set plus the empty one.
+
+    Ties prefer larger sets, then lexicographically smaller member tuples;
+    `evaluations` counts the 2^n sets.  Exponential; refuses n above `cap`.
+
+    The sets are enumerated as bit masks by `_subset_blocks`, which gives
+    each set's critical traffic bit-equal to `critical_traffic`.  A
+    design's `T*`, `g*` and `p0*`, and whether one is feasible at all,
+    depend on the critical traffic alone, so `optimal_design` prices each
+    distinct value once, on the lowest mask that has it, and every set
+    with that value shares the result.  Each feasible set's cost
+
+        J = (p_low + g*·c/nu)·mu_in + p_high·(M - mu_in) + |P|·c
+
+    is then an array, with M the total of all rates.  Its mu_in is summed
+    by the recurrence, in member order, where `optimal_design` takes
+    NumPy's pairwise sum, so the two can differ in the last bits once a
+    set has 8 or more members; every other operation is the same.  Every
+    term is non-negative and the coefficient p_low + g*·c/nu is below
+    p_high (the loss rate g*·c/nu is eps·(p0* - p_low), under half the
+    price gap), so an array cost is within (2n + 5) roundings of
+    J + p_high·M of the exact cost, and the exact minimum lies within
+    twice that above the array minimum J_min: far inside the window
+    1e-9·(J_min + p_high·M).  The exact optimum and every set tying with
+    it therefore lie in the window, so each set in it is priced again
+    with `optimal_design`, and the exact key (j_star, -size, members)
+    picks the winner among them and the empty set.
+
+    Memory is bounded: the blocks hold at most 2**16 sets, and the sets
+    carried between blocks are the priced values and the window.  The
+    run time is still exponential in n.
+    """
     n = tm.n
     if n > cap:
         raise ValueError(f"brute force capped at n={cap} (got n={n})")
+    total = tm._outbound_total
+    # The cost coefficient p_low + g*·c/nu of each critical traffic priced
+    # so far, NaN where no design is feasible.  The empty set's inf is not
+    # a critical traffic and is never priced.
+    coefficient = {math.inf: math.nan}
+    lowest = math.inf
+    window: list[tuple[float, int]] = []  # (array cost, mask)
+    for first, _, crit, mu_in, size in _subset_blocks(tm):
+        values, lowest_row, inverse = np.unique(crit, return_index=True,
+                                                return_inverse=True)
+        values = values.tolist()
+        for nu, row in zip(values, lowest_row.tolist()):
+            if nu not in coefficient:
+                result = optimal_design(env, mon, tm, Subset._trusted(
+                    _members(first + row, n)))
+                coefficient[nu] = (env.p_low + result.g_star * env.c / nu
+                                   if result.feasible else math.nan)
+        coef = np.array([coefficient[nu] for nu in values])
+        cost = coef[inverse] * mu_in + env.p_high * (total - mu_in) \
+            + size * env.c
+        lowest = min(lowest, float(np.fmin.reduce(cost, initial=math.inf)))
+        limit = lowest + 1e-9 * (lowest + env.p_high * total)
+        near = np.flatnonzero(cost <= limit)
+        window = [w for w in window if w[0] <= limit]
+        window += zip(cost[near].tolist(), (first + near).tolist())
     best = DesignResult.no_deployment(env, tm)
     best_key = (best.j_star, 0, ())
-    evaluations = 1
-    for mask in range(1, 1 << n):
-        members = tuple(i for i in range(n) if mask >> i & 1)
+    for _, mask in window:
+        members = _members(mask, n)
         result = optimal_design(env, mon, tm, Subset._trusted(members))
-        evaluations += 1
-        if not result.feasible:
-            continue
         key = (result.j_star, -len(members), members)
         if key < best_key:
             best, best_key = result, key
-    return StrategyResult(best.subset, best, evaluations)
+    return StrategyResult(best.subset, best, 1 << n)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,12 @@ import math
 import numpy as np
 
 from mutualsec import (
+    DesignResult,
     Environment,
     IdIteration,
     IdTrace,
     MonitoringModel,
+    StrategyResult,
     Subset,
     TrafficMatrix,
     critical_members,
@@ -102,6 +104,36 @@ def random_grid_matrix(rng, n, density=0.6):
     return TrafficMatrix(arr)
 
 
+def near_tie_instance(rng):
+    """A complete core of 8 or 9 ASs on a non-dyadic rate, in which AS 0
+    receives from the core alone and so stays critical, plus one or two
+    extra ASs that send a little to the rest of the core (their rates a
+    few ulps apart).  The cost c is set so that an extra AS's filtering
+    benefit equals c, so the core with any of the extras ties with the
+    core alone up to rounding: near-ties among sets of 8 or more members,
+    where costs summed in another order can rank them differently."""
+    k = int(rng.integers(8, 10))
+    n = k + int(rng.integers(1, 3))
+    r = float(rng.choice([0.1, 0.3, 0.7, 1 / 3]))
+    s = r * float(rng.uniform(0.05, 0.2))
+    arr = np.zeros((n, n))
+    arr[:k, :k] = r
+    arr[:k, k:] = r
+    for j in range(k, n):
+        arr[j, 1:k] = s * (1 + int(rng.integers(0, 3)) * 2.0 ** -52)
+    np.fill_diagonal(arr, 0.0)
+    tm = TrafficMatrix(arr)
+    mon = MonitoringModel.rational(float(rng.uniform(0.02, 0.1)))
+    core = Subset(tuple(range(k)))
+    nu, mu = (k - 1) * r, (k - 1) * s
+    env = Environment(p_high=0.4, p_low=0.05, c=0.03 * mu, beta=0.2)
+    for _ in range(4):
+        g = optimal_design(env, mon, tm, core).g_star
+        env = Environment(p_high=0.4, p_low=0.05,
+                          c=(0.4 - 0.05) * mu / (1 + g * mu / nu), beta=0.2)
+    return env, mon, tm
+
+
 def loss_factor(env, mon, t):
     """The loss factor g(t) = exp(beta*t) * eps / (1 - 2*eps) with eps from
     the monitor's numpy curve (np.interp for tables); t may be an array."""
@@ -165,6 +197,28 @@ def reference_deletion_trace(env, mon, tm):
             best_j = it.design.j_star
             chosen = i
     return IdTrace(tuple(iterations), chosen)
+
+
+def reference_brute_force(env, mon, tm, *, cap=16):
+    """StrategyResult of brute force by one `optimal_design` call per
+    subset: every nonempty set is priced and the cheapest is kept, with
+    ties going to larger sets, then lexicographically smaller members."""
+    n = tm.n
+    if n > cap:
+        raise ValueError(f"brute force capped at n={cap} (got n={n})")
+    best = DesignResult.no_deployment(env, tm)
+    best_key = (best.j_star, 0, ())
+    evaluations = 1
+    for mask in range(1, 1 << n):
+        members = tuple(i for i in range(n) if mask >> i & 1)
+        result = optimal_design(env, mon, tm, Subset._trusted(members))
+        evaluations += 1
+        if not result.feasible:
+            continue
+        key = (result.j_star, -len(members), members)
+        if key < best_key:
+            best, best_key = result, key
+    return StrategyResult(best.subset, best, evaluations)
 
 
 def _whole_horizon_fields(env, T, horizon, seed, cost):

@@ -270,6 +270,15 @@ class TestBruteforceCommand:
         assert code == 1
         assert "config error: bruteforce_cap:" in capsys.readouterr().err
 
+    def test_raised_cap(self, tmp_path, capsys):
+        cfg = reference_config(tmp_path)
+        code = main(["bruteforce", "--config", cfg, "--set", "network.n=18",
+                     "--set", "bruteforce_cap=18"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["subset"] == list(range(1, 19))
+        assert out["evaluations"] == 2 ** 18
+
 
 class TestIntegerFields:
     @pytest.mark.parametrize("command, config, setting, field", [
