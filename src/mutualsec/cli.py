@@ -695,7 +695,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 

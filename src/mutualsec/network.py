@@ -11,7 +11,10 @@ strictly larger critical traffic than the full set.
 Inbound rates are summed in member order throughout, so every function
 here gives a subset the same critical traffic to the bit.  The deletion
 walk, which strips a set's critical members from the full set down, serves
-both `has_mct` and the deletion search in `strategy`.
+both `has_mct` and the deletion search in `strategy`.  It is one array
+pass: only picking each step's critical members is sequential, and the
+exact critical traffic of every step is summed afterwards, in blocks of
+steps.
 
 Indices are 0-based throughout the library; the CLI converts to 1-based on
 input and output.
@@ -22,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -361,44 +364,66 @@ def critical_members(tm: TrafficMatrix, subset) -> tuple[int, ...]:
     return tuple(m for m, v in zip(p.members, inb) if v == low)
 
 
-def _deletion_steps(
-    tm: TrafficMatrix,
-) -> Iterator[tuple[Subset, float, tuple[int, ...]]]:
-    """Yield (subset, critical traffic, critical members) from the full set
-    down, deleting the critical members each step.
+# The walk sums its steps' exact critical traffic in blocks of at most this
+# many matrix elements (and at least two steps), which bounds its arrays at
+# any n.
+_BLOCK_ELEMENTS = 1 << 16
 
-    One inbound vector is kept and the deleted rows are subtracted from it,
-    so a step costs O(n) plus an exact re-summation of the few members
-    near its minimum.  Its drift stays below an absolute window sized from the largest column
-    sum, so the members within that window of its minimum include every
-    true critical member.
+
+def _deletion_walk(tm: TrafficMatrix) -> tuple[list[tuple[int, ...]],
+                                                list[float]]:
+    """Walk from the full set down, deleting the critical members each
+    step, and return each step's critical members and exact critical
+    traffic.  Step k's set holds the members deleted at step k or later.
+
+    Picking the members is the only sequential work.  One running inbound
+    vector is kept, with the deleted rows subtracted from it and inf at the
+    deleted members, so a step costs O(n) plus the re-summing of tied
+    candidates.  Its drift stays below an absolute window sized from the
+    largest column sum, so the members within that window of its minimum
+    include every true critical member.  A lone candidate is the critical
+    member; several are summed again, row by row in member order as
+    `critical_traffic` sums them, and the exact minimum and its ties are
+    taken from those sums.
+
+    The critical traffic of every step is then summed exactly, in member
+    order, in blocks of steps: column k of a block holds the rates into
+    step k's first critical member, and the axis-0 sum over the rows still
+    alive at step k adds them one by one in member order.  A block of one
+    column would be a 1-D reduction, which NumPy adds pairwise, so a lone
+    step is summed as two copies of itself.
     """
+    n = tm.n
     rates = tm.rates
     inbound = tm.inbound.copy()  # subtracted from in place below
     window = 1e-9 * inbound.max()
-    alive = np.ones(tm.n, dtype=bool)
-    p = Subset.full(tm.n)
-    while len(p) > 0:
-        nu, crit = _live_critical(rates, inbound, alive, window)
-        dropped = crit.tolist()
-        yield p, nu, tuple(dropped)
-        inbound -= rates[crit].sum(axis=0)
-        alive[crit] = False
-        p = p.without(dropped)
-
-
-def _live_critical(rates: np.ndarray, inbound: np.ndarray, alive: np.ndarray,
-                  window: float) -> tuple[float, np.ndarray]:
-    """Critical traffic and members of the live set: the members whose
-    running inbound lies within `window` of the minimum are summed again,
-    row by row in member order as `critical_traffic` sums them, and the
-    exact minimum and its ties are taken from those sums.  (A function of
-    its own so that its temporaries are freed before a design is priced.)"""
-    running = np.where(alive, inbound, np.inf)
-    cand = np.flatnonzero(running <= running.min() + window)
-    exact = np.cumsum(rates[np.ix_(alive, cand)], axis=0)[-1]
-    nu = exact.min()
-    return float(nu), cand[exact == nu]
+    alive = np.ones(n, dtype=bool)
+    step_of = np.empty(n, dtype=np.intp)
+    crits: list[tuple[int, ...]] = []
+    left = n
+    while left:
+        cand = np.flatnonzero(inbound <= inbound.min() + window)
+        if len(cand) > 1:
+            exact = np.cumsum(rates[np.ix_(alive, cand)], axis=0)[-1]
+            cand = cand[exact == exact.min()]
+        step_of[cand] = len(crits)
+        crits.append(tuple(cand.tolist()))
+        left -= len(cand)
+        inbound -= rates[cand].sum(axis=0)
+        inbound[cand] = np.inf
+        alive[cand] = False
+    first = np.array([c[0] for c in crits], dtype=np.intp)
+    steps = len(crits)
+    width = max(2, _BLOCK_ELEMENTS // n)
+    nus = np.empty(steps)
+    for start in range(0, steps, width):
+        stop = min(start + width, steps)
+        ks = np.arange(start, stop)
+        if len(ks) == 1:  # a one-column reduction would add pairwise
+            ks = ks.repeat(2)
+        sums = rates[:, first[ks]].sum(axis=0, where=step_of[:, None] >= ks)
+        nus[start:stop] = sums[:stop - start]
+    return crits, nus.tolist()
 
 
 def has_mct(tm: TrafficMatrix) -> tuple[bool, Subset | None]:
@@ -416,14 +441,17 @@ def has_mct(tm: TrafficMatrix) -> tuple[bool, Subset | None]:
     critical traffic is below the maximum, each member of S has inbound
     within it at least its inbound within S, which is at least the
     maximum, so no member of S is critical and none is deleted; a walk set
-    at the maximum is a maximizer containing S, so it is S.  The walk ends empty, so it does reach S, and S is the walk set
-    where the running maximum of critical traffic last rises.  (This is
-    the threshold peeling behind k-cores.)
+    at the maximum is a maximizer containing S, so it is S.  The walk ends
+    empty, so it does reach S, and S is the walk set where the running
+    maximum of critical traffic last rises: the members deleted at that
+    step or later.  (This is the threshold peeling behind k-cores.)
     """
-    steps = _deletion_steps(tm)
-    _, best, _ = next(steps)
-    witness = None
-    for p, nu, _ in steps:
+    crits, nus = _deletion_walk(tm)
+    best, witness = nus[0], None
+    for k, nu in enumerate(nus):
         if nu > best:
-            best, witness = nu, p
-    return witness is None, witness
+            best, witness = nu, k
+    if witness is None:
+        return True, None
+    return False, Subset._trusted(tuple(sorted(chain.from_iterable(
+        crits[witness:]))))

@@ -10,8 +10,10 @@ critical members each step, and prices out a subset only when its critical
 traffic strictly exceeds everything evaluated before.
 
 The walk itself lives in `network`, which also answers the MCT question
-with it; this module adds the pricing.  Brute force costs every subset as
-an array and prices each distinct critical traffic once with
+with it.  It hands over each step's critical members and exact critical
+traffic as two lists; this module rebuilds each step's set from the one
+before it and adds the pricing.  Brute force costs every subset as an
+array and prices each distinct critical traffic once with
 `optimal_design`.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .design import (
@@ -30,7 +33,7 @@ from .design import (
 )
 import numpy as np
 
-from .network import Subset, TrafficMatrix, _deletion_steps
+from .network import Subset, TrafficMatrix, _deletion_walk
 
 __all__ = [
     "IdIteration",
@@ -91,7 +94,9 @@ def iterative_deletion(env: Environment, mon: MonitoringModel,
     iterations: list[IdIteration] = []
     best_priced = -math.inf
     evaluations = 0
-    for p, nu, crit in _deletion_steps(tm):
+    crits, nus = _deletion_walk(tm)
+    p = Subset.full(tm.n)
+    for crit, nu in zip(crits, nus):
         if nu > best_priced:
             result = optimal_design(env, mon, tm, p)
             evaluations += 1
@@ -104,6 +109,11 @@ def iterative_deletion(env: Environment, mon: MonitoringModel,
                 "traffic costs strictly more"
             )
             iterations.append(IdIteration(p, nu, crit, False, None, reason))
+        if len(crit) == 1:  # the common step, as one C-level copy
+            i = bisect_left(p.members, crit[0])
+            p = Subset._trusted(p.members[:i] + p.members[i + 1:])
+        else:
+            p = p.without(crit)
     chosen: int | None = None
     best_j = math.inf
     for i, it in enumerate(iterations):
@@ -275,10 +285,13 @@ def core_periphery_threshold(env: Environment, mon: MonitoringModel, *,
     only beats full deployment, on restricted core-periphery topologies
     with `periphery_per_core` leaves per core node and uniform rates.
 
-    k_star == 0 means the crossover never happens: either the periphery is
-    not worth protecting at all ((p_high - p_low) * rate <= c) or the cost
-    difference stays negative over the scanned range.  n_star = (1 + l) *
-    k_star.  Each row carries the closed-form difference
+    k_star is the first K in the scanned range at which the core costs
+    less than the full set, an infeasible design costing inf, and 0 only
+    when no K does.  When a periphery AS's filtering benefit does not
+    cover its deployment cost ((p_high - p_low) * rate <= c), the note
+    says that the periphery never pays for itself; k_star is found the
+    same way.  n_star = (1 + l) * k_star.  Each row carries the
+    closed-form difference
 
         K * (g_full * c * (K + 2l - l/(K-1) - 2) - ((p_high-p_low)*l*rate - l*c))
 
@@ -317,9 +330,8 @@ def core_periphery_threshold(env: Environment, mon: MonitoringModel, *,
             if full_cost > core_cost:
                 k_star = k
     if never_worth:
-        note = ("restricting to the core never helps: the periphery's "
-                "filtering benefit does not cover its deployment cost")
-        k_star = 0
+        note = ("the periphery never pays for its deployment cost: its "
+                "filtering benefit does not cover c")
     elif k_star == 0:
         note = f"no crossover found for K up to {k_max}"
     else:

@@ -15,6 +15,7 @@ from mutualsec import (
     optimal_design,
     simulate,
 )
+from mutualsec import cli
 from mutualsec.cli import main
 
 from support import REFERENCE_ENV
@@ -626,6 +627,23 @@ class TestUsageErrors:
                   "--seed", "5"])
         assert exc.value.code == 1
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
+class TestInternalError:
+    def test_exit_3(self, capsys, monkeypatch):
+        # an exception that is not a config error names its type on stderr
+        # and leaves stdout empty
+        def broken(cfg, args):
+            raise KeyError("lost")
+
+        monkeypatch.setitem(cli._COMMANDS, "mct",
+                            (broken, cli._COMMANDS["mct"][1]))
+        code = main(["mct", "--config",
+                     str(CONFIGS / "square_mct_true.json")])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert err == "internal error: KeyError: 'lost'\n"
+        assert out == ""
 
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")

@@ -20,10 +20,12 @@ from mutualsec import (
 from mutualsec.network import _inbound_vector, _member_index
 
 from support import (
+    REFERENCE_ENV,
     canonical_mct_witness,
     random_connected_matrix,
     random_environment,
     random_grid_matrix,
+    reference_deletion_trace,
     reference_inbound,
 )
 
@@ -310,6 +312,30 @@ class TestMct:
         ]
         for tm in cases:
             assert has_mct(tm) == canonical_mct_witness(tm)
+
+    @pytest.mark.parametrize("n", [40, 120, 300])
+    def test_matches_reference_walk(self, n):
+        # the witness is the reference walk's set where its critical
+        # traffic last rises strictly above every earlier value; a sender
+        # that sends the same rate to everyone makes the full set's
+        # critical member the largest sender, and the matrix has MCT
+        rng = np.random.default_rng(60 + n)
+        env, mon = REFERENCE_ENV, MonitoringModel.rational(0.1)
+        verdicts = set()
+        for rates in (rng.integers(0, 4, (n, n)).astype(float),
+                      rng.integers(0, 8, (n, n)) / 10.0,
+                      rng.uniform(0.0, 1.0, (n, n)),
+                      rng.uniform(0.5, 1.5, (n, 1)).repeat(n, axis=1)):
+            np.fill_diagonal(rates, 0.0)
+            tm = TrafficMatrix(rates)
+            steps = reference_deletion_trace(env, mon, tm).iterations
+            best, witness = steps[0].critical_traffic, None
+            for it in steps[1:]:
+                if it.critical_traffic > best:
+                    best, witness = it.critical_traffic, it.subset
+            assert has_mct(tm) == (witness is None, witness)
+            verdicts.add(witness is None)
+        assert verdicts == {True, False}
 
     def test_near_tie_follows_definition(self):
         # the subset's critical traffic is 1.1, the full set's

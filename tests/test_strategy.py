@@ -8,9 +8,11 @@ from mutualsec import (
     TrafficMatrix,
     brute_force_optimal,
     core_periphery_threshold,
+    critical_traffic,
     iterative_deletion,
     optimal_design,
 )
+from mutualsec import network
 
 from support import (
     REFERENCE_ENV,
@@ -124,6 +126,59 @@ class TestDeletionTraceReference:
             self.assert_same_trace(TrafficMatrix(rates))
 
 
+def tied_core_matrix(rng, periphery, x):
+    """The periphery's rates, then a core of len(x) + 1 ASs: core AS j
+    receives x in row order from the other core ASs (its own zero slotted
+    in), so every core AS has the same member-order inbound from the core,
+    and the walk deletes the whole core in its last step.  The periphery
+    sends to the core and hears nothing from it."""
+    p, m = len(periphery), len(x) + 1
+    arr = np.zeros((p + m, p + m))
+    arr[:p, :p] = periphery
+    arr[:p, p:] = rng.permutation(periphery.ravel())[:p * m].reshape(p, m)
+    for j in range(m):
+        arr[p:, p + j] = np.insert(x, j, 0.0)
+    return TrafficMatrix(arr)
+
+
+class TestLoneLastBlock:
+    """The walk sums its steps' critical traffic in blocks of steps.  A
+    block of one step is a one-column reduction, which NumPy adds pairwise
+    rather than in member order; block sizes are patched here so that the
+    last block holds the last step alone, a wide core deleted at once."""
+
+    @staticmethod
+    def assert_exact(monkeypatch, tm):
+        steps = len(network._deletion_walk(tm)[0])
+        assert steps >= 3
+        monkeypatch.setattr(network, "_BLOCK_ELEMENTS", (steps - 1) * tm.n)
+        env, mon = REFERENCE_ENV, MonitoringModel.rational(0.1)
+        trace = iterative_deletion(env, mon, tm, check_assumptions=False).trace
+        assert len(trace.iterations) == steps
+        assert len(trace.iterations[-1].critical_ases) == 16  # the core
+        assert trace == reference_deletion_trace(env, mon, tm)
+        for it in trace.iterations:
+            assert it.critical_traffic == critical_traffic(tm, it.subset)
+
+    def test_wide_range_senders(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            periphery = rng.uniform(0.5, 1.5, (20, 20))
+            periphery[rng.choice(20, size=3, replace=False)] *= 1e9
+            np.fill_diagonal(periphery, 0.0)
+            x = rng.uniform(0.5, 1.5, 15)
+            x[rng.choice(15, size=3, replace=False)] *= 1e10
+            self.assert_exact(monkeypatch, tied_core_matrix(rng, periphery, x))
+
+    def test_tenths(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            periphery = rng.integers(0, 8, (20, 20)) / 10.0
+            np.fill_diagonal(periphery, 0.0)
+            x = rng.integers(10, 80, 15) / 10.0
+            self.assert_exact(monkeypatch, tied_core_matrix(rng, periphery, x))
+
+
 class TestBruteForce:
     def test_matches_deletion_search(self):
         rng = np.random.default_rng(17)
@@ -177,12 +232,18 @@ class TestCorePeripheryThreshold:
                                                            abs=1e-9)
 
     def test_never_worth_deploying(self):
+        # gap * rate <= c: the periphery never pays for itself, and the
+        # crossover is still reported where the core first costs less
         env = Environment(p_high=0.3, p_low=0.05, c=0.3, beta=0.2)
         mon = MonitoringModel.rational(0.4)
         result = core_periphery_threshold(env, mon, periphery_per_core=1,
                                           rate=0.5, k_max=10)
-        assert result.k_star == 0
-        assert "never" in result.note
+        assert result.k_star == 6
+        assert result.n_star == 12
+        assert "periphery never pays" in result.note
+        cheaper = [r.cores for r in result.rows
+                   if r.j_core is not None and r.j_full is None]
+        assert cheaper[0] == 6
 
     def test_no_crossing_in_range(self):
         env = Environment(p_high=0.3, p_low=0.05, c=0.3, beta=0.2)
