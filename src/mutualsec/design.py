@@ -20,10 +20,15 @@ boundary, and picking T to minimize the efficiency loss factor
     g(T) = exp(beta*T) * epsilon(T) / (1 - 2*epsilon(T))
 
 over the feasible periods, i.e. those where the boundary p0 stays within
-[p_low, p_high].  The resulting long-run cost per unit time is
+[p_low, p_high].  With r(nu) = g(T*) * c / nu the loss rate and M the total
+outbound rate, the long-run cost per unit time is
 
-    J = (p_low + g(T*) * c / nu_crit) * sum(mu_i, i in P)
-        + p_high * sum(mu_i, i not in P) + |P| * c.
+    J(P) = (p_low + r(nu_crit)) * sum(mu_i, i in P)
+           + p_high * sum(mu_i, i not in P) + |P| * c
+         = p_high * M - sum(w_i(nu_crit), i in P),
+
+with w_i(nu) = (p_high - p_low - r(nu)) * mu_i - c the net benefit of
+enlisting AS i.
 """
 
 from __future__ import annotations
@@ -233,7 +238,7 @@ class DesignResult:
 
     @classmethod
     def no_deployment(cls, env: Environment, tm: TrafficMatrix) -> "DesignResult":
-        j = env.p_high * float(tm.rates.sum())
+        j = _set_cost(env, tm, 0.0, 0.0, 0)
         return cls(Subset(()), True, None, None, None, None, j, None,
                    "no deployment")
 
@@ -277,6 +282,20 @@ class AssumptionReport:
 
 
 # ---- numeric helpers ------------------------------------------------------
+
+
+def _set_cost(env: Environment, tm: TrafficMatrix, coefficient, mu_in, size):
+    """J = coefficient*mu_in + p_high*(M - mu_in) + size*c, elementwise for
+    arrays; every set cost is priced here, on the stored total M."""
+    return coefficient * mu_in + env.p_high * (tm._outbound_total - mu_in) \
+        + size * env.c
+
+
+def _loss_rate(env: Environment, mon: MonitoringModel,
+               nu: float) -> float | None:
+    """r(nu) = g*(nu)*c/nu, or None where no design is feasible."""
+    found = minimize_loss_factor(env, mon, nu)
+    return None if found is None else found[1] * env.c / nu
 
 
 def _epsilon(mon: MonitoringModel, t: float) -> float:
@@ -508,9 +527,7 @@ def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
     p0 = min(p0, env.p_high)
     # The full set's outbound total is the stored sum of the same array.
     mu_in = tm._outbound_total if idx is None else float(tm.outbound[idx].sum())
-    mu_out = tm._outbound_total - mu_in
-    j = (env.p_low + g_star * env.c / nu_crit) * mu_in + env.p_high * mu_out \
-        + size * env.c
+    j = _set_cost(env, tm, env.p_low + g_star * env.c / nu_crit, mu_in, size)
     return DesignResult(p, True, t_star, p0, env.p_low, g_star, j, p.members[k])
 
 
@@ -528,30 +545,29 @@ def security_cost(design: RatingDesign, env: Environment, mon: MonitoringModel,
     eps = _epsilon(mon, design.T)
     idx = np.fromiter(design.subset.members, dtype=np.intp)
     mu_in = float(tm.outbound[idx].sum())
-    mu_out = tm._outbound_total - mu_in
     mix = (1.0 - eps) * design.p1 + eps * design.p0
-    return mix * mu_in + env.p_high * mu_out + len(design.subset) * env.c
+    return _set_cost(env, tm, mix, mu_in, len(design.subset))
 
 
 def first_best(env: Environment, tm: TrafficMatrix) -> float:
     """Cost with perfect enforcement and no monitoring loss: everyone
     deploys and fully filters."""
-    return float(env.p_low * tm.rates.sum() + tm.n * env.c)
+    return _set_cost(env, tm, env.p_low, tm._outbound_total, tm.n)
 
 
 def fds_sufficient(env: Environment, mon: MonitoringModel,
                    tm: TrafficMatrix) -> bool:
-    """Sufficient condition for full deployment to be the optimal
-    recommendation: the minimized loss factor is small enough that every
-    AS's filtering benefit to others covers its deployment cost."""
-    nu_crit = float(tm.inbound.min())
-    found = minimize_loss_factor(env, mon, nu_crit)
-    if found is None:
-        return False
-    _, g_star = found
-    threshold = ((env.gap * float(tm.outbound.min()) - env.c)
-                 / tm._outbound_total) * nu_crit / env.c
-    return g_star <= threshold
+    """Sufficient condition for full deployment to be an optimal
+    recommendation: r(nu_full) * M <= (p_high - p_low) * min_i mu_i - c.
+
+    Proof: J(full) = (p_low + r) * M + n*c, and a proper subset Q costs at
+    least p_low * mu_Q + p_high * (M - mu_Q) + |Q| * c (its loss rate is
+    non-negative), so J(full) - J(Q) <= r * M - sum_{i not in Q}
+    ((p_high - p_low) * mu_i - c) <= 0: some AS lies outside Q, and each
+    term is at least r * M >= 0."""
+    r = _loss_rate(env, mon, float(tm.inbound.min()))
+    return r is not None and \
+        r * tm._outbound_total <= env.gap * float(tm.outbound.min()) - env.c
 
 
 def validate_assumptions(env: Environment, mon: MonitoringModel,
@@ -561,11 +577,10 @@ def validate_assumptions(env: Environment, mon: MonitoringModel,
     monitor: the error curve is a valid (decreasing, convex, epsilon(0) <=
     1/2) monitoring model.  viability: for every AS the deployment cost is
     below the achievable benefit, c < (p_high - p_low) * max(nu_i, mu_i).
-    social_gain: the minimized full-set loss factor does not exceed
-    min_i ((p_high - p_low) * mu_i - c) * nu_crit / (c * mu_i), so each
-    member's contribution covers its cost after monitoring losses.  An AS
-    that sends no traffic (mu_i = 0) benefits no one by filtering, so it
-    fails this check.  A failed check lists the ASs that fail it in `ases`.
+    social_gain: every AS's net benefit at the full set's loss rate r,
+    w_i = (p_high - p_low - r) * mu_i - c, is non-negative (an AS that
+    sends nothing has w_i = -c); with no full-set design it fails naming
+    no AS.  A failed check lists the ASs that fail it in `ases`.
     """
     ok_mon, detail_mon = mon.validity_report()
     monitor = AssumptionCheck("monitor", ok_mon, detail_mon)
@@ -583,34 +598,19 @@ def validate_assumptions(env: Environment, mon: MonitoringModel,
         failing,
     )
 
-    nu_crit = float(inbound.min())
-    found = minimize_loss_factor(env, mon, nu_crit)
-    silent = tuple(np.flatnonzero(outbound == 0).tolist())
-    if found is None:
+    r = _loss_rate(env, mon, float(inbound.min()))
+    if r is None:
         social = AssumptionCheck(
             "social_gain", False,
             "no IC design exists for the full set, loss factor undefined",
         )
-    elif silent:
-        social = AssumptionCheck(
-            "social_gain", False,
-            f"{len(silent)} of {tm.n} ASs send no traffic, so their filtering "
-            "benefits no one and cannot cover their cost",
-            silent,
-        )
     else:
-        _, g_star = found
-        # A subnormal outbound rate overflows its margin to -inf, the limit
-        # at zero, which fails the check as it should.
-        with np.errstate(over="ignore"):
-            margins = (env.gap * outbound - env.c) * nu_crit / (env.c * outbound)
-        rhs = float(margins.min())
+        benefit = (env.gap - r) * outbound - env.c
+        failing = tuple(np.flatnonzero(benefit < 0).tolist())
         social = AssumptionCheck(
-            "social_gain",
-            g_star <= rhs,
-            f"minimized loss factor {g_star:.6g} vs per-AS margin bound {rhs:.6g}",
-            tuple(np.flatnonzero(margins < g_star).tolist()),
-        )
+            "social_gain", not failing,
+            f"full-set loss rate {r:.6g}; least per-AS net benefit "
+            f"{benefit.min():.6g}", failing)
 
     note = None
     if subset is not None:

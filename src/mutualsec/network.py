@@ -14,7 +14,7 @@ walk, which strips a set's critical members from the full set down, serves
 both `has_mct` and the deletion search in `strategy`.  It is one array
 pass: only picking each step's critical members is sequential, and the
 exact critical traffic of every step is summed afterwards, in blocks of
-steps.
+steps, by the same blocked column sum that breaks ties.
 
 Indices are 0-based throughout the library; the CLI converts to 1-based on
 input and output.
@@ -317,9 +317,10 @@ def inbound_within(tm: TrafficMatrix, subset, i: int) -> float:
     p = _as_subset(tm, subset)
     if i not in p:
         raise ValueError(f"AS {i} is not in the subset")
-    idx = np.fromiter(p.members, dtype=int)
-    # cumsum adds in member order; a 1-D .sum() would add pairwise
-    return float(np.cumsum(tm.rates[idx, i])[-1])
+    rows = np.zeros(tm.n, dtype=bool)
+    rows[list(p.members)] = True
+    return float(_column_sums(tm.rates, np.array([i]), rows,
+                              np.array([True]))[0])
 
 
 def _member_index(tm: TrafficMatrix, p: Subset) -> np.ndarray | None:
@@ -364,17 +365,42 @@ def critical_members(tm: TrafficMatrix, subset) -> tuple[int, ...]:
     return tuple(m for m, v in zip(p.members, inb) if v == low)
 
 
-# The walk sums its steps' exact critical traffic in blocks of at most this
-# many matrix elements (and at least two steps), which bounds its arrays at
-# any n.
+# Column sums gather at most this many matrix elements at a time (and at
+# least two columns), and the walk subtracts deleted rows in blocks of at
+# most this many elements, which bounds their arrays at any n.
 _BLOCK_ELEMENTS = 1 << 16
+
+
+def _column_sums(rates: np.ndarray, cols: np.ndarray, level: np.ndarray,
+                 least: np.ndarray) -> np.ndarray:
+    """Sum column cols[k] of `rates` over the rows r with level[r] >=
+    least[k], adding them one by one in row order, as `critical_traffic`
+    sums a set's members.
+
+    The columns are gathered in blocks of at most _BLOCK_ELEMENTS elements,
+    and each block is summed down axis 0 under a where-mask of its full
+    shape: a broadcast (n, 1) mask on a narrow block lets NumPy reorder the
+    reduction.  A block of one column would be a 1-D reduction, which NumPy
+    adds pairwise, so a lone column is summed as two copies of itself."""
+    width = max(2, _BLOCK_ELEMENTS // rates.shape[0])
+    sums = np.empty(len(cols))
+    for start in range(0, len(cols), width):
+        stop = min(start + width, len(cols))
+        ks = np.arange(start, stop)
+        if len(ks) == 1:
+            ks = ks.repeat(2)
+        block = rates[:, cols[ks]].sum(axis=0,
+                                       where=level[:, None] >= least[ks])
+        sums[start:stop] = block[:stop - start]
+    return sums
 
 
 def _deletion_walk(tm: TrafficMatrix) -> tuple[list[tuple[int, ...]],
                                                 list[float]]:
     """Walk from the full set down, deleting the critical members each
     step, and return each step's critical members and exact critical
-    traffic.  Step k's set holds the members deleted at step k or later.
+    traffic.  Step k's set holds the members deleted at step k or later:
+    those with step_of >= k, where a member not yet deleted has step_of n.
 
     Picking the members is the only sequential work.  One running inbound
     vector is kept, with the deleted rows subtracted from it and inf at the
@@ -382,47 +408,34 @@ def _deletion_walk(tm: TrafficMatrix) -> tuple[list[tuple[int, ...]],
     candidates.  Its drift stays below an absolute window sized from the
     largest column sum, so the members within that window of its minimum
     include every true critical member.  A lone candidate is the critical
-    member; several are summed again, row by row in member order as
-    `critical_traffic` sums them, and the exact minimum and its ties are
-    taken from those sums.
-
-    The critical traffic of every step is then summed exactly, in member
-    order, in blocks of steps: column k of a block holds the rates into
-    step k's first critical member, and the axis-0 sum over the rows still
-    alive at step k adds them one by one in member order.  A block of one
-    column would be a 1-D reduction, which NumPy adds pairwise, so a lone
-    step is summed as two copies of itself.
+    member; several are summed again by `_column_sums` over the live rows,
+    in member order as `critical_traffic` sums them, and the exact minimum
+    and its ties are taken from those sums.  The critical traffic of every
+    step is then summed exactly the same way, over each step's set.
     """
     n = tm.n
     rates = tm.rates
     inbound = tm.inbound.copy()  # subtracted from in place below
     window = 1e-9 * inbound.max()
-    alive = np.ones(n, dtype=bool)
-    step_of = np.empty(n, dtype=np.intp)
+    step_of = np.full(n, n, dtype=np.intp)
+    rows = max(1, _BLOCK_ELEMENTS // n)
     crits: list[tuple[int, ...]] = []
     left = n
     while left:
+        k = len(crits)
         cand = np.flatnonzero(inbound <= inbound.min() + window)
         if len(cand) > 1:
-            exact = np.cumsum(rates[np.ix_(alive, cand)], axis=0)[-1]
+            exact = _column_sums(rates, cand, step_of,
+                                 np.full(len(cand), k))
             cand = cand[exact == exact.min()]
-        step_of[cand] = len(crits)
+        step_of[cand] = k
         crits.append(tuple(cand.tolist()))
         left -= len(cand)
-        inbound -= rates[cand].sum(axis=0)
+        for start in range(0, len(cand), rows):
+            inbound -= rates[cand[start:start + rows]].sum(axis=0)
         inbound[cand] = np.inf
-        alive[cand] = False
     first = np.array([c[0] for c in crits], dtype=np.intp)
-    steps = len(crits)
-    width = max(2, _BLOCK_ELEMENTS // n)
-    nus = np.empty(steps)
-    for start in range(0, steps, width):
-        stop = min(start + width, steps)
-        ks = np.arange(start, stop)
-        if len(ks) == 1:  # a one-column reduction would add pairwise
-            ks = ks.repeat(2)
-        sums = rates[:, first[ks]].sum(axis=0, where=step_of[:, None] >= ks)
-        nus[start:stop] = sums[:stop - start]
+    nus = _column_sums(rates, first, step_of, np.arange(len(crits)))
     return crits, nus.tolist()
 
 

@@ -28,6 +28,7 @@ from .design import (
     DesignResult,
     Environment,
     MonitoringModel,
+    _set_cost,
     optimal_design,
     validate_assumptions,
 )
@@ -94,6 +95,7 @@ def iterative_deletion(env: Environment, mon: MonitoringModel,
     iterations: list[IdIteration] = []
     best_priced = -math.inf
     evaluations = 0
+    chosen, best, best_j = None, DesignResult.no_deployment(env, tm), math.inf
     crits, nus = _deletion_walk(tm)
     p = Subset.full(tm.n)
     for crit, nu in zip(crits, nus):
@@ -101,6 +103,9 @@ def iterative_deletion(env: Environment, mon: MonitoringModel,
             result = optimal_design(env, mon, tm, p)
             evaluations += 1
             best_priced = nu
+            # Strictly cheaper only: ties keep the earlier, larger set.
+            if result.feasible and result.j_star < best_j:
+                chosen, best, best_j = len(iterations), result, result.j_star
             iterations.append(IdIteration(p, nu, crit, True, result))
         else:
             reason = (
@@ -114,18 +119,8 @@ def iterative_deletion(env: Environment, mon: MonitoringModel,
             p = Subset._trusted(p.members[:i] + p.members[i + 1:])
         else:
             p = p.without(crit)
-    chosen: int | None = None
-    best_j = math.inf
-    for i, it in enumerate(iterations):
-        if it.evaluated and it.design.feasible and it.design.j_star < best_j:
-            best_j = it.design.j_star
-            chosen = i
-    trace = IdTrace(tuple(iterations), chosen)
-    if chosen is None:
-        empty = DesignResult.no_deployment(env, tm)
-        return StrategyResult(empty.subset, empty, evaluations, trace)
-    picked = iterations[chosen].design
-    return StrategyResult(picked.subset, picked, evaluations, trace)
+    return StrategyResult(best.subset, best, evaluations,
+                          IdTrace(tuple(iterations), chosen))
 
 
 # Brute force enumerates the subsets in blocks of at most 2**_BLOCK_BITS
@@ -203,19 +198,19 @@ def brute_force_optimal(env: Environment, mon: MonitoringModel,
 
         J = (p_low + g*·c/nu)·mu_in + p_high·(M - mu_in) + |P|·c
 
-    is then an array, with M the total of all rates.  Its mu_in is summed
-    by the recurrence, in member order, where `optimal_design` takes
-    NumPy's pairwise sum, so the two can differ in the last bits once a
-    set has 8 or more members; every other operation is the same.  Every
-    term is non-negative and the coefficient p_low + g*·c/nu is below
-    p_high (the loss rate g*·c/nu is eps·(p0* - p_low), under half the
-    price gap), so an array cost is within (2n + 5) roundings of
-    J + p_high·M of the exact cost, and the exact minimum lies within
-    twice that above the array minimum J_min: far inside the window
-    1e-9·(J_min + p_high·M).  The exact optimum and every set tying with
-    it therefore lie in the window, so each set in it is priced again
-    with `optimal_design`, and the exact key (j_star, -size, members)
-    picks the winner among them and the empty set.
+    is then an array from `design._set_cost`, which prices every set cost.
+    Its mu_in is summed by the recurrence, in member order, where
+    `optimal_design` takes NumPy's pairwise sum, so the two can differ in
+    the last bits once a set has 8 or more members; every other operation
+    is the same.  Every term is non-negative and the coefficient
+    p_low + g*·c/nu is below p_high (the loss rate g*·c/nu is
+    eps·(p0* - p_low), under half the price gap), so an array cost is
+    within (2n + 5) roundings of J + p_high·M of the exact cost, and the
+    exact minimum lies within twice that above the array minimum J_min:
+    far inside the window 1e-9·(J_min + p_high·M).  The exact optimum and
+    every set tying with it therefore lie in the window, so each set in it
+    is priced again with `optimal_design`, and the exact key (j_star,
+    -size, members) picks the winner among them and the empty set.
 
     Memory is bounded: the blocks hold at most 2**16 sets, and the sets
     carried between blocks are the priced values and the window.  The
@@ -242,8 +237,7 @@ def brute_force_optimal(env: Environment, mon: MonitoringModel,
                 coefficient[nu] = (env.p_low + result.g_star * env.c / nu
                                    if result.feasible else math.nan)
         coef = np.array([coefficient[nu] for nu in values])
-        cost = coef[inverse] * mu_in + env.p_high * (total - mu_in) \
-            + size * env.c
+        cost = _set_cost(env, tm, coef[inverse], mu_in, size)
         lowest = min(lowest, float(np.fmin.reduce(cost, initial=math.inf)))
         limit = lowest + 1e-9 * (lowest + env.p_high * total)
         near = np.flatnonzero(cost <= limit)

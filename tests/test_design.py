@@ -12,6 +12,7 @@ from mutualsec import (
     RatingDesign,
     Subset,
     TrafficMatrix,
+    brute_force_optimal,
     critical_traffic,
     fds_sufficient,
     feasible_period_interval,
@@ -29,6 +30,7 @@ from support import (
     loss_factor,
     random_connected_matrix,
     random_convex_table,
+    random_environment,
     random_feasible_instance,
     reference_instance,
 )
@@ -541,8 +543,8 @@ class TestAssumptions:
         assert not report.social_gain.passed
 
     def test_social_gain_fails_for_an_as_that_sends_nothing(self):
-        # AS 2 sends no traffic: its filtering benefits no one, and the
-        # margin bound would divide by its zero outbound rate
+        # AS 2 sends no traffic: its filtering benefits no one, so its net
+        # benefit is -c
         tm = TrafficMatrix.from_edges(
             3, [(0, 1, 4.0), (1, 0, 4.0), (0, 2, 4.0), (1, 2, 4.0)],
             directed=True)
@@ -551,19 +553,125 @@ class TestAssumptions:
         assert report.viability.passed
         assert not report.social_gain.passed
         assert report.social_gain.ases == (2,)
-        assert report.social_gain.detail.startswith(
-            "1 of 3 ASs send no traffic")
+        assert report.social_gain.detail.endswith(
+            "least per-AS net benefit -0.3")
         assert not report.all_ok
 
     def test_social_gain_fails_for_a_subnormal_sender(self):
-        # its margin bound overflows to -inf: a failed check, not a warning
+        # its net benefit rounds to -c: a failed check, not a warning
         tm = TrafficMatrix(
             [[0.0, 4.0, 4.0], [4.0, 0.0, 4.0], [1e-310, 0.0, 0.0]])
         report = validate_assumptions(REFERENCE_ENV,
                                       MonitoringModel.rational(0.1), tm)
         assert not report.social_gain.passed
-        assert "margin bound -inf" in report.social_gain.detail
+        assert "least per-AS net benefit -0.3" in report.social_gain.detail
         assert report.social_gain.ases == (2,)
+
+
+def loss_rate(env, mon, tm):
+    """g*(nu)·c/nu at the full set's critical traffic, or None."""
+    nu = float(tm.inbound.min())
+    found = minimize_loss_factor(env, mon, nu)
+    return None if found is None else found[1] * env.c / nu
+
+
+def random_weak_sender_instance(rng, k):
+    """A random symmetric instance in which one AS sends a random fraction
+    of its rates, so that some instances fail the social-gain check; odd k
+    draw a rational monitor, even k a tabulated one."""
+    n = int(rng.integers(3, 9))
+    rates = random_connected_matrix(rng, n).rates.copy()
+    rates[rng.integers(0, n)] *= rng.uniform(0.0, 0.5)
+    tm = TrafficMatrix(rates)
+    env = random_environment(rng, float(tm.inbound.min()))
+    mon = (MonitoringModel.rational(float(rng.uniform(0.02, 0.5))) if k % 2
+           else random_convex_table(rng))
+    return env, mon, tm
+
+
+class TestSocialGainIdentity:
+    """The social-gain check fails exactly the ASs whose net benefit at
+    the full set's loss rate r is negative: (p_high - p_low - r)·mu_i < c."""
+
+    def test_failing_set_is_negative_net_benefit(self):
+        rng = np.random.default_rng(31)
+        seen = {"passed": 0, "failed": 0}
+        for k in range(300):
+            env, mon, tm = random_weak_sender_instance(rng, k)
+            if k % 3:  # a silent or a subnormal sender
+                rates = tm.rates.copy()
+                i = rng.integers(0, tm.n)
+                rates[i] = np.where(rates[i] > 0,
+                                    1e-310 if k % 3 == 1 else 0.0, 0.0)
+                tm = TrafficMatrix(rates)
+            r = loss_rate(env, mon, tm)
+            if r is None:
+                continue
+            check = validate_assumptions(env, mon, tm).social_gain
+            want = {i for i, mu in enumerate(tm.outbound.tolist())
+                    if (env.gap - r) * mu < env.c}
+            assert set(check.ases) == want
+            assert check.passed == (not want)
+            seen["passed" if check.passed else "failed"] += 1
+        assert min(seen.values()) >= 20
+
+    def test_agrees_with_the_margin_bound(self):
+        # The check used to compare g* with each AS's margin bound
+        # (gap·mu_i - c)·nu/(c·mu_i), the same inequality rearranged; the
+        # two may part only where a margin ties g* up to rounding.
+        rng = np.random.default_rng(32)
+        compared = 0
+        for k in range(2000):
+            env, mon, tm = random_weak_sender_instance(rng, k)
+            check = validate_assumptions(env, mon, tm).social_gain
+            nu = float(tm.inbound.min())
+            found = minimize_loss_factor(env, mon, nu)
+            if found is None:
+                assert (check.passed, check.ases) == (False, ())
+                continue
+            g_star, mu = found[1], tm.outbound
+            margins = (env.gap * mu - env.c) * nu / (env.c * mu)
+            if np.any(np.abs(margins - g_star) <= 1e-12 * g_star):
+                continue
+            compared += 1
+            assert check.passed == (g_star <= margins.min())
+            assert check.ases == tuple(np.flatnonzero(margins < g_star))
+        assert compared >= 1000
+
+
+class TestOneTrafficTotal:
+    """Every set cost prices the same total M of outbound rates."""
+
+    @staticmethod
+    def random_instances(rng, count):
+        for _ in range(count):
+            n = int(rng.integers(3, 41))
+            rates = rng.uniform(0.0, 2.0, (n, n))
+            np.fill_diagonal(rates, 0.0)
+            tm = TrafficMatrix(rates)
+            yield random_environment(rng, float(tm.inbound.min())), tm
+
+    def test_no_deployment_is_the_empty_design(self):
+        rng = np.random.default_rng(33)
+        mon = MonitoringModel.rational(0.1)
+        for env, tm in self.random_instances(rng, 200):
+            empty = RatingDesign(1.0, env.p_high, env.p_low, Subset(()))
+            assert design.DesignResult.no_deployment(env, tm).j_star == \
+                security_cost(empty, env, mon, tm)
+
+    def test_first_best_and_full_design_share_a_total(self):
+        rng = np.random.default_rng(34)
+        mon = MonitoringModel.rational(0.1)
+        feasible = 0
+        for env, tm in self.random_instances(rng, 200):
+            total, nu = tm._outbound_total, float(tm.inbound.min())
+            assert first_best(env, tm) == env.p_low * total + tm.n * env.c
+            r = optimal_design(env, mon, tm)
+            if r.feasible:
+                feasible += 1
+                assert r.j_star == (env.p_low + r.g_star * env.c / nu) \
+                    * total + tm.n * env.c
+        assert feasible >= 100
 
 
 class TestFdsSufficient:
@@ -573,3 +681,24 @@ class TestFdsSufficient:
         infeasible_env = Environment(p_high=0.3, p_low=0.05, c=5.0, beta=0.2)
         assert not fds_sufficient(infeasible_env,
                                   MonitoringModel.rational(0.01), tm)
+
+    def test_full_set_is_the_brute_force_optimum(self):
+        # c ranges up to the least sender's whole filtering benefit, so the
+        # condition holds on some instances and fails on others
+        rng = np.random.default_rng(35)
+        held = failed = 0
+        for k in range(200):
+            n = int(rng.integers(2, 11))
+            tm = random_connected_matrix(rng, n)
+            gap = 0.35
+            c = float(rng.uniform(0.01, 1.0)) * gap * float(tm.outbound.min())
+            env = Environment(p_high=0.4, p_low=0.05, c=c,
+                              beta=float(rng.uniform(0.05, 0.5)))
+            mon = (MonitoringModel.rational(float(rng.uniform(0.005, 0.3)))
+                   if k % 2 else random_convex_table(rng))
+            if not fds_sufficient(env, mon, tm):
+                failed += 1
+                continue
+            held += 1
+            assert brute_force_optimal(env, mon, tm).subset == Subset.full(n)
+        assert held >= 40 and failed >= 40

@@ -272,6 +272,21 @@ class TestMct:
             assert not ok
             assert witness == Subset.full(cores)
 
+    def test_wide_tie_gathers_bounded_blocks(self):
+        # The walk's first step ties all 1,500 periphery ASs.  Their exact
+        # re-sum gathers the matrix in bounded column blocks and subtracts
+        # their rows in bounded row blocks, not the whole 2000 x 1500
+        # block (48 MB beside this 32 MB matrix).
+        tm = TrafficMatrix.restricted_core_periphery(500, 3, 1.0)
+        tracemalloc.start()
+        try:
+            result = has_mct(tm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (False, Subset.full(500))
+        assert peak <= 4e6
+
     def test_square_examples(self):
         def square(a, b):
             return TrafficMatrix.from_edges(

@@ -178,6 +178,28 @@ class TestLoneLastBlock:
             x = rng.integers(10, 80, 15) / 10.0
             self.assert_exact(monkeypatch, tied_core_matrix(rng, periphery, x))
 
+    def test_tie_split_across_blocks(self, monkeypatch):
+        # The core's 16 tied ASs are re-summed in column blocks of 5: three
+        # full blocks and a lone last column, summed like the others.
+        rng = np.random.default_rng(14)
+        env, mon = REFERENCE_ENV, MonitoringModel.rational(0.1)
+        for k in range(10):
+            if k % 2:  # tenths
+                periphery = rng.integers(0, 8, (20, 20)) / 10.0
+                x = rng.integers(10, 80, 15) / 10.0
+            else:  # wide-range senders
+                periphery = rng.uniform(0.5, 1.5, (20, 20))
+                periphery[rng.choice(20, size=3, replace=False)] *= 1e9
+                x = rng.uniform(0.5, 1.5, 15)
+                x[rng.choice(15, size=3, replace=False)] *= 1e10
+            np.fill_diagonal(periphery, 0.0)
+            tm = tied_core_matrix(rng, periphery, x)
+            monkeypatch.setattr(network, "_BLOCK_ELEMENTS", 5 * tm.n)
+            trace = iterative_deletion(env, mon, tm,
+                                       check_assumptions=False).trace
+            assert len(trace.iterations[-1].critical_ases) == 16
+            assert trace == reference_deletion_trace(env, mon, tm)
+
 
 class TestBruteForce:
     def test_matches_deletion_search(self):
