@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from dataclasses import fields
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -656,6 +656,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@cache  # built on the first call; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mutualsec",

@@ -46,6 +46,7 @@ from .network import (
     _as_subset,
     _inbound_vector,
     _member_index,
+    _outbound_within,
     critical_traffic,
     inbound_within,
 )
@@ -291,6 +292,11 @@ def _set_cost(env: Environment, tm: TrafficMatrix, coefficient, mu_in, size):
         + size * env.c
 
 
+def _check_prices(design: RatingDesign, env: Environment) -> None:
+    if not (env.p_low <= design.p1 <= design.p0 <= env.p_high):
+        raise ValueError("design prices must satisfy p_low <= p1 <= p0 <= p_high")
+
+
 def _loss_rate(env: Environment, mon: MonitoringModel,
                nu: float) -> float | None:
     """r(nu) = g*(nu)*c/nu, or None where no design is feasible."""
@@ -525,9 +531,8 @@ def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
     eps = _epsilon(mon, t_star)
     p0 = math.exp(env.beta * t_star) * env.c / ((1.0 - 2.0 * eps) * nu_crit) + env.p_low
     p0 = min(p0, env.p_high)
-    # The full set's outbound total is the stored sum of the same array.
-    mu_in = tm._outbound_total if idx is None else float(tm.outbound[idx].sum())
-    j = _set_cost(env, tm, env.p_low + g_star * env.c / nu_crit, mu_in, size)
+    j = _set_cost(env, tm, env.p_low + g_star * env.c / nu_crit,
+                  _outbound_within(tm, idx), size)
     return DesignResult(p, True, t_star, p0, env.p_low, g_star, j, p.members[k])
 
 
@@ -535,16 +540,14 @@ def security_cost(design: RatingDesign, env: Environment, mon: MonitoringModel,
                   tm: TrafficMatrix) -> float:
     """Long-run expected cost per unit time of compliant play under the
     design.  Rejects designs that are not IC for some member."""
-    if not (env.p_low <= design.p1 <= design.p0 <= env.p_high):
-        raise ValueError("design prices must satisfy p_low <= p1 <= p0 <= p_high")
+    _check_prices(design, env)
     violators = tuple(
         i for i in design.subset if not ic_check(design, env, mon, tm, i)
     )
     if violators:
         raise NotIncentiveCompatibleError(violators)
     eps = _epsilon(mon, design.T)
-    idx = np.fromiter(design.subset.members, dtype=np.intp)
-    mu_in = float(tm.outbound[idx].sum())
+    mu_in = _outbound_within(tm, _member_index(tm, design.subset))
     mix = (1.0 - eps) * design.p1 + eps * design.p0
     return _set_cost(env, tm, mix, mu_in, len(design.subset))
 

@@ -8,8 +8,8 @@ the minimum of those rates over P (the "critical traffic" of P).  A matrix
 has the maximal-critical-traffic (MCT) property when no proper subset has
 strictly larger critical traffic than the full set.
 
-Inbound rates are summed in member order throughout, so every function
-here gives a subset the same critical traffic to the bit.  The deletion
+Inbound rates and outbound totals are summed in member order throughout,
+so every function here gives a subset the same sums to the bit.  The deletion
 walk, which strips a set's critical members from the full set down, serves
 both `has_mct` and the deletion search in `strategy`.  It is one array
 pass: only picking each step's critical members is sequential, and the
@@ -97,7 +97,7 @@ class TrafficMatrix:
     Its row sums (`outbound`) and column sums (`inbound`) are computed once,
     with the rates, and are read-only like them.  The rates are stored in
     row-major order, so every column sum adds the rows one by one in order,
-    as the subset sums in this module do."""
+    as the subset sums in this module do; so does the outbound total M."""
 
     def __init__(self, rates) -> None:
         arr = np.array(rates, dtype=float, order="C")
@@ -117,7 +117,7 @@ class TrafficMatrix:
         self._outbound.setflags(write=False)
         self._inbound = arr.sum(axis=0)
         self._inbound.setflags(write=False)
-        self._outbound_total = float(self._outbound.sum())
+        self._outbound_total = float(np.add.accumulate(self._outbound)[-1])
 
     @property
     def rates(self) -> np.ndarray:
@@ -345,6 +345,14 @@ def _inbound_vector(tm: TrafficMatrix, idx: np.ndarray | None) -> np.ndarray:
     rows = np.zeros(tm.n, dtype=bool)
     rows[idx] = True
     return tm.rates.sum(axis=0, where=rows[:, None]).take(idx)
+
+
+def _outbound_within(tm: TrafficMatrix, idx: np.ndarray | None) -> float:
+    """The members' outbound total, added in member order (a 1-D `sum`
+    adds pairwise); the full set (idx None) reads the stored total M."""
+    if idx is None:
+        return tm._outbound_total
+    return float(np.add.accumulate(tm.outbound[idx])[-1]) if len(idx) else 0.0
 
 
 def critical_traffic(tm: TrafficMatrix, subset) -> float:

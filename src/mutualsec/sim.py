@@ -69,6 +69,7 @@ from .design import (
     Environment,
     MonitoringModel,
     RatingDesign,
+    _check_prices,
     ic_check,
     minimize_loss_factor,
     optimal_design,
@@ -327,6 +328,7 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
     horizon, seed = int(horizon), int(seed)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    _check_prices(design, env)
     eps = float(mon.epsilon(design.T))
     if not 0 <= eps <= 0.5:
         raise ValueError("monitoring error must lie in [0, 1/2]")

@@ -12,9 +12,9 @@ traffic strictly exceeds everything evaluated before.
 The walk itself lives in `network`, which also answers the MCT question
 with it.  It hands over each step's critical members and exact critical
 traffic as two lists; this module rebuilds each step's set from the one
-before it and adds the pricing.  Brute force costs every subset as an
-array and prices each distinct critical traffic once with
-`optimal_design`.
+before it and adds the pricing.  Brute force costs every subset exactly
+as an array, pricing each distinct critical traffic once with
+`optimal_design`, and reads the optimum straight off it.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ def _subset_blocks(tm: TrafficMatrix):
     count; the empty set's critical traffic is inf.  Each sum is built by
     the recurrence sum[mask] = sum[mask without its highest member] + row
     of that member, from zero, so it adds the rows in member order as
-    `network._inbound_vector` does and the critical traffic equals
-    `critical_traffic` to the bit.  A table over the lowest
+    `network` does: the critical traffic and mu_in equal `critical_traffic`
+    and `network._outbound_within` to the bit.  A table over the lowest
     min(n, _BLOCK_BITS) members is built once; each setting of the higher
     members, in ascending order, adds their rows to a copy of it one at a
     time, after the lower members as member order has it.  Those copies
@@ -199,33 +199,22 @@ def brute_force_optimal(env: Environment, mon: MonitoringModel,
         J = (p_low + g*·c/nu)·mu_in + p_high·(M - mu_in) + |P|·c
 
     is then an array from `design._set_cost`, which prices every set cost.
-    Its mu_in is summed by the recurrence, in member order, where
-    `optimal_design` takes NumPy's pairwise sum, so the two can differ in
-    the last bits once a set has 8 or more members; every other operation
-    is the same.  Every term is non-negative and the coefficient
-    p_low + g*·c/nu is below p_high (the loss rate g*·c/nu is
-    eps·(p0* - p_low), under half the price gap), so an array cost is
-    within (2n + 5) roundings of J + p_high·M of the exact cost, and the
-    exact minimum lies within twice that above the array minimum J_min:
-    far inside the window 1e-9·(J_min + p_high·M).  The exact optimum and
-    every set tying with it therefore lie in the window, so each set in it
-    is priced again with `optimal_design`, and the exact key (j_star,
-    -size, members) picks the winner among them and the empty set.
+    Its mu_in adds the members in member order, as `network` sums every
+    outbound total, so each array cost is its set's `j_star` to the bit:
+    the winner is read off the array and priced once more.
 
     Memory is bounded: the blocks hold at most 2**16 sets, and the sets
-    carried between blocks are the priced values and the window.  The
+    carried between blocks are the priced values and the tied best.  The
     run time is still exponential in n.
     """
     n = tm.n
     if n > cap:
         raise ValueError(f"brute force capped at n={cap} (got n={n})")
-    total = tm._outbound_total
-    # The cost coefficient p_low + g*·c/nu of each critical traffic priced
-    # so far, NaN where no design is feasible.  The empty set's inf is not
-    # a critical traffic and is never priced.
+    # p_low + g*·c/nu of each critical traffic priced so far, NaN where no
+    # design is feasible; the empty set's inf is never priced.
     coefficient = {math.inf: math.nan}
     lowest = math.inf
-    window: list[tuple[float, int]] = []  # (array cost, mask)
+    tied: list[int] = []  # the masks at the lowest cost
     for first, _, crit, mu_in, size in _subset_blocks(tm):
         values, lowest_row, inverse = np.unique(crit, return_index=True,
                                                 return_inverse=True)
@@ -238,19 +227,15 @@ def brute_force_optimal(env: Environment, mon: MonitoringModel,
                                    if result.feasible else math.nan)
         coef = np.array([coefficient[nu] for nu in values])
         cost = _set_cost(env, tm, coef[inverse], mu_in, size)
-        lowest = min(lowest, float(np.fmin.reduce(cost, initial=math.inf)))
-        limit = lowest + 1e-9 * (lowest + env.p_high * total)
-        near = np.flatnonzero(cost <= limit)
-        window = [w for w in window if w[0] <= limit]
-        window += zip(cost[near].tolist(), (first + near).tolist())
+        low = float(np.fmin.reduce(cost, initial=lowest))  # skips NaN
+        if low < lowest:
+            lowest, tied = low, []
+        tied += (first + np.flatnonzero(cost == lowest)).tolist()
     best = DesignResult.no_deployment(env, tm)
-    best_key = (best.j_star, 0, ())
-    for _, mask in window:
-        members = _members(mask, n)
-        result = optimal_design(env, mon, tm, Subset._trusted(members))
-        key = (result.j_star, -len(members), members)
-        if key < best_key:
-            best, best_key = result, key
+    if lowest <= best.j_star:
+        members = min((_members(mask, n) for mask in tied),
+                      key=lambda m: (-len(m), m))
+        best = optimal_design(env, mon, tm, Subset._trusted(members))
     return StrategyResult(best.subset, best, 1 << n)
 
 

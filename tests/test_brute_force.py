@@ -1,6 +1,6 @@
 """Brute force against the per-subset oracle in `support`: the batch
-enumeration, the shared pricing, the exact re-pricing of near-best sets and
-the block path must give the same `StrategyResult` to the bit."""
+enumeration, the shared pricing, the exact array costs and the block path
+must give the same `StrategyResult` to the bit."""
 
 import math
 import tracemalloc
@@ -19,6 +19,8 @@ from mutualsec import (
     optimal_design,
     strategy,
 )
+from mutualsec.design import _set_cost
+from mutualsec.network import _outbound_within
 
 from support import (
     near_tie_instance,
@@ -111,6 +113,7 @@ def test_batch_sums_match_per_subset(make):
             row = inbound[mask, list(members)]
             assert members[int(row.argmin())] == critical_members(tm, p)[0]
             assert mu_in[mask] == np.cumsum(tm.outbound[list(members)])[-1]
+            assert mu_in[mask] == _outbound_within(tm, np.array(members))
             assert size[mask] == len(members)
 
 
@@ -130,21 +133,6 @@ def test_binding_as_is_first_argmin():
 
 
 def test_prices_each_critical_traffic_once(monkeypatch):
-    rng = np.random.default_rng(12)
-    env, mon, tm = grid_instance(rng, 12)
-    n = tm.n
-    values, costs = set(), []
-    for mask in range(1, 1 << n):
-        p = Subset(members_of(mask, n))
-        values.add(critical_traffic(tm, p))
-        result = optimal_design(env, mon, tm, p)
-        if result.feasible:
-            costs.append(result.j_star)
-    # Sums on the 1/16 grid are exact, so the array costs are exact and
-    # the window holds exactly the sets found here.
-    lowest = min(costs)
-    limit = lowest + 1e-9 * (lowest + env.p_high * float(tm.rates.sum()))
-    window = sum(j <= limit for j in costs)
     calls = []
 
     def counted(*args):
@@ -152,10 +140,46 @@ def test_prices_each_critical_traffic_once(monkeypatch):
         return optimal_design(*args)
 
     monkeypatch.setattr(strategy, "optimal_design", counted)
-    result = brute_force_optimal(env, mon, tm)
-    assert result.evaluations == 1 << n
-    assert len(values) < (1 << n) // 8
-    assert len(calls) <= len(values) + window
+    rng = np.random.default_rng(12)
+    # a 1/16 grid, where critical traffic repeats, and non-dyadic rates
+    grid = grid_instance(rng, 12)
+    for env, mon, tm in (grid, random_feasible_instance(rng, 11, 11)):
+        n = tm.n
+        values = {critical_traffic(tm, Subset(members_of(mask, n)))
+                  for mask in range(1, 1 << n)}
+        if tm is grid[2]:
+            assert len(values) < (1 << n) // 8
+        calls.clear()
+        result = brute_force_optimal(env, mon, tm)
+        assert result.evaluations == 1 << n
+        assert len(result.subset) > 0
+        # one call per distinct critical traffic, and one for the winner
+        assert len(calls) == len(values) + 1
+
+
+def test_array_costs_equal_optimal_design():
+    # Non-dyadic rates: the costs are exact only because every outbound
+    # total adds its members in member order.
+    rng = np.random.default_rng(2024)
+    cases = [random_feasible_instance(rng, 8, 11) for _ in range(6)]
+    cases += [near_tie_instance(rng) for _ in range(4)]
+    compared = 0
+    for env, mon, tm in cases:
+        n = tm.n
+        [(_, _, crit, mu_in, size)] = strategy._subset_blocks(tm)
+        coefficient = np.full(1 << n, math.nan)
+        j_star = np.full(1 << n, math.nan)
+        for mask in range(1, 1 << n):
+            result = optimal_design(env, mon, tm, Subset(members_of(mask, n)))
+            if result.feasible:
+                coefficient[mask] = env.p_low + \
+                    result.g_star * env.c / crit[mask]
+                j_star[mask] = result.j_star
+        feasible = ~np.isnan(j_star)
+        cost = _set_cost(env, tm, coefficient, mu_in, size)
+        assert np.array_equal(cost[feasible], j_star[feasible])
+        compared += int(feasible.sum())
+    assert compared > 1000
 
 
 @pytest.mark.parametrize("bits", [2, 3])

@@ -518,6 +518,23 @@ class TestSimulateCommand:
         assert main(argv) == 1
         assert f"config error: {field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("settings", [
+        ['simulate.design={"T": 1.0, "p0": 3.0, "p1": -2.0}'],
+        ["simulate.mode=benchmark", "simulate.benchmark=fixed",
+         "simulate.fixed=[1.0, 3.0, -2.0]"],
+    ])
+    def test_prices_outside_the_range_are_config_errors(self, capsys,
+                                                        settings):
+        argv = ["simulate", "--config",
+                str(CONFIGS / "reference_simulation.json"), "--horizon", "50"]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("config error: simulate: design prices must satisfy "
+                       "p_low <= p1 <= p0 <= p_high\n")
+
     def test_unknown_benchmark(self, tmp_path, capsys):
         cfg = reference_config(tmp_path, simulate={
             "mode": "benchmark", "benchmark": "magic", "horizon": 10,
@@ -595,6 +612,21 @@ class TestEntryPoint:
             err = proc.stderr.read()
             assert proc.wait() == 0
         assert err == b""
+
+
+class TestRepeatedCalls:
+    def test_override_does_not_reach_the_next_call(self, tmp_path, capsys):
+        # main builds its parser once per process
+        cfg = reference_config(tmp_path)
+        assert main(["design", "--config", cfg,
+                     "--set", "environment.c=0.2"]) == 0
+        first = capsys.readouterr().out
+        assert main(["design", "--config", cfg]) == 0
+        second = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "mutualsec", "design", "--config", cfg],
+            capture_output=True, text=True, env=child_env(), check=True)
+        assert second == fresh.stdout != first
 
 
 class TestUsageErrors:

@@ -198,9 +198,10 @@ class TestTrafficAnalysis:
             assert result.binding_as in (None, p.members[int(np.argmin(ref))])
             if result.feasible:
                 priced += 1
+                # outbound totals add the members one by one, in order
                 outbound = tm.rates.sum(axis=1)
-                mu_in = float(outbound[np.array(p.members)].sum())
-                mu_out = float(outbound.sum()) - mu_in
+                mu_in = float(np.add.accumulate(outbound[list(p.members)])[-1])
+                mu_out = float(np.add.accumulate(outbound)[-1]) - mu_in
                 nu = float(ref.min())
                 j = (env.p_low + result.g_star * env.c / nu) * mu_in \
                     + env.p_high * mu_out + len(p) * env.c

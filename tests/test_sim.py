@@ -106,6 +106,17 @@ class TestArguments:
             simulate(d, BehaviorProfile.compliant(8), env, mon, tm,
                      args["horizon"], args["seed"])
 
+    @pytest.mark.parametrize("p0, p1", [(3.0, -2.0), (0.2, 0.0),
+                                        (0.5, 0.05)])
+    def test_rejects_prices_outside_the_range(self, p0, p1):
+        # reference_instance has p_low 0.05 and p_high 0.3
+        _, env, mon, tm = reference_design()
+        d = RatingDesign(1.0, p0, p1, Subset.full(8))
+        with pytest.raises(ValueError, match="design prices must satisfy"):
+            simulate(d, BehaviorProfile.compliant(8), env, mon, tm, 5, 0)
+        with pytest.raises(ValueError, match="design prices must satisfy"):
+            run_benchmark("fixed", env, mon, tm, 5, 0, fixed=(1.0, p0, p1))
+
     def test_numpy_integers_are_stored_as_int(self):
         d, env, mon, tm = reference_design()
         p = BehaviorProfile.compliant(8)
