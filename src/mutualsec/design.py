@@ -45,6 +45,7 @@ from .network import (
     TrafficMatrix,
     _as_subset,
     _inbound_vector,
+    _is_integer,
     _member_index,
     _outbound_within,
     critical_traffic,
@@ -484,12 +485,20 @@ def minimize_loss_factor(
     return t_star, g_star
 
 
+def _check_as_index(i, n: int) -> None:
+    """Raise ValueError unless i is an integer AS index below n (a bool is
+    not one)."""
+    if not _is_integer(i):
+        raise ValueError(f"AS index must be an integer, got {i!r}")
+    if not 0 <= i < n:
+        raise ValueError(f"AS index {i} out of range")
+
+
 def ic_check(design: RatingDesign, env: Environment, mon: MonitoringModel,
              tm: TrafficMatrix, i: int) -> bool:
     """One-shot deviation test for AS i.  ASs outside the deployment set
     have nothing to deviate from and are trivially IC."""
-    if not 0 <= i < tm.n:
-        raise ValueError(f"AS index {i} out of range")
+    _check_as_index(i, tm.n)
     if i not in design.subset:
         return True
     nu_i = inbound_within(tm, design.subset, i)

@@ -42,6 +42,12 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class Subset:
     """An ordered set of AS indices (sorted, unique, non-negative)."""
@@ -49,6 +55,9 @@ class Subset:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for i in self.members:
+            if not _is_integer(i):
+                raise ValueError(f"subset member {i!r} is not an integer")
         m = tuple(int(i) for i in self.members)
         if any(i < 0 for i in m):
             raise ValueError("subset members must be non-negative indices")

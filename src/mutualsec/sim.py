@@ -31,12 +31,13 @@ depends on the blocking.  Compared with the earlier whole-horizon
 simulator, those totals agree to about 1e-12 relative.
 
 Two shortcuts keep the blocks cheap without changing a result.  The
-discounted sums stop at the first block whose last weight delta ** t is
-exactly 0.0 (about 745 / (beta*T) periods in): every later period adds
-exactly 0.0.  And each path writes its period-t cost row as
-lo + step * x[t], with lo and step fixed for the run, so a block is booked
-from the plain and discounted column sums of x and no path builds a
-per-period cost matrix:
+discounted sums stop at the first weight delta ** t that is exactly 0.0
+(about 745 / (beta*T) periods in), also within a block: every later period
+adds exactly 0.0, so its weight is left 0.0 uncomputed and, from the next
+block on, neither weights nor products are formed.  And each path writes
+its period-t cost row as lo + step * x[t], with lo and step fixed for the
+run, so a block is booked from the plain and discounted column sums of x
+and no path builds a per-period cost matrix:
 
 - rating: x holds the ratings (1.0 high, 0.0 low), between the rated-low
   and rated-high cost rows, since under steady actions an AS's cost is one
@@ -69,12 +70,13 @@ from .design import (
     Environment,
     MonitoringModel,
     RatingDesign,
+    _check_as_index,
     _check_prices,
     ic_check,
     minimize_loss_factor,
     optimal_design,
 )
-from .network import Subset, TrafficMatrix, critical_traffic
+from .network import Subset, TrafficMatrix, _is_integer, critical_traffic
 
 __all__ = [
     "Behavior",
@@ -100,12 +102,6 @@ KINDS = (
 )
 
 _Z95 = 1.6448536269514722  # one-sided 95% normal quantile
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer, not a bool."""
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -254,6 +250,10 @@ def _blocks(horizon: int, width: int):
         yield start, min(start + step, horizon)
 
 
+# delta ** t is 0.0 once it falls to 2**-1075, half the least subnormal
+_UNDERFLOW_LOG = 1075 * math.log(2.0)
+
+
 class _Ledger:
     """Running totals of per-AS cost and discounted cost, high-rating counts
     and, when requested, the time-series columns, filled in place.
@@ -268,15 +268,28 @@ class _Ledger:
 
     Column sums are products with a vector of ones (one BLAS call, where
     an axis-0 reduction of a tall, narrow block is a slow strided loop).
-    Discount weights are non-increasing in the period, so once a block's
-    last weight delta ** t is exactly 0.0 every later period adds exactly
-    0.0 to the discounted cost, and neither its weights nor its product
-    are computed.  Weights that are merely subnormal are still used."""
+    Discount weights are non-increasing in the period, so once a weight
+    delta ** t is exactly 0.0 every later period adds exactly 0.0 to the
+    discounted cost.  A block's weights are computed only through period
+    `zero`, from which delta ** t surely underflows, and the rest are left
+    0.0 (the underflowing tail is most of a long first block and the
+    slowest part to compute); should the weight at `zero` not be 0.0 after
+    all, the rest are computed too.  After a block whose last weight is
+    0.0, neither weights nor products are computed.  Weights that are
+    merely subnormal are still used."""
 
     def __init__(self, n: int, horizon: int, T: float, delta: float,
                  want_ts: bool) -> None:
         self.T = T
         self.delta = delta
+        # delta ** t rounds to 0.0 once t * -log(delta) passes
+        # _UNDERFLOW_LOG; one period's margin covers the rounding of both.
+        if delta == 0.0:
+            self.zero = 1
+        elif delta == 1.0:
+            self.zero = horizon
+        else:
+            self.zero = math.ceil(_UNDERFLOW_LOG / -math.log(delta)) + 1
         self.cost = np.zeros(n)
         self.discounted = np.zeros(n)
         self.high = np.zeros(n)
@@ -302,7 +315,13 @@ class _Ledger:
         sums = ones @ x
         self.cost += b * lo + step * sums
         if self.weighted:
-            weights = self.delta ** np.arange(start, stop, dtype=float)
+            weights = np.zeros(b)
+            k = min(b, max(1, self.zero + 1 - start))
+            np.power(self.delta, np.arange(start, start + k, dtype=float),
+                     out=weights[:k])
+            if k < b and weights[k - 1] != 0.0:
+                np.power(self.delta, np.arange(start + k, stop, dtype=float),
+                         out=weights[k:])
             self.discounted += weights.sum() * lo + step * (weights @ x)
             self.weighted = weights[-1] != 0.0
         if ratings is not None:
@@ -561,8 +580,8 @@ def deviation_gain(design: RatingDesign, env: Environment,
     below zero; significance flags are one-sided z-tests at 95%."""
     seeds = _seed_list(seeds)
     n = tm.n
-    if not 0 <= i < n:
-        raise ValueError(f"AS index {i} out of range")
+    _check_as_index(i, n)
+    i = int(i)
     base = BehaviorProfile.compliant(n)
     dev = base.replace(i, Behavior("persistent-deviator"))
     gains = []

@@ -510,6 +510,20 @@ class TestIcCheck:
         with pytest.raises(ValueError):
             ic_check(d, env, mon, tm, 8)
 
+    @pytest.mark.parametrize("i", [1.5, 1.0, True, np.True_, None])
+    def test_index_must_be_an_integer(self, i):
+        # 1.5 is in no subset, which once made it trivially IC
+        env, mon, tm = reference_instance()
+        d = RatingDesign(5.0, env.p_high, env.p_low, Subset.full(8))
+        with pytest.raises(ValueError, match="integer"):
+            ic_check(d, env, mon, tm, i)
+
+    def test_numpy_index(self):
+        env, mon, tm = reference_instance()
+        d = RatingDesign(5.0, env.p_high, env.p_low, Subset.full(8))
+        assert (ic_check(d, env, mon, tm, np.int64(3))
+                == ic_check(d, env, mon, tm, 3))
+
 
 class TestAssumptions:
     def test_reference_all_ok(self):

@@ -43,6 +43,22 @@ class TestSubset:
         with pytest.raises(ValueError):
             Subset.of([0, 5], n=4)
 
+    @pytest.mark.parametrize("member", [1.5, 2.0, np.float64(1.0), True,
+                                        np.True_, "1", None])
+    def test_members_must_be_integers(self, member):
+        with pytest.raises(ValueError, match=re.escape(repr(member))):
+            Subset((0, member))
+
+    def test_numpy_integer_members(self):
+        s = Subset((np.int64(2), np.int32(0)))
+        assert s.members == (0, 2)
+        assert all(type(m) is int for m in s.members)
+
+    def test_critical_traffic_rejects_fractional_members(self):
+        tm = TrafficMatrix.complete(4, 1.0)
+        with pytest.raises(ValueError, match="0.4"):
+            critical_traffic(tm, [0.4, 1.6, 2.2])
+
     def test_full_without_contains(self):
         s = Subset.full(4)
         assert s.members == (0, 1, 2, 3)

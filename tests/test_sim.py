@@ -312,6 +312,19 @@ class TestDeviationGain:
         with pytest.raises(ValueError, match="out of range"):
             deviation_gain(d, env, mon, tm, i, horizon=10, seeds=1)
 
+    @pytest.mark.parametrize("i", [True, np.True_, 1.0, "1"])
+    def test_as_index_must_be_an_integer(self, i):
+        d, env, mon, tm = reference_design()
+        with pytest.raises(ValueError, match="integer"):
+            deviation_gain(d, env, mon, tm, i, horizon=10, seeds=1)
+
+    def test_numpy_as_index_reported_as_int(self):
+        d, env, mon, tm = reference_design()
+        got = deviation_gain(d, env, mon, tm, np.int64(2), horizon=50,
+                             seeds=2)
+        assert type(got.as_index) is int
+        assert got == deviation_gain(d, env, mon, tm, 2, horizon=50, seeds=2)
+
 
 class TestBenchmarks:
     def test_no_otc_matches_rating_independent_exactly(self):
@@ -667,6 +680,112 @@ class TestStreaming:
 
         peak = self._peak_bytes("tit-for-tat", 40, 10_000)
         assert peak < 2.5 * 8 * sim._BLOCK_ELEMENTS
+
+
+# ---- discount weights --------------------------------------------------------
+
+_DELTAS = (0.0, 5e-324, 1e-300, math.exp(-1.0), 1.0 - 1e-12,
+           float(np.nextafter(1.0, 0.0)), 1.0)
+
+# Windows booked in turn over 800 periods: one block; blocks whose edges
+# fall just before, on and after exp(-1)'s first zero weight (period 746)
+# and the ledger's bound for it (747); and one-period blocks at the start.
+_WINDOWS = (
+    ((0, 800),),
+    ((0, 745), (745, 746), (746, 747), (747, 800)),
+    ((0, 740), (740, 752), (752, 800)),
+    ((0, 747), (747, 748), (748, 749), (749, 800)),
+    ((0, 1), (1, 2), (2, 3), (3, 800)),
+    ((0, 1), (1, 800)),
+)
+
+
+def _booked_weights(delta, windows, horizon=800):
+    """The ledger's discounted totals when period t costs 1 in column t and
+    nothing elsewhere: column t holds exactly the weight booked for t."""
+    from mutualsec import sim
+
+    ledger = sim._Ledger(horizon, horizon, 1.0, delta, False)
+    for start, stop in windows:
+        x = np.zeros((stop - start, horizon))
+        x[np.arange(stop - start), np.arange(start, stop)] = 1.0
+        ledger.add(start, x)
+    return ledger.discounted
+
+
+class TestDiscountWeights:
+    """Weights are computed only up to where delta ** t underflows; the
+    rest of a block is left 0.0, which is what the power gives there."""
+
+    @pytest.mark.parametrize("windows", _WINDOWS)
+    @pytest.mark.parametrize("delta", _DELTAS)
+    def test_weights_are_the_powers_bit_for_bit(self, delta, windows):
+        got = _booked_weights(delta, windows)
+        want = delta ** np.arange(800, dtype=float)
+        assert got.tobytes() == want.tobytes()
+
+    def test_bound_passes_the_first_zero(self):
+        from mutualsec import sim
+
+        for delta in _DELTAS[:4] + (math.exp(-3.7), math.exp(-0.01)):
+            zero = sim._Ledger(1, 10**6, 1.0, delta, False).zero
+            powers = delta ** np.arange(zero + 1, dtype=float)
+            first = int(np.flatnonzero(powers == 0.0)[0])
+            assert first <= zero <= first + 2, delta
+
+    @pytest.mark.parametrize("beta_t", [1e-20, 1e-3, 1.0, 3.7, 745.5, 800.0])
+    def test_reports_equal_untrimmed(self, monkeypatch, beta_t):
+        from mutualsec import sim
+
+        env, mon, tm = reference_instance()
+        env = dataclasses.replace(env, beta=beta_t)
+        plan = RatingDesign(1.0, env.p_high, env.p_low, Subset.full(8))
+        mixed = BehaviorProfile.compliant(8).replace(
+            2, Behavior("persistent-deviator")).replace(
+            5, Behavior("one-shot-deviator", at_period=500))
+        profiles = (BehaviorProfile.compliant(8), mixed,
+                    BehaviorProfile.uniform(8, "grim-trigger"),
+                    BehaviorProfile.uniform(8, "tit-for-tat"))
+        quiet = MonitoringModel.rational(1e-5)  # grim trigger fires late
+        runs = [(plan, p, env, m, tm, 20_000, 3)
+                for p in profiles for m in (mon, quiet)]
+        trimmed = [simulate(*args) for args in runs]
+        # the reference computes every weight of a block, as if none were
+        # known to underflow
+        init = sim._Ledger.__init__
+
+        def untrimmed_init(self, n, horizon, *args):
+            init(self, n, horizon, *args)
+            self.zero = horizon
+
+        monkeypatch.setattr(sim._Ledger, "__init__", untrimmed_init)
+        for args, rep in zip(runs, trimmed):
+            assert rep == simulate(*args)
+
+    @pytest.mark.parametrize("kind", ["compliant", "grim-trigger",
+                                      "tit-for-tat"])
+    def test_first_block_powers_stop_near_underflow(self, monkeypatch, kind):
+        # beta * T = 1: delta ** t is 0.0 from t = 746, while a block of
+        # the rating and trigger paths at n = 8 holds 8192 periods.
+        from mutualsec import sim
+
+        class CountingNumpy:
+            powered = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def power(self, base, exponent, **kwargs):
+                CountingNumpy.powered += np.size(exponent)
+                return np.power(base, exponent, **kwargs)
+
+        env, mon, tm = reference_instance()
+        env = dataclasses.replace(env, beta=1.0)
+        plan = RatingDesign(1.0, env.p_high, env.p_low, Subset.full(8))
+        profile = BehaviorProfile.uniform(8, kind)
+        monkeypatch.setattr(sim, "np", CountingNumpy())
+        simulate(plan, profile, env, mon, tm, 20_000, 1)
+        assert 746 <= CountingNumpy.powered <= 750
 
 
 # ---- whole-horizon reference -----------------------------------------------
