@@ -14,7 +14,10 @@ walk, which strips a set's critical members from the full set down, serves
 both `has_mct` and the deletion search in `strategy`.  It is one array
 pass: only picking each step's critical members is sequential, and the
 exact critical traffic of every step is summed afterwards, in blocks of
-steps, by the same blocked column sum that breaks ties.
+steps, by the same blocked column sum that breaks ties.  A step costs one
+argmin and one count over a running inbound vector; it re-sums exactly
+only when several members lie within the vector's drift window of its
+minimum, which on tie-free rates is almost never.
 
 Indices are 0-based throughout the library; the CLI converts to 1-based on
 input and output.
@@ -421,14 +424,16 @@ def _deletion_walk(tm: TrafficMatrix) -> tuple[list[tuple[int, ...]],
 
     Picking the members is the only sequential work.  One running inbound
     vector is kept, with the deleted rows subtracted from it and inf at the
-    deleted members, so a step costs O(n) plus the re-summing of tied
-    candidates.  Its drift stays below an absolute window sized from the
-    largest column sum, so the members within that window of its minimum
-    include every true critical member.  A lone candidate is the critical
-    member; several are summed again by `_column_sums` over the live rows,
-    in member order as `critical_traffic` sums them, and the exact minimum
-    and its ties are taken from those sums.  The critical traffic of every
-    step is then summed exactly the same way, over each step's set.
+    deleted members.  Its drift stays below an absolute window sized from
+    the largest column sum, so the members within that window of its
+    minimum include every true critical member.  A step costs one argmin
+    and one count of the members within the window, both O(n).  A lone
+    candidate is the critical member, and its row is subtracted as it
+    stands.  Only when several lie in the window are they summed again by
+    `_column_sums` over the live rows, in member order as
+    `critical_traffic` sums them, and the exact minimum and its ties are
+    taken from those sums.  The critical traffic of every step is then
+    summed exactly the same way, over each step's set.
     """
     n = tm.n
     rates = tm.rates
@@ -440,11 +445,18 @@ def _deletion_walk(tm: TrafficMatrix) -> tuple[list[tuple[int, ...]],
     left = n
     while left:
         k = len(crits)
-        cand = np.flatnonzero(inbound <= inbound.min() + window)
-        if len(cand) > 1:
-            exact = _column_sums(rates, cand, step_of,
-                                 np.full(len(cand), k))
-            cand = cand[exact == exact.min()]
+        i = int(inbound.argmin())
+        bar = inbound[i] + window
+        if np.count_nonzero(inbound <= bar) == 1:  # the common step
+            step_of[i] = k
+            crits.append((i,))
+            left -= 1
+            inbound -= rates[i]
+            inbound[i] = np.inf
+            continue
+        cand = np.flatnonzero(inbound <= bar)
+        exact = _column_sums(rates, cand, step_of, np.full(len(cand), k))
+        cand = cand[exact == exact.min()]
         step_of[cand] = k
         crits.append(tuple(cand.tolist()))
         left -= len(cand)

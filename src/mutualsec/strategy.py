@@ -97,8 +97,9 @@ def iterative_deletion(env: Environment, mon: MonitoringModel,
     evaluations = 0
     chosen, best, best_j = None, DesignResult.no_deployment(env, tm), math.inf
     crits, nus = _deletion_walk(tm)
-    p = Subset.full(tm.n)
+    members = list(range(tm.n))  # the current level's, in order
     for crit, nu in zip(crits, nus):
+        p = Subset._trusted(tuple(members))
         if nu > best_priced:
             result = optimal_design(env, mon, tm, p)
             evaluations += 1
@@ -107,18 +108,14 @@ def iterative_deletion(env: Environment, mon: MonitoringModel,
             if result.feasible and result.j_star < best_j:
                 chosen, best, best_j = len(iterations), result, result.j_star
             iterations.append(IdIteration(p, nu, crit, True, result))
+            priced = (f"does not exceed the best priced value "
+                      f"{best_priced:g}; a nested set with no-higher "
+                      "critical traffic costs strictly more")
         else:
-            reason = (
-                f"critical traffic {nu:g} does not exceed the best priced "
-                f"value {best_priced:g}; a nested set with no-higher critical "
-                "traffic costs strictly more"
-            )
+            reason = f"critical traffic {nu:g} {priced}"
             iterations.append(IdIteration(p, nu, crit, False, None, reason))
-        if len(crit) == 1:  # the common step, as one C-level copy
-            i = bisect_left(p.members, crit[0])
-            p = Subset._trusted(p.members[:i] + p.members[i + 1:])
-        else:
-            p = p.without(crit)
+        for i in reversed(crit):  # from the back, so less is shifted
+            del members[bisect_left(members, i)]
     return StrategyResult(best.subset, best, evaluations,
                           IdTrace(tuple(iterations), chosen))
 
@@ -264,12 +261,13 @@ def core_periphery_threshold(env: Environment, mon: MonitoringModel, *,
     only beats full deployment, on restricted core-periphery topologies
     with `periphery_per_core` leaves per core node and uniform rates.
 
-    k_star is the first K in the scanned range at which the core costs
-    less than the full set, an infeasible design costing inf, and 0 only
-    when no K does.  When a periphery AS's filtering benefit does not
-    cover its deployment cost ((p_high - p_low) * rate <= c), the note
-    says that the periphery never pays for itself; k_star is found the
-    same way.  n_star = (1 + l) * k_star.  Each row carries the
+    The scan runs K from max(3, l + 1), the smallest core that carries l
+    leaves per node, to `k_max`.  k_star is the first K in it at which the
+    core costs less than the full set, an infeasible design costing inf,
+    and 0 only when no K does.  When a periphery AS's filtering benefit
+    does not cover its deployment cost ((p_high - p_low) * rate <= c), the
+    note says that the periphery never pays for itself; k_star is found
+    the same way.  n_star = (1 + l) * k_star.  Each row carries the
     closed-form difference
 
         K * (g_full * c * (K + 2l - l/(K-1) - 2) - ((p_high-p_low)*l*rate - l*c))
@@ -280,14 +278,15 @@ def core_periphery_threshold(env: Environment, mon: MonitoringModel, *,
     l = periphery_per_core
     if l < 1:
         raise ValueError("periphery_per_core must be at least 1")
-    if k_max <= 2:
-        raise ValueError("k_max must exceed 2")
+    if k_max <= max(2, l):
+        raise ValueError(f"k_max must exceed 2 and periphery_per_core "
+                         f"(got k_max={k_max}, periphery_per_core={l})")
     if not (math.isfinite(rate) and rate >= 0):
         raise ValueError("rate must be finite and non-negative")
     rows = []
     k_star = 0
     never_worth = env.gap * rate <= env.c
-    for k in range(3, k_max + 1):
+    for k in range(max(3, l + 1), k_max + 1):
         tm = TrafficMatrix.restricted_core_periphery(k, l, rate)
         full = optimal_design(env, mon, tm)
         core = optimal_design(env, mon, tm, Subset(tuple(range(k))))

@@ -350,6 +350,23 @@ class TestThresholdCommand:
         assert lines[0].startswith("cores,n,j_full,j_core")
         assert len(lines) == 29
 
+    def test_three_leaves_per_core(self, capsys):
+        # l = 3 scans from K = 4, the smallest core with 3 leaves per node
+        assert main(["threshold", "--config",
+                     str(CONFIGS / "core_periphery_threshold.json"),
+                     "--set", "threshold.periphery_per_core=3"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [r["cores"] for r in out["rows"]] == list(range(4, 31))
+        assert out["rows"][0]["n"] == 16
+        assert (out["k_star"], out["n_star"]) == (29, 116)
+
+    def test_k_max_must_exceed_leaves_per_core(self, capsys):
+        assert main(["threshold", "--config",
+                     str(CONFIGS / "core_periphery_threshold.json"),
+                     "--set", "threshold.periphery_per_core=3",
+                     "--set", "threshold.k_max=3"]) == 1
+        assert "k_max" in capsys.readouterr().err
+
     def test_missing_section(self, tmp_path, capsys):
         cfg = reference_config(tmp_path)
         assert main(["threshold", "--config", cfg]) == 1

@@ -17,6 +17,7 @@ from mutualsec import (
     load_matrix_csv,
     optimal_design,
 )
+from mutualsec import network
 from mutualsec.network import _inbound_vector, _member_index
 
 from support import (
@@ -350,24 +351,32 @@ class TestMct:
         # the witness is the reference walk's set where its critical
         # traffic last rises strictly above every earlier value; a sender
         # that sends the same rate to everyone makes the full set's
-        # critical member the largest sender, and the matrix has MCT
+        # critical member the largest sender, and the matrix has MCT.  The
+        # deletion search's trace, whose sets drop several tied members at
+        # once on the integer and tenths matrices, is the reference's too.
         rng = np.random.default_rng(60 + n)
         env, mon = REFERENCE_ENV, MonitoringModel.rational(0.1)
         verdicts = set()
+        widest = 0
         for rates in (rng.integers(0, 4, (n, n)).astype(float),
                       rng.integers(0, 8, (n, n)) / 10.0,
                       rng.uniform(0.0, 1.0, (n, n)),
                       rng.uniform(0.5, 1.5, (n, 1)).repeat(n, axis=1)):
             np.fill_diagonal(rates, 0.0)
             tm = TrafficMatrix(rates)
-            steps = reference_deletion_trace(env, mon, tm).iterations
+            reference = reference_deletion_trace(env, mon, tm)
+            steps = reference.iterations
             best, witness = steps[0].critical_traffic, None
             for it in steps[1:]:
                 if it.critical_traffic > best:
                     best, witness = it.critical_traffic, it.subset
             assert has_mct(tm) == (witness is None, witness)
             verdicts.add(witness is None)
+            assert iterative_deletion(env, mon, tm,
+                                      check_assumptions=False).trace == reference
+            widest = max(widest, *(len(it.critical_ases) for it in steps))
         assert verdicts == {True, False}
+        assert widest > 1
 
     def test_near_tie_follows_definition(self):
         # the subset's critical traffic is 1.1, the full set's
@@ -398,6 +407,68 @@ class TestMct:
         expected = (False, Subset.full(n).without([1]))
         assert canonical_mct_witness(tm) == expected
         assert has_mct(tm) == expected
+
+
+class TestDeletionWalkSteps:
+    """A walk step whose running minimum stands alone in the drift window
+    takes its critical member straight from the running vector; only a
+    step with several members in the window re-sums them exactly."""
+
+    @staticmethod
+    def count_column_sums(monkeypatch):
+        calls = []
+        column_sums = network._column_sums
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return column_sums(*args)
+
+        monkeypatch.setattr(network, "_column_sums", counted)
+        return calls
+
+    def test_tie_free_walk_sums_once(self, monkeypatch):
+        # every step of a dense tie-free walk has a lone candidate, so the
+        # only column sum is the final exact pass over all 200 steps (not
+        # symmetric rates, whose last two members tie)
+        rng = np.random.default_rng(70)
+        rates = rng.uniform(0.5, 1.5, (200, 200))
+        np.fill_diagonal(rates, 0.0)
+        tm = TrafficMatrix(rates)
+        calls = self.count_column_sums(monkeypatch)
+        crits, nus = network._deletion_walk(tm)
+        assert calls == [200]
+        assert all(len(c) == 1 for c in crits)
+        env, mon = REFERENCE_ENV, MonitoringModel.rational(0.1)
+        reference = reference_deletion_trace(env, mon, tm).iterations
+        assert crits == [it.critical_ases for it in reference]
+        assert nus == [it.critical_traffic for it in reference]
+
+    def test_drifted_pair_is_summed_again(self, monkeypatch):
+        # Once AS 4 is deleted, the running vector reads 0.8 for AS 1 and
+        # 0.7999999999999999 for AS 2, but summed in member order over
+        # {0, 1, 2, 3} AS 1 has 0.7 + 0.1 = 0.7999999999999999 and AS 2
+        # has 0.6 + 0.2 = 0.8.  Both lie within the window (1e-9 of AS 0's
+        # 1000), so that step re-sums them and deletes AS 1 alone, not the
+        # running vector's minimum AS 2.
+        rates = np.zeros((5, 5))
+        rates[0, 4] = 0.05
+        rates[4, 1], rates[4, 2] = 0.2, 0.6
+        rates[3, 1], rates[3, 2] = 0.1, 0.2
+        rates[0, 1], rates[0, 2] = 0.7, 0.6
+        rates[3, 0], rates[0, 3] = 1000.0, 50.0
+        tm = TrafficMatrix(rates)
+        live = Subset((0, 1, 2, 3))
+        assert inbound_within(tm, live, 1) < inbound_within(tm, live, 2)
+        running = tm.inbound - rates[4]
+        assert running[2] < running[1]
+        calls = self.count_column_sums(monkeypatch)
+        crits, _ = network._deletion_walk(tm)
+        assert crits == [(4,), (1,), (2,), (3,), (0,)]
+        assert calls == [2, 5]  # the pair's re-sum, then the final pass
+        env, mon = REFERENCE_ENV, MonitoringModel.rational(0.1)
+        assert iterative_deletion(env, mon, tm, check_assumptions=False
+                                  ).trace == reference_deletion_trace(
+                                      env, mon, tm)
 
 
 class TestCsvRoundTrip:

@@ -283,3 +283,26 @@ class TestCorePeripheryThreshold:
         with pytest.raises(ValueError):
             core_periphery_threshold(env, mon, periphery_per_core=1,
                                      rate=1.0, k_max=2)
+        # a core of K nodes carries at most K - 1 leaves per node
+        with pytest.raises(ValueError, match="k_max"):
+            core_periphery_threshold(env, mon, periphery_per_core=3,
+                                     rate=1.0, k_max=3)
+
+    def test_scan_starts_at_smallest_core_for_l(self):
+        # l = 3 leaves per core node need K >= 4: the scan starts there
+        env = Environment(p_high=0.3, p_low=0.05, c=0.3, beta=0.2)
+        mon = MonitoringModel.rational(0.4)
+        result = core_periphery_threshold(env, mon, periphery_per_core=3,
+                                          rate=4.0, k_max=30)
+        assert [r.cores for r in result.rows] == list(range(4, 31))
+        assert [r.n for r in result.rows] == [4 * k for k in range(4, 31)]
+        assert result.k_star == 29
+        assert result.n_star == 116
+        first = result.rows[0]
+        tm = TrafficMatrix.restricted_core_periphery(4, 3, 4.0)
+        assert first.j_full == optimal_design(env, mon, tm).j_star
+        assert first.j_core == optimal_design(
+            env, mon, tm, Subset((0, 1, 2, 3))).j_star
+        one = core_periphery_threshold(env, mon, periphery_per_core=3,
+                                       rate=4.0, k_max=4)
+        assert one.rows == result.rows[:1]
