@@ -118,7 +118,8 @@ class MonitoringModel:
     rational family and checked for tables on the curve as held on [0, inf):
     endpoint values extend flat beyond the table, so a table starting after
     0 must not drop at its first step.  The held curve is kept as linear
-    pieces (t_left, t_right, epsilon(t_left), slope) for the design kernel.
+    pieces (t_left, t_right, epsilon(t_left), slope) for the design kernel,
+    with their starts for the lookup in design._epsilon.
     """
 
     def __init__(self, kind: str, w0: float | None = None, table=None) -> None:
@@ -145,14 +146,13 @@ class MonitoringModel:
             if np.any(np.diff(es) > 1e-12):
                 raise ValueError("tabulated errors must be non-increasing")
             self._ts, self._eps = ts, es
-            # Plain-float copies for scalar lookups (see design._epsilon).
-            self._ts_list, self._eps_list = ts.tolist(), es.tolist()
-            held = list(zip(self._ts_list, self._eps_list))
+            held = list(zip(ts.tolist(), es.tolist()))
             if held[0][0] > 0:
                 held.insert(0, (0.0, held[0][1]))
             self._pieces = [(t0, t1, e0, (e1 - e0) / (t1 - t0))
                             for (t0, e0), (t1, e1) in zip(held, held[1:])]
             self._pieces.append((held[-1][0], math.inf, held[-1][1], 0.0))
+            self._starts = [p[0] for p in self._pieces]
             # Slope steps scaled to second differences on an even grid.
             for (t0, t1, _, s0), (_, t2, _, s1) in zip(self._pieces,
                                                        self._pieces[1:-1]):
@@ -307,20 +307,24 @@ def _loss_rate(env: Environment, mon: MonitoringModel,
 
 def _epsilon(mon: MonitoringModel, t: float) -> float:
     """epsilon(t) in plain floats, equal to float(mon.epsilon(t)): the same
-    formula for the rational family, and np.interp's arithmetic for tables
-    (endpoint values held outside the table)."""
+    formula for the rational family; for tables, s*(t - t0) + e0 on the
+    stored piece whose start t0 is the last at or below t.  That is
+    np.interp's operation on the same operands: its slope is the piece's
+    (e1 - e0) / (t1 - t0), it returns e0 at t == t0, and the pieces held
+    flat (below a table that starts after 0 and beyond its end) have slope
+    0.  Negative t reads the first value, and NaN is returned as is."""
     if mon.kind == "rational":
         return mon.w0 / (t + 2 * mon.w0)
     if t != t:
         return t
-    ts, es = mon._ts_list, mon._eps_list
-    j = bisect_right(ts, t) - 1
+    pieces = mon._pieces
+    j = bisect_right(mon._starts, t) - 1
     if j < 0:
-        return es[0]
-    if j == len(ts) - 1 or ts[j] == t:
-        return es[j]
-    slope = (es[j + 1] - es[j]) / (ts[j + 1] - ts[j])
-    return slope * (t - ts[j]) + es[j]
+        return pieces[0][2]
+    t0, _, e0, s = pieces[j]
+    if s == 0.0 or t == t0:  # s*(t - t0) would be NaN at t = inf (on the
+        return e0            # last piece) and at t0 of an overflowed slope
+    return s * (t - t0) + e0
 
 
 def _loss_at(env: Environment, mon: MonitoringModel, t: float) -> float:
@@ -370,6 +374,34 @@ def _tighten(fits, t: float, t_in: float) -> float:
 # ---- operations -----------------------------------------------------------
 
 
+def _rational_edges(env: Environment, w0: float, nu_crit: float):
+    """For the rational monitor w0: None when no period is feasible at
+    nu_crit, else (t_m, low, high), where t_m is the headroom's minimizer
+    and low() and high() find the feasible interval's edges, as
+    feasible_period_interval describes."""
+    bound = env.gap * nu_crit / env.c
+    if bound <= 1.0:
+        return None
+    beta = env.beta
+    log_bound = math.log(bound)
+    phi = lambda t: beta * t + math.log1p(2.0 * w0 / t) - log_bound
+    dphi = lambda t: beta - 2.0 * w0 / (t * (t + 2.0 * w0))
+    fits = lambda t: math.exp(beta * t) * (1.0 + 2.0 * w0 / t) <= bound
+    t_m = (2.0 * w0 / beta) / (w0 + math.sqrt(w0 * w0 + 2.0 * w0 / beta))
+    if phi(t_m) > 0.0 or not fits(t_m):
+        return None
+
+    def low() -> float:
+        t = _newton(phi, dphi, 2.0 * w0 / (bound - 1.0), 1.0)
+        return _tighten(fits, min(t, t_m), t_m)
+
+    def high() -> float:
+        t = _newton(phi, dphi, log_bound / beta, -1.0)
+        return _tighten(fits, max(t, t_m), t_m)
+
+    return t_m, low, high
+
+
 def feasible_period_interval(
     env: Environment, mon: MonitoringModel, nu_crit: float
 ) -> PeriodInterval | None:
@@ -396,25 +428,18 @@ def feasible_period_interval(
     (for the low edge no lower than where 1 - 2*epsilon = 1/bound), stepped
     inward as above.  lo is 0.0 when h(T) fits as T -> 0, and hi is
     log(bound)/beta when h fits there."""
-    if nu_crit <= 0:
-        return None
+    if mon.kind == "rational":
+        found = _rational_edges(env, mon.w0, nu_crit)
+        if found is None:
+            return None
+        _, low, high = found
+        return PeriodInterval(low(), high())
     bound = env.gap * nu_crit / env.c
     if bound <= 1.0:
         return None
     beta = env.beta
     log_bound = math.log(bound)
     t_cap = log_bound / beta
-    if mon.kind == "rational":
-        w0 = mon.w0
-        phi = lambda t: beta * t + math.log1p(2.0 * w0 / t) - log_bound
-        dphi = lambda t: beta - 2.0 * w0 / (t * (t + 2.0 * w0))
-        fits = lambda t: math.exp(beta * t) * (1.0 + 2.0 * w0 / t) <= bound
-        t_m = (2.0 * w0 / beta) / (w0 + math.sqrt(w0 * w0 + 2.0 * w0 / beta))
-        if phi(t_m) > 0.0 or not fits(t_m):
-            return None
-        lo = min(_newton(phi, dphi, 2.0 * w0 / (bound - 1.0), 1.0), t_m)
-        hi = max(_newton(phi, dphi, t_cap, -1.0), t_m)
-        return PeriodInterval(_tighten(fits, lo, t_m), _tighten(fits, hi, t_m))
 
     def h(t: float) -> float:
         denom = 1.0 - 2.0 * _epsilon(mon, t)
@@ -455,19 +480,32 @@ def minimize_loss_factor(
 
     Rational monitors: g(T) = w0 * exp(beta*T) / T is log-convex with its
     minimum at 1/beta, so T* = min(max(1/beta, lo), hi) on the feasible
-    interval [lo, hi] and g* = w0 * exp(beta*T*) / T*.
+    interval [lo, hi] and g* = w0 * exp(beta*T*) / T*.  Only the high edge
+    is found: lo <= T_m <= hi for the headroom's minimizer T_m, and T_m =
+    (2*w0/beta) / (w0 + sqrt(w0**2 + 2*w0/beta)) < 1/beta because the root
+    exceeds w0, so max(1/beta, lo) = max(1/beta, T_m) = 1/beta.  Rounding
+    can put the computed T_m above 1/beta (once w0*beta exceeds about
+    1e16); then the low edge is found too.  So the clamp gives the same
+    float as on the whole interval in every case.
 
     Tabulated monitors: on a piece of slope s, d log g / dT = beta + s /
     (epsilon * (1 - 2*epsilon)) vanishes where epsilon = (1 +- sqrt(1 +
     8*s/beta)) / 4.  So T* is the best of the interval ends (the low end
     at least hi * 1e-12), the breakpoints inside and those stationary
     points, ties going to the smaller T."""
+    if mon.kind == "rational":
+        found = _rational_edges(env, mon.w0, nu_crit)
+        if found is None:
+            return None
+        t_m, low, high = found
+        t_star = 1.0 / env.beta
+        if t_star < t_m:
+            t_star = max(t_star, low())
+        t_star = min(t_star, high())
+        return t_star, mon.w0 * math.exp(env.beta * t_star) / t_star
     interval = feasible_period_interval(env, mon, nu_crit)
     if interval is None:
         return None
-    if mon.kind == "rational":
-        t_star = min(max(1.0 / env.beta, interval.lo), interval.hi)
-        return t_star, mon.w0 * math.exp(env.beta * t_star) / t_star
     lo, hi = max(interval.lo, interval.hi * 1e-12), interval.hi
     candidates = [lo, hi]
     for t0, t1, e0, s in mon._pieces:
@@ -514,15 +552,21 @@ def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
     """Cost-minimizing IC design for the given deployment set (default all).
 
     Feasible results bind the IC constraint at the critical member:
-    p1* = p_low and p0* sits exactly at the one-shot-deviation boundary."""
-    p = Subset.full(tm.n) if subset is None else _as_subset(tm, subset)
+    p1* = p_low and p0* sits exactly at the one-shot-deviation boundary.
+    The full set, however it is given, is priced from the matrix's stored
+    Subset, critical member and critical traffic."""
+    p = tm._full if subset is None else _as_subset(tm, subset)
     size = len(p.members)
     if size == 0:
         raise ValueError("optimal_design needs a nonempty deployment set")
     idx = _member_index(tm, p)
-    inbound = _inbound_vector(tm, idx)
-    k = int(inbound.argmin())
-    nu_crit = float(inbound[k])
+    if idx is None:
+        p = tm._full
+        binding, nu_crit = tm._critical_member, tm._critical_traffic
+    else:
+        inbound = _inbound_vector(tm, idx)
+        k = int(inbound.argmin())
+        binding, nu_crit = p.members[k], float(inbound[k])
     if nu_crit <= 0:
         return DesignResult.infeasible(
             p,
@@ -542,7 +586,7 @@ def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
     p0 = min(p0, env.p_high)
     j = _set_cost(env, tm, env.p_low + g_star * env.c / nu_crit,
                   _outbound_within(tm, idx), size)
-    return DesignResult(p, True, t_star, p0, env.p_low, g_star, j, p.members[k])
+    return DesignResult(p, True, t_star, p0, env.p_low, g_star, j, binding)
 
 
 def security_cost(design: RatingDesign, env: Environment, mon: MonitoringModel,
@@ -577,7 +621,7 @@ def fds_sufficient(env: Environment, mon: MonitoringModel,
     non-negative), so J(full) - J(Q) <= r * M - sum_{i not in Q}
     ((p_high - p_low) * mu_i - c) <= 0: some AS lies outside Q, and each
     term is at least r * M >= 0."""
-    r = _loss_rate(env, mon, float(tm.inbound.min()))
+    r = _loss_rate(env, mon, tm._critical_traffic)
     return r is not None and \
         r * tm._outbound_total <= env.gap * float(tm.outbound.min()) - env.c
 
@@ -610,7 +654,7 @@ def validate_assumptions(env: Environment, mon: MonitoringModel,
         failing,
     )
 
-    r = _loss_rate(env, mon, float(inbound.min()))
+    r = _loss_rate(env, mon, tm._critical_traffic)
     if r is None:
         social = AssumptionCheck(
             "social_gain", False,

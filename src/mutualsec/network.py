@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, filterfalse
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -88,11 +88,6 @@ class Subset:
         object.__setattr__(s, "members", members)
         return s
 
-    def without(self, remove: Iterable[int]) -> "Subset":
-        # A subsequence of valid members is valid.
-        return Subset._trusted(tuple(
-            filterfalse(set(remove).__contains__, self.members)))
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -109,7 +104,10 @@ class TrafficMatrix:
     Its row sums (`outbound`) and column sums (`inbound`) are computed once,
     with the rates, and are read-only like them.  The rates are stored in
     row-major order, so every column sum adds the rows one by one in order,
-    as the subset sums in this module do; so does the outbound total M."""
+    as the subset sums in this module do; so does the outbound total M.
+    The full set is stored too, as one immutable Subset, with its critical
+    member (the first AS of least inbound) and that critical traffic, which
+    price every full-set design without a new Subset or argmin."""
 
     def __init__(self, rates) -> None:
         arr = np.array(rates, dtype=float, order="C")
@@ -130,6 +128,9 @@ class TrafficMatrix:
         self._inbound = arr.sum(axis=0)
         self._inbound.setflags(write=False)
         self._outbound_total = float(np.add.accumulate(self._outbound)[-1])
+        self._full = Subset.full(arr.shape[0])
+        self._critical_member = int(self._inbound.argmin())
+        self._critical_traffic = float(self._inbound[self._critical_member])
 
     @property
     def rates(self) -> np.ndarray:
@@ -230,14 +231,6 @@ class TrafficMatrix:
                 arr[core, p] = rate
                 arr[p, core] = rate
         return cls(arr)
-
-    # ---- file formats ----------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            for row in self._rates:
-                w.writerow([repr(float(x)) for x in row])
 
 
 def load_matrix_csv(path) -> TrafficMatrix:

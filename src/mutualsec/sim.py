@@ -621,7 +621,7 @@ def _optimal_plan(env: Environment, mon: MonitoringModel, tm: TrafficMatrix
                   ) -> tuple[RatingDesign, BehaviorProfile, str]:
     """The full-set optimum played compliantly, or no-OTC when no IC design
     exists: (design, profile, note)."""
-    result = optimal_design(env, mon, tm, Subset.full(tm.n))
+    result = optimal_design(env, mon, tm)
     if result.feasible:
         return (result.design(), BehaviorProfile.compliant(tm.n),
                 "cost-minimizing IC design")

@@ -8,6 +8,7 @@ variant also requires the viability and social-gain assumption checks to
 pass, which the subset-search guarantees need.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -26,6 +27,21 @@ from mutualsec import (
     optimal_design,
     validate_assumptions,
 )
+
+
+def subset_without(p, remove):
+    """The members of Subset p that are not in `remove`, as a Subset."""
+    drop = set(remove)
+    return Subset(tuple(i for i in p.members if i not in drop))
+
+
+def write_matrix_csv(tm, path):
+    """Write the rates as the header-free CSV that load_matrix_csv reads,
+    each rate in repr form so the round trip is exact."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        for row in tm.rates:
+            w.writerow([repr(float(x)) for x in row])
 
 
 def random_connected_matrix(rng, n, lo=0.5, hi=4.0):
@@ -189,7 +205,7 @@ def reference_deletion_trace(env, mon, tm):
                 "traffic costs strictly more"
             )
             iterations.append(IdIteration(p, nu, crit, False, None, reason))
-        p = p.without(crit)
+        p = subset_without(p, crit)
     chosen = None
     best_j = math.inf
     for i, it in enumerate(iterations):

@@ -18,7 +18,7 @@ from mutualsec import (
 from mutualsec import cli
 from mutualsec.cli import main
 
-from support import REFERENCE_ENV
+from support import REFERENCE_ENV, write_matrix_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -160,7 +160,7 @@ class TestNetworkLoading:
     def test_matrix_file(self, tmp_path, capsys):
         tm = TrafficMatrix.complete(4, 2.0)
         mpath = tmp_path / "m.csv"
-        tm.to_csv(mpath)
+        write_matrix_csv(tm, mpath)
         cfg = reference_config(tmp_path)
         override = json.dumps({"kind": "matrix", "path": str(mpath)})
         code = main(["mct", "--config", cfg, "--set", f"network={override}"])

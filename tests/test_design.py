@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,20 +68,33 @@ class TestMonitoringModel:
     def test_scalar_epsilon_matches_array_path(self):
         # the kernel's plain-float epsilon is bit-identical to np.interp (and
         # to the rational formula) at breakpoints, between them and outside
-        # the table
+        # the table, at +-inf and NaN; the piece starts include the held 0.0
+        # of tables that start after T=0, and the last table's first slope
+        # overflows to -inf
         rng = np.random.default_rng(21)
-        for k in range(60):
-            mon = (MonitoringModel.rational(float(rng.uniform(0.001, 5.0)))
-                   if k % 4 == 0 else random_convex_table(rng))
+        monitors = [MonitoringModel.rational(float(rng.uniform(0.001, 5.0)))
+                    if k % 4 == 0 else random_convex_table(rng)
+                    for k in range(60)]
+        monitors += [MonitoringModel.tabulated(table) for table in (
+            [(1.5, 0.2), (4.0, 0.2)],
+            [(2.0, 0.3), (3.0, 0.3 - 1e-10), (5.0, 0.3 - 1.5e-10)],
+            [(1e-300, 0.4), (1e-299, 0.4), (7.0, 0.4)],
+            [(0.0, 0.5), (2e-323, 0.0), (1.0, 0.0)],
+        )]
+        for mon in monitors:
             t_end = 30.0 if mon._ts is None else float(mon._ts[-1])
             points = list(rng.uniform(-1.0, t_end + 5.0, 200))
-            points += [0.0, 1e-300, t_end, t_end * 2.0]
+            points += [0.0, -0.0, 1e-300, -1e-300, -5.0, t_end, t_end * 2.0,
+                       math.inf, -math.inf, 1e-323]
             if mon._ts is not None:
-                points += mon._ts.tolist()
-                points += [math.nextafter(t, math.inf) for t in mon._ts]
-                points += [math.nextafter(t, -math.inf) for t in mon._ts]
+                starts = [0.0] + mon._ts.tolist()
+                points += starts
+                points += [math.nextafter(t, math.inf) for t in starts]
+                points += [math.nextafter(t, -math.inf) for t in starts]
             for t in points:
                 assert design._epsilon(mon, t) == float(mon.epsilon(t)), t
+            assert math.isnan(design._epsilon(mon, math.nan))
+            assert math.isnan(float(mon.epsilon(math.nan)))
 
     def test_rational_validation(self):
         with pytest.raises(ValueError, match="w0"):
@@ -352,10 +368,35 @@ class TestMinimizeLossFactor:
                 continue
             t_star, g_star = found
             assert t_star == min(max(1.0 / beta, interval.lo), interval.hi)
-            assert g_star == pytest.approx(w0 * math.exp(beta * t_star)
-                                           / t_star, rel=1e-14)
+            assert g_star == w0 * math.exp(beta * t_star) / t_star
             checked += 1
         assert checked > 100
+
+    def test_rounded_t_m_above_inverse_beta(self):
+        # w0 * beta of 5e16 and 6e20: the computed T_m rounds to above 1/beta;
+        # with c on one of these ulps only periods from T_m up fit, so the
+        # optimum is the low edge, not 1/beta
+        for beta, w0, c in (
+                (1.0328861041058042, 5.7925029599558264e+20,
+                 float.fromhex("0x1.73ab4b48d223cp-74")),
+                (0.017673632006554453, 2.927716224484108e+18,
+                 float.fromhex("0x1.064d223966044p-60"))):
+            env = Environment(p_high=0.3, p_low=0.05, c=c, beta=beta)
+            mon = MonitoringModel.rational(w0)
+            interval = feasible_period_interval(env, mon, 1.0)
+            t_star, g_star = minimize_loss_factor(env, mon, 1.0)
+            assert t_star == interval.lo > 1.0 / beta
+            assert g_star == w0 * math.exp(beta * t_star) / t_star
+
+    def test_t_m_is_below_inverse_beta(self):
+        # over the (beta, w0) range above, the computed headroom minimizer
+        # T_m = (2*w0/beta) / (w0 + sqrt(w0**2 + 2*w0/beta)) stays below
+        # 1/beta, so the rational optimum never needs the low edge there
+        for beta in np.geomspace(0.003, 6.0, 120).tolist():
+            for w0 in np.geomspace(0.001, 5.0, 120).tolist():
+                t_m = (2.0 * w0 / beta) / (w0 + math.sqrt(w0 * w0
+                                                          + 2.0 * w0 / beta))
+                assert t_m < 1.0 / beta, (beta, w0)
 
     def test_none_when_infeasible(self):
         env = Environment(p_high=0.3, p_low=0.05, c=5.0, beta=0.2)
@@ -416,6 +457,37 @@ class TestOptimalDesign:
         # non-members stay at the cap price, members get the discount
         full = optimal_design(env, mon, tm)
         assert r.j_star > full.j_star
+
+    def test_full_set_however_given(self):
+        # the full set is priced from the matrix's stored Subset, critical
+        # member and critical traffic: None, Subset.full(n) and a list give
+        # equal results sharing the stored Subset, and on a tied least
+        # inbound (ASs 1 and 3 receive 3.0) the binding AS is the first
+        tm = TrafficMatrix([[0.0, 1.0, 2.0, 1.0],
+                            [2.0, 0.0, 2.0, 1.0],
+                            [2.0, 1.0, 0.0, 1.0],
+                            [1.0, 1.0, 1.0, 0.0]])
+        assert tm.inbound.tolist() == [5.0, 3.0, 5.0, 3.0]
+        env = Environment(p_high=0.3, p_low=0.05, c=0.25, beta=0.2)
+        for mon in (MonitoringModel.rational(0.1), MonitoringModel.tabulated(
+                [(0.0, 0.4), (2.0, 0.2), (4.0, 0.1)])):
+            given = [optimal_design(env, mon, tm, s)
+                     for s in (None, Subset.full(4), list(range(4)))]
+            assert given[0].feasible and given[0].binding_as == 1
+            for r in given:
+                assert dataclasses.astuple(r) == dataclasses.astuple(given[0])
+                assert r.subset is tm._full
+        # the stored values cannot be written: the Subset is frozen over a
+        # tuple, the critical member and traffic are Python scalars read off
+        # the read-only inbound vector
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tm._full.members = (0, 1)
+        assert tm._full.members == (0, 1, 2, 3)
+        assert type(tm._critical_member) is int and tm._critical_member == 1
+        assert type(tm._critical_traffic) is float
+        assert tm._critical_traffic == tm.inbound[1] == 3.0
+        with pytest.raises(ValueError):
+            tm.inbound[1] = 0.0
 
     def test_empty_subset_rejected(self):
         env, mon, tm = reference_instance()
@@ -716,3 +788,99 @@ class TestFdsSufficient:
             held += 1
             assert brute_force_optimal(env, mon, tm).subset == Subset.full(n)
         assert held >= 40 and failed >= 40
+
+
+# ---- design golden ---------------------------------------------------------
+
+GOLDEN = Path(__file__).with_name("design_golden.json")
+
+
+def _golden_cases():
+    """Named (env, monitor, traffic matrix) cases on a seeded grid: four
+    rational monitors and seven tables (three random from T=0, one with
+    epsilon(0) well below 1/2, so lo = 0, one reaching zero error, and two
+    starting after T=0), at three discount rates and six headroom bounds
+    gap * nu / c, two of them at or below the infeasible end."""
+    rng = np.random.default_rng(2113)
+    monitors = {f"rational-{w0}": MonitoringModel.rational(w0)
+                for w0 in (0.004, 0.05, 0.3, 1.7)}
+    for k in range(3):
+        monitors[f"table-random-{k}"] = random_convex_table(rng)
+    monitors["table-sharp"] = MonitoringModel.tabulated(
+        [(0.0, 0.12), (0.5, 0.07), (2.0, 0.03), (6.0, 0.015)])
+    monitors["table-to-zero"] = MonitoringModel.tabulated(
+        [(0.0, 0.45), (10.0, 0.0)])
+    monitors["table-late-flat"] = MonitoringModel.tabulated(
+        [(1.5, 0.2), (4.0, 0.2)])
+    monitors["table-late-drop"] = MonitoringModel.tabulated(
+        [(2.0, 0.3), (3.0, 0.3 - 1e-10), (5.0, 0.3 - 1.5e-10)])
+    matrices = [random_connected_matrix(rng, n) for n in (3, 5, 8)]
+    matrices.append(TrafficMatrix.complete(5, 0.7))
+    k = 0
+    for name, mon in monitors.items():
+        for beta in (0.04, 0.3, 2.0):
+            for bound in (0.95, 1.05, 1.4, 3.0, 12.0, 200.0):
+                tm = matrices[k % len(matrices)]
+                k += 1
+                nu = float(tm.inbound.min())
+                p_low = float(rng.uniform(0.01, 0.1))
+                p_high = float(rng.uniform(0.3, 0.9))
+                env = Environment(
+                    p_high=p_high, p_low=p_low,
+                    c=(p_high - p_low) * nu / (bound * rng.uniform(0.98, 1.02)),
+                    beta=beta * float(rng.uniform(0.9, 1.1)))
+                yield f"{name}/beta={beta}/bound={bound}/n={tm.n}", env, mon, tm
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+def _golden_record(env, mon, tm):
+    """Every float the kernel returns for the case, as float.hex: the full
+    set's interval and loss-factor minimum, and the designs of the full
+    set and of all ASs but the last."""
+    nu = float(tm.inbound.min())
+    interval = feasible_period_interval(env, mon, nu)
+    found = minimize_loss_factor(env, mon, nu)
+    record = {
+        "nu": _hex(nu),
+        "interval": None if interval is None else [_hex(interval.lo),
+                                                   _hex(interval.hi)],
+        "minimize": None if found is None else [_hex(v) for v in found],
+    }
+    for key, subset in (("full", None), ("drop_last", range(tm.n - 1))):
+        r = optimal_design(env, mon, tm, subset)
+        record[key] = [list(r.subset.members), r.feasible,
+                       *(_hex(v) for v in (r.t_star, r.p0_star, r.p1_star,
+                                           r.g_star, r.j_star)),
+                       r.binding_as, r.diagnostic]
+    return record
+
+
+class TestDesignGolden:
+    def test_matches_golden_bits(self):
+        # design_golden.json holds _golden_record of each case as computed
+        # by the kernel before the rational path dropped its low edge, the
+        # full set was priced from stored values and table epsilon was read
+        # off the stored pieces; every float must match to the bit
+        golden = json.loads(GOLDEN.read_text())
+        cases = {name: (env, mon, tm)
+                 for name, env, mon, tm in _golden_cases()}
+        assert cases.keys() == golden.keys()
+        for name, args in cases.items():
+            assert _golden_record(*args) == golden[name], name
+
+    def test_grid_covers_every_kernel_branch(self):
+        golden = json.loads(GOLDEN.read_text()).items()
+        assert len(golden) > 190
+        for kind in ("rational", "table"):
+            rows = [r for name, r in golden if name.startswith(kind)]
+            assert any(r["interval"] is None for r in rows)
+            assert any(r["interval"] is not None for r in rows)
+            assert any(not r["drop_last"][1] for r in rows)
+        tables = [r for name, r in golden if name.startswith("table")]
+        assert any(r["interval"] is not None and r["interval"][0] == "0x0.0p+0"
+                   for r in tables)
+        late = [r for name, r in golden if name.startswith("table-late")]
+        assert any(r["interval"] is not None for r in late)
