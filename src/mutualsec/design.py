@@ -10,9 +10,10 @@ non-deploying senders carries malware at the ambient rate p_high.
 
 A design (T, p0, p1) is incentive compatible (IC) for AS i in P when
 
-    (1 - 2*epsilon(T)) * exp(-beta*T) * (p0 - p1) * nu_i(P) >= c
+    (p0 - p1) * nu_i(P) >= c * h(T),   h(T) = exp(beta*T) / (1 - 2*epsilon(T)),
 
-with nu_i(P) the inbound rate of i from within P.  The binding member is
+with nu_i(P) the inbound rate of i from within P and h the headroom, inf
+where epsilon(T) >= 1/2.  The binding member is
 the one with minimal nu_i(P) (critical traffic nu_crit).  Among IC designs,
 long-run cost is minimized by pushing p1 to p_low, choosing p0 at the IC
 boundary, and picking T to minimize the efficiency loss factor
@@ -34,6 +35,7 @@ enlisting AS i.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -151,6 +153,9 @@ class MonitoringModel:
                 held.insert(0, (0.0, held[0][1]))
             self._pieces = [(t0, t1, e0, (e1 - e0) / (t1 - t0))
                             for (t0, e0), (t1, e1) in zip(held, held[1:])]
+            if not all(math.isfinite(p[3]) for p in self._pieces):
+                raise ValueError("tabulated periods are too close together "
+                                 "for a finite slope")
             self._pieces.append((held[-1][0], math.inf, held[-1][1], 0.0))
             self._starts = [p[0] for p in self._pieces]
             # Slope steps scaled to second differences on an even grid.
@@ -322,9 +327,29 @@ def _epsilon(mon: MonitoringModel, t: float) -> float:
     if j < 0:
         return pieces[0][2]
     t0, _, e0, s = pieces[j]
-    if s == 0.0 or t == t0:  # s*(t - t0) would be NaN at t = inf (on the
-        return e0            # last piece) and at t0 of an overflowed slope
+    if s == 0.0:  # s*(t - t0) would be NaN at t = inf, on the last piece
+        return e0
     return s * (t - t0) + e0
+
+
+def _headroom(env: Environment, mon: MonitoringModel, t: float) -> float:
+    """h(t) = exp(beta*t) / (1 - 2*epsilon(t)) in plain floats, as
+    exp(beta*t) * (1 + 2*w0/t) for the rational family; inf where
+    epsilon >= 1/2 or exp overflows."""
+    try:
+        rise = math.exp(env.beta * t)
+    except OverflowError:
+        return math.inf
+    if mon.kind == "rational":
+        return rise * (1.0 + 2.0 * mon.w0 / t)
+    denom = 1.0 - 2.0 * _epsilon(mon, t)
+    return rise / denom if denom > 0.0 else math.inf
+
+
+def _deters(env: Environment, h: float, spread: float, nu: float) -> bool:
+    """The one-shot deviation constraint spread * nu >= c * h, for headroom
+    h, price spread p0 - p1 and inbound rate nu, with 1e-9 relative slack."""
+    return spread * nu >= env.c * h * (1.0 - 1e-9)
 
 
 def _loss_at(env: Environment, mon: MonitoringModel, t: float) -> float:
@@ -374,32 +399,63 @@ def _tighten(fits, t: float, t_in: float) -> float:
 # ---- operations -----------------------------------------------------------
 
 
-def _rational_edges(env: Environment, w0: float, nu_crit: float):
-    """For the rational monitor w0: None when no period is feasible at
-    nu_crit, else (t_m, low, high), where t_m is the headroom's minimizer
-    and low() and high() find the feasible interval's edges, as
-    feasible_period_interval describes."""
+def _edges(env: Environment, mon: MonitoringModel, nu_crit: float):
+    """None when no period is feasible at nu_crit, else (t_m, edge), where
+    t_m is the headroom's minimizer and edge(1.0) and edge(-1.0) find the
+    feasible interval's low and high edges, as feasible_period_interval
+    describes.  A bound beyond the float range is held at its largest float,
+    where the edges no longer move."""
     bound = env.gap * nu_crit / env.c
+    if bound > sys.float_info.max:
+        bound = sys.float_info.max
     if bound <= 1.0:
         return None
     beta = env.beta
     log_bound = math.log(bound)
-    phi = lambda t: beta * t + math.log1p(2.0 * w0 / t) - log_bound
-    dphi = lambda t: beta - 2.0 * w0 / (t * (t + 2.0 * w0))
-    fits = lambda t: math.exp(beta * t) * (1.0 + 2.0 * w0 / t) <= bound
-    t_m = (2.0 * w0 / beta) / (w0 + math.sqrt(w0 * w0 + 2.0 * w0 / beta))
-    if phi(t_m) > 0.0 or not fits(t_m):
+    t_cap = log_bound / beta
+    fits = lambda t: _headroom(env, mon, t) <= bound
+    if mon.kind == "rational":
+        w0 = mon.w0
+        t_m = (2.0 * w0 / beta) / (w0 + math.sqrt(w0 * w0 + 2.0 * w0 / beta))
+        if beta * t_m + math.log1p(2.0 * w0 / t_m) > log_bound:
+            return None
+        h_m = _headroom(env, mon, t_m)
+    else:
+        # Each piece's candidate lies on the piece, so the candidates
+        # ascend and ties on h go to the smallest.
+        pieces = [p for p in mon._pieces if p[0] < t_cap]
+        h_m, t_m = min((_headroom(env, mon, t), t) for t in (
+            t0 if s >= 0.0 else
+            min(max(t0 + (0.5 + s / beta - e0) / s, t0), t1, t_cap)
+            for t0, t1, e0, s in pieces))
+    if h_m > bound:
         return None
 
-    def low() -> float:
-        t = _newton(phi, dphi, 2.0 * w0 / (bound - 1.0), 1.0)
-        return _tighten(fits, min(t, t_m), t_m)
+    def edge(direction: float) -> float:
+        low = direction > 0.0
+        if mon.kind == "rational":
+            phi = lambda t: beta * t + math.log1p(2.0 * w0 / t) - log_bound
+            dphi = lambda t: beta - 2.0 * w0 / (t * (t + 2.0 * w0))
+            t = 2.0 * w0 / (bound - 1.0) if low else t_cap
+        elif fits(t_cap * 1e-15 if low else t_cap):
+            return 0.0 if low else t_cap
+        else:
+            if low:
+                t0, t1, e0, s = next(p for p in pieces
+                                     if fits(min(p[1], t_m)))
+                t = min(t0 if s >= 0.0 else
+                        max(t0 + (0.5 - 0.5 / bound - e0) / s, t0), t_m)
+            else:
+                t0, t1, e0, s = next(p for p in pieces if p[1] >= t_cap
+                                     or not fits(max(p[1], t_m)))
+                t = min(t1, t_cap)
+            phi = lambda t: (beta * t - math.log1p(-2.0 * (e0 + s * (t - t0)))
+                             - log_bound)
+            dphi = lambda t: beta + 2.0 * s / (1.0 - 2.0 * (e0 + s * (t - t0)))
+        t = _newton(phi, dphi, t, direction)
+        return _tighten(fits, min(t, t_m) if low else max(t, t_m), t_m)
 
-    def high() -> float:
-        t = _newton(phi, dphi, log_bound / beta, -1.0)
-        return _tighten(fits, max(t, t_m), t_m)
-
-    return t_m, low, high
+    return t_m, edge
 
 
 def feasible_period_interval(
@@ -428,49 +484,11 @@ def feasible_period_interval(
     (for the low edge no lower than where 1 - 2*epsilon = 1/bound), stepped
     inward as above.  lo is 0.0 when h(T) fits as T -> 0, and hi is
     log(bound)/beta when h fits there."""
-    if mon.kind == "rational":
-        found = _rational_edges(env, mon.w0, nu_crit)
-        if found is None:
-            return None
-        _, low, high = found
-        return PeriodInterval(low(), high())
-    bound = env.gap * nu_crit / env.c
-    if bound <= 1.0:
+    found = _edges(env, mon, nu_crit)
+    if found is None:
         return None
-    beta = env.beta
-    log_bound = math.log(bound)
-    t_cap = log_bound / beta
-
-    def h(t: float) -> float:
-        denom = 1.0 - 2.0 * _epsilon(mon, t)
-        return math.exp(beta * t) / denom if denom > 0.0 else math.inf
-
-    fits = lambda t: h(t) <= bound
-
-    def edge(piece, direction: float) -> float:
-        t0, t1, e0, s = piece
-        eps = lambda t: e0 + s * (t - t0)
-        psi = lambda t: beta * t - math.log1p(-2.0 * eps(t)) - log_bound
-        dpsi = lambda t: beta + 2.0 * s / (1.0 - 2.0 * eps(t))
-        if direction < 0.0:
-            t = min(t1, t_cap)
-        else:
-            t = min(t0 if s >= 0.0 else
-                    max(t0 + (0.5 - 0.5 / bound - e0) / s, t0), t_m)
-        return _tighten(fits, _newton(psi, dpsi, t, direction), t_m)
-
-    pieces = [p for p in mon._pieces if p[0] < t_cap]
-    t_m = min((t0 if s >= 0.0 else
-               min(max(t0 + (0.5 + s / beta - e0) / s, t0), t1, t_cap)
-               for t0, t1, e0, s in pieces), key=h)
-    if not fits(t_m):
-        return None
-    lo = 0.0 if fits(t_cap * 1e-15) else edge(
-        next(p for p in pieces if fits(min(p[1], t_m))), 1.0)
-    hi = t_cap if fits(t_cap) else edge(
-        next(p for p in pieces if p[1] >= t_cap or not fits(max(p[1], t_m))),
-        -1.0)
-    return PeriodInterval(lo, hi)
+    _, edge = found
+    return PeriodInterval(edge(1.0), edge(-1.0))
 
 
 def minimize_loss_factor(
@@ -494,14 +512,14 @@ def minimize_loss_factor(
     at least hi * 1e-12), the breakpoints inside and those stationary
     points, ties going to the smaller T."""
     if mon.kind == "rational":
-        found = _rational_edges(env, mon.w0, nu_crit)
+        found = _edges(env, mon, nu_crit)
         if found is None:
             return None
-        t_m, low, high = found
+        t_m, edge = found
         t_star = 1.0 / env.beta
         if t_star < t_m:
-            t_star = max(t_star, low())
-        t_star = min(t_star, high())
+            t_star = max(t_star, edge(1.0))
+        t_star = min(t_star, edge(-1.0))
         return t_star, mon.w0 * math.exp(env.beta * t_star) / t_star
     interval = feasible_period_interval(env, mon, nu_crit)
     if interval is None:
@@ -539,12 +557,8 @@ def ic_check(design: RatingDesign, env: Environment, mon: MonitoringModel,
     _check_as_index(i, tm.n)
     if i not in design.subset:
         return True
-    nu_i = inbound_within(tm, design.subset, i)
-    eps = _epsilon(mon, design.T)
-    lhs = (1.0 - 2.0 * eps) * math.exp(-env.beta * design.T) * (
-        design.p0 - design.p1
-    ) * nu_i
-    return lhs >= env.c * (1.0 - 1e-9)
+    return _deters(env, _headroom(env, mon, design.T), design.p0 - design.p1,
+                   inbound_within(tm, design.subset, i))
 
 
 def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
@@ -552,7 +566,8 @@ def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
     """Cost-minimizing IC design for the given deployment set (default all).
 
     Feasible results bind the IC constraint at the critical member:
-    p1* = p_low and p0* sits exactly at the one-shot-deviation boundary.
+    p1* = p_low and p0* = p_low + c*h(T*)/nu_crit sits at the one-shot
+    deviation boundary, one ulp above it where rounding would put it below.
     The full set, however it is given, is priced from the matrix's stored
     Subset, critical member and critical traffic."""
     p = tm._full if subset is None else _as_subset(tm, subset)
@@ -581,9 +596,10 @@ def optimal_design(env: Environment, mon: MonitoringModel, tm: TrafficMatrix,
             "satisfy the one-shot deviation constraint at this critical traffic",
         )
     t_star, g_star = found
-    eps = _epsilon(mon, t_star)
-    p0 = math.exp(env.beta * t_star) * env.c / ((1.0 - 2.0 * eps) * nu_crit) + env.p_low
-    p0 = min(p0, env.p_high)
+    h = _headroom(env, mon, t_star)
+    p0 = min(env.p_low + h * env.c / nu_crit, env.p_high)
+    if not _deters(env, h, p0 - env.p_low, nu_crit):
+        p0 = min(math.nextafter(p0, math.inf), env.p_high)
     j = _set_cost(env, tm, env.p_low + g_star * env.c / nu_crit,
                   _outbound_within(tm, idx), size)
     return DesignResult(p, True, t_star, p0, env.p_low, g_star, j, binding)

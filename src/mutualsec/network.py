@@ -123,11 +123,17 @@ class TrafficMatrix:
             raise ValueError("traffic matrix diagonal must be zero")
         arr.setflags(write=False)
         self._rates = arr
-        self._outbound = arr.sum(axis=1)
+        with np.errstate(over="ignore"):
+            self._outbound = arr.sum(axis=1)
+            self._inbound = arr.sum(axis=0)
+            self._outbound_total = float(np.add.accumulate(self._outbound)[-1])
+        # Every subset's sums are at most these, so finite totals keep every
+        # traffic quantity finite.
+        if not (math.isfinite(self._outbound_total)
+                and np.all(np.isfinite(self._inbound))):
+            raise ValueError("traffic totals must be finite")
         self._outbound.setflags(write=False)
-        self._inbound = arr.sum(axis=0)
         self._inbound.setflags(write=False)
-        self._outbound_total = float(np.add.accumulate(self._outbound)[-1])
         self._full = Subset.full(arr.shape[0])
         self._critical_member = int(self._inbound.argmin())
         self._critical_traffic = float(self._inbound[self._critical_member])

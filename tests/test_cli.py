@@ -62,6 +62,21 @@ class TestDesignCommand:
         assert out["j_first_best"] == pytest.approx(5.2)
         assert out["assumptions"]["monitor"]["passed"]
 
+    def test_error_rounding_to_one_half(self, tmp_path, capsys):
+        # w0/(T + 2*w0) rounds to 1/2 at T*, so a p0 priced with 1 - 2*eps
+        # divided by zero; the headroom exp(beta*T) * (1 + 2*w0/T) does not
+        cfg = write_config(tmp_path, {
+            "environment": {"p_high": 0.3, "p_low": 0.05,
+                            "c": 7.685937207009908e-23,
+                            "beta": 1.0328861041058042},
+            "monitoring": {"kind": "rational", "w0": 5.7925029599558264e+20},
+            "network": {"kind": "complete", "n": 2, "rate": 1.0},
+        })
+        assert main(["design", "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["t_star"] == pytest.approx(0.968, abs=5e-4)
+        assert out["p0_star"] == 0.29999999999999993
+
     def test_out_file(self, tmp_path):
         cfg = reference_config(tmp_path)
         out = tmp_path / "result.json"
@@ -86,6 +101,15 @@ class TestDesignCommand:
             ("design", 'monitoring={"kind": "tabulated", '
              '"points": [[1, 0.3], [2, 0.1], [3, 0.05]]}',
              "monitoring: tabulated errors must be convex"),
+            ("design", 'monitoring={"kind": "tabulated", '
+             '"points": [[0, 0.5], [2e-323, 0.0], [1, 0.0]]}',
+             "monitoring: tabulated periods are too close together"),
+            ("design", 'network={"kind": "complete", "n": 3, "rate": 1e308}',
+             "network: traffic totals must be finite"),
+            ("mct", 'network={"kind": "complete", "n": 3, "rate": 1e308}',
+             "network: traffic totals must be finite"),
+            ("id", 'network={"kind": "complete", "n": 3, "rate": 1e308}',
+             "network: traffic totals must be finite"),
             ("simulate", 'simulate={"design": {"T": NaN, "p0": 0.2, '
              '"p1": 0.05}}', "simulate.design: T must be finite"),
             ("sweep", 'sweep={"parameters": {"w0": [0.1, NaN]}}',

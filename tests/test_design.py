@@ -69,8 +69,7 @@ class TestMonitoringModel:
         # the kernel's plain-float epsilon is bit-identical to np.interp (and
         # to the rational formula) at breakpoints, between them and outside
         # the table, at +-inf and NaN; the piece starts include the held 0.0
-        # of tables that start after T=0, and the last table's first slope
-        # overflows to -inf
+        # of tables that start after T=0
         rng = np.random.default_rng(21)
         monitors = [MonitoringModel.rational(float(rng.uniform(0.001, 5.0)))
                     if k % 4 == 0 else random_convex_table(rng)
@@ -79,7 +78,6 @@ class TestMonitoringModel:
             [(1.5, 0.2), (4.0, 0.2)],
             [(2.0, 0.3), (3.0, 0.3 - 1e-10), (5.0, 0.3 - 1.5e-10)],
             [(1e-300, 0.4), (1e-299, 0.4), (7.0, 0.4)],
-            [(0.0, 0.5), (2e-323, 0.0), (1.0, 0.0)],
         )]
         for mon in monitors:
             t_end = 30.0 if mon._ts is None else float(mon._ts[-1])
@@ -115,6 +113,9 @@ class TestMonitoringModel:
             MonitoringModel.tabulated([(0.0, 0.2), (1.0, 0.3)])
         with pytest.raises(ValueError, match="0.5"):
             MonitoringModel.tabulated([(0.0, 0.7), (1.0, 0.3)])
+        # the first slope overflows to -inf
+        with pytest.raises(ValueError, match="finite slope"):
+            MonitoringModel.tabulated([(0.0, 0.5), (2e-323, 0.0), (1.0, 0.0)])
         with pytest.raises(ValueError, match="convex"):
             MonitoringModel.tabulated(
                 [(0.0, 0.4), (1.0, 0.39), (2.0, 0.2)])
@@ -440,6 +441,43 @@ class TestOptimalDesign:
             else:
                 assert lhs >= env.c * (1 - 1e-8)
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_c=st.floats(-300.0, 0.0),
+           tabulated=st.booleans(), log_w0=st.floats(-3.0, 21.0),
+           log_rate=st.floats(-3.0, 10.0), beta=st.floats(0.01, 2.0))
+    def test_feasible_designs_pass_ic_check(self, seed, log_c, tabulated,
+                                            log_w0, log_rate, beta):
+        # p0 - p_low can round below the boundary c*h(T*)/nu when c is tiny
+        # against p_low, and gap*nu/c can overflow; neither may yield a
+        # design that fails the deviation test or has no finite period
+        rng = np.random.default_rng(seed)
+        env = Environment(p_high=float(rng.uniform(0.3, 0.9)),
+                          p_low=float(rng.uniform(0.0, 0.1)),
+                          c=10.0 ** log_c, beta=beta)
+        mon = (random_convex_table(rng) if tabulated
+               else MonitoringModel.rational(10.0 ** log_w0))
+        rate = 10.0 ** log_rate
+        tm = random_connected_matrix(rng, int(rng.integers(2, 7)),
+                                     lo=0.1 * rate, hi=rate)
+        r = optimal_design(env, mon, tm)
+        if r.feasible:
+            assert math.isfinite(r.t_star)
+            assert env.p_low == r.p1_star <= r.p0_star <= env.p_high
+            assert ic_check(r.design(), env, mon, tm, r.binding_as)
+
+    def test_bound_beyond_float_range(self):
+        # gap*nu/c overflows at c = 1e-300; the bound is held at the largest
+        # float, where the edges no longer move, so the design is the one
+        # at c = 1e-290 (the table's used to come out at T* = inf, the
+        # rational's at T* = 0.905 instead of 1/beta)
+        tm = TrafficMatrix.complete(3, 1e10)
+        for mon in (MonitoringModel.rational(0.1),
+                    MonitoringModel.tabulated([(0.0, 0.4), (1.0, 0.1)])):
+            tiny, small = (optimal_design(Environment(0.3, 0.05, c, 0.2),
+                                          mon, tm) for c in (1e-300, 1e-290))
+            assert math.isfinite(tiny.t_star)
+            assert dataclasses.astuple(tiny) == dataclasses.astuple(small)
+
     def test_price_bounds_respected(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -536,6 +574,17 @@ class TestSecurityCost:
         with pytest.raises(ValueError):
             security_cost(bad, env, mon, tm)
 
+    def test_optimal_design_at_a_tiny_cost_is_ic(self):
+        # p_low + c*h(T*)/nu rounds to a p0 below the boundary here; it is
+        # stepped up one ulp, so every member passes
+        env = Environment(p_high=0.3, p_low=0.05, c=3e-10, beta=0.2)
+        mon, tm = MonitoringModel.rational(0.1), TrafficMatrix.complete(8, 1.0)
+        r = optimal_design(env, mon, tm)
+        assert r.p0_star == math.nextafter(env.p_low + design._headroom(
+            env, mon, r.t_star) * env.c / 7.0, 1.0)
+        assert security_cost(r.design(), env, mon, tm) == pytest.approx(
+            r.j_star, rel=1e-12)
+
     def test_not_ic_raises_with_violators(self):
         env, mon, tm = reference_instance()
         r = optimal_design(env, mon, tm)
@@ -589,6 +638,14 @@ class TestIcCheck:
         d = RatingDesign(5.0, env.p_high, env.p_low, Subset.full(8))
         with pytest.raises(ValueError, match="integer"):
             ic_check(d, env, mon, tm, i)
+
+    def test_overflowing_headroom_fails(self):
+        # exp(beta*T) overflows at T = 1e4: no price spread deters
+        env, mon, tm = reference_instance()
+        for mon in (mon, MonitoringModel.tabulated([(0.0, 0.4), (1.0, 0.1)])):
+            d = RatingDesign(1e4, env.p_high, env.p_low, Subset.full(8))
+            assert design._headroom(env, mon, d.T) == math.inf
+            assert not ic_check(d, env, mon, tm, 0)
 
     def test_numpy_index(self):
         env, mon, tm = reference_instance()
@@ -863,7 +920,8 @@ class TestDesignGolden:
         # design_golden.json holds _golden_record of each case as computed
         # by the kernel before the rational path dropped its low edge, the
         # full set was priced from stored values and table epsilon was read
-        # off the stored pieces; every float must match to the bit
+        # off the stored pieces; p0_star since it is priced from the shared
+        # headroom h(T*); every float must match to the bit
         golden = json.loads(GOLDEN.read_text())
         cases = {name: (env, mon, tm)
                  for name, env, mon, tm in _golden_cases()}

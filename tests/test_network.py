@@ -87,6 +87,11 @@ class TestTrafficMatrix:
         bad[0, 1] = np.inf
         with pytest.raises(ValueError):
             TrafficMatrix(bad)
+        # finite rates whose row sums, or only whose total, overflow
+        with pytest.raises(ValueError, match="totals must be finite"):
+            TrafficMatrix.complete(3, 1e308)
+        with pytest.raises(ValueError, match="totals must be finite"):
+            TrafficMatrix(np.roll(np.eye(3), 1, axis=1) * 1e308)
 
     def test_rates_are_read_only(self):
         tm = TrafficMatrix.complete(3, 1.0)
