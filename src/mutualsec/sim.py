@@ -24,20 +24,14 @@ late, hence the discount).
 
 Runs are streamed in fixed-size blocks of periods whose cost rows are added
 to running totals, so memory does not grow with the horizon except for the
-time-series columns, which hold one value per period when requested.  The
-blocks' draws continue one random stream, so a seed gives the same path as
-a single whole-horizon draw; only the summation order of the float totals
-depends on the blocking.  Compared with the earlier whole-horizon
-simulator, those totals agree to about 1e-12 relative.
+time-series columns, which hold one value per period when requested.
 
-Two shortcuts keep the blocks cheap without changing a result.  The
-discounted sums stop at the first weight delta ** t that is exactly 0.0
-(about 745 / (beta*T) periods in), also within a block: every later period
-adds exactly 0.0, so its weight is left 0.0 uncomputed and, from the next
-block on, neither weights nor products are formed.  And each path writes
-its period-t cost row as lo + step * x[t], with lo and step fixed for the
-run, so a block is booked from the plain and discounted column sums of x
-and no path builds a per-period cost matrix:
+Three shortcuts keep runs cheap.  The discounted sums stop at the first
+weight delta ** t that is exactly 0.0 (about 745 / (beta*T) periods in),
+also within a block: that weight and later ones are left 0.0 uncomputed.
+Each path writes its period-t cost row as lo + step * x[t], with lo and
+step fixed for the run, so a block is booked from the plain and discounted
+column sums of x and no path builds a per-period cost matrix:
 
 - rating: x holds the ratings (1.0 high, 0.0 low), between the rated-low
   and rated-high cost rows, since under steady actions an AS's cost is one
@@ -51,8 +45,16 @@ and no path builds a per-period cost matrix:
   partner punishes) and saves one that does not as much (the partner
   does not).
 
-Each run draws into one reused buffer, and the 0/1 signals or
-observations overwrite their draws in place.
+And from the first period whose weight is surely 0.0 (for ratings, also
+past every one-shot deviation), the totals depend only on how often each
+0/1 entry is 1, not on when.  Those periods are drawn as one binomial
+count per AS (ratings) or per link (tit-for-tat), or as a geometric wait
+for the trigger, plus one ordinary draw of the last period, which sets the
+final state.  The periods before, the live prefix, are drawn one by one
+into one reused buffer, so the discounted utilities are those of a
+whole-horizon draw to about 1e-12 relative (the summation order depends on
+the blocking).  A time series spreads each count over distinct periods
+drawn by a child of the seed, so it changes no other field.
 """
 
 from __future__ import annotations
@@ -276,10 +278,12 @@ class _Ledger:
     slowest part to compute); should the weight at `zero` not be 0.0 after
     all, the rest are computed too.  After a block whose last weight is
     0.0, neither weights nor products are computed.  Weights that are
-    merely subnormal are still used."""
+    merely subnormal are still used.  Periods whose weights are all surely
+    0.0 can be booked from x's column sums alone (`tail`).  A time series is
+    kept when `spread`, the generator that places such sums, is given."""
 
     def __init__(self, n: int, horizon: int, T: float, delta: float,
-                 want_ts: bool) -> None:
+                 spread: np.random.Generator | None) -> None:
         self.T = T
         self.delta = delta
         # delta ** t rounds to 0.0 once t * -log(delta) passes
@@ -295,7 +299,8 @@ class _Ledger:
         self.high = np.zeros(n)
         self.weighted = True  # some weight from here on may be nonzero
         self.ts = None
-        if want_ts:
+        self.spread = spread
+        if spread is not None:
             self.ts = {
                 "period": np.arange(horizon),
                 "total_cost": np.empty(horizon),
@@ -332,6 +337,35 @@ class _Ledger:
             if ratings is not None:
                 self.ts["mean_rating"][start:stop] = ratings.mean(axis=1)
 
+    def tail(self, start: int, stop: int, count: np.ndarray | float,
+             lo: np.ndarray, step: np.ndarray | float, columns=None,
+             ratings: bool = False) -> None:
+        """Book periods start, ..., stop - 1, whose weights are surely 0.0,
+        from x's column sums `count` alone (also as high ratings).  For a
+        time series, columns = (ones, adds): the 1s of each column of some
+        0/1 array fall on distinct periods drawn without replacement (or,
+        where they are more than half, its 0s do), column by column in C
+        order, each 1 adding its column's `adds` entry to the period's cost
+        (and, with `ratings`, 1/len(lo) to its mean rating)."""
+        self.cost += (stop - start) * lo + step * count
+        self.high += count
+        if self.ts is None or columns is None:
+            return
+        m = stop - start
+        cost, hits = np.zeros((2, m))
+        for c, w in zip(*(np.ravel(a).tolist() for a in columns)):
+            c, sign = int(c), 1.0
+            if 2 * c > m:  # set every period, then draw the 0s
+                cost += w
+                hits += 1.0
+                c, sign = m - c, -1.0
+            at = self.spread.choice(m, c, replace=False)
+            cost[at] += sign * w
+            hits[at] += sign
+        self.ts["total_cost"][start:stop] = (np.sum(lo) + cost) / self.T
+        if ratings:
+            self.ts["mean_rating"][start:stop] = hits / len(lo)
+
 
 def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
              mon: MonitoringModel, tm: TrafficMatrix, horizon: int, seed: int,
@@ -353,7 +387,10 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
         raise ValueError("monitoring error must lie in [0, 1/2]")
     T = design.T
     rng = np.random.default_rng(seed)
-    ledger = _Ledger(n, horizon, T, math.exp(-env.beta * T), time_series)
+    # A time series places tail counts from a child of the seed, leaving
+    # the main stream, and so every other field, as it is.
+    ledger = _Ledger(n, horizon, T, math.exp(-env.beta * T),
+                     rng.spawn(1)[0] if time_series else None)
     kinds = set(profile.kinds())
     if kinds == {"tit-for-tat"}:
         # Skip the (horizon, n) signal draws the other paths make first, so
@@ -376,6 +413,36 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
         time_series=ledger.ts,
         **fields,
     )
+
+
+def _stream(ledger, live, horizon, first, draw, book, tail):
+    """Run a path whose period t reads a 0/1 array drawn in period t - 1
+    (`first` in period 0).  The arrays of periods before `live` are drawn
+    in blocks into one reused buffer by draw(out, start), and periods
+    through `live` booked by book(start, arrays); the buffer is then
+    released.  Past `live`, tail(start, stop) books every period but the
+    last from counts, and the last reads one more draw.  Returns the array
+    read in the last period."""
+    buf = np.empty((_block_length(live, first.size) + 1, *first.shape))
+    buf[0] = first
+    b = 0
+    for start, stop in _blocks(live, first.size):
+        buf[0] = buf[b]
+        b = stop - start
+        draw(buf[1:b + 1], start)
+        book(start, buf[:b])
+    # the arrays read in periods live - 1 and live
+    final, read = buf[b - 1:b + 1, None].copy()
+    del buf
+    if live < horizon:
+        book(live, read)
+        final = read
+    if live + 1 < horizon:
+        tail(live + 1, horizon - 1)
+        final = draw(np.empty((1, *first.shape)), horizon - 2)
+        book(horizon - 1, final)
+    return final[0]
+
 
 def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
     n = tm.n
@@ -407,36 +474,48 @@ def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
     # rated high, or rated low.
     hi, lo = cost_rows(np.array([steady, steady]), np.array([[True], [False]]))
     deviators = np.flatnonzero(steady != rec)
-    # Signals (1.0 high, 0.0 low) overwrite their draws in one buffer;
-    # row 0 holds the previous period's signal, which is the block's first
-    # rating.  Ratings start high.
-    signals = np.ones((_block_length(horizon, n) + 1, n))
-    b = 0
-    for start, stop in _blocks(horizon, n):
-        signals[0] = signals[b]
-        b = stop - start
-        new = rng.random(out=signals[1:b + 1])
-        np.less(new, 1.0 - eps, out=new)
-        # the signal of an AS that steadily deviates reads high on an error
-        new[:, deviators] = 1.0 - new[:, deviators]
-        ratings = signals[:b]
-        shots = shot_periods[bisect_left(shot_periods, start):
-                             bisect_left(shot_periods, stop)]
+
+    def shots_in(start, stop):
+        return shot_periods[bisect_left(shot_periods, start):
+                            bisect_left(shot_periods, stop)]
+
+    def draw(out, start):
+        """Signals (1.0 high, 0.0 low); a deviating AS's reads high on an
+        error."""
+        np.less(rng.random(out=out), 1.0 - eps, out=out)
+        out[:, deviators] = 1.0 - out[:, deviators]
+        for t in shots_in(start, start + len(out)):
+            out[t - start] = out[t - start] != flips[t]
+        return out
+
+    def book(start, ratings):
+        shots = shots_in(start, start + len(ratings))
         if not shots:
             ledger.add(start, ratings, lo, hi - lo, ratings)
-            continue
-        # A one-shot deviation flips its ASs' actions, hence their signals;
-        # only these periods' costs leave the two rows.
+            return
+        # A one-shot deviation flips its ASs' actions (and signals); only
+        # these periods' costs leave the two rows.
         rows = np.array(shots) - start
-        flip = np.array([flips[t] for t in shots])
-        new[rows] = new[rows] != flip
         cost = np.where(ratings, hi, lo)
-        cost[rows] = cost_rows(steady ^ flip, ratings[rows])
+        cost[rows] = cost_rows(steady ^ np.array([flips[t] for t in shots]),
+                               ratings[rows])
         ledger.add(start, cost, ratings=ratings)
+
+    def tail(start, stop):
+        # only the number of high ratings counts: one binomial per AS
+        high = rng.binomial(stop - start, 1.0 - eps, n).astype(float)
+        high[deviators] = stop - start - high[deviators]
+        ledger.tail(start, stop, high, lo, hi - lo, (high, hi - lo),
+                    ratings=True)
+
+    # Ratings start high.  Signals are drawn one by one up to the first
+    # surely-zero weight, and past every one-shot deviation.
+    live = min(horizon, max([ledger.zero] + [t + 2 for t in shot_periods]))
+    final = _stream(ledger, live, horizon, np.ones(n), draw, book, tail)
     return {
         "rating_high_fraction": tuple(float(x) for x in ledger.high / horizon),
         "punishment_fraction": None,
-        "final_state": SimState(horizon, tuple(int(r) for r in ratings[-1]),
+        "final_state": SimState(horizon, tuple(int(r) for r in final),
                                 tft_grudges=None, trigger_fired=False),
         "meta": {"mode": "rating", "profile": list(profile.kinds()),
                  "design": {"T": design.T, "p0": design.p0, "p1": design.p1,
@@ -454,9 +533,10 @@ def _simulate_trigger(design, env, tm, horizon, eps, rng, ledger):
                 + env.p_high * (inbound - deployed_in)
                 + rec * env.c) * design.T
     post_cost = env.p_high * inbound * design.T
-    u = np.empty((_block_length(horizon, n), n))
+    live = min(horizon, ledger.zero)  # periods drawn one by one
+    u = np.empty((_block_length(live, n), n))
     first_bad = horizon  # first period with a "deviate" signal, if any
-    for start, stop in _blocks(horizon, n):
+    for start, stop in _blocks(live, n):
         if first_bad == horizon:
             # Everyone complies until it fires; after that nothing is drawn.
             drawn = rng.random(out=u[:stop - start])
@@ -465,8 +545,19 @@ def _simulate_trigger(design, env, tm, horizon, eps, rng, ledger):
                 first_bad = start + int(np.argmax(bad))
         fired = np.arange(start, stop) > first_bad
         ledger.add(start, fired[:, None], pre_cost, post_cost - pre_cost)
-        if ledger.ts is not None:
-            ledger.ts["trigger_fired"][start:stop] = fired
+    if live < horizon:
+        # Each later period fires with probability q, so the wait for the
+        # first one that does is geometric, drawn as one number.
+        q = -math.expm1(n * math.log1p(-eps))
+        if first_bad == horizon and q > 0.0:
+            first_bad = min(horizon, live - 1 + int(rng.geometric(q)))
+        ledger.tail(live, horizon, max(0, horizon - max(live, first_bad + 1)),
+                    pre_cost, post_cost - pre_cost)
+    if ledger.ts is not None:
+        fired = np.arange(horizon) > first_bad
+        ledger.ts["trigger_fired"][:] = fired
+        ledger.ts["total_cost"][live:] = np.where(
+            fired[live:], post_cost.sum(), pre_cost.sum()) / design.T
     return {
         "rating_high_fraction": None,
         "punishment_fraction": max(0, horizon - 1 - first_bad) / horizon,
@@ -511,24 +602,30 @@ def _simulate_tft(design, env, tm, horizon, eps, rng, ledger):
     # or its absence on one into an AS that does not.
     sign = np.where(observable, np.where(deviates, -1.0, 1.0), 0.0).ravel()
     grudge_count = horizon * np.count_nonzero(observable & deviates)
-    size = _block_length(horizon, n * n)
-    # The low flags (1.0 or 0.0) overwrite their draws in one buffer; row 0
-    # holds the previous period's, which set the block's first grudges.
-    # Before period 0 it holds `deviates`, which reads "deviate" nowhere.
-    low = np.empty((size + 1, n, n))
-    low[0] = deviates
-    s = np.empty((size, n))
-    b = 0
-    for start, stop in _blocks(horizon, n * n):
-        low[0] = low[b]
-        b = stop - start
-        new = low[1:b + 1]
-        np.less(rng.random(out=new), eps, out=new)
-        lagged = low[:b]
-        np.einsum("tji,ji->ti", lagged, held, out=s[:b])
-        grudge_count += (lagged.reshape(b, n * n) @ sign).sum()
-        ledger.add(start, s[:b], lo, step)
-    final = (deviates ^ (low[b - 1] != 0.0)) & observable
+
+    def draw(out, start):
+        """Low flags (1.0 or 0.0): the observations that are wrong."""
+        return np.less(rng.random(out=out), eps, out=out)
+
+    def book(start, lagged):
+        nonlocal grudge_count
+        grudge_count += (lagged.reshape(len(lagged), n * n) @ sign).sum()
+        ledger.add(start, np.einsum("tji,ji->ti", lagged, held), lo, step)
+
+    def tail(start, stop):
+        # only how often each link's observation was wrong counts: one
+        # binomial per link
+        nonlocal grudge_count
+        wrong = rng.binomial(stop - start, eps, (n, n))
+        ledger.tail(start, stop, (held * wrong).sum(axis=0), lo, step,
+                    (wrong, held * step))
+        grudge_count += wrong.ravel() @ sign
+
+    # Before period 0 the flags read `deviates`, which is "deviate" nowhere.
+    first = np.broadcast_to(deviates, (n, n))
+    final = _stream(ledger, min(horizon, ledger.zero), horizon, first, draw,
+                    book, tail)
+    final = (deviates ^ (final != 0.0)) & observable
     grudges = tuple(map(tuple, np.argwhere(final).tolist()))
     return {
         "rating_high_fraction": None,

@@ -237,6 +237,53 @@ def reference_brute_force(env, mon, tm, *, cap=16):
     return StrategyResult(best.subset, best, evaluations)
 
 
+def live_periods(env, T, horizon, after=()):
+    """Periods a run draws one by one: up to the first period from which
+    every discount weight delta ** t surely underflows,
+    ceil(1075 ln 2 / -ln delta) + 1 (1 for delta = 0, the horizon for
+    delta = 1), and through the period after each period in `after`; at
+    most the horizon."""
+    delta = math.exp(-env.beta * T)
+    if delta == 0.0:
+        zero = 1
+    elif delta == 1.0:
+        zero = horizon
+    else:
+        zero = math.ceil(1075 * math.log(2.0) / -math.log(delta)) + 1
+    return min(horizon, max([zero, *(t + 2 for t in after)]))
+
+
+def _drawn_flags(rng, seed, live, horizon, p, flip):
+    """The 0/1 flags of periods 0, ..., horizon - 2, each entry's flag
+    being "its draw is below p" xor its `flip` entry (flip has one row per
+    period and is steady past the first `live` periods), as a bool array
+    whose row horizon - 1 is False.  Stream order: one uniform draw of the
+    first `live` periods' rows, then, for a longer horizon, one binomial
+    count per entry of the periods between and one uniform draw of the last
+    row.  An entry's count of 1s (m minus its binomial count where flipped)
+    falls on distinct periods drawn without replacement (its 0s do, where
+    the 1s are more than half), entry by entry in C order, by the first
+    child of the seed's SeedSequence."""
+    shape = flip.shape[1:]
+    flags = np.zeros(flip.shape, dtype=bool)
+    flags[:live] = (rng.random((live, *shape)) < p) ^ flip[:live]
+    if live + 1 < horizon:
+        m = horizon - live - 2
+        ones = rng.binomial(m, p, shape)
+        flags[horizon - 2] = (rng.random(shape) < p) ^ flip[horizon - 2]
+        ones = np.where(flip[live], m - ones, ones)
+        spread = np.random.default_rng(
+            np.random.SeedSequence(seed).spawn(1)[0])
+        middle = flags[live:horizon - 2].reshape(m, ones.size)
+        for k, c in enumerate(ones.ravel().tolist()):
+            if 2 * c > m:
+                middle[:, k] = True
+                middle[spread.choice(m, m - c, replace=False), k] = False
+            else:
+                middle[spread.choice(m, c, replace=False), k] = True
+    return flags
+
+
 def _whole_horizon_fields(env, T, horizon, seed, cost):
     """Report fields of a whole-horizon run from its (horizon, n) cost
     matrix, with every discount weight delta ** t."""
@@ -257,14 +304,16 @@ def _whole_horizon_fields(env, T, horizon, seed, cost):
 
 def whole_horizon_rating_run(design, profile, env, mon, tm, horizon, seed):
     """The rating path of `simulate` from scratch, with whole-horizon
-    arrays: one (horizon, n) signal draw, the full cost matrix by the
-    general formula and every discount weight delta ** t.  Returns the
-    report's fields (and time-series columns) as plain values."""
+    arrays: the signals of every period in the stream order of
+    `_drawn_flags`, the full cost matrix by the general formula and every
+    discount weight delta ** t.  Returns the report's fields (and
+    time-series columns) as plain values."""
     n, T = tm.n, design.T
     eps = float(mon.epsilon(T))
     rec = np.zeros(n, dtype=bool)
     rec[list(design.subset.members)] = True
     actions = np.tile(rec, (horizon, 1))
+    shots = []
     for i, b in enumerate(profile.behaviors):
         if b.kind == "persistent-deviator":
             actions[:, i] = ~rec[i]
@@ -274,8 +323,10 @@ def whole_horizon_rating_run(design, profile, env, mon, tm, horizon, seed):
             actions[:, i] = True
         elif b.kind == "one-shot-deviator" and b.at_period < horizon:
             actions[b.at_period, i] = ~rec[i]
-    u = np.random.default_rng(seed).random((horizon, n))
-    signal_high = (u < 1.0 - eps) == (actions == rec)
+            shots.append(b.at_period)
+    live = live_periods(env, T, horizon, shots)
+    signal_high = _drawn_flags(np.random.default_rng(seed), seed, live,
+                               horizon, 1.0 - eps, actions != rec)
     ratings = np.concatenate((np.ones((1, n), dtype=bool), signal_high[:-1]))
     deployed_in = actions.astype(float) @ tm.rates
     cost = (np.where(ratings, design.p1, design.p0) * deployed_in
@@ -291,8 +342,10 @@ def whole_horizon_rating_run(design, profile, env, mon, tm, horizon, seed):
 
 
 def whole_horizon_trigger_run(design, env, mon, tm, horizon, seed):
-    """The grim-trigger path of `simulate` from scratch: one (horizon, n)
-    signal draw, the first period with a "deviate" signal, and the full
+    """The grim-trigger path of `simulate` from scratch: one (live, n)
+    signal draw over the `live_periods`, the first period with a "deviate"
+    signal (when there is none, a geometric wait for one past them, each
+    period firing with probability q = 1 - (1 - eps) ** n), and the full
     cost matrix, pre-trigger rows until that period and cap-price rows
     after it."""
     n, T = tm.n, design.T
@@ -303,9 +356,13 @@ def whole_horizon_trigger_run(design, env, mon, tm, horizon, seed):
     deployed_in = rec.astype(float) @ tm.rates
     pre_cost = (env.p_low * deployed_in
                 + env.p_high * (inbound - deployed_in) + rec * env.c) * T
-    u = np.random.default_rng(seed).random((horizon, n))
-    bad = ~(u < 1.0 - eps).all(axis=1)
+    live = live_periods(env, T, horizon)
+    rng = np.random.default_rng(seed)
+    bad = ~(rng.random((live, n)) < 1.0 - eps).all(axis=1)
     first_bad = int(np.argmax(bad)) if bad.any() else horizon
+    q = -math.expm1(n * math.log1p(-eps))
+    if live < horizon and first_bad == horizon and q > 0.0:
+        first_bad = min(horizon, live - 1 + int(rng.geometric(q)))
     fired = np.arange(horizon) > first_bad
     cost = np.where(fired[:, None], env.p_high * inbound * T, pre_cost)
     fields = _whole_horizon_fields(env, T, horizon, seed, cost)
@@ -318,10 +375,11 @@ def whole_horizon_trigger_run(design, env, mon, tm, horizon, seed):
 
 
 def whole_horizon_tft_run(design, env, mon, tm, horizon, seed):
-    """The tit-for-tat path of `simulate` from scratch: one
-    (horizon, n, n) observation draw after skipping the (horizon, n)
-    signal draws, the price of every link in every period as an
-    np.where quality array, and the full cost matrix by einsum."""
+    """The tit-for-tat path of `simulate` from scratch: the wrong ("low")
+    observations of every link in every period in the stream order of
+    `_drawn_flags`, after skipping the (horizon, n) signal draws, the
+    price of every link in every period as an np.where quality array, and
+    the full cost matrix by einsum."""
     n, T = tm.n, design.T
     eps = float(mon.epsilon(T))
     rates = tm.rates
@@ -331,8 +389,9 @@ def whole_horizon_tft_run(design, env, mon, tm, horizon, seed):
     deploy = math.exp(-env.beta * T) * env.gap * nu_mutual > env.c
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(horizon * n)
-    u = rng.random((horizon, n, n))  # [t, j, i]
-    obs_deviate = (~deploy[None, None, :] ^ (u < eps)) & observable[None]
+    low = _drawn_flags(rng, seed, live_periods(env, T, horizon), horizon,
+                       eps, np.zeros((horizon, n, n), dtype=bool))  # [t, j, i]
+    obs_deviate = (~deploy[None, None, :] ^ low) & observable[None]
     grudges = np.concatenate((np.zeros((1, n, n), dtype=bool),
                               obs_deviate[:-1]))
     quality = np.where(~deploy[None, :, None] | grudges,

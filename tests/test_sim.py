@@ -27,6 +27,7 @@ from mutualsec import (
 )
 
 from support import (
+    live_periods,
     reference_instance,
     whole_horizon_rating_run,
     whole_horizon_tft_run,
@@ -705,7 +706,7 @@ def _booked_weights(delta, windows, horizon=800):
     nothing elsewhere: column t holds exactly the weight booked for t."""
     from mutualsec import sim
 
-    ledger = sim._Ledger(horizon, horizon, 1.0, delta, False)
+    ledger = sim._Ledger(horizon, horizon, 1.0, delta, None)
     for start, stop in windows:
         x = np.zeros((stop - start, horizon))
         x[np.arange(stop - start), np.arange(start, stop)] = 1.0
@@ -728,7 +729,7 @@ class TestDiscountWeights:
         from mutualsec import sim
 
         for delta in _DELTAS[:4] + (math.exp(-3.7), math.exp(-0.01)):
-            zero = sim._Ledger(1, 10**6, 1.0, delta, False).zero
+            zero = sim._Ledger(1, 10**6, 1.0, delta, None).zero
             powers = delta ** np.arange(zero + 1, dtype=float)
             first = int(np.flatnonzero(powers == 0.0)[0])
             assert first <= zero <= first + 2, delta
@@ -750,15 +751,19 @@ class TestDiscountWeights:
         runs = [(plan, p, env, m, tm, 20_000, 3)
                 for p in profiles for m in (mon, quiet)]
         trimmed = [simulate(*args) for args in runs]
-        # the reference computes every weight of a block, as if none were
-        # known to underflow
-        init = sim._Ledger.__init__
+        # the reference computes every weight of a block it books, as if
+        # none were known to underflow; the live prefix, which ends at the
+        # same bound, stays where it is
+        add = sim._Ledger.add
 
-        def untrimmed_init(self, n, horizon, *args):
-            init(self, n, horizon, *args)
-            self.zero = horizon
+        def untrimmed_add(self, *args, **kwargs):
+            zero, self.zero = self.zero, math.inf
+            try:
+                add(self, *args, **kwargs)
+            finally:
+                self.zero = zero
 
-        monkeypatch.setattr(sim._Ledger, "__init__", untrimmed_init)
+        monkeypatch.setattr(sim._Ledger, "add", untrimmed_add)
         for args, rep in zip(runs, trimmed):
             assert rep == simulate(*args)
 
@@ -979,11 +984,12 @@ class TestWholeHorizonTrigger:
 
     def test_cases_cover_firing_patterns(self):
         # first "deviate" signal of each case at seeds 2 and 4 over 20,000
-        # periods (8192-period blocks)
+        # periods (8192-period blocks; from period 3727 on, the geometric
+        # wait)
         first = {name: [whole_horizon_trigger_run(*args, 20_000, seed)
                         ["first_bad_period"] for seed in (2, 4)]
                  for name, args in _trigger_cases().items()}
-        assert first == {"noisy": [2, 0], "quiet": [19484, 14145],
+        assert first == {"noisy": [2, 0], "quiet": [20_000, 15722],
                          "perfect": [20_000, 20_000], "partial": [2, 0]}
 
     @pytest.mark.parametrize(
@@ -1010,3 +1016,252 @@ class TestWholeHorizonTrigger:
                        time_series=True)
         _assert_trigger_matches(rep, whole_horizon_trigger_run(
             design, env, mon, tm, 97, 3))
+
+
+# ---- live prefix and tail counts --------------------------------------------
+
+def _cost_rows(design, env, tm, actions, rated_high):
+    """Per-AS cost of one period (model formula): traffic from a sender
+    that deploys costs p1 or p0 by the receiver's rating, other traffic
+    p_high, and deploying costs c, all times T."""
+    deployed_in = actions.astype(float) @ tm.rates
+    price = np.where(rated_high, design.p1, design.p0)
+    return (price * deployed_in + env.p_high * (tm.inbound - deployed_in)
+            + actions * env.c) * design.T
+
+
+def _geometric_fired(q, horizon):
+    """Mean and variance of the trigger's fired periods max(0, H-1-F),
+    where P(F = f) = (1 - q) ** f * q: P(K >= k) = P(F <= H-1-k)."""
+    k = np.arange(1, horizon)
+    tail = 1.0 - (1.0 - q) ** (horizon - k)  # P(K >= k)
+    mean = tail.sum()
+    return mean, ((2 * k - 1) * tail).sum() - mean ** 2
+
+
+class TestTailDistribution:
+    """Runs that are mostly tail against the closed forms, over 400 seeds:
+    the Monte Carlo mean within 4 exact standard errors."""
+
+    SEEDS = range(400)
+
+    def _runs(self, design, profile, env, mon, tm, horizon):
+        return [simulate(design, profile, env, mon, tm, horizon, s)
+                for s in self.SEEDS]
+
+    @pytest.mark.parametrize("deviator", [None, 2])
+    def test_rating_totals(self, deviator):
+        d, env, mon, tm = reference_design()
+        horizon = 20_000
+        assert live_periods(env, d.T, horizon) < horizon // 20
+        profile = BehaviorProfile.compliant(8)
+        actions = np.ones(8, dtype=bool)
+        if deviator is not None:
+            profile = profile.replace(deviator,
+                                      Behavior("persistent-deviator"))
+            actions[deviator] = False
+        eps = float(mon.epsilon(d.T))
+        p = np.where(actions, 1.0 - eps, eps)  # P(rated high), t >= 1
+        hi = _cost_rows(d, env, tm, actions, True)
+        lo = _cost_rows(d, env, tm, actions, False)
+        mean = horizon * lo + (hi - lo) * (1 + (horizon - 1) * p)
+        var = (horizon - 1) * (hi - lo) ** 2 * p * (1 - p)
+        totals = np.array([r.avg_cost_per_as for r in self._runs(
+            d, profile, env, mon, tm, horizon)]) * horizon * d.T
+        se = np.sqrt(var / len(totals))
+        assert np.all(np.abs(totals.mean(axis=0) - mean) < 4 * se)
+        # the sample variance's relative standard error is about 7%
+        np.testing.assert_allclose(totals.var(axis=0, ddof=1), var, rtol=0.3)
+
+    @pytest.mark.filterwarnings("ignore:tit-for-tat punishment needs")
+    @pytest.mark.parametrize("name", ["mixed", "one-way"])
+    def test_tit_for_tat_totals(self, name):
+        d, env, mon, tm = _tft_cases()[name]
+        horizon = 20_000
+        assert live_periods(env, d.T, horizon) < horizon // 5
+        eps = float(mon.epsilon(d.T))
+        rates, sends = tm.rates, tm.rates > 0
+        observable = sends.T  # [j, i]: j sees i's action
+        # the break-even rule on inbound traffic from reciprocal partners
+        deploy = (math.exp(-env.beta * d.T) * env.gap
+                  * (rates * sends.T).sum(axis=0) > env.c)
+        # a sender that deploys filters unless its last observation of the
+        # receiver reads "deviate": wrong (eps) about one that deploys,
+        # right (1 - eps) about one that does not; never in period 0
+        held = rates * (deploy[:, None] & observable)
+        grudge = np.where(deploy, eps, 1.0 - eps)
+        first = _cost_rows(d, env, tm, deploy, True)
+        later = first + env.gap * d.T * grudge * held.sum(axis=0)
+        mean = first + (horizon - 1) * later
+        var = ((horizon - 1) * (env.gap * d.T) ** 2 * eps * (1 - eps)
+               * (held ** 2).sum(axis=0))
+        totals = np.array([r.avg_cost_per_as for r in self._runs(
+            d, BehaviorProfile.uniform(tm.n, "tit-for-tat"), env, mon, tm,
+            horizon)]) * horizon * d.T
+        # an AS no deploying partner observes has no noise but rounding
+        se = np.sqrt(var / len(totals))
+        assert np.all(np.abs(totals.mean(axis=0) - mean)
+                      <= 4 * se + 1e-12 * mean)
+        assert np.any(var > 0)
+
+    def test_trigger_fired_periods(self):
+        design, env, mon, tm = _trigger_cases()["quiet"]
+        horizon = 20_000
+        live = live_periods(env, design.T, horizon)
+        eps = float(mon.epsilon(design.T))
+        q = 1.0 - (1.0 - eps) ** tm.n
+        assert (1.0 - q) ** live > 0.5  # most runs fire past the prefix
+        mean, var = _geometric_fired(q, horizon)
+        runs = self._runs(design, BehaviorProfile.uniform(tm.n,
+                                                          "grim-trigger"),
+                          env, mon, tm, horizon)
+        fired = np.array([r.punishment_fraction for r in runs]) * horizon
+        assert abs(fired.mean() - mean) < 4 * math.sqrt(var / len(fired))
+        # a fired period costs the cap price on all traffic, the others
+        # p_low and deployment
+        pre = (env.p_low * tm.inbound.sum() + tm.n * env.c) * design.T
+        post = env.p_high * tm.inbound.sum() * design.T
+        for r, k in zip(runs, fired):
+            assert r.avg_cost * horizon * design.T == pytest.approx(
+                (horizon - k) * pre + k * post, rel=1e-12)
+
+
+def _ts_invariance_cases():
+    yield from _golden_cases()
+    d, env, mon, tm = reference_design()
+    late = BehaviorProfile.compliant(8).replace(
+        4, Behavior("one-shot-deviator", at_period=2000))
+    for seed in (2, 4):
+        yield (f"late-shot/seed={seed}", (d, late, env, mon, tm, 5000, seed))
+
+
+class TestTimeSeriesInvariance:
+    """A time series spreads tail counts from a child of the seed; it
+    changes no other field."""
+
+    @pytest.mark.parametrize("name,args", list(_ts_invariance_cases()),
+                             ids=[name for name, _ in _ts_invariance_cases()])
+    def test_other_fields_equal(self, name, args):
+        with_ts = simulate(*args, time_series=True)
+        assert dataclasses.replace(with_ts, time_series=None) == \
+            simulate(*args)
+        total = np.asarray(with_ts.time_series["total_cost"]).sum()
+        assert math.isclose(total, with_ts.avg_cost * with_ts.horizon,
+                            rel_tol=1e-12)
+
+    def test_late_shot_passes_the_zero_weight(self):
+        d, env, mon, tm = reference_design()
+        assert live_periods(env, d.T, 5000) == 747
+        assert live_periods(env, d.T, 5000, [2000]) == 2002
+
+
+class TestTailEdges:
+    """The prefix and the tail around their boundary, and extreme
+    monitors, discount rates and horizons."""
+
+    @staticmethod
+    def _rating_runs():
+        d, env, mon, tm = reference_design()
+        mixed = BehaviorProfile.compliant(8).replace(
+            2, Behavior("persistent-deviator")).replace(
+            5, Behavior("one-shot-deviator", at_period=800))
+        return {"compliant": (d, BehaviorProfile.compliant(8), env, mon, tm),
+                "mixed": (d, mixed, env, mon, tm)}
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["compliant", "mixed"])
+    def test_rating_around_the_prefix(self, name, offset):
+        d, profile, env, mon, tm = self._rating_runs()[name]
+        shots = [b.at_period for b in profile.behaviors
+                 if b.kind == "one-shot-deviator"]
+        horizon = live_periods(env, d.T, 10**6, shots) + offset
+        args = (d, profile, env, mon, tm, horizon, 7)
+        ref = whole_horizon_rating_run(*args)
+        rep = simulate(*args, time_series=True)
+        _assert_matches_reference(rep, ref, ("total_cost", "mean_rating"))
+        assert list(rep.final_state.ratings) == ref["final_ratings"]
+
+    @pytest.mark.filterwarnings("ignore:tit-for-tat punishment needs")
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["mixed", "one-way"])
+    def test_tit_for_tat_around_the_prefix(self, name, offset):
+        design, env, mon, tm = _tft_cases()[name]
+        horizon = live_periods(env, design.T, 10**6) + offset
+        rep = simulate(design, BehaviorProfile.uniform(tm.n, "tit-for-tat"),
+                       env, mon, tm, horizon, 7, time_series=True)
+        _assert_tft_matches(rep, whole_horizon_tft_run(design, env, mon, tm,
+                                                       horizon, 7))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["quiet", "perfect"])
+    def test_trigger_around_the_prefix(self, name, offset):
+        design, env, mon, tm = _trigger_cases()[name]
+        horizon = live_periods(env, design.T, 10**6) + offset
+        rep = simulate(design, BehaviorProfile.uniform(tm.n, "grim-trigger"),
+                       env, mon, tm, horizon, 7, time_series=True)
+        _assert_trigger_matches(rep, whole_horizon_trigger_run(
+            design, env, mon, tm, horizon, 7))
+
+    @pytest.mark.parametrize("kind", ["compliant", "grim-trigger",
+                                      "tit-for-tat"])
+    def test_one_period(self, kind):
+        env, mon, tm = reference_instance()
+        rep = simulate(_plan(env, tm), BehaviorProfile.uniform(8, kind), env,
+                       mon, tm, 1, 3, time_series=True)
+        # period 0 reads no draw: ratings high, no grudge, nothing fired
+        first = _cost_rows(_plan(env, tm), env, tm, np.ones(8, dtype=bool),
+                           True)
+        assert rep.avg_cost == pytest.approx(first.sum(), rel=1e-12)
+        assert rep.punishment_fraction in (None, 0.0)
+
+    def test_perfect_monitor(self):
+        # eps = 0: the binomial counts take p = 1 and the trigger never
+        # fires
+        env, _, tm = reference_instance()
+        plan = _plan(env, tm)
+        horizon = 50_000
+        assert live_periods(env, plan.T, horizon) < horizon
+        dev = BehaviorProfile.compliant(8).replace(
+            3, Behavior("persistent-deviator"))
+        rep = simulate(plan, dev, env, PERFECT, tm, horizon, 1)
+        assert rep.rating_high_fraction == (1.0,) * 3 + (1 / horizon,) + \
+            (1.0,) * 4
+        rep = simulate(plan, BehaviorProfile.uniform(8, "grim-trigger"), env,
+                       PERFECT, tm, horizon, 1, time_series=True)
+        assert rep.punishment_fraction == 0.0
+        assert rep.meta["first_bad_period"] == horizon
+        assert not np.any(rep.time_series["trigger_fired"])
+        rep = simulate(plan, BehaviorProfile.uniform(8, "tit-for-tat"), env,
+                       PERFECT, tm, horizon, 1)
+        assert rep.meta["mean_grudges_per_period"] == 0.0
+        assert rep.avg_cost == pytest.approx(first_best(env, tm), rel=1e-12)
+
+    def test_no_discounting_draws_every_period(self):
+        # delta = 1.0: no weight is ever 0.0, so the whole horizon is the
+        # prefix and the signals are one plain (horizon, n) draw
+        env, mon, tm = reference_instance()
+        env = dataclasses.replace(env, beta=1e-20)
+        plan = _plan(env, tm)
+        assert math.exp(-env.beta * plan.T) == 1.0
+        horizon, seed = 5000, 3
+        assert live_periods(env, plan.T, horizon) == horizon
+        rep = simulate(plan, BehaviorProfile.compliant(8), env, mon, tm,
+                       horizon, seed)
+        eps = float(mon.epsilon(plan.T))
+        u = np.random.default_rng(seed).random((horizon, 8))
+        high = 1 + (u[:-1] < 1.0 - eps).sum(axis=0)
+        assert rep.rating_high_fraction == tuple(high / horizon)
+        assert rep.final_state.ratings == tuple(
+            (u[-2] < 1.0 - eps).astype(int))
+
+    def test_very_long_compliant_run(self):
+        d, env, mon, tm = reference_design()
+        horizon = 10**12
+        rep = simulate(d, BehaviorProfile.compliant(8), env, mon, tm,
+                       horizon, 5)
+        eps = float(mon.epsilon(d.T))
+        se = math.sqrt(eps * (1 - eps) / horizon)
+        for frac in rep.rating_high_fraction:
+            assert abs(frac - (1 - eps)) < 5 * se + 1 / horizon
+        assert rep.avg_cost == pytest.approx(
+            security_cost(d, env, mon, tm), rel=1e-5)
