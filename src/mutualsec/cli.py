@@ -575,6 +575,21 @@ _SWEEP_SECTIONS = {"w0": "monitoring", "beta": "environment",
                    "d": "network", "n": "network"}
 
 
+def _unread_sweep_kind(cfg: dict, names: list[str], name: str) -> str | None:
+    """The monitor or network kind that never reads swept parameter
+    `name` (as `d` leaves it, when `d` is swept too), or None."""
+    sec = cfg.get(_SWEEP_SECTIONS.get(name))
+    kind = sec.get("kind") if isinstance(sec, dict) else None
+    if name == "w0" and kind == "tabulated":
+        return "a tabulated monitor"
+    if name == "n":
+        if "d" in names and kind != "ring_lattice":
+            kind = "regular"
+        if kind in ("regular", "core_periphery", "matrix"):
+            return f"a {kind} network"
+    return None
+
+
 def _sweep_point(cfg: dict, names: list[str], values: tuple) -> dict:
     point = copy.deepcopy(cfg)
     for name, value in zip(names, values):
@@ -626,6 +641,11 @@ def cmd_sweep(cfg: dict, args) -> int:
             raise ConfigError(f"sweep.parameters.{name}: must be a nonempty "
                               "list")
         grids.append(vals)
+    for name in names:
+        unread = _unread_sweep_kind(cfg, names, name)
+        if unread is not None:
+            raise ConfigError(f"sweep.parameters.{name}: {unread} does not "
+                              f"read {name}, so every row would be the same")
     rows = [_sweep_point(cfg, names, v) for v in itertools.product(*grids)]
     _emit_table(args, list(rows[0]), rows, rows)
     return 0

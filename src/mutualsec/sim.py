@@ -27,7 +27,7 @@ to running totals, so memory does not grow with the horizon except for the
 time-series columns, which hold one value per period when requested.
 
 Three shortcuts keep runs cheap.  The discounted sums stop at the first
-weight delta ** t that is exactly 0.0 (about 745 / (beta*T) periods in),
+weight delta ** t that is surely 0.0 (about 745 / (beta*T) periods in),
 also within a block: that weight and later ones are left 0.0 uncomputed.
 Each path writes its period-t cost row as lo + step * x[t], with lo and
 step fixed for the run, so a block is booked from the plain and discounted
@@ -47,12 +47,14 @@ column sums of x and no path builds a per-period cost matrix:
 
 And from the first period whose weight is surely 0.0 (for ratings, also
 past every one-shot deviation), the totals depend only on how often each
-0/1 entry is 1, not on when.  Those periods are drawn as one binomial
-count per AS (ratings) or per link (tit-for-tat), or as a geometric wait
-for the trigger, plus one ordinary draw of the last period, which sets the
-final state.  The periods before, the live prefix, are drawn one by one
-into one reused buffer, so the discounted utilities are those of a
-whole-horizon draw to about 1e-12 relative (the summation order depends on
+0/1 entry is 1, not on when.  The rating and tit-for-tat paths share one
+draw rule, `_stream`: the periods before that point, the live prefix, are
+drawn one by one into one reused buffer, and the rest as one binomial
+count per AS (ratings) or per link (tit-for-tat), plus one ordinary draw
+of the last period, which sets the final state.  Grim trigger needs only
+its first "deviate" signal, which it draws as one geometric wait from
+period 0.  The discounted utilities are those of a whole-horizon run on
+the same draws to about 1e-12 relative (the summation order depends on
 the blocking).  A time series spreads each count over distinct periods
 drawn by a child of the seed, so it changes no other field.
 """
@@ -62,7 +64,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -270,17 +271,15 @@ class _Ledger:
 
     Column sums are products with a vector of ones (one BLAS call, where
     an axis-0 reduction of a tall, narrow block is a slow strided loop).
-    Discount weights are non-increasing in the period, so once a weight
-    delta ** t is exactly 0.0 every later period adds exactly 0.0 to the
-    discounted cost.  A block's weights are computed only through period
-    `zero`, from which delta ** t surely underflows, and the rest are left
+    Discount weights are non-increasing in the period, and from period
+    `zero` on, delta ** t surely underflows to 0.0, so a block's weights
+    are computed only for its periods before `zero` and the rest are left
     0.0 (the underflowing tail is most of a long first block and the
-    slowest part to compute); should the weight at `zero` not be 0.0 after
-    all, the rest are computed too.  After a block whose last weight is
-    0.0, neither weights nor products are computed.  Weights that are
-    merely subnormal are still used.  Periods whose weights are all surely
-    0.0 can be booked from x's column sums alone (`tail`).  A time series is
-    kept when `spread`, the generator that places such sums, is given."""
+    slowest part to compute); a block that starts at `zero` or later adds
+    nothing to the discounted cost.  Weights that are merely subnormal are
+    still used.  Periods from `zero` on can also be booked from x's column
+    sums alone (`tail`).  A time series is kept when `spread`, the
+    generator that places such sums, is given."""
 
     def __init__(self, n: int, horizon: int, T: float, delta: float,
                  spread: np.random.Generator | None) -> None:
@@ -297,7 +296,6 @@ class _Ledger:
         self.cost = np.zeros(n)
         self.discounted = np.zeros(n)
         self.high = np.zeros(n)
-        self.weighted = True  # some weight from here on may be nonzero
         self.ts = None
         self.spread = spread
         if spread is not None:
@@ -319,16 +317,12 @@ class _Ledger:
         ones = np.ones(b)
         sums = ones @ x
         self.cost += b * lo + step * sums
-        if self.weighted:
+        if start < self.zero:
             weights = np.zeros(b)
-            k = min(b, max(1, self.zero + 1 - start))
+            k = min(b, self.zero - start)
             np.power(self.delta, np.arange(start, start + k, dtype=float),
                      out=weights[:k])
-            if k < b and weights[k - 1] != 0.0:
-                np.power(self.delta, np.arange(start + k, stop, dtype=float),
-                         out=weights[k:])
             self.discounted += weights.sum() * lo + step * (weights @ x)
-            self.weighted = weights[-1] != 0.0
         if ratings is not None:
             self.high += sums if ratings is x else ones @ ratings
         if self.ts is not None:
@@ -340,13 +334,13 @@ class _Ledger:
     def tail(self, start: int, stop: int, count: np.ndarray | float,
              lo: np.ndarray, step: np.ndarray | float, columns=None,
              ratings: bool = False) -> None:
-        """Book periods start, ..., stop - 1, whose weights are surely 0.0,
-        from x's column sums `count` alone (also as high ratings).  For a
-        time series, columns = (ones, adds): the 1s of each column of some
-        0/1 array fall on distinct periods drawn without replacement (or,
-        where they are more than half, its 0s do), column by column in C
-        order, each 1 adding its column's `adds` entry to the period's cost
-        (and, with `ratings`, 1/len(lo) to its mean rating)."""
+        """Book periods start, ..., stop - 1, all at or past `zero`, from
+        x's column sums `count` alone (also as high ratings).  For a time
+        series, columns = (ones, adds): the 1s of each column of some 0/1
+        array fall on distinct periods drawn without replacement (or, where
+        they are more than half, its 0s do), column by column in C order,
+        each 1 adding its column's `adds` entry to the period's cost (and,
+        with `ratings`, 1/len(lo) to its mean rating)."""
         self.cost += (stop - start) * lo + step * count
         self.high += count
         if self.ts is None or columns is None:
@@ -381,6 +375,8 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
     horizon, seed = int(horizon), int(seed)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     _check_prices(design, env)
     eps = float(mon.epsilon(design.T))
     if not 0 <= eps <= 0.5:
@@ -393,9 +389,6 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
                      rng.spawn(1)[0] if time_series else None)
     kinds = set(profile.kinds())
     if kinds == {"tit-for-tat"}:
-        # Skip the (horizon, n) signal draws the other paths make first, so
-        # a seed gives the same observations as when they were drawn.
-        rng.bit_generator.advance(horizon * n)
         fields = _simulate_tft(design, env, tm, horizon, eps, rng, ledger)
     elif kinds == {"grim-trigger"}:
         fields = _simulate_trigger(design, env, tm, horizon, eps, rng, ledger)
@@ -415,14 +408,28 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
     )
 
 
-def _stream(ledger, live, horizon, first, draw, book, tail):
+def _stream(rng, live, horizon, first, p, flipped, flips, book, tail):
     """Run a path whose period t reads a 0/1 array drawn in period t - 1
-    (`first` in period 0).  The arrays of periods before `live` are drawn
-    in blocks into one reused buffer by draw(out, start), and periods
-    through `live` booked by book(start, arrays); the buffer is then
-    released.  Past `live`, tail(start, stop) books every period but the
-    last from counts, and the last reads one more draw.  Returns the array
+    (`first` in period 0).  An entry drawn in period t is 1 where its
+    uniform draw is below p, complemented if its flat index is in
+    `flipped`, and xor its flips[t] entry when t is a key of `flips` (each
+    key at most live - 2).  The arrays of periods before `live` are drawn
+    in blocks into one reused buffer, and periods through `live` booked by
+    book(start, arrays); the buffer is then released.  Past `live`,
+    tail(start, stop, count) books every period but the last from each
+    entry's count of 1s (one binomial draw per entry, complemented where
+    flipped), and the last reads one more drawn array.  Returns the array
     read in the last period."""
+
+    def draw(out, start):
+        np.less(rng.random(out=out), p, out=out)
+        entries = out.reshape(len(out), -1)
+        entries[:, flipped] = 1.0 - entries[:, flipped]
+        for t, mask in flips.items():
+            if start <= t < start + len(out):
+                out[t - start] = out[t - start] != mask
+        return out
+
     buf = np.empty((_block_length(live, first.size) + 1, *first.shape))
     buf[0] = first
     b = 0
@@ -438,7 +445,10 @@ def _stream(ledger, live, horizon, first, draw, book, tail):
         book(live, read)
         final = read
     if live + 1 < horizon:
-        tail(live + 1, horizon - 1)
+        m = horizon - 2 - live
+        count = rng.binomial(m, p, first.size)
+        count[flipped] = m - count[flipped]
+        tail(live + 1, horizon - 1, count.reshape(first.shape))
         final = draw(np.empty((1, *first.shape)), horizon - 2)
         book(horizon - 1, final)
     return final[0]
@@ -460,7 +470,6 @@ def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
         elif b.kind == "one-shot-deviator" and b.at_period < horizon:
             mask = flips.setdefault(int(b.at_period), np.zeros(n, dtype=bool))
             mask[i] = True
-    shot_periods = sorted(flips)
     inbound = tm.inbound
 
     def cost_rows(actions, ratings):
@@ -473,23 +482,9 @@ def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
     # Under steady actions an AS's cost in a period is one of two rows:
     # rated high, or rated low.
     hi, lo = cost_rows(np.array([steady, steady]), np.array([[True], [False]]))
-    deviators = np.flatnonzero(steady != rec)
-
-    def shots_in(start, stop):
-        return shot_periods[bisect_left(shot_periods, start):
-                            bisect_left(shot_periods, stop)]
-
-    def draw(out, start):
-        """Signals (1.0 high, 0.0 low); a deviating AS's reads high on an
-        error."""
-        np.less(rng.random(out=out), 1.0 - eps, out=out)
-        out[:, deviators] = 1.0 - out[:, deviators]
-        for t in shots_in(start, start + len(out)):
-            out[t - start] = out[t - start] != flips[t]
-        return out
 
     def book(start, ratings):
-        shots = shots_in(start, start + len(ratings))
+        shots = sorted(t for t in flips if start <= t < start + len(ratings))
         if not shots:
             ledger.add(start, ratings, lo, hi - lo, ratings)
             return
@@ -501,17 +496,17 @@ def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
                                ratings[rows])
         ledger.add(start, cost, ratings=ratings)
 
-    def tail(start, stop):
-        # only the number of high ratings counts: one binomial per AS
-        high = rng.binomial(stop - start, 1.0 - eps, n).astype(float)
-        high[deviators] = stop - start - high[deviators]
+    def tail(start, stop, high):
+        # only the number of high ratings counts
         ledger.tail(start, stop, high, lo, hi - lo, (high, hi - lo),
                     ratings=True)
 
-    # Ratings start high.  Signals are drawn one by one up to the first
-    # surely-zero weight, and past every one-shot deviation.
-    live = min(horizon, max([ledger.zero] + [t + 2 for t in shot_periods]))
-    final = _stream(ledger, live, horizon, np.ones(n), draw, book, tail)
+    # Ratings start high, and a signal reads high with probability 1 - eps
+    # (eps for a deviating AS).  Signals are drawn one by one up to the
+    # first surely-zero weight, and past every one-shot deviation.
+    live = min(horizon, max([ledger.zero] + [t + 2 for t in flips]))
+    final = _stream(rng, live, horizon, np.ones(n), 1.0 - eps,
+                    np.flatnonzero(steady != rec), flips, book, tail)
     return {
         "rating_high_fraction": tuple(float(x) for x in ledger.high / horizon),
         "punishment_fraction": None,
@@ -533,24 +528,16 @@ def _simulate_trigger(design, env, tm, horizon, eps, rng, ledger):
                 + env.p_high * (inbound - deployed_in)
                 + rec * env.c) * design.T
     post_cost = env.p_high * inbound * design.T
-    live = min(horizon, ledger.zero)  # periods drawn one by one
-    u = np.empty((_block_length(live, n), n))
-    first_bad = horizon  # first period with a "deviate" signal, if any
+    # Each period's signals read "deviate" somewhere with probability q,
+    # so the first period that does is a geometric wait, drawn as one
+    # number (none within the horizon: first_bad = horizon).
+    q = -math.expm1(n * math.log1p(-eps))
+    first_bad = min(horizon, int(rng.geometric(q)) - 1) if q > 0.0 else horizon
+    live = min(horizon, ledger.zero)  # periods booked with their weights
     for start, stop in _blocks(live, n):
-        if first_bad == horizon:
-            # Everyone complies until it fires; after that nothing is drawn.
-            drawn = rng.random(out=u[:stop - start])
-            bad = ~(drawn < 1.0 - eps).all(axis=1)
-            if bad.any():
-                first_bad = start + int(np.argmax(bad))
         fired = np.arange(start, stop) > first_bad
         ledger.add(start, fired[:, None], pre_cost, post_cost - pre_cost)
     if live < horizon:
-        # Each later period fires with probability q, so the wait for the
-        # first one that does is geometric, drawn as one number.
-        q = -math.expm1(n * math.log1p(-eps))
-        if first_bad == horizon and q > 0.0:
-            first_bad = min(horizon, live - 1 + int(rng.geometric(q)))
         ledger.tail(live, horizon, max(0, horizon - max(live, first_bad + 1)),
                     pre_cost, post_cost - pre_cost)
     if ledger.ts is not None:
@@ -586,8 +573,8 @@ def _simulate_tft(design, env, tm, horizon, eps, rng, ledger):
     deviates = ~deploy  # static actions
     # Sender j filters its traffic to i (price p_low) when it deploys and
     # did not see i deviate last period.  j's observation of i is wrong
-    # ("low") when its draw is below eps, so it reads "deviate" when wrong
-    # about an AS that deploys and when right about one that does not.
+    # ("low") with probability eps, so it reads "deviate" when wrong about
+    # an AS that deploys and when right about one that does not.
     # With s[i] = sum_j held[j, i] * low[j, i] over the links j can punish,
     # i's punished traffic is s[i] if i deploys and held.sum(0)[i] - s[i]
     # if not, so its cost row is lo + step * s.
@@ -603,28 +590,22 @@ def _simulate_tft(design, env, tm, horizon, eps, rng, ledger):
     sign = np.where(observable, np.where(deviates, -1.0, 1.0), 0.0).ravel()
     grudge_count = horizon * np.count_nonzero(observable & deviates)
 
-    def draw(out, start):
-        """Low flags (1.0 or 0.0): the observations that are wrong."""
-        return np.less(rng.random(out=out), eps, out=out)
-
     def book(start, lagged):
         nonlocal grudge_count
         grudge_count += (lagged.reshape(len(lagged), n * n) @ sign).sum()
         ledger.add(start, np.einsum("tji,ji->ti", lagged, held), lo, step)
 
-    def tail(start, stop):
-        # only how often each link's observation was wrong counts: one
-        # binomial per link
+    def tail(start, stop, wrong):
+        # only how often each link's observation was wrong counts
         nonlocal grudge_count
-        wrong = rng.binomial(stop - start, eps, (n, n))
         ledger.tail(start, stop, (held * wrong).sum(axis=0), lo, step,
                     (wrong, held * step))
         grudge_count += wrong.ravel() @ sign
 
     # Before period 0 the flags read `deviates`, which is "deviate" nowhere.
     first = np.broadcast_to(deviates, (n, n))
-    final = _stream(ledger, min(horizon, ledger.zero), horizon, first, draw,
-                    book, tail)
+    final = _stream(rng, min(horizon, ledger.zero), horizon, first, eps, [],
+                    {}, book, tail)
     final = (deviates ^ (final != 0.0)) & observable
     grudges = tuple(map(tuple, np.argwhere(final).tolist()))
     return {

@@ -342,12 +342,11 @@ def whole_horizon_rating_run(design, profile, env, mon, tm, horizon, seed):
 
 
 def whole_horizon_trigger_run(design, env, mon, tm, horizon, seed):
-    """The grim-trigger path of `simulate` from scratch: one (live, n)
-    signal draw over the `live_periods`, the first period with a "deviate"
-    signal (when there is none, a geometric wait for one past them, each
-    period firing with probability q = 1 - (1 - eps) ** n), and the full
-    cost matrix, pre-trigger rows until that period and cap-price rows
-    after it."""
+    """The grim-trigger path of `simulate` from scratch: the first period
+    with a "deviate" signal as one geometric wait from period 0, each
+    period firing with probability q = 1 - (1 - eps) ** n (none within
+    the horizon when q = 0), and the full cost matrix, pre-trigger rows
+    until that period and cap-price rows after it."""
     n, T = tm.n, design.T
     eps = float(mon.epsilon(T))
     rec = np.zeros(n, dtype=bool)
@@ -356,13 +355,11 @@ def whole_horizon_trigger_run(design, env, mon, tm, horizon, seed):
     deployed_in = rec.astype(float) @ tm.rates
     pre_cost = (env.p_low * deployed_in
                 + env.p_high * (inbound - deployed_in) + rec * env.c) * T
-    live = live_periods(env, T, horizon)
-    rng = np.random.default_rng(seed)
-    bad = ~(rng.random((live, n)) < 1.0 - eps).all(axis=1)
-    first_bad = int(np.argmax(bad)) if bad.any() else horizon
     q = -math.expm1(n * math.log1p(-eps))
-    if live < horizon and first_bad == horizon and q > 0.0:
-        first_bad = min(horizon, live - 1 + int(rng.geometric(q)))
+    first_bad = horizon
+    if q > 0.0:
+        wait = int(np.random.default_rng(seed).geometric(q))
+        first_bad = min(horizon, wait - 1)
     fired = np.arange(horizon) > first_bad
     cost = np.where(fired[:, None], env.p_high * inbound * T, pre_cost)
     fields = _whole_horizon_fields(env, T, horizon, seed, cost)
@@ -377,9 +374,8 @@ def whole_horizon_trigger_run(design, env, mon, tm, horizon, seed):
 def whole_horizon_tft_run(design, env, mon, tm, horizon, seed):
     """The tit-for-tat path of `simulate` from scratch: the wrong ("low")
     observations of every link in every period in the stream order of
-    `_drawn_flags`, after skipping the (horizon, n) signal draws, the
-    price of every link in every period as an np.where quality array, and
-    the full cost matrix by einsum."""
+    `_drawn_flags`, the price of every link in every period as an np.where
+    quality array, and the full cost matrix by einsum."""
     n, T = tm.n, design.T
     eps = float(mon.epsilon(T))
     rates = tm.rates
@@ -387,10 +383,9 @@ def whole_horizon_tft_run(design, env, mon, tm, horizon, seed):
     observable = sends.T  # [j, i]: j sees i's action via i -> j traffic
     nu_mutual = (rates * sends.T).sum(axis=0)
     deploy = math.exp(-env.beta * T) * env.gap * nu_mutual > env.c
-    rng = np.random.default_rng(seed)
-    rng.bit_generator.advance(horizon * n)
-    low = _drawn_flags(rng, seed, live_periods(env, T, horizon), horizon,
-                       eps, np.zeros((horizon, n, n), dtype=bool))  # [t, j, i]
+    low = _drawn_flags(np.random.default_rng(seed), seed,
+                       live_periods(env, T, horizon), horizon, eps,
+                       np.zeros((horizon, n, n), dtype=bool))  # [t, j, i]
     obs_deviate = (~deploy[None, None, :] ^ low) & observable[None]
     grudges = np.concatenate((np.zeros((1, n, n), dtype=bool),
                               obs_deviate[:-1]))

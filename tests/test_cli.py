@@ -623,6 +623,43 @@ class TestSweepCommand:
         })
         assert main(["sweep", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("section, parameters, name", [
+        ({"network": {"kind": "core_periphery", "cores": 4,
+                      "periphery_per_core": 1, "rate": 1.0}},
+         {"n": [4, 8, 12]}, "n"),
+        ({"network": {"kind": "regular", "degree": 5, "rate": 1.0}},
+         {"n": [4, 8]}, "n"),
+        ({"network": {"kind": "matrix", "rates": [[0, 1], [1, 0]]}},
+         {"n": [4, 8]}, "n"),
+        ({}, {"d": [5, 6], "n": [4, 8]}, "n"),  # d makes the net regular
+        ({}, {"n": [4, 8], "d": [5, 6]}, "n"),
+        ({"monitoring": {"kind": "tabulated",
+                         "points": [[0.0, 0.4], [10.0, 0.0]]}},
+         {"w0": [0.1, 0.5, 2.0]}, "w0"),
+    ])
+    def test_unread_parameter_exits_1(self, tmp_path, capsys, monkeypatch,
+                                      section, parameters, name):
+        # refused before any point is evaluated, not printed as equal rows
+        def evaluated(*args):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(cli, "_sweep_point", evaluated)
+        cfg = reference_config(tmp_path, sweep={"parameters": parameters},
+                               **section)
+        assert main(["sweep", "--config", cfg]) == 1
+        assert f"config error: sweep.parameters.{name}:" in \
+            capsys.readouterr().err
+
+    def test_ring_lattice_reads_n_with_d(self, tmp_path, capsys):
+        cfg = reference_config(
+            tmp_path, network={"kind": "ring_lattice", "n": 8, "degree": 2,
+                               "rate": 1.0},
+            sweep={"parameters": {"d": [2, 4], "n": [8, 10]}})
+        assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [(r["d"], r["n"]) for r in rows] == [(2, 8), (2, 10), (4, 8),
+                                                   (4, 10)]
+
     def test_deterministic_row_order(self, tmp_path, capsys):
         cfg = reference_config(tmp_path, sweep={
             "parameters": {"n": [4, 5, 6], "w0": [0.1, 0.2]},
