@@ -45,18 +45,19 @@ column sums of x and no path builds a per-period cost matrix:
   partner punishes) and saves one that does not as much (the partner
   does not).
 
-And from the first period whose weight is surely 0.0 (for ratings, also
-past every one-shot deviation), the totals depend only on how often each
-0/1 entry is 1, not on when.  The rating and tit-for-tat paths share one
-draw rule, `_stream`: the periods before that point, the live prefix, are
-drawn one by one into one reused buffer, and the rest as one binomial
-count per AS (ratings) or per link (tit-for-tat), plus one ordinary draw
-of the last period, which sets the final state.  Grim trigger needs only
-its first "deviate" signal, which it draws as one geometric wait from
-period 0.  The discounted utilities are those of a whole-horizon run on
-the same draws to about 1e-12 relative (the summation order depends on
-the blocking).  A time series spreads each count over distinct periods
-drawn by a child of the seed, so it changes no other field.
+And from the first period whose weight is surely 0.0, the totals depend
+only on how often each 0/1 entry is 1, not on when, except in the periods
+a one-shot deviation touches and in the last period, which sets the final
+state.  The rating and tit-for-tat paths share one draw rule, `_stream`:
+it reads one by one the periods through that point, each one-shot period
+and the period after it, and the last period, each span in blocks of its
+own, and books each gap between spans from one binomial count per AS
+(ratings) or per link (tit-for-tat).  Grim trigger needs only its first
+"deviate" signal, which it draws as one geometric wait from period 0.
+The discounted utilities are those of a whole-horizon run on the same
+draws to about 1e-12 relative (the summation order depends on the
+blocking).  A time series spreads each count over distinct periods drawn
+by a child of the seed, so it changes no other field.
 """
 
 from __future__ import annotations
@@ -239,18 +240,13 @@ def _check_profile(profile: BehaviorProfile, n: int) -> None:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _block_length(horizon: int, width: int) -> int:
-    """Periods per block: at least one, at most _BLOCK_ELEMENTS // width
-    and at most the horizon."""
-    return min(horizon, max(1, _BLOCK_ELEMENTS // width))
-
-
-def _blocks(horizon: int, width: int):
-    """(start, stop) period ranges covering [0, horizon), each
-    _block_length(horizon, width) periods long except perhaps the last."""
-    step = _block_length(horizon, width)
-    for start in range(0, horizon, step):
-        yield start, min(start + step, horizon)
+def _blocks(begin: int, end: int, width: int):
+    """(start, stop) period ranges covering [begin, end), each
+    min(end - begin, max(1, _BLOCK_ELEMENTS // width)) periods long except
+    perhaps the last."""
+    step = min(end - begin, max(1, _BLOCK_ELEMENTS // width))
+    for start in range(begin, end, step):
+        yield start, min(start + step, end)
 
 
 # delta ** t is 0.0 once it falls to 2**-1075, half the least subnormal
@@ -369,6 +365,9 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
     and seed reproduce the report bit for bit."""
     n = tm.n
     _check_profile(profile, n)
+    if any(i >= n for i in design.subset):
+        raise ValueError(f"design subset {list(design.subset.members)} has "
+                         f"an AS out of range for n={n}")
     for name, value in (("horizon", horizon), ("seed", seed)):
         if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -408,50 +407,52 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
     )
 
 
-def _stream(rng, live, horizon, first, p, flipped, flips, book, tail):
+def _stream(rng, zero, horizon, first, p, flipped, flips, book, tail):
     """Run a path whose period t reads a 0/1 array drawn in period t - 1
     (`first` in period 0).  An entry drawn in period t is 1 where its
     uniform draw is below p, complemented if its flat index is in
-    `flipped`, and xor its flips[t] entry when t is a key of `flips` (each
-    key at most live - 2).  The arrays of periods before `live` are drawn
-    in blocks into one reused buffer, and periods through `live` booked by
-    book(start, arrays); the buffer is then released.  Past `live`,
-    tail(start, stop, count) books every period but the last from each
-    entry's count of 1s (one binomial draw per entry, complemented where
-    flipped), and the last reads one more drawn array.  Returns the array
-    read in the last period."""
+    `flipped`, and xor its flips[t] entry when t is a key of `flips`.
+    Periods are read one by one in spans, taken in order: 0 through
+    `zero`, each key t of `flips` and t + 1, and the last period, clipped
+    to the horizon.  A span's arrays are drawn in blocks into a buffer of
+    its own and booked by book(start, arrays); the buffer is released
+    before the next gap, so a gap's counts add nothing to the peak.
+    tail(start, stop, count) books the periods of a gap between spans from
+    each entry's count of 1s (one binomial draw per entry, complemented
+    where flipped).  Returns the array read in the last period."""
 
     def draw(out, start):
         np.less(rng.random(out=out), p, out=out)
-        entries = out.reshape(len(out), -1)
+        entries = out.reshape(len(out), first.size)
         entries[:, flipped] = 1.0 - entries[:, flipped]
         for t, mask in flips.items():
             if start <= t < start + len(out):
                 out[t - start] = out[t - start] != mask
-        return out
 
-    buf = np.empty((_block_length(live, first.size) + 1, *first.shape))
-    buf[0] = first
-    b = 0
-    for start, stop in _blocks(live, first.size):
-        buf[0] = buf[b]
-        b = stop - start
-        draw(buf[1:b + 1], start)
-        book(start, buf[:b])
-    # the arrays read in periods live - 1 and live
-    final, read = buf[b - 1:b + 1, None].copy()
-    del buf
-    if live < horizon:
-        book(live, read)
-        final = read
-    if live + 1 < horizon:
-        m = horizon - 2 - live
-        count = rng.binomial(m, p, first.size)
-        count[flipped] = m - count[flipped]
-        tail(live + 1, horizon - 1, count.reshape(first.shape))
-        final = draw(np.empty((1, *first.shape)), horizon - 2)
-        book(horizon - 1, final)
-    return final[0]
+    last = horizon - 1
+    # each span as (its first period, its last), in order
+    spans = sorted([(0, zero), (last, last), *((t, t + 1) for t in flips)])
+    begin = 0  # the first period not booked yet
+    for s, e in spans:
+        s, e = max(s, begin), min(e, last)
+        if s > e:
+            continue
+        if begin < s:
+            count = rng.binomial(s - begin, p, first.size)
+            count[flipped] = s - begin - count[flipped]
+            tail(begin, s, count.reshape(first.shape))
+        blocks = list(_blocks(s, e + 1, first.size))
+        buf = np.empty((blocks[0][1] - s, *first.shape))
+        for start, stop in blocks:
+            out = buf[:stop - start]
+            k = int(start == 0)  # period 0 reads `first`, not a draw
+            out[:k] = first
+            draw(out[k:], start + k - 1)
+            book(start, out)
+        final = out[-1].copy()
+        del buf, out
+        begin = e + 1
+    return final
 
 
 def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
@@ -502,10 +503,8 @@ def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
                     ratings=True)
 
     # Ratings start high, and a signal reads high with probability 1 - eps
-    # (eps for a deviating AS).  Signals are drawn one by one up to the
-    # first surely-zero weight, and past every one-shot deviation.
-    live = min(horizon, max([ledger.zero] + [t + 2 for t in flips]))
-    final = _stream(rng, live, horizon, np.ones(n), 1.0 - eps,
+    # (eps for a deviating AS).
+    final = _stream(rng, ledger.zero, horizon, np.ones(n), 1.0 - eps,
                     np.flatnonzero(steady != rec), flips, book, tail)
     return {
         "rating_high_fraction": tuple(float(x) for x in ledger.high / horizon),
@@ -534,7 +533,7 @@ def _simulate_trigger(design, env, tm, horizon, eps, rng, ledger):
     q = -math.expm1(n * math.log1p(-eps))
     first_bad = min(horizon, int(rng.geometric(q)) - 1) if q > 0.0 else horizon
     live = min(horizon, ledger.zero)  # periods booked with their weights
-    for start, stop in _blocks(live, n):
+    for start, stop in _blocks(0, live, n):
         fired = np.arange(start, stop) > first_bad
         ledger.add(start, fired[:, None], pre_cost, post_cost - pre_cost)
     if live < horizon:
@@ -604,8 +603,7 @@ def _simulate_tft(design, env, tm, horizon, eps, rng, ledger):
 
     # Before period 0 the flags read `deviates`, which is "deviate" nowhere.
     first = np.broadcast_to(deviates, (n, n))
-    final = _stream(rng, min(horizon, ledger.zero), horizon, first, eps, [],
-                    {}, book, tail)
+    final = _stream(rng, ledger.zero, horizon, first, eps, [], {}, book, tail)
     final = (deviates ^ (final != 0.0)) & observable
     grudges = tuple(map(tuple, np.argwhere(final).tolist()))
     return {

@@ -9,6 +9,7 @@ pass, which the subset-search guarantees need.
 """
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -237,12 +238,11 @@ def reference_brute_force(env, mon, tm, *, cap=16):
     return StrategyResult(best.subset, best, evaluations)
 
 
-def live_periods(env, T, horizon, after=()):
-    """Periods a run draws one by one: up to the first period from which
-    every discount weight delta ** t surely underflows,
-    ceil(1075 ln 2 / -ln delta) + 1 (1 for delta = 0, the horizon for
-    delta = 1), and through the period after each period in `after`; at
-    most the horizon."""
+def live_periods(env, T, horizon):
+    """The first period from which every discount weight delta ** t surely
+    underflows, ceil(1075 ln 2 / -ln delta) + 1 (1 for delta = 0, the
+    horizon for delta = 1), at most the horizon: a run reads periods 0
+    through it one by one."""
     delta = math.exp(-env.beta * T)
     if delta == 0.0:
         zero = 1
@@ -250,37 +250,55 @@ def live_periods(env, T, horizon, after=()):
         zero = horizon
     else:
         zero = math.ceil(1075 * math.log(2.0) / -math.log(delta)) + 1
-    return min(horizon, max([zero, *(t + 2 for t in after)]))
+    return min(horizon, zero)
 
 
-def _drawn_flags(rng, seed, live, horizon, p, flip):
-    """The 0/1 flags of periods 0, ..., horizon - 2, each entry's flag
-    being "its draw is below p" xor its `flip` entry (flip has one row per
-    period and is steady past the first `live` periods), as a bool array
-    whose row horizon - 1 is False.  Stream order: one uniform draw of the
-    first `live` periods' rows, then, for a longer horizon, one binomial
-    count per entry of the periods between and one uniform draw of the last
-    row.  An entry's count of 1s (m minus its binomial count where flipped)
-    falls on distinct periods drawn without replacement (its 0s do, where
-    the 1s are more than half), entry by entry in C order, by the first
-    child of the seed's SeedSequence."""
+def drawn_periods(env, T, horizon, shots=()):
+    """Periods whose flags a run draws one by one, the flag drawn in period
+    t being read in period t + 1.  A run reads one by one periods 0 through
+    live_periods, each one-shot period and the period after it, and the
+    last period, so it draws the flags of the periods before live_periods,
+    of t - 1 and t for each shot t and of horizon - 2, all clipped to
+    0, ..., horizon - 2."""
+    drawn = {*range(live_periods(env, T, horizon)), horizon - 2}
+    for t in shots:
+        drawn |= {t - 1, t}
+    return {t for t in drawn if 0 <= t <= horizon - 2}
+
+
+def _drawn_flags(seed, drawn, p, flip):
+    """The 0/1 flags of periods 0, ..., horizon - 2 (flip has one row per
+    period of the horizon), each entry's flag being "its draw is below p"
+    xor its `flip` entry, as a bool array whose row horizon - 1 is False.
+    The periods in `drawn` are drawn one by one; each run of the others, a
+    gap (over which flip is steady), takes one binomial count per entry.
+    Stream order is period order: each run of drawn periods as one uniform
+    draw of its rows, each gap as one binomial draw (m minus the count
+    where flipped, m the gap's length).  An entry's count of 1s falls on
+    distinct periods of its gap drawn without replacement (its 0s do,
+    where the 1s are more than half), gap by gap and entry by entry in C
+    order, by the first child of the seed's SeedSequence."""
+    rng = np.random.default_rng(seed)
+    spread = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     shape = flip.shape[1:]
     flags = np.zeros(flip.shape, dtype=bool)
-    flags[:live] = (rng.random((live, *shape)) < p) ^ flip[:live]
-    if live + 1 < horizon:
-        m = horizon - live - 2
-        ones = rng.binomial(m, p, shape)
-        flags[horizon - 2] = (rng.random(shape) < p) ^ flip[horizon - 2]
-        ones = np.where(flip[live], m - ones, ones)
-        spread = np.random.default_rng(
-            np.random.SeedSequence(seed).spawn(1)[0])
-        middle = flags[live:horizon - 2].reshape(m, ones.size)
-        for k, c in enumerate(ones.ravel().tolist()):
-            if 2 * c > m:
-                middle[:, k] = True
-                middle[spread.choice(m, m - c, replace=False), k] = False
-            else:
-                middle[spread.choice(m, c, replace=False), k] = True
+    t = 0
+    for one_by_one, run in itertools.groupby(range(len(flip) - 1),
+                                             drawn.__contains__):
+        m = len(list(run))
+        if one_by_one:
+            flags[t:t + m] = (rng.random((m, *shape)) < p) ^ flip[t:t + m]
+        else:
+            ones = rng.binomial(m, p, shape)
+            ones = np.where(flip[t], m - ones, ones)
+            gap = flags[t:t + m].reshape(m, ones.size)
+            for k, c in enumerate(ones.ravel().tolist()):
+                if 2 * c > m:
+                    gap[:, k] = True
+                    gap[spread.choice(m, m - c, replace=False), k] = False
+                else:
+                    gap[spread.choice(m, c, replace=False), k] = True
+        t += m
     return flags
 
 
@@ -324,9 +342,8 @@ def whole_horizon_rating_run(design, profile, env, mon, tm, horizon, seed):
         elif b.kind == "one-shot-deviator" and b.at_period < horizon:
             actions[b.at_period, i] = ~rec[i]
             shots.append(b.at_period)
-    live = live_periods(env, T, horizon, shots)
-    signal_high = _drawn_flags(np.random.default_rng(seed), seed, live,
-                               horizon, 1.0 - eps, actions != rec)
+    signal_high = _drawn_flags(seed, drawn_periods(env, T, horizon, shots),
+                               1.0 - eps, actions != rec)
     ratings = np.concatenate((np.ones((1, n), dtype=bool), signal_high[:-1]))
     deployed_in = actions.astype(float) @ tm.rates
     cost = (np.where(ratings, design.p1, design.p0) * deployed_in
@@ -383,8 +400,7 @@ def whole_horizon_tft_run(design, env, mon, tm, horizon, seed):
     observable = sends.T  # [j, i]: j sees i's action via i -> j traffic
     nu_mutual = (rates * sends.T).sum(axis=0)
     deploy = math.exp(-env.beta * T) * env.gap * nu_mutual > env.c
-    low = _drawn_flags(np.random.default_rng(seed), seed,
-                       live_periods(env, T, horizon), horizon, eps,
+    low = _drawn_flags(seed, drawn_periods(env, T, horizon), eps,
                        np.zeros((horizon, n, n), dtype=bool))  # [t, j, i]
     obs_deviate = (~deploy[None, None, :] ^ low) & observable[None]
     grudges = np.concatenate((np.zeros((1, n, n), dtype=bool),

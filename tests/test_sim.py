@@ -27,6 +27,7 @@ from mutualsec import (
 )
 
 from support import (
+    drawn_periods,
     live_periods,
     reference_instance,
     whole_horizon_rating_run,
@@ -127,6 +128,18 @@ class TestArguments:
             simulate(d, BehaviorProfile.compliant(8), env, mon, tm, 5, 0)
         with pytest.raises(ValueError, match="design prices must satisfy"):
             run_benchmark("fixed", env, mon, tm, 5, 0, fixed=(1.0, p0, p1))
+
+    def test_rejects_a_subset_beyond_the_matrix(self):
+        # every path, tit-for-tat too although it prices no subset
+        d, env, mon, tm = reference_design()
+        d = dataclasses.replace(d, subset=Subset((3, 9)))
+        match = r"design subset \[3, 9\] has an AS out of range for n=8"
+        for kind in ("compliant", "grim-trigger", "tit-for-tat"):
+            with pytest.raises(ValueError, match=match):
+                simulate(d, BehaviorProfile.uniform(8, kind), env, mon, tm,
+                         5, 0)
+        with pytest.raises(ValueError, match=match):
+            deviation_gain(d, env, mon, tm, 0, 5, 2)
 
     def test_numpy_integers_are_stored_as_int(self):
         d, env, mon, tm = reference_design()
@@ -655,6 +668,11 @@ class TestStreaming:
 
         cases = [args for name, args in _golden_cases()
                  if "H=1025/" in name or name.startswith("tft-n40/")]
+        # two shots past the zero-weight period, whose spans merge into
+        # one of periods 8191-8193 that one-period blocks split at 8192
+        d, env, mon, tm = reference_design()
+        late = _shots([None, 8191, None, 8192, *[None] * 4])
+        cases.append((d, late, env, mon, tm, 9000, 2))
         default = [_fingerprint(simulate(*a, time_series=True))
                    for a in cases]
         monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", elements)
@@ -682,6 +700,19 @@ class TestStreaming:
     ])
     def test_memory_does_not_grow_with_horizon(self, kind, n, horizon):
         assert self._peak_bytes(kind, n, horizon) < 16 * 2**20
+
+    def test_tail_adds_nothing_to_the_peak(self):
+        # the live prefix's block buffer is released before the tail is
+        # counted, so a run whose horizon passes the zero-weight period
+        # peaks no higher than one whose horizon ends there.  The traced
+        # peak moves by tens of bytes from run to run, and a buffer kept
+        # through the tail adds its n x n count arrays (over 12 KB here).
+        env, _, _ = reference_instance()
+        zero = live_periods(env, 1.0, 10**6)
+        assert zero + 1 < 10_000
+        self._peak_bytes("tit-for-tat", 40, zero + 1)  # first-call set-up
+        ends = self._peak_bytes("tit-for-tat", 40, zero + 1)
+        assert self._peak_bytes("tit-for-tat", 40, 10_000) <= ends + 1024
 
     def test_tit_for_tat_block_allocates_no_float_cubes(self):
         # A block's observations fill one reused (b, n, n) float buffer of
@@ -819,6 +850,16 @@ def _assert_matches_reference(rep, ref, columns=("total_cost",)):
                                    rtol=1e-12, atol=0.0, err_msg=key)
 
 
+def _assert_rating_matches(args):
+    """A rating run with a time series against the whole-horizon reference;
+    returns the report."""
+    ref = whole_horizon_rating_run(*args)
+    rep = simulate(*args, time_series=True)
+    _assert_matches_reference(rep, ref, ("total_cost", "mean_rating"))
+    assert list(rep.final_state.ratings) == ref["final_ratings"]
+    return rep
+
+
 def _shots(spec):
     """Profile of one-shot deviators at the given periods (None: compliant)."""
     return BehaviorProfile(tuple(
@@ -872,10 +913,7 @@ class TestWholeHorizonReference:
     @pytest.mark.parametrize("name,args", list(_reference_cases()),
                              ids=[name for name, _ in _reference_cases()])
     def test_matches_reference(self, name, args):
-        ref = whole_horizon_rating_run(*args)
-        rep = simulate(*args, time_series=True)
-        _assert_matches_reference(rep, ref, ("total_cost", "mean_rating"))
-        assert list(rep.final_state.ratings) == ref["final_ratings"]
+        rep = _assert_rating_matches(args)
         assert rep.final_state.tft_grudges is None
         assert not rep.final_state.trigger_fired
 
@@ -1090,6 +1128,36 @@ class TestTailDistribution:
         # the sample variance's relative standard error is about 7%
         np.testing.assert_allclose(totals.var(axis=0, ddof=1), var, rtol=0.3)
 
+    def test_rating_totals_with_a_late_shot(self):
+        # AS 2 deviates once at period t, in the counted part: period t's
+        # costs leave the two rows for every AS, and AS 2's signal drawn
+        # in period t (read in t + 1) reads high with probability eps
+        d, env, mon, tm = reference_design()
+        horizon, t, i = 20_000, 10_000, 2
+        assert live_periods(env, d.T, horizon) + 1 < t
+        profile = BehaviorProfile.compliant(8).replace(
+            i, Behavior("one-shot-deviator", at_period=t))
+        p = 1.0 - float(mon.epsilon(d.T))
+        steady = np.ones(8, dtype=bool)
+        shot = steady.copy()
+        shot[i] = False
+        hi, lo = (_cost_rows(d, env, tm, steady, r) for r in (True, False))
+        shot_hi, shot_lo = (_cost_rows(d, env, tm, shot, r)
+                            for r in (True, False))
+        high = 1 + (horizon - 1) * p - (2 * p - 1) * (np.arange(8) == i)
+        # every period on the two rows, then period t's row swapped
+        mean = (horizon * lo + (hi - lo) * high - (lo + (hi - lo) * p)
+                + shot_lo + (shot_hi - shot_lo) * p)
+        var = ((horizon - 2) * (hi - lo) ** 2
+               + (shot_hi - shot_lo) ** 2) * p * (1 - p)
+        runs = self._runs(d, profile, env, mon, tm, horizon)
+        totals = np.array([r.avg_cost_per_as for r in runs]) * horizon * d.T
+        se = np.sqrt(var / len(totals))
+        assert np.all(np.abs(totals.mean(axis=0) - mean) < 4 * se)
+        counts = np.array([r.rating_high_fraction for r in runs]) * horizon
+        se = math.sqrt((horizon - 1) * p * (1 - p) / len(counts))
+        assert np.all(np.abs(counts.mean(axis=0) - high) < 4 * se)
+
     @pytest.mark.filterwarnings("ignore:tit-for-tat punishment needs")
     @pytest.mark.parametrize("name", ["mixed", "one-way"])
     def test_tit_for_tat_totals(self, name):
@@ -1169,10 +1237,15 @@ class TestTimeSeriesInvariance:
         assert math.isclose(total, with_ts.avg_cost * with_ts.horizon,
                             rel_tol=1e-12)
 
-    def test_late_shot_passes_the_zero_weight(self):
+    def test_late_shot_lies_past_the_zero_weight(self):
+        # the late shot is read in a span of its own between two counted
+        # gaps, and its run matches the whole-horizon reference
         d, env, mon, tm = reference_design()
         assert live_periods(env, d.T, 5000) == 747
-        assert live_periods(env, d.T, 5000, [2000]) == 2002
+        assert drawn_periods(env, d.T, 5000, [2000]) == {
+            *range(747), 1999, 2000, 4998}
+        late = dict(_ts_invariance_cases())["late-shot/seed=2"]
+        _assert_rating_matches(late)
 
 
 class TestTailEdges:
@@ -1180,26 +1253,59 @@ class TestTailEdges:
     monitors, discount rates and horizons."""
 
     @staticmethod
-    def _rating_runs():
-        d, env, mon, tm = reference_design()
-        mixed = BehaviorProfile.compliant(8).replace(
+    def _shot_profile(at_period):
+        """AS 2 deviates persistently and AS 5 once, at `at_period`."""
+        return BehaviorProfile.compliant(8).replace(
             2, Behavior("persistent-deviator")).replace(
-            5, Behavior("one-shot-deviator", at_period=800))
-        return {"compliant": (d, BehaviorProfile.compliant(8), env, mon, tm),
-                "mixed": (d, mixed, env, mon, tm)}
+            5, Behavior("one-shot-deviator", at_period=at_period))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, 2, 3])
     @pytest.mark.parametrize("name", ["compliant", "mixed"])
     def test_rating_around_the_prefix(self, name, offset):
-        d, profile, env, mon, tm = self._rating_runs()[name]
-        shots = [b.at_period for b in profile.behaviors
-                 if b.kind == "one-shot-deviator"]
-        horizon = live_periods(env, d.T, 10**6, shots) + offset
-        args = (d, profile, env, mon, tm, horizon, 7)
-        ref = whole_horizon_rating_run(*args)
-        rep = simulate(*args, time_series=True)
-        _assert_matches_reference(rep, ref, ("total_cost", "mean_rating"))
-        assert list(rep.final_state.ratings) == ref["final_ratings"]
+        # mixed: the shot's span ends on the zero-weight period
+        d, env, mon, tm = reference_design()
+        zero = live_periods(env, d.T, 10**6)
+        profile = {"compliant": BehaviorProfile.compliant(8),
+                   "mixed": self._shot_profile(zero - 1)}[name]
+        _assert_rating_matches(
+            (d, profile, env, mon, tm, zero + offset, 7))
+
+    @pytest.mark.parametrize("anchor,offset", [
+        ("zero", 1), ("zero", 2), ("zero", 3),
+        ("end", -4), ("end", -3), ("end", -2), ("end", -1)])
+    def test_rating_shot_past_the_prefix(self, anchor, offset):
+        # the shot's span next to the zero-weight period or one or two
+        # periods after it, and next to, one before or merged with the
+        # last period
+        d, env, mon, tm = reference_design()
+        zero = live_periods(env, d.T, 10**6)
+        horizon = zero + 40
+        shot = {"zero": zero, "end": horizon}[anchor] + offset
+        _assert_rating_matches((d, self._shot_profile(shot), env, mon,
+                                     tm, horizon, 7))
+
+    @pytest.mark.parametrize("shot", [10_000, 990_000])
+    def test_late_shot_books_few_rows(self, monkeypatch, shot):
+        # however late the shot, periods are booked one by one only
+        # through the zero-weight period, in the shot's span of two and
+        # in the last period
+        from mutualsec import sim
+
+        d, env, mon, tm = reference_design()
+        horizon = 10**6
+        rows = 0
+        add = sim._Ledger.add
+
+        def counting_add(self, start, x, *args, **kwargs):
+            nonlocal rows
+            rows += len(x)
+            add(self, start, x, *args, **kwargs)
+
+        monkeypatch.setattr(sim._Ledger, "add", counting_add)
+        profile = BehaviorProfile.compliant(8).replace(
+            4, Behavior("one-shot-deviator", at_period=shot))
+        simulate(d, profile, env, mon, tm, horizon, 1)
+        assert rows <= live_periods(env, d.T, horizon) + 4
 
     @pytest.mark.filterwarnings("ignore:tit-for-tat punishment needs")
     @pytest.mark.parametrize("offset", [-1, 0, 1, 2, 3])
