@@ -348,12 +348,11 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False)
 
 
-def _emit_table(args, header: list[str], rows: list[dict], payload) -> None:
-    """Write `rows` as CSV under `header`, or `payload` as JSON, as --format
+def _table(args, header: list[str], rows: list[dict], payload) -> str:
+    """`rows` as CSV under `header`, or `payload` as JSON, as --format
     asks."""
     if args.format == "json":
-        _emit(_json(payload), args.out)
-        return
+        return _json(payload)
 
     def cell(v):
         if v is None:
@@ -366,7 +365,7 @@ def _emit_table(args, header: list[str], rows: list[dict], payload) -> None:
 
     lines = [",".join(header)]
     lines.extend(",".join(cell(row[h]) for h in header) for row in rows)
-    _emit("\n".join(lines) + "\n", args.out)
+    return "\n".join(lines) + "\n"
 
 
 def _require_json(args) -> None:
@@ -374,8 +373,7 @@ def _require_json(args) -> None:
         raise ConfigError("format: only json is supported for this command")
 
 
-def cmd_design(cfg: dict, args) -> int:
-    _require_json(args)
+def cmd_design(cfg: dict, args) -> tuple[str, int]:
     env, mon, tm = _build_instance(cfg)
     subset = _build_subset(cfg, tm.n)
     result = optimal_design(env, mon, tm, subset)
@@ -386,12 +384,10 @@ def cmd_design(cfg: dict, args) -> int:
     for check in report.checks:
         if not check.passed:
             payload["assumptions"][check.name]["ases"] = _ones(check.ases)
-    _emit(_json(payload), args.out)
-    return 0 if result.feasible else 2
+    return _json(payload), 0 if result.feasible else 2
 
 
-def cmd_mct(cfg: dict, args) -> int:
-    _require_json(args)
+def cmd_mct(cfg: dict, args) -> tuple[str, int]:
     tm = _build_network(cfg)
     ok, witness = has_mct(tm)
     payload = {
@@ -400,12 +396,10 @@ def cmd_mct(cfg: dict, args) -> int:
         "n": tm.n,
         "critical_traffic_full": critical_traffic(tm, Subset.full(tm.n)),
     }
-    _emit(_json(payload), args.out)
-    return 0
+    return _json(payload), 0
 
 
-def cmd_id(cfg: dict, args) -> int:
-    _require_json(args)
+def cmd_id(cfg: dict, args) -> tuple[str, int]:
     env, mon, tm = _build_instance(cfg)
     result = iterative_deletion(env, mon, tm)
     trace = result.trace
@@ -424,12 +418,10 @@ def cmd_id(cfg: dict, args) -> int:
         "design": _design_dict(result.design),
         "iterations": iterations,
     }
-    _emit(_json(payload), args.out)
-    return 0 if trace.chosen is not None else 2
+    return _json(payload), 0 if trace.chosen is not None else 2
 
 
-def cmd_bruteforce(cfg: dict, args) -> int:
-    _require_json(args)
+def cmd_bruteforce(cfg: dict, args) -> tuple[str, int]:
     env, mon, tm = _build_instance(cfg)
     cap = _int_field("bruteforce_cap", cfg.get("bruteforce_cap", 16))
     with _section("bruteforce_cap"):
@@ -439,11 +431,10 @@ def cmd_bruteforce(cfg: dict, args) -> int:
         "evaluations": result.evaluations,
         "design": _design_dict(result.design),
     }
-    _emit(_json(payload), args.out)
-    return 0
+    return _json(payload), 0
 
 
-def cmd_threshold(cfg: dict, args) -> int:
+def cmd_threshold(cfg: dict, args) -> tuple[str, int]:
     env = _build_environment(cfg)
     mon = _build_monitoring(cfg)
     get = partial(_field, _require(cfg, "threshold"), "threshold")
@@ -457,8 +448,8 @@ def cmd_threshold(cfg: dict, args) -> int:
     rows = [r.__dict__ for r in result.rows]
     payload = {"k_star": result.k_star, "n_star": result.n_star,
                "note": result.note, "rows": rows}
-    _emit_table(args, [f.name for f in fields(ThresholdRow)], rows, payload)
-    return 0
+    return _table(args, [f.name for f in fields(ThresholdRow)], rows,
+                  payload), 0
 
 
 def _parse_profile(spec, n: int) -> BehaviorProfile:
@@ -504,7 +495,7 @@ def _parse_design(cfg: dict, sec: dict, env, mon, tm) -> RatingDesign:
                       "with T, p0, p1")
 
 
-def cmd_simulate(cfg: dict, args) -> int:
+def cmd_simulate(cfg: dict, args) -> tuple[str, int]:
     env, mon, tm = _build_instance(cfg)
     sec = _require(cfg, "simulate")
     get = partial(_field, sec, "simulate")
@@ -524,16 +515,16 @@ def cmd_simulate(cfg: dict, args) -> int:
     seed = int_setting("seed", args.seed, 0, 0)
     ts_field = get("time_series", _bool_field, False)
     want_ts = ts_field or args.time_series is not None
+    if mode in ("profile", "benchmark"):
+        _require_json(args)
 
     if mode == "profile":
-        _require_json(args)
         design = _parse_design(cfg, sec, env, mon, tm)
         profile = _parse_profile(sec.get("profile", "compliant"), tm.n)
         with _section("simulate"):
             report = simulate(design, profile, env, mon, tm, horizon, seed,
                               time_series=want_ts)
     elif mode == "benchmark":
-        _require_json(args)
         kind = get("benchmark", _str_field)
         fixed = get("fixed", _fixed_field, None)
         with _section("simulate"):
@@ -558,8 +549,8 @@ def cmd_simulate(cfg: dict, args) -> int:
                 beta_grid=get("beta_grid", _list_of(_float_field)),
             )
         rows = [r.__dict__ for r in rows]
-        _emit_table(args, [f.name for f in fields(ComparisonRow)], rows, rows)
-        return 0
+        return _table(args, [f.name for f in fields(ComparisonRow)], rows,
+                      rows), 0
     else:
         raise ConfigError(f"simulate.mode: unknown mode {mode!r}")
 
@@ -567,8 +558,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     if args.time_series is not None:
         with _section("--time-series"):
             report.write_time_series_csv(args.time_series)
-    _emit(report.to_json(indent=2, allow_nan=False), args.out)
-    return 0
+    return report.to_json(indent=2, allow_nan=False), 0
 
 
 _SWEEP_SECTIONS = {"w0": "monitoring", "beta": "environment",
@@ -627,7 +617,7 @@ def _sweep_point(cfg: dict, names: list[str], values: tuple) -> dict:
     return row
 
 
-def cmd_sweep(cfg: dict, args) -> int:
+def cmd_sweep(cfg: dict, args) -> tuple[str, int]:
     sec = _require(cfg, "sweep")
     params = sec.get("parameters")
     if not isinstance(params, dict) or not params:
@@ -647,11 +637,11 @@ def cmd_sweep(cfg: dict, args) -> int:
             raise ConfigError(f"sweep.parameters.{name}: {unread} does not "
                               f"read {name}, so every row would be the same")
     rows = [_sweep_point(cfg, names, v) for v in itertools.product(*grids)]
-    _emit_table(args, list(rows[0]), rows, rows)
-    return 0
+    return _table(args, list(rows[0]), rows, rows), 0
 
 
-# name -> (handler, help text), in the order the usage lists them
+# name -> (handler, help text), in the order the usage lists them.  A
+# handler returns (output text, exit code) and main writes the text.
 _COMMANDS = {
     "design": (cmd_design,
                "compute the cost-minimizing incentive-compatible design"),
@@ -665,6 +655,8 @@ _COMMANDS = {
     "simulate": (cmd_simulate, "run the seeded repeated-game simulator"),
     "sweep": (cmd_sweep, "evaluate the optimal design over a parameter grid"),
 }
+# the commands that can write a CSV table
+_CSV_COMMANDS = ("threshold", "sweep", "simulate")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -712,7 +704,11 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         _apply_overrides(cfg, args.sets)
-        return _COMMANDS[args.command][0](cfg, args)
+        if args.command not in _CSV_COMMANDS:
+            _require_json(args)
+        text, code = _COMMANDS[args.command][0](cfg, args)
+        _emit(text, args.out)
+        return code
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -193,28 +193,16 @@ class TrafficMatrix:
             raise ValueError("ring lattice degree must be even")
         if not 0 < degree < n:
             raise ValueError("ring lattice needs 0 < degree < n")
-        arr = np.zeros((n, n))
-        for i in range(n):
-            for step in range(1, degree // 2 + 1):
-                j = (i + step) % n
-                arr[i, j] = rate
-                arr[j, i] = rate
-        return cls(arr)
+        return cls.from_edges(n, [(i, (i + step) % n, rate) for i in range(n)
+                                  for step in range(1, degree // 2 + 1)])
 
     @classmethod
     def line(cls, n: int, rate: float) -> "TrafficMatrix":
-        arr = np.zeros((n, n))
-        for i in range(n - 1):
-            arr[i, i + 1] = rate
-            arr[i + 1, i] = rate
-        return cls(arr)
+        return cls.from_edges(n, [(i, i + 1, rate) for i in range(n - 1)])
 
     @classmethod
     def star(cls, n: int, rate: float) -> "TrafficMatrix":
-        arr = np.zeros((n, n))
-        arr[0, 1:] = rate
-        arr[1:, 0] = rate
-        return cls(arr)
+        return cls.from_edges(n, [(0, j, rate) for j in range(1, n)])
 
     @classmethod
     def restricted_core_periphery(

@@ -114,6 +114,29 @@ class TestDesignCommand:
              '"p1": 0.05}}', "simulate.design: T must be finite"),
             ("sweep", 'sweep={"parameters": {"w0": [0.1, NaN]}}',
              "w0 must be"),
+            ("design", "environment.c",
+             "--set: expected key=value, got 'environment.c'"),
+            ("design", "environment.c.x=1",
+             "--set: environment.c.x: c is not an object"),
+            ("design", "environment=3", "environment: must be a JSON object"),
+            ("design", 'environment={"p_high": 0.3, "p_low": 0.05, "c": 0.3}',
+             "environment.beta: missing"),
+            ("design", 'monitoring={"kind": "tabulated"}',
+             "monitoring: tabulated needs points or path"),
+            ("design", "monitoring.kind=odd",
+             "monitoring.kind: unknown kind 'odd'"),
+            ("design", 'network={"kind": "star", "n": 0, "rate": 1.0}',
+             "network: traffic matrix needs at least 2 ASs"),
+            ("simulate", 'simulate={"profile": 3}',
+             "simulate.profile: must be a string or a list"),
+            ("simulate", 'simulate={"profile": [3, 3, 3, 3, 3, 3, 3, 3]}',
+             "simulate.profile: entries must be strings or objects"),
+            ("simulate", 'simulate={"design": 3}',
+             'simulate.design: must be "optimal" or an object'),
+            ("sweep", 'sweep={"parameters": [1]}',
+             "sweep.parameters: must map parameter names to value lists"),
+            ("sweep", 'sweep={"parameters": {"w0": []}}',
+             "sweep.parameters.w0: must be a nonempty list"),
         ]
         for command, setting, field in cases:
             code = main([command, "--config", cfg, "--set", setting])
@@ -147,6 +170,17 @@ class TestDesignCommand:
     def test_missing_config(self, capsys):
         assert main(["design", "--config", "/nonexistent.json"]) == 1
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"environment": ', "config: invalid JSON"),
+        ("[1, 2]", "config: top level must be a JSON object"),
+    ])
+    def test_unreadable_config(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["design", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"config error: {message}")
 
     def test_csv_not_supported(self, tmp_path, capsys):
         cfg = reference_config(tmp_path)
@@ -373,6 +407,14 @@ class TestThresholdCommand:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0].startswith("cores,n,j_full,j_core")
         assert len(lines) == 29
+
+    def test_csv_leaves_missing_values_empty(self, capsys):
+        # no core size has a feasible full-deployment design at this cost
+        assert main(["threshold", "--config",
+                     str(CONFIGS / "core_periphery_threshold.json"),
+                     "--format", "csv", "--set", "environment.c=1.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == ["3,6,,,,", "4,8,,,,"]
 
     def test_three_leaves_per_core(self, capsys):
         # l = 3 scans from K = 4, the smallest core with 3 leaves per node
@@ -690,6 +732,47 @@ class TestEntryPoint:
             err = proc.stderr.read()
             assert proc.wait() == 0
         assert err == b""
+
+
+    @pytest.mark.parametrize("argv, code", [
+        (["mct", "--config", str(CONFIGS / "square_mct_true.json")], 0),
+        (["design", "--config", str(CONFIGS / "reference_design.json"),
+          "--set", "environment.c=9"], 2),
+    ])
+    def test_closed_stdout_keeps_the_exit_code(self, argv, code):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails with a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "mutualsec", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=child_env())
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, b"")
+
+
+class TestJsonOnlyCommands:
+    @pytest.mark.parametrize("command", ["design", "mct", "id", "bruteforce"])
+    def test_csv_exits_1_before_any_section(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {})
+        assert main([command, "--config", cfg, "--format", "csv"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("config error: format: only json is supported for "
+                       "this command\n")
+
+    @pytest.mark.parametrize("mode", ["profile", "benchmark"])
+    def test_simulate_single_runs_are_json_only(self, capsys, mode):
+        # checked once horizon, seed and time_series are read
+        argv = ["simulate", "--config",
+                str(CONFIGS / "reference_simulation.json"), "--format", "csv",
+                "--set", f"simulate.mode={mode}"]
+        assert main(argv) == 1
+        assert "config error: format:" in capsys.readouterr().err
+        assert main(argv + ["--horizon", "0"]) == 1
+        assert "config error: --horizon:" in capsys.readouterr().err
 
 
 class TestRepeatedCalls:

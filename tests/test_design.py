@@ -129,6 +129,20 @@ class TestMonitoringModel:
         MonitoringModel.tabulated([(0.0, 0.4), (1.0, 0.3), (10.0, 0.2)])
         MonitoringModel.tabulated([(1.0, 0.3), (2.0, 0.3), (3.0, 0.3)])
 
+    def test_unknown_kind_and_negative_periods(self):
+        with pytest.raises(ValueError,
+                           match="unknown monitoring kind: 'odd'"):
+            MonitoringModel("odd")
+        with pytest.raises(ValueError,
+                           match="tabulated periods must be non-negative"):
+            MonitoringModel.tabulated([(-1.0, 0.5), (1.0, 0.2)])
+
+    def test_repr(self):
+        assert repr(MonitoringModel.rational(0.1)) == \
+            "MonitoringModel.rational(w0=0.1)"
+        table = MonitoringModel.tabulated([(0.0, 0.4), (2.0, 0.2), (6.0, 0.1)])
+        assert repr(table) == "MonitoringModel.tabulated(3 points)"
+
     def test_validity_report(self):
         ok, detail = MonitoringModel.rational(0.3).validity_report()
         assert ok and "w0" in detail
@@ -531,6 +545,18 @@ class TestOptimalDesign:
         env, mon, tm = reference_instance()
         with pytest.raises(ValueError):
             optimal_design(env, mon, tm, Subset.of([]))
+
+    def test_rating_design_validation(self):
+        full = Subset.full(8)
+        with pytest.raises(ValueError, match="T must be positive"):
+            RatingDesign(0.0, 0.2, 0.05, full)
+        with pytest.raises(ValueError, match="p1 must not exceed p0"):
+            RatingDesign(1.0, 0.05, 0.2, full)
+
+    def test_infeasible_result_has_no_design(self):
+        result = design.DesignResult.infeasible(Subset.full(3), "none")
+        with pytest.raises(ValueError, match="no design parameters available"):
+            result.design()
 
     def test_infeasible_diagnostics(self):
         mon = MonitoringModel.rational(0.1)

@@ -153,6 +153,30 @@ class TestTrafficMatrix:
         with pytest.raises(ValueError):
             TrafficMatrix.ring_lattice(4, 4, 1.0)
 
+    @pytest.mark.parametrize("n", range(2, 40))
+    def test_generators_match_entry_by_entry_fills(self, n):
+        rate = 2.5
+        line = np.zeros((n, n))
+        for i in range(n - 1):
+            line[i, i + 1] = line[i + 1, i] = rate
+        star = np.zeros((n, n))
+        for j in range(1, n):
+            star[0, j] = star[j, 0] = rate
+        assert TrafficMatrix.line(n, rate).rates.tobytes() == line.tobytes()
+        assert TrafficMatrix.star(n, rate).rates.tobytes() == star.tobytes()
+        for degree in range(2, n, 2):
+            ring = np.zeros((n, n))
+            for i in range(n):
+                for j in range(n):
+                    gap = (j - i) % n
+                    if i != j and min(gap, n - gap) <= degree // 2:
+                        ring[i, j] = rate
+            got = TrafficMatrix.ring_lattice(n, degree, rate)
+            assert got.rates.tobytes() == ring.tobytes(), degree
+
+    def test_repr(self):
+        assert repr(TrafficMatrix.line(5, 1.0)) == "TrafficMatrix(n=5)"
+
     def test_line_and_star(self):
         line = TrafficMatrix.line(4, 1.0)
         assert list(line.rates.sum(axis=0)) == [1.0, 2.0, 2.0, 1.0]
@@ -258,6 +282,16 @@ class TestTrafficAnalysis:
         tm = TrafficMatrix.complete(3, 1.0)
         with pytest.raises(ValueError):
             critical_traffic(tm, Subset.of([]))
+
+    def test_critical_members_empty_raises(self):
+        tm = TrafficMatrix.complete(3, 1.0)
+        with pytest.raises(ValueError, match="undefined for the empty subset"):
+            critical_members(tm, [])
+
+    def test_critical_traffic_member_out_of_range(self):
+        tm = TrafficMatrix.complete(4, 1.0)
+        with pytest.raises(ValueError, match="subset member out of range"):
+            critical_traffic(tm, Subset((0, 9)))
 
     def test_critical_members_line(self):
         tm = TrafficMatrix.line(4, 1.0)
@@ -504,6 +538,21 @@ class TestCsvRoundTrip:
         assert tm.rates[2, 1] == 1.0
         with pytest.raises(ValueError):
             load_edge_csv(path, n=2)
+
+    def test_empty_edge_csv(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="edge CSV is empty"):
+            load_edge_csv(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        edges = tmp_path / "e.csv"
+        edges.write_text("\n1,2,1.0\n\n2,3,2.0\n\n")
+        assert load_edge_csv(edges) == TrafficMatrix.from_edges(
+            3, [(0, 1, 1.0), (1, 2, 2.0)])
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("0,1\n\n1,0\n\n")
+        assert load_matrix_csv(matrix) == TrafficMatrix.line(2, 1.0)
 
     def test_edge_csv_rejects_zero_index(self, tmp_path):
         path = tmp_path / "e.csv"

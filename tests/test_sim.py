@@ -108,6 +108,11 @@ class TestArguments:
             simulate(d, BehaviorProfile.compliant(8), env, mon, tm,
                      args["horizon"], args["seed"])
 
+    def test_rejects_a_horizon_below_one(self):
+        d, env, mon, tm = reference_design()
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            simulate(d, BehaviorProfile.compliant(8), env, mon, tm, 0, 0)
+
     def test_rejects_a_negative_seed(self):
         d, env, mon, tm = reference_design()
         with pytest.raises(ValueError, match="seed must be non-negative, "
