@@ -20,6 +20,7 @@ import itertools
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields
 from functools import cache, partial
 
@@ -701,6 +702,27 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # A library warning is printed after the command as its message alone,
+    # without the path and line of the code that raised it; other warnings
+    # are shown as the filters say.
+    caught = []
+    show = warnings.showwarning
+
+    def record(message, category, *rest):
+        if issubclass(category, UserWarning):
+            caught.append(f"warning: {message}")
+        else:
+            show(message, category, *rest)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = record
+        code = _run(args)
+    for line in caught:
+        print(line, file=sys.stderr)
+    return code
+
+
+def _run(args) -> int:
     try:
         cfg = _load_config(args.config)
         _apply_overrides(cfg, args.sets)

@@ -40,10 +40,12 @@ column sums of x and no path builds a per-period cost matrix:
 - grim trigger: x is the fired column, between the pre- and post-trigger
   cost rows.
 - tit-for-tat: x is each AS's traffic from filtering partners whose last
-  observation of it was wrong, contracted from the (b, n, n) 0/1
-  observation block.  Each unit costs an AS that deploys gap * T (the
-  partner punishes) and saves one that does not as much (the partner
-  does not).
+  observation of it was wrong.  Each unit costs an AS that deploys
+  gap * T (the partner punishes) and saves one that does not as much (the
+  partner does not).  Since that is linear in the (b, n, n) 0/1
+  observation block, a run books per link instead: each block adds its
+  links' plain and discounted flag sums, and one contraction at the end
+  gives every AS's cost, discounted cost and the grudge count.
 
 And from the first period whose weight is surely 0.0, the totals depend
 only on how often each 0/1 entry is 1, not on when, except in the periods
@@ -52,12 +54,18 @@ state.  The rating and tit-for-tat paths share one draw rule, `_stream`:
 it reads one by one the periods through that point, each one-shot period
 and the period after it, and the last period, each span in blocks of its
 own, and books each gap between spans from one binomial count per AS
-(ratings) or per link (tit-for-tat).  Grim trigger needs only its first
-"deviate" signal, which it draws as one geometric wait from period 0.
-The discounted utilities are those of a whole-horizon run on the same
-draws to about 1e-12 relative (the summation order depends on the
-blocking).  A time series spreads each count over distinct periods drawn
-by a child of the seed, so it changes no other field.
+(ratings) or per link (tit-for-tat).  A period read one by one takes its
+0/1 flags four to a raw 64-bit word of the bit generator: a flag that is
+1 with probability p is 1 where its 16-bit chunk is below the top 16 of
+the 53 bits of ceil(p * 2**53), and a chunk equal to them (one in 2**16)
+is settled by a uniform from a child of the seed, so each flag has
+exactly the law of a uniform double below p.  Grim trigger needs only
+its first "deviate" signal, which it draws as one geometric wait from
+period 0.  The discounted utilities are those of a whole-horizon run on
+the same draws to about 1e-12 relative (the summation order depends on
+the blocking).  The seed has two children: spawn key 0 spreads a time
+series' counts over distinct periods, so a time series changes no other
+field, and spawn key 1 settles the ties.
 """
 
 from __future__ import annotations
@@ -236,8 +244,9 @@ def _check_profile(profile: BehaviorProfile, n: int) -> None:
 
 # Periods run in blocks of at most this many elements (periods x n, or
 # periods x n^2 for tit-for-tat's pairwise observations), so working memory
-# does not grow with the horizon.
-_BLOCK_ELEMENTS = 1 << 16
+# does not grow with the horizon.  A block's draw holds its raw words (a
+# quarter of the block's 8-byte floats) and a tie scan beside the buffer.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _blocks(begin: int, end: int, width: int):
@@ -273,9 +282,11 @@ class _Ledger:
     0.0 (the underflowing tail is most of a long first block and the
     slowest part to compute); a block that starts at `zero` or later adds
     nothing to the discounted cost.  Weights that are merely subnormal are
-    still used.  Periods from `zero` on can also be booked from x's column
-    sums alone (`tail`).  A time series is kept when `spread`, the
-    generator that places such sums, is given."""
+    still used.  A path that keeps its own column sums reads the same
+    weights (`weights`).  Periods from `zero` on can also be booked from
+    x's column sums alone (`tail`).  A time series is kept when `spread`,
+    the generator that places such sums over their periods (`place`), is
+    given."""
 
     def __init__(self, n: int, horizon: int, T: float, delta: float,
                  spread: np.random.Generator | None) -> None:
@@ -302,6 +313,17 @@ class _Ledger:
                 "mean_rating": np.full(horizon, np.nan),
             }
 
+    def weights(self, start: int, b: int) -> np.ndarray | None:
+        """The discount weights of periods start, ..., start + b - 1, those
+        from `zero` on left 0.0 uncomputed (None when every one is)."""
+        if start >= self.zero:
+            return None
+        weights = np.zeros(b)
+        k = min(b, self.zero - start)
+        np.power(self.delta, np.arange(start, start + k, dtype=float),
+                 out=weights[:k])
+        return weights
+
     def add(self, start: int, x: np.ndarray, lo: np.ndarray | float = 0.0,
             step: np.ndarray | float = 1.0,
             ratings: np.ndarray | None = None) -> None:
@@ -313,11 +335,8 @@ class _Ledger:
         ones = np.ones(b)
         sums = ones @ x
         self.cost += b * lo + step * sums
-        if start < self.zero:
-            weights = np.zeros(b)
-            k = min(b, self.zero - start)
-            np.power(self.delta, np.arange(start, start + k, dtype=float),
-                     out=weights[:k])
+        weights = self.weights(start, b)
+        if weights is not None:
             self.discounted += weights.sum() * lo + step * (weights @ x)
         if ratings is not None:
             self.high += sums if ratings is x else ones @ ratings
@@ -328,22 +347,26 @@ class _Ledger:
                 self.ts["mean_rating"][start:stop] = ratings.mean(axis=1)
 
     def tail(self, start: int, stop: int, count: np.ndarray | float,
-             lo: np.ndarray, step: np.ndarray | float, columns=None,
-             ratings: bool = False) -> None:
+             lo: np.ndarray, step: np.ndarray | float) -> None:
         """Book periods start, ..., stop - 1, all at or past `zero`, from
-        x's column sums `count` alone (also as high ratings).  For a time
-        series, columns = (ones, adds): the 1s of each column of some 0/1
-        array fall on distinct periods drawn without replacement (or, where
-        they are more than half, its 0s do), column by column in C order,
-        each 1 adding its column's `adds` entry to the period's cost (and,
-        with `ratings`, 1/len(lo) to its mean rating)."""
+        x's column sums `count` alone (also as high ratings)."""
         self.cost += (stop - start) * lo + step * count
         self.high += count
-        if self.ts is None or columns is None:
+
+    def place(self, start: int, stop: int, lo: np.ndarray, ones, adds,
+              ratings: bool = False) -> None:
+        """For a time series, fill periods start, ..., stop - 1 (all at or
+        past `zero`) from the column counts `ones` of some 0/1 array: the
+        1s of each column fall on distinct periods drawn without
+        replacement (or, where they are more than half, its 0s do), column
+        by column in C order, each 1 adding its column's `adds` entry to
+        the period's cost row lo (and, with `ratings`, 1/len(lo) to its
+        mean rating)."""
+        if self.ts is None:
             return
         m = stop - start
         cost, hits = np.zeros((2, m))
-        for c, w in zip(*(np.ravel(a).tolist() for a in columns)):
+        for c, w in zip(np.ravel(ones).tolist(), np.ravel(adds).tolist()):
             c, sign = int(c), 1.0
             if 2 * c > m:  # set every period, then draw the 0s
                 cost += w
@@ -382,8 +405,9 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
         raise ValueError("monitoring error must lie in [0, 1/2]")
     T = design.T
     rng = np.random.default_rng(seed)
-    # A time series places tail counts from a child of the seed, leaving
-    # the main stream, and so every other field, as it is.
+    # A time series places tail counts from the seed's child of spawn key
+    # 0 (`_stream` settles ties from key 1), leaving the main stream, and
+    # so every other field, as it is.
     ledger = _Ledger(n, horizon, T, math.exp(-env.beta * T),
                      rng.spawn(1)[0] if time_series else None)
     kinds = set(profile.kinds())
@@ -407,26 +431,60 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
     )
 
 
+def _draw_law(p: float) -> tuple[int, float]:
+    """(K >> 37, (K mod 2**37) / 2**37) for K = ceil(p * 2**53): a flag
+    whose 16-bit chunk is below the first, or equal to it and whose tie
+    uniform is below the second, is 1 with probability K / 2**53, the
+    chance that a uniform k / 2**53 is below p."""
+    K = math.ceil(p * 2.0 ** 53)
+    return K >> 37, (K & (2 ** 37 - 1)) / 2.0 ** 37
+
+
 def _stream(rng, zero, horizon, first, p, flipped, flips, book, tail):
     """Run a path whose period t reads a 0/1 array drawn in period t - 1
-    (`first` in period 0).  An entry drawn in period t is 1 where its
-    uniform draw is below p, complemented if its flat index is in
-    `flipped`, and xor its flips[t] entry when t is a key of `flips`.
-    Periods are read one by one in spans, taken in order: 0 through
-    `zero`, each key t of `flips` and t + 1, and the last period, clipped
-    to the horizon.  A span's arrays are drawn in blocks into a buffer of
-    its own and booked by book(start, arrays); the buffer is released
-    before the next gap, so a gap's counts add nothing to the peak.
-    tail(start, stop, count) books the periods of a gap between spans from
-    each entry's count of 1s (one binomial draw per entry, complemented
-    where flipped).  Returns the array read in the last period."""
+    (`first` in period 0).  An entry drawn in period t is 1 with
+    probability p, complemented if its flat index is in `flipped`, and xor
+    its flips[t] entry when t is a key of `flips`.  Periods are read one
+    by one in spans, taken in order: 0 through `zero`, each key t of
+    `flips` and t + 1, and the last period, clipped to the horizon.  A
+    span's arrays are drawn in blocks into a buffer of its own and booked
+    by book(start, arrays); the buffer is released before the next gap,
+    so a gap's counts add nothing to the peak.  tail(start, stop, count)
+    books the periods of a gap between spans from each entry's count of
+    1s (one binomial draw per entry, complemented where flipped).  Returns
+    the array read in the last period.
+
+    The draw rule: with K = ceil(p * 2**53), an entry is 1 where a uniform
+    k / 2**53 would be below p, that is with probability K / 2**53, and
+    the top 16 bits of k settle that but for one case in 2**16.  So a
+    drawn period takes ceil(E / 4) raw 64-bit words from the bit generator
+    for its E entries, entry e reading the word's little-endian 16-bit
+    chunk e (chunk e % 4 of word e // 4).  An entry is 1 where its chunk
+    is below K >> 37; a chunk equal to it is a tie, 1 where a uniform u is
+    below (K mod 2**37) / 2**37, the u drawn in (period, entry) order by
+    the seed's child of spawn key 1, built at the first tie."""
+    words = -(-first.size // 4)  # raw words per drawn period
+    cut, tie_p = _draw_law(p)
+    ties = None
 
     def draw(out, start):
-        np.less(rng.random(out=out), p, out=out)
-        entries = out.reshape(len(out), first.size)
+        nonlocal ties
+        b = len(out)
+        entries = out.reshape(b, first.size)
+        raw = rng.bit_generator.random_raw(b * words)
+        chunks = raw.astype("<u8", copy=False).view("<u2")
+        chunks = chunks.reshape(b, 4 * words)[:, :first.size]
+        np.less(chunks, cut, out=entries)
+        if tie_p:
+            at = np.flatnonzero(chunks == cut)
+            if at.size:
+                if ties is None:
+                    ties = np.random.default_rng(np.random.SeedSequence(
+                        rng.bit_generator.seed_seq.entropy, spawn_key=(1,)))
+                entries.flat[at] = ties.random(at.size) < tie_p
         entries[:, flipped] = 1.0 - entries[:, flipped]
         for t, mask in flips.items():
-            if start <= t < start + len(out):
+            if start <= t < start + b:
                 out[t - start] = out[t - start] != mask
 
     last = horizon - 1
@@ -499,8 +557,8 @@ def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
 
     def tail(start, stop, high):
         # only the number of high ratings counts
-        ledger.tail(start, stop, high, lo, hi - lo, (high, hi - lo),
-                    ratings=True)
+        ledger.tail(start, stop, high, lo, hi - lo)
+        ledger.place(start, stop, lo, high, hi - lo, ratings=True)
 
     # Ratings start high, and a signal reads high with probability 1 - eps
     # (eps for a deviating AS).
@@ -587,23 +645,38 @@ def _simulate_tft(design, env, tm, horizon, eps, rng, ledger):
     # A grudge is a low flag on an observed link into an AS that deploys,
     # or its absence on one into an AS that does not.
     sign = np.where(observable, np.where(deviates, -1.0, 1.0), 0.0).ravel()
-    grudge_count = horizon * np.count_nonzero(observable & deviates)
+    # Costs and grudges are linear in the flags, so a run only sums each
+    # link's flags, plainly and discounted, and contracts them once.
+    fold = held * step  # a link's flag adds this to its receiver's cost
+    links = np.zeros((2, n * n))
+    weight = 0.0  # the discount weights' sum
 
     def book(start, lagged):
-        nonlocal grudge_count
-        grudge_count += (lagged.reshape(len(lagged), n * n) @ sign).sum()
-        ledger.add(start, np.einsum("tji,ji->ti", lagged, held), lo, step)
+        nonlocal weight
+        x = lagged.reshape(len(lagged), n * n)
+        weights = ledger.weights(start, len(x))
+        if weights is None:
+            links[0] += np.ones(len(x)) @ x
+        else:
+            links[:] += np.stack((np.ones(len(x)), weights)) @ x
+            weight += weights.sum()
+        if ledger.ts is not None:
+            ledger.ts["total_cost"][start:start + len(x)] = (
+                lo.sum() + x @ fold.ravel()) / T
 
     def tail(start, stop, wrong):
         # only how often each link's observation was wrong counts
-        nonlocal grudge_count
-        ledger.tail(start, stop, (held * wrong).sum(axis=0), lo, step,
-                    (wrong, held * step))
-        grudge_count += wrong.ravel() @ sign
+        links[0] += wrong.ravel()
+        ledger.place(start, stop, lo, wrong, fold)
 
     # Before period 0 the flags read `deviates`, which is "deviate" nowhere.
     first = np.broadcast_to(deviates, (n, n))
     final = _stream(rng, ledger.zero, horizon, first, eps, [], {}, book, tail)
+    cost, discounted = (links.reshape(2, n, n) * fold).sum(axis=1)
+    ledger.cost += horizon * lo + cost
+    ledger.discounted += weight * lo + discounted
+    grudge_count = (horizon * np.count_nonzero(observable & deviates)
+                    + links[0] @ sign)
     final = (deviates ^ (final != 0.0)) & observable
     grudges = tuple(map(tuple, np.argwhere(final).tolist()))
     return {

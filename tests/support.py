@@ -11,6 +11,7 @@ pass, which the subset-search guarantees need.
 import csv
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -266,28 +267,52 @@ def drawn_periods(env, T, horizon, shots=()):
     return {t for t in drawn if 0 <= t <= horizon - 2}
 
 
+def flags_from_words(words, size, p, ties):
+    """The (m, size) 0/1 flags of m periods from their (m, ceil(size / 4))
+    raw 64-bit words: with K = ceil(p * 2**53), entry e of a period reads
+    bits 16 * (e % 4) through 16 * (e % 4) + 15 of its word e // 4 as a
+    chunk, and is 1 where the chunk is below K >> 37.  A chunk equal to it
+    is a tie, 1 where the next uniform of `ties` is below
+    (K mod 2**37) / 2**37, the ties taken in (period, entry) order."""
+    K = math.ceil(Fraction(p) * 2 ** 53)
+    cut, rest = K >> 37, K % 2 ** 37
+    chunks = np.stack([(words >> np.uint64(16 * k)) & np.uint64(0xFFFF)
+                       for k in range(4)], axis=-1)
+    chunks = chunks.reshape(len(words), -1)[:, :size].astype(np.int64)
+    flags = chunks < cut
+    tied = np.flatnonzero(chunks == cut)
+    flags.flat[tied] = ties.random(tied.size) < rest / 2 ** 37
+    return flags
+
+
 def _drawn_flags(seed, drawn, p, flip):
     """The 0/1 flags of periods 0, ..., horizon - 2 (flip has one row per
-    period of the horizon), each entry's flag being "its draw is below p"
+    period of the horizon), each entry's flag being 1 with probability p
     xor its `flip` entry, as a bool array whose row horizon - 1 is False.
-    The periods in `drawn` are drawn one by one; each run of the others, a
-    gap (over which flip is steady), takes one binomial count per entry.
-    Stream order is period order: each run of drawn periods as one uniform
-    draw of its rows, each gap as one binomial draw (m minus the count
-    where flipped, m the gap's length).  An entry's count of 1s falls on
-    distinct periods of its gap drawn without replacement (its 0s do,
-    where the 1s are more than half), gap by gap and entry by entry in C
-    order, by the first child of the seed's SeedSequence."""
+    The periods in `drawn` are drawn one by one, from raw words by
+    `flags_from_words`; each run of the others, a gap (over which flip is
+    steady), takes one binomial count per entry.  Stream order is period
+    order: each run of drawn periods as one raw-word draw of its rows,
+    each gap as one binomial draw (m minus the count where flipped, m the
+    gap's length).  Ties take their uniforms from the second child of the
+    seed's SeedSequence.  An entry's count of 1s falls on distinct periods
+    of its gap drawn without replacement (its 0s do, where the 1s are more
+    than half), gap by gap and entry by entry in C order, by the first
+    child."""
     rng = np.random.default_rng(seed)
-    spread = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    spread, ties = map(np.random.default_rng,
+                       np.random.SeedSequence(seed).spawn(2))
     shape = flip.shape[1:]
+    size = math.prod(shape)
     flags = np.zeros(flip.shape, dtype=bool)
     t = 0
     for one_by_one, run in itertools.groupby(range(len(flip) - 1),
                                              drawn.__contains__):
         m = len(list(run))
         if one_by_one:
-            flags[t:t + m] = (rng.random((m, *shape)) < p) ^ flip[t:t + m]
+            words = rng.bit_generator.random_raw((m, -(-size // 4)))
+            drawn_flags = flags_from_words(words, size, p, ties)
+            flags[t:t + m] = drawn_flags.reshape(m, *shape) ^ flip[t:t + m]
         else:
             ones = rng.binomial(m, p, shape)
             ones = np.where(flip[t], m - ones, ones)

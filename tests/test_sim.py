@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from mutualsec import (
 
 from support import (
     drawn_periods,
+    flags_from_words,
     live_periods,
     reference_instance,
     whole_horizon_rating_run,
@@ -36,6 +38,7 @@ from support import (
 )
 
 PERFECT = MonitoringModel.tabulated([(0.0, 0.0), (10.0, 0.0)])
+COIN = MonitoringModel.tabulated([(0.0, 0.5), (10.0, 0.5)])  # eps = 1/2
 
 
 def reference_design():
@@ -800,16 +803,16 @@ class TestDiscountWeights:
         # the reference computes every weight of a block it books, as if
         # none were known to underflow; the live prefix, which ends at the
         # same bound, stays where it is
-        add = sim._Ledger.add
+        weights = sim._Ledger.weights
 
-        def untrimmed_add(self, *args, **kwargs):
+        def untrimmed_weights(self, *args):
             zero, self.zero = self.zero, math.inf
             try:
-                add(self, *args, **kwargs)
+                return weights(self, *args)
             finally:
                 self.zero = zero
 
-        monkeypatch.setattr(sim._Ledger, "add", untrimmed_add)
+        monkeypatch.setattr(sim._Ledger, "weights", untrimmed_weights)
         for args, rep in zip(runs, trimmed):
             assert rep == simulate(*args)
 
@@ -898,6 +901,13 @@ def _reference_cases():
         env_b = dataclasses.replace(env, beta=beta)
         yield (f"{name}/together", (plan, together, env_b, mon, tm, 10_000, 1))
         yield (f"{name}/mixed", (plan, mixed, env_b, mon, tm, 20_000, 1))
+    # signals that are always right (p = 1) or a coin flip (p = 1/2), the
+    # latter at 7 ASs, whose two raw words per period carry a spare chunk
+    yield ("eps=0/mixed", (plan, mixed, env, PERFECT, tm, 20_000, 1))
+    tm7 = TrafficMatrix.complete(7, 1.0)
+    plan7 = RatingDesign(1.0, env.p_high, env.p_low, Subset.full(7))
+    yield ("eps=1/2/mixed", (plan7, BehaviorProfile(
+        mixed.behaviors[:7]), env, COIN, tm7, 20_000, 1))
     # 64 ASs, 1024-period blocks; AS 63 receives no traffic, so its only
     # cost is its one-shot deployment at period 1060, in a block whose
     # weights are all subnormal or zero.
@@ -910,6 +920,24 @@ def _reference_cases():
     yield ("subnormal", (design, shot,
                          dataclasses.replace(env, beta=math.log(2.0)), mon,
                          lonely, 1100, 3))
+
+
+class TestDrawRule:
+    """A drawn flag is 1 with probability ceil(p * 2**53) / 2**53, the law
+    of a uniform k / 2**53 below p."""
+
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 2.0 ** -60, 1e-3, 0.039,
+                                   0.5, 1.0 - 2.0 ** -53, 1.0])
+    def test_law_is_exact(self, p):
+        from mutualsec import sim
+
+        cut, tie = sim._draw_law(p)
+        assert 0 <= cut <= 2 ** 16 and 0.0 <= tie < 1.0
+        K = math.ceil(Fraction(p) * 2 ** 53)
+        assert Fraction(cut, 2 ** 16) + Fraction(tie) / 2 ** 16 == \
+            Fraction(K, 2 ** 53)
+        assert Fraction(cut, 2 ** 16) + Fraction(K % 2 ** 37, 2 ** 53) == \
+            Fraction(K, 2 ** 53)
 
 
 class TestWholeHorizonReference:
@@ -949,6 +977,9 @@ def _tft_cases():
         "mixed": (_plan(env, mixed), env, mon, mixed),
         "nobody": (_plan(env, tm), impatient, mon, tm),
         "one-way": (_plan(env, one_way), env, mon, one_way),
+        # observations never wrong (p = 0) or wrong half the time
+        "eps=0": (_plan(env, mixed), env, PERFECT, mixed),
+        "eps=1/2": (_plan(env, mixed), env, COIN, mixed),
     }
 
 
@@ -1005,7 +1036,8 @@ class TestWholeHorizonTitForTat:
         deploying = {name: whole_horizon_tft_run(*args, 5, 0)["deploying"]
                      for name, args in _tft_cases().items()}
         assert deploying == {"mixed": [0, 1], "nobody": [],
-                             "one-way": [0, 1]}
+                             "one-way": [0, 1], "eps=0": [0, 1],
+                             "eps=1/2": [0, 1]}
 
     @pytest.mark.parametrize("name,horizon",
                              _horizon_cases(_tft_cases(), lambda n: n * n))
@@ -1369,7 +1401,8 @@ class TestTailEdges:
 
     def test_no_discounting_draws_every_period(self):
         # delta = 1.0: no weight is ever 0.0, so the whole horizon is the
-        # prefix and the signals are one plain (horizon, n) draw
+        # prefix and the signals are one plain draw of two raw words per
+        # period
         env, mon, tm = reference_instance()
         env = dataclasses.replace(env, beta=1e-20)
         plan = _plan(env, tm)
@@ -1379,11 +1412,13 @@ class TestTailEdges:
         rep = simulate(plan, BehaviorProfile.compliant(8), env, mon, tm,
                        horizon, seed)
         eps = float(mon.epsilon(plan.T))
-        u = np.random.default_rng(seed).random((horizon, 8))
-        high = 1 + (u[:-1] < 1.0 - eps).sum(axis=0)
+        words = np.random.default_rng(seed).bit_generator.random_raw(
+            (horizon - 1, 2))
+        ties = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+        signal = flags_from_words(words, 8, 1.0 - eps, ties)
+        high = 1 + signal.sum(axis=0)
         assert rep.rating_high_fraction == tuple(high / horizon)
-        assert rep.final_state.ratings == tuple(
-            (u[-2] < 1.0 - eps).astype(int))
+        assert rep.final_state.ratings == tuple(signal[-1].astype(int))
 
     def test_very_long_compliant_run(self):
         d, env, mon, tm = reference_design()
