@@ -22,30 +22,30 @@ exp(-beta*T) * (p_high - p_low) * nu_mutual > c, where nu_mutual counts
 inbound traffic from reciprocal partners (retaliation arrives one period
 late, hence the discount).
 
-Runs are streamed in fixed-size blocks of periods whose cost rows are added
-to running totals, so memory does not grow with the horizon except for the
-time-series columns, which hold one value per period when requested.
+Runs are streamed in fixed-size blocks of periods, so memory does not grow
+with the horizon except for the time-series columns, which hold one value
+per period when requested.
 
 Three shortcuts keep runs cheap.  The discounted sums stop at the first
 weight delta ** t that is surely 0.0 (about 745 / (beta*T) periods in),
 also within a block: that weight and later ones are left 0.0 uncomputed.
-Each path writes its period-t cost row as lo + step * x[t], with lo and
-step fixed for the run, so a block is booked from the plain and discounted
-column sums of x and no path builds a per-period cost matrix:
+Every path books its periods by one rule: period t's cost row is
+lo + sum_e x[t, e] * row_e over a 0/1 array x[t], with lo and the rows
+fixed for the run, so the ledger keeps only each entry's count of 1s and
+its discounted count, and the path contracts them with its rows once at
+the end; no path builds a per-period cost matrix.  The entries are:
 
-- rating: x holds the ratings (1.0 high, 0.0 low), between the rated-low
-  and rated-high cost rows, since under steady actions an AS's cost is one
-  of the two.  Blocks with one-shot deviations book their general cost
-  rows as x, with lo = 0 and step = 1.
-- grim trigger: x is the fired column, between the pre- and post-trigger
-  cost rows.
-- tit-for-tat: x is each AS's traffic from filtering partners whose last
-  observation of it was wrong.  Each unit costs an AS that deploys
-  gap * T (the partner punishes) and saves one that does not as much (the
-  partner does not).  Since that is linear in the (b, n, n) 0/1
-  observation block, a run books per link instead: each block adds its
-  links' plain and discounted flag sums, and one contraction at the end
-  gives every AS's cost, discounted cost and the grudge count.
+- rating: the ratings (1.0 high, 0.0 low), row_e moving AS e from its
+  rated-low to its rated-high cost, since under steady actions an AS's
+  cost is one of the two.  Each one-shot deviation's period adds the
+  difference between its general cost row and that form.
+- grim trigger: the single fired flag, moving every AS from its pre- to
+  its post-trigger cost.
+- tit-for-tat: each link's observation, 1 where it was wrong.  A wrong
+  observation of AS i by a deploying partner costs i gap * T per unit of
+  the partner's traffic to it if i deploys (the partner punishes) and
+  saves i as much if it does not (the partner does not); the grudge
+  count is one more contraction of the same counts.
 
 And from the first period whose weight is surely 0.0, the totals depend
 only on how often each 0/1 entry is 1, not on when, except in the periods
@@ -205,8 +205,11 @@ class SimReport:
         if self.time_series is not None:
             ts = {}
             for k, v in self.time_series.items():
-                vals = np.asarray(v, dtype=float).tolist()
-                ts[k] = [None if math.isnan(x) else x for x in vals]
+                v = np.asarray(v)
+                if v.dtype.kind == "f":
+                    ts[k] = [None if math.isnan(x) else x for x in v.tolist()]
+                else:  # period and trigger_fired, as the CSV writes them
+                    ts[k] = v.astype(int).tolist()
             d["time_series"] = ts
         return d
 
@@ -263,32 +266,32 @@ _UNDERFLOW_LOG = 1075 * math.log(2.0)
 
 
 class _Ledger:
-    """Running totals of per-AS cost and discounted cost, high-rating counts
-    and, when requested, the time-series columns, filled in place.
+    """Running sums of the 0/1 arrays a run books and, when requested, the
+    time-series columns, filled in place.
 
-    A block is booked as an array x whose period-t cost row is
-    lo + step * x[t], with lo and step per AS (or scalars, and x may have
-    one column when a single switch moves every AS's cost).  The totals
-    then need only x's column sums and discounted column sums,
-    b*lo + step*(ones @ x) and weights.sum()*lo + step*(weights @ x), so
-    no path builds a per-period cost matrix; the row sums are formed only
-    for a time series.
+    Every path's period-t cost row is lo + sum_e x[t, e] * row_e over one
+    0/1 array x[t] (ratings, tit-for-tat links, or the trigger's fired
+    flag), so the ledger keeps only each entry's count of 1s and its
+    discounted count, as one (2, E) array `sums`, and the discount
+    weights' sum `weight`; a path contracts them with its rows once at
+    the end, and no path builds a per-period cost matrix.  `entries`
+    declares the entries: a period's total cost is sum(lo) + x[t] @ adds,
+    and a named time-series `column` reads x[t]'s mean.
 
-    Column sums are products with a vector of ones (one BLAS call, where
-    an axis-0 reduction of a tall, narrow block is a slow strided loop).
-    Discount weights are non-increasing in the period, and from period
-    `zero` on, delta ** t surely underflows to 0.0, so a block's weights
-    are computed only for its periods before `zero` and the rest are left
-    0.0 (the underflowing tail is most of a long first block and the
-    slowest part to compute); a block that starts at `zero` or later adds
-    nothing to the discounted cost.  Weights that are merely subnormal are
-    still used.  A path that keeps its own column sums reads the same
-    weights (`weights`).  Periods from `zero` on can also be booked from
-    x's column sums alone (`tail`).  A time series is kept when `spread`,
-    the generator that places such sums over their periods (`place`), is
-    given."""
+    Column sums are products with a vector of ones stacked on the block's
+    weights (one BLAS call, where an axis-0 reduction of a tall, narrow
+    block is a slow strided loop).  Discount weights are non-increasing in
+    the period, and from period `zero` on, delta ** t surely underflows to
+    0.0, so a block's weights are computed only for its periods before
+    `zero` and the rest are left 0.0 (the underflowing tail is most of a
+    long first block and the slowest part to compute); a block that
+    starts at `zero` or later adds nothing to the discounted counts.
+    Weights that are merely subnormal are still used.  Periods from
+    `zero` on can also be booked from each entry's count of 1s alone
+    (`tail`).  A time series is kept when `spread`, the generator that
+    places such counts over their periods, is given."""
 
-    def __init__(self, n: int, horizon: int, T: float, delta: float,
+    def __init__(self, horizon: int, T: float, delta: float,
                  spread: np.random.Generator | None) -> None:
         self.T = T
         self.delta = delta
@@ -300,9 +303,6 @@ class _Ledger:
             self.zero = horizon
         else:
             self.zero = math.ceil(_UNDERFLOW_LOG / -math.log(delta)) + 1
-        self.cost = np.zeros(n)
-        self.discounted = np.zeros(n)
-        self.high = np.zeros(n)
         self.ts = None
         self.spread = spread
         if spread is not None:
@@ -312,6 +312,16 @@ class _Ledger:
                 "trigger_fired": np.zeros(horizon, dtype=bool),
                 "mean_rating": np.full(horizon, np.nan),
             }
+
+    def entries(self, lo, adds, column: str | None = None) -> None:
+        """Declare the booked arrays' entries: period t costs
+        sum(lo) + x[t] @ adds in total, and the time-series `column`, if
+        named, reads x[t]'s mean."""
+        self.base = lo.sum()
+        self.adds = np.ravel(adds)
+        self.column = column
+        self.sums = np.zeros((2, self.adds.size))
+        self.weight = 0.0
 
     def weights(self, start: int, b: int) -> np.ndarray | None:
         """The discount weights of periods start, ..., start + b - 1, those
@@ -324,49 +334,35 @@ class _Ledger:
                  out=weights[:k])
         return weights
 
-    def add(self, start: int, x: np.ndarray, lo: np.ndarray | float = 0.0,
-            step: np.ndarray | float = 1.0,
-            ratings: np.ndarray | None = None) -> None:
-        """Book periods start, start + 1, ... whose cost rows are
-        lo + step * x[t] and, for rating runs, whose rating rows are
-        `ratings` (which may be x itself)."""
+    def add(self, start: int, x: np.ndarray) -> None:
+        """Book periods start, ..., start + len(x) - 1, period t reading
+        the 0/1 row x[t - start]."""
         b = len(x)
-        stop = start + b
-        ones = np.ones(b)
-        sums = ones @ x
-        self.cost += b * lo + step * sums
         weights = self.weights(start, b)
-        if weights is not None:
-            self.discounted += weights.sum() * lo + step * (weights @ x)
-        if ratings is not None:
-            self.high += sums if ratings is x else ones @ ratings
+        if weights is None:
+            self.sums[0] += np.ones(b) @ x
+        else:
+            self.sums += np.array((np.ones(b), weights)) @ x
+            self.weight += weights.sum()
         if self.ts is not None:
-            self.ts["total_cost"][start:stop] = ((lo + step * x).sum(axis=1)
-                                                 / self.T)
-            if ratings is not None:
-                self.ts["mean_rating"][start:stop] = ratings.mean(axis=1)
+            self.ts["total_cost"][start:start + b] = (
+                self.base + x @ self.adds) / self.T
+            if self.column is not None:
+                self.ts[self.column][start:start + b] = x.mean(axis=1)
 
-    def tail(self, start: int, stop: int, count: np.ndarray | float,
-             lo: np.ndarray, step: np.ndarray | float) -> None:
+    def tail(self, start: int, stop: int, count: np.ndarray) -> None:
         """Book periods start, ..., stop - 1, all at or past `zero`, from
-        x's column sums `count` alone (also as high ratings)."""
-        self.cost += (stop - start) * lo + step * count
-        self.high += count
-
-    def place(self, start: int, stop: int, lo: np.ndarray, ones, adds,
-              ratings: bool = False) -> None:
-        """For a time series, fill periods start, ..., stop - 1 (all at or
-        past `zero`) from the column counts `ones` of some 0/1 array: the
-        1s of each column fall on distinct periods drawn without
-        replacement (or, where they are more than half, its 0s do), column
-        by column in C order, each 1 adding its column's `adds` entry to
-        the period's cost row lo (and, with `ratings`, 1/len(lo) to its
-        mean rating)."""
+        each entry's count of 1s over them.  For a time series, each
+        entry's 1s fall on distinct periods drawn without replacement (or,
+        where they are more than half, its 0s do), entry by entry, each 1
+        adding its entry's `adds` to the period's total cost (and
+        1 / E to `column`)."""
+        self.sums[0] += count
         if self.ts is None:
             return
         m = stop - start
         cost, hits = np.zeros((2, m))
-        for c, w in zip(np.ravel(ones).tolist(), np.ravel(adds).tolist()):
+        for c, w in zip(np.ravel(count).tolist(), self.adds.tolist()):
             c, sign = int(c), 1.0
             if 2 * c > m:  # set every period, then draw the 0s
                 cost += w
@@ -375,9 +371,9 @@ class _Ledger:
             at = self.spread.choice(m, c, replace=False)
             cost[at] += sign * w
             hits[at] += sign
-        self.ts["total_cost"][start:stop] = (np.sum(lo) + cost) / self.T
-        if ratings:
-            self.ts["mean_rating"][start:stop] = hits / len(lo)
+        self.ts["total_cost"][start:stop] = (self.base + cost) / self.T
+        if self.column is not None:
+            self.ts[self.column][start:stop] = hits / self.adds.size
 
 
 def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
@@ -408,24 +404,25 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
     # A time series places tail counts from the seed's child of spawn key
     # 0 (`_stream` settles ties from key 1), leaving the main stream, and
     # so every other field, as it is.
-    ledger = _Ledger(n, horizon, T, math.exp(-env.beta * T),
+    ledger = _Ledger(horizon, T, math.exp(-env.beta * T),
                      rng.spawn(1)[0] if time_series else None)
     kinds = set(profile.kinds())
     if kinds == {"tit-for-tat"}:
-        fields = _simulate_tft(design, env, tm, horizon, eps, rng, ledger)
+        run = _simulate_tft(design, env, tm, horizon, eps, rng, ledger)
     elif kinds == {"grim-trigger"}:
-        fields = _simulate_trigger(design, env, tm, horizon, eps, rng, ledger)
+        run = _simulate_trigger(design, env, tm, horizon, eps, rng, ledger)
     else:
-        fields = _simulate_rating(design, profile, env, tm, horizon, eps, rng,
-                                  ledger)
-    per_as = ledger.cost / (horizon * T)
+        run = _simulate_rating(design, profile, env, tm, horizon, eps, rng,
+                               ledger)
+    cost, discounted, fields = run
+    per_as = cost / (horizon * T)
     return SimReport(
         horizon=horizon,
         period_length=T,
         seed=seed,
         avg_cost=float(per_as.sum()),
         avg_cost_per_as=tuple(float(x) for x in per_as),
-        discounted_utility=tuple(float(-x) for x in ledger.discounted),
+        discounted_utility=tuple(float(-x) for x in discounted),
         time_series=ledger.ts,
         **fields,
     )
@@ -440,19 +437,20 @@ def _draw_law(p: float) -> tuple[int, float]:
     return K >> 37, (K & (2 ** 37 - 1)) / 2.0 ** 37
 
 
-def _stream(rng, zero, horizon, first, p, flipped, flips, book, tail):
-    """Run a path whose period t reads a 0/1 array drawn in period t - 1
-    (`first` in period 0).  An entry drawn in period t is 1 with
-    probability p, complemented if its flat index is in `flipped`, and xor
-    its flips[t] entry when t is a key of `flips`.  Periods are read one
-    by one in spans, taken in order: 0 through `zero`, each key t of
-    `flips` and t + 1, and the last period, clipped to the horizon.  A
-    span's arrays are drawn in blocks into a buffer of its own and booked
-    by book(start, arrays); the buffer is released before the next gap,
-    so a gap's counts add nothing to the peak.  tail(start, stop, count)
-    books the periods of a gap between spans from each entry's count of
-    1s (one binomial draw per entry, complemented where flipped).  Returns
-    the array read in the last period.
+def _stream(rng, ledger, horizon, first, p, flipped, flips):
+    """Run a path whose period t reads a 0/1 array of E entries drawn in
+    period t - 1 (`first` in period 0) and book it into `ledger`.  An
+    entry drawn in period t is 1 with probability p, complemented if its
+    index is in `flipped`, and xor its flips[t] entry when t is a key of
+    `flips`.  Periods are read one by one in spans, taken in order: 0
+    through `ledger.zero`, each key t of `flips` and t + 1, and the last
+    period, clipped to the horizon.  A span's arrays are drawn in blocks
+    into a buffer of its own and booked by `ledger.add`; the buffer is
+    released before the next gap, so a gap's counts add nothing to the
+    peak.  `ledger.tail` books the periods of a gap between spans from
+    each entry's count of 1s (one binomial draw per entry, complemented
+    where flipped).  Returns the array read in the last period and those
+    read in the keys of `flips`, by period.
 
     The draw rule: with K = ceil(p * 2**53), an entry is 1 where a uniform
     k / 2**53 would be below p, that is with probability K / 2**53, and
@@ -470,27 +468,28 @@ def _stream(rng, zero, horizon, first, p, flipped, flips, book, tail):
     def draw(out, start):
         nonlocal ties
         b = len(out)
-        entries = out.reshape(b, first.size)
         raw = rng.bit_generator.random_raw(b * words)
         chunks = raw.astype("<u8", copy=False).view("<u2")
         chunks = chunks.reshape(b, 4 * words)[:, :first.size]
-        np.less(chunks, cut, out=entries)
+        np.less(chunks, cut, out=out)
         if tie_p:
             at = np.flatnonzero(chunks == cut)
             if at.size:
                 if ties is None:
                     ties = np.random.default_rng(np.random.SeedSequence(
                         rng.bit_generator.seed_seq.entropy, spawn_key=(1,)))
-                entries.flat[at] = ties.random(at.size) < tie_p
-        entries[:, flipped] = 1.0 - entries[:, flipped]
+                out.flat[at] = ties.random(at.size) < tie_p
+        out[:, flipped] = 1.0 - out[:, flipped]
         for t, mask in flips.items():
             if start <= t < start + b:
                 out[t - start] = out[t - start] != mask
 
     last = horizon - 1
     # each span as (its first period, its last), in order
-    spans = sorted([(0, zero), (last, last), *((t, t + 1) for t in flips)])
+    spans = sorted([(0, ledger.zero), (last, last),
+                    *((t, t + 1) for t in flips)])
     begin = 0  # the first period not booked yet
+    shots = {}
     for s, e in spans:
         s, e = max(s, begin), min(e, last)
         if s > e:
@@ -498,19 +497,21 @@ def _stream(rng, zero, horizon, first, p, flipped, flips, book, tail):
         if begin < s:
             count = rng.binomial(s - begin, p, first.size)
             count[flipped] = s - begin - count[flipped]
-            tail(begin, s, count.reshape(first.shape))
+            ledger.tail(begin, s, count)
         blocks = list(_blocks(s, e + 1, first.size))
-        buf = np.empty((blocks[0][1] - s, *first.shape))
+        buf = np.empty((blocks[0][1] - s, first.size))
         for start, stop in blocks:
             out = buf[:stop - start]
             k = int(start == 0)  # period 0 reads `first`, not a draw
             out[:k] = first
             draw(out[k:], start + k - 1)
-            book(start, out)
+            ledger.add(start, out)
+            shots.update((t, out[t - start].copy()) for t in flips
+                         if start <= t < stop)
         final = out[-1].copy()
         del buf, out
         begin = e + 1
-    return final
+    return final, shots
 
 
 def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
@@ -541,31 +542,27 @@ def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
     # Under steady actions an AS's cost in a period is one of two rows:
     # rated high, or rated low.
     hi, lo = cost_rows(np.array([steady, steady]), np.array([[True], [False]]))
-
-    def book(start, ratings):
-        shots = sorted(t for t in flips if start <= t < start + len(ratings))
-        if not shots:
-            ledger.add(start, ratings, lo, hi - lo, ratings)
-            return
-        # A one-shot deviation flips its ASs' actions (and signals); only
-        # these periods' costs leave the two rows.
-        rows = np.array(shots) - start
-        cost = np.where(ratings, hi, lo)
-        cost[rows] = cost_rows(steady ^ np.array([flips[t] for t in shots]),
-                               ratings[rows])
-        ledger.add(start, cost, ratings=ratings)
-
-    def tail(start, stop, high):
-        # only the number of high ratings counts
-        ledger.tail(start, stop, high, lo, hi - lo)
-        ledger.place(start, stop, lo, high, hi - lo, ratings=True)
-
+    step = hi - lo
+    ledger.entries(lo, step, "mean_rating")
     # Ratings start high, and a signal reads high with probability 1 - eps
     # (eps for a deviating AS).
-    final = _stream(rng, ledger.zero, horizon, np.ones(n), 1.0 - eps,
-                    np.flatnonzero(steady != rec), flips, book, tail)
-    return {
-        "rating_high_fraction": tuple(float(x) for x in ledger.high / horizon),
+    final, shots = _stream(rng, ledger, horizon, np.ones(n), 1.0 - eps,
+                           np.flatnonzero(steady != rec), flips)
+    high, weighted = ledger.sums
+    cost = horizon * lo + step * high
+    discounted = ledger.weight * lo + step * weighted
+    # A one-shot deviation flips its ASs' actions (and signals); only
+    # these periods' costs leave the two rows.
+    for t, x in shots.items():
+        fix = cost_rows(steady ^ flips[t], x) - (lo + step * x)
+        cost += fix
+        weight = ledger.weights(t, 1)
+        if weight is not None:
+            discounted += weight[0] * fix
+        if ledger.ts is not None:
+            ledger.ts["total_cost"][t] += fix.sum() / design.T
+    return cost, discounted, {
+        "rating_high_fraction": tuple(float(x) for x in high / horizon),
         "punishment_fraction": None,
         "final_state": SimState(horizon, tuple(int(r) for r in final),
                                 tft_grudges=None, trigger_fired=False),
@@ -585,26 +582,29 @@ def _simulate_trigger(design, env, tm, horizon, eps, rng, ledger):
                 + env.p_high * (inbound - deployed_in)
                 + rec * env.c) * design.T
     post_cost = env.p_high * inbound * design.T
+    step = post_cost - pre_cost
+    ledger.entries(pre_cost, step.sum(), "trigger_fired")
     # Each period's signals read "deviate" somewhere with probability q,
     # so the first period that does is a geometric wait, drawn as one
     # number (none within the horizon: first_bad = horizon).
     q = -math.expm1(n * math.log1p(-eps))
     first_bad = min(horizon, int(rng.geometric(q)) - 1) if q > 0.0 else horizon
-    live = min(horizon, ledger.zero)  # periods booked with their weights
+    # The fired flag is 0 through first_bad and 1 after it: periods are
+    # booked one by one through `zero`, then as a run of 0s and one of 1s.
+    live = min(horizon, ledger.zero)
     for start, stop in _blocks(0, live, n):
-        fired = np.arange(start, stop) > first_bad
-        ledger.add(start, fired[:, None], pre_cost, post_cost - pre_cost)
-    if live < horizon:
-        ledger.tail(live, horizon, max(0, horizon - max(live, first_bad + 1)),
-                    pre_cost, post_cost - pre_cost)
-    if ledger.ts is not None:
-        fired = np.arange(horizon) > first_bad
-        ledger.ts["trigger_fired"][:] = fired
-        ledger.ts["total_cost"][live:] = np.where(
-            fired[live:], post_cost.sum(), pre_cost.sum()) / design.T
-    return {
+        ledger.add(start, (np.arange(start, stop) > first_bad)[:, None])
+    fires = min(horizon, max(live, first_bad + 1))
+    if live < fires:
+        ledger.tail(live, fires, [0])
+    if fires < horizon:
+        ledger.tail(fires, horizon, [horizon - fires])
+    fired, weighted = ledger.sums[:, 0]
+    cost = horizon * pre_cost + fired * step
+    discounted = ledger.weight * pre_cost + weighted * step
+    return cost, discounted, {
         "rating_high_fraction": None,
-        "punishment_fraction": max(0, horizon - 1 - first_bad) / horizon,
+        "punishment_fraction": float(fired) / horizon,
         "final_state": SimState(horizon, ratings=None, tft_grudges=None,
                                 trigger_fired=first_bad < horizon),
         "meta": {"mode": "trigger", "first_bad_period": first_bad, "design": {
@@ -642,44 +642,24 @@ def _simulate_tft(design, env, tm, horizon, eps, rng, ledger):
     T = design.T
     lo = (env.p_high * tm.inbound - env.gap * filtered + deploy * env.c) * T
     step = np.where(deploy, env.gap, -env.gap) * T
-    # A grudge is a low flag on an observed link into an AS that deploys,
-    # or its absence on one into an AS that does not.
-    sign = np.where(observable, np.where(deviates, -1.0, 1.0), 0.0).ravel()
     # Costs and grudges are linear in the flags, so a run only sums each
     # link's flags, plainly and discounted, and contracts them once.
     fold = held * step  # a link's flag adds this to its receiver's cost
-    links = np.zeros((2, n * n))
-    weight = 0.0  # the discount weights' sum
-
-    def book(start, lagged):
-        nonlocal weight
-        x = lagged.reshape(len(lagged), n * n)
-        weights = ledger.weights(start, len(x))
-        if weights is None:
-            links[0] += np.ones(len(x)) @ x
-        else:
-            links[:] += np.stack((np.ones(len(x)), weights)) @ x
-            weight += weights.sum()
-        if ledger.ts is not None:
-            ledger.ts["total_cost"][start:start + len(x)] = (
-                lo.sum() + x @ fold.ravel()) / T
-
-    def tail(start, stop, wrong):
-        # only how often each link's observation was wrong counts
-        links[0] += wrong.ravel()
-        ledger.place(start, stop, lo, wrong, fold)
-
+    ledger.entries(lo, fold)
     # Before period 0 the flags read `deviates`, which is "deviate" nowhere.
-    first = np.broadcast_to(deviates, (n, n))
-    final = _stream(rng, ledger.zero, horizon, first, eps, [], {}, book, tail)
-    cost, discounted = (links.reshape(2, n, n) * fold).sum(axis=1)
-    ledger.cost += horizon * lo + cost
-    ledger.discounted += weight * lo + discounted
+    final, _ = _stream(rng, ledger, horizon, np.tile(deviates, n), eps, [],
+                       {})
+    cost, discounted = (ledger.sums.reshape(2, n, n) * fold).sum(axis=1)
+    cost += horizon * lo
+    discounted += ledger.weight * lo
+    # A grudge is a low flag on an observed link into an AS that deploys,
+    # or its absence on one into an AS that does not.
+    sign = np.where(observable, np.where(deviates, -1.0, 1.0), 0.0).ravel()
     grudge_count = (horizon * np.count_nonzero(observable & deviates)
-                    + links[0] @ sign)
-    final = (deviates ^ (final != 0.0)) & observable
+                    + ledger.sums[0] @ sign)
+    final = (deviates ^ (final.reshape(n, n) != 0.0)) & observable
     grudges = tuple(map(tuple, np.argwhere(final).tolist()))
-    return {
+    return cost, discounted, {
         "rating_high_fraction": None,
         "punishment_fraction": None,
         "final_state": SimState(horizon, ratings=None, tft_grudges=grudges,
@@ -726,7 +706,9 @@ def deviation_gain(design: RatingDesign, env: Environment,
 
     The same seed is reused for the compliant and deviant runs (common
     random numbers), so for an IC design the estimate concentrates at or
-    below zero; significance flags are one-sided z-tests at 95%."""
+    below zero; significance flags are one-sided z-tests at 95%.  One seed
+    gives no standard error (`std` and `stderr` read 0.0), so both flags
+    are then False."""
     seeds = _seed_list(seeds)
     n = tm.n
     _check_as_index(i, n)
@@ -744,8 +726,9 @@ def deviation_gain(design: RatingDesign, env: Environment,
         gains.append(dev_u[-1] - comp_u[-1])
     arr = np.array(gains)
     mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-    se = std / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
+    tested = len(arr) > 1
+    std = float(arr.std(ddof=1)) if tested else 0.0
+    se = std / math.sqrt(len(arr))
     return DeviationGain(
         as_index=i,
         gains=tuple(gains),
@@ -754,8 +737,8 @@ def deviation_gain(design: RatingDesign, env: Environment,
         stderr=se,
         compliant_mean=float(np.mean(comp_u)),
         deviant_mean=float(np.mean(dev_u)),
-        significantly_positive=mean - _Z95 * se > 0,
-        significantly_negative=mean + _Z95 * se < 0,
+        significantly_positive=tested and mean - _Z95 * se > 0,
+        significantly_negative=tested and mean + _Z95 * se < 0,
     )
 
 

@@ -319,6 +319,16 @@ class TestDeviationGain:
         assert g.significantly_positive
         assert g.mean > 0
 
+    def test_one_seed_is_never_significant(self):
+        # a single gain has no standard error, so however far from zero it
+        # lies, neither one-sided test can pass
+        d, env, mon, tm = reference_design()
+        g = deviation_gain(d, env, mon, tm, 0, horizon=1500, seeds=[7])
+        assert g.mean < 0
+        assert (g.std, g.stderr) == (0.0, 0.0)
+        assert not g.significantly_positive
+        assert not g.significantly_negative
+
     def test_seed_list_accepted(self):
         d, env, mon, tm = reference_design()
         g = deviation_gain(d, env, mon, tm, 1, horizon=200, seeds=[3, 5, 8])
@@ -558,8 +568,16 @@ class TestTimeSeries:
                        env, mon, tm, 30, 0, time_series=True)
         parsed = json.loads(rep.to_json())
         assert parsed["avg_cost"] == rep.avg_cost
+        ts = parsed["time_series"]
         # rating columns are null for schemes without ratings
-        assert parsed["time_series"]["mean_rating"][0] is None
+        assert ts["mean_rating"] == [None] * 30
+        # period and trigger_fired are integers, as in the CSV
+        assert ts["period"] == list(range(30))
+        fired = rep.time_series["trigger_fired"]
+        assert ts["trigger_fired"] == [int(f) for f in fired]
+        assert set(ts["trigger_fired"]) == {0, 1}
+        assert all(type(v) is int for v in ts["period"] + ts["trigger_fired"])
+        assert ts["total_cost"] == rep.time_series["total_cost"].tolist()
 
 
 # ---- streamed runs ---------------------------------------------------------
@@ -751,16 +769,17 @@ _WINDOWS = (
 
 
 def _booked_weights(delta, windows, horizon=800):
-    """The ledger's discounted totals when period t costs 1 in column t and
-    nothing elsewhere: column t holds exactly the weight booked for t."""
+    """The ledger's discounted counts when period t reads 1 in entry t and 0
+    elsewhere: entry t holds exactly the weight booked for t."""
     from mutualsec import sim
 
-    ledger = sim._Ledger(horizon, horizon, 1.0, delta, None)
+    ledger = sim._Ledger(horizon, 1.0, delta, None)
+    ledger.entries(np.zeros(horizon), np.zeros(horizon))
     for start, stop in windows:
         x = np.zeros((stop - start, horizon))
         x[np.arange(stop - start), np.arange(start, stop)] = 1.0
         ledger.add(start, x)
-    return ledger.discounted
+    return ledger.sums[1]
 
 
 class TestDiscountWeights:
@@ -778,7 +797,7 @@ class TestDiscountWeights:
         from mutualsec import sim
 
         for delta in _DELTAS[:4] + (math.exp(-3.7), math.exp(-0.01)):
-            zero = sim._Ledger(1, 10**6, 1.0, delta, None).zero
+            zero = sim._Ledger(10**6, 1.0, delta, None).zero
             powers = delta ** np.arange(zero + 1, dtype=float)
             first = int(np.flatnonzero(powers == 0.0)[0])
             assert first <= zero <= first + 2, delta
@@ -1333,16 +1352,55 @@ class TestTailEdges:
         rows = 0
         add = sim._Ledger.add
 
-        def counting_add(self, start, x, *args, **kwargs):
+        def counting_add(self, start, x):
             nonlocal rows
             rows += len(x)
-            add(self, start, x, *args, **kwargs)
+            add(self, start, x)
 
         monkeypatch.setattr(sim._Ledger, "add", counting_add)
         profile = BehaviorProfile.compliant(8).replace(
             4, Behavior("one-shot-deviator", at_period=shot))
         simulate(d, profile, env, mon, tm, horizon, 1)
         assert rows <= live_periods(env, d.T, horizon) + 4
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2, 40])
+    @pytest.mark.parametrize("kind", ["rating", "tit-for-tat",
+                                      "grim-trigger", "quiet-trigger"])
+    def test_booked_periods_tile_the_horizon(self, monkeypatch, kind,
+                                             offset):
+        # `add` and `tail` book every period once and in order: the live
+        # prefix, the shots' spans, the gaps between spans and the last
+        # period (for grim trigger, the fired run past the prefix, or with
+        # a quiet monitor the run before it fires)
+        from mutualsec import sim
+
+        d, env, mon, tm = reference_design()
+        if kind == "quiet-trigger":
+            kind, mon = "grim-trigger", MonitoringModel.rational(1e-5)
+        zero = live_periods(env, d.T, 10**6)
+        horizon = zero + offset
+        booked = []
+        add, tail = sim._Ledger.add, sim._Ledger.tail
+
+        def booking_add(self, start, x):
+            booked.append((start, start + len(x)))
+            add(self, start, x)
+
+        def booking_tail(self, start, stop, count):
+            booked.append((start, stop))
+            tail(self, start, stop, count)
+
+        monkeypatch.setattr(sim._Ledger, "add", booking_add)
+        monkeypatch.setattr(sim._Ledger, "tail", booking_tail)
+        if kind == "rating":
+            # shots at period 0, past the live prefix and in the last period
+            profile = _shots([0, None, zero + 1, None, horizon - 1,
+                              None, None, None])
+        else:
+            profile = BehaviorProfile.uniform(8, kind)
+        simulate(d, profile, env, mon, tm, horizon, 7, time_series=True)
+        periods = [t for start, stop in booked for t in range(start, stop)]
+        assert periods == list(range(horizon))
 
     @pytest.mark.filterwarnings("ignore:tit-for-tat punishment needs")
     @pytest.mark.parametrize("offset", [-1, 0, 1, 2, 3])
