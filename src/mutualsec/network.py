@@ -11,13 +11,15 @@ strictly larger critical traffic than the full set.
 Inbound rates and outbound totals are summed in member order throughout,
 so every function here gives a subset the same sums to the bit.  The deletion
 walk, which strips a set's critical members from the full set down, serves
-both `has_mct` and the deletion search in `strategy`.  It is one array
-pass: only picking each step's critical members is sequential, and the
-exact critical traffic of every step is summed afterwards, in blocks of
-steps, by the same blocked column sum that breaks ties.  A step costs one
-argmin and one count over a running inbound vector; it re-sums exactly
-only when several members lie within the vector's drift window of its
-minimum, which on tie-free rates is almost never.
+both `has_mct` and the deletion search in `strategy`; both read its record
+levels, the steps whose critical traffic exceeds every earlier step's, from
+`_record_levels`.  The walk is one array pass: only picking each step's
+critical members is sequential, and the exact critical traffic of every
+step is summed afterwards, in blocks of steps, by the same blocked column
+sum that breaks ties.  A step costs one argmin and one count over a running
+inbound vector; it re-sums exactly only when several members lie within the
+vector's drift window of its minimum, which on tie-free rates is almost
+never.
 
 Indices are 0-based throughout the library; the CLI converts to 1-based on
 input and output.
@@ -28,7 +30,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -402,12 +403,12 @@ def _column_sums(rates: np.ndarray, cols: np.ndarray, level: np.ndarray,
     return sums
 
 
-def _deletion_walk(tm: TrafficMatrix) -> tuple[list[tuple[int, ...]],
-                                                list[float]]:
+def _deletion_walk(tm: TrafficMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Walk from the full set down, deleting the critical members each
-    step, and return each step's critical members and exact critical
-    traffic.  Step k's set holds the members deleted at step k or later:
-    those with step_of >= k, where a member not yet deleted has step_of n.
+    step, and return each member's step and each step's exact critical
+    traffic, as read-only arrays.  Member i is deleted at step step_of[i],
+    so step k's critical members are those with step_of == k and its set
+    is those with step_of >= k; the walk takes len(nus) steps.
 
     Picking the members is the only sequential work.  One running inbound
     vector is kept, with the deleted rows subtracted from it and inf at the
@@ -428,15 +429,15 @@ def _deletion_walk(tm: TrafficMatrix) -> tuple[list[tuple[int, ...]],
     window = 1e-9 * inbound.max()
     step_of = np.full(n, n, dtype=np.intp)
     rows = max(1, _BLOCK_ELEMENTS // n)
-    crits: list[tuple[int, ...]] = []
+    first: list[int] = []  # each step's lowest critical member
     left = n
     while left:
-        k = len(crits)
+        k = len(first)
         i = int(inbound.argmin())
         bar = inbound[i] + window
         if np.count_nonzero(inbound <= bar) == 1:  # the common step
             step_of[i] = k
-            crits.append((i,))
+            first.append(i)
             left -= 1
             inbound -= rates[i]
             inbound[i] = np.inf
@@ -445,14 +446,37 @@ def _deletion_walk(tm: TrafficMatrix) -> tuple[list[tuple[int, ...]],
         exact = _column_sums(rates, cand, step_of, np.full(len(cand), k))
         cand = cand[exact == exact.min()]
         step_of[cand] = k
-        crits.append(tuple(cand.tolist()))
+        first.append(int(cand[0]))
         left -= len(cand)
         for start in range(0, len(cand), rows):
             inbound -= rates[cand[start:start + rows]].sum(axis=0)
         inbound[cand] = np.inf
-    first = np.array([c[0] for c in crits], dtype=np.intp)
-    nus = _column_sums(rates, first, step_of, np.arange(len(crits)))
-    return crits, nus.tolist()
+    nus = _column_sums(rates, np.array(first, dtype=np.intp), step_of,
+                       np.arange(len(first)))
+    step_of.setflags(write=False)
+    nus.setflags(write=False)
+    return step_of, nus
+
+
+def _walk_set(step_of: np.ndarray, k: int) -> Subset:
+    """Step k's set of the deletion walk: the members deleted at step k or
+    later."""
+    return Subset._trusted(tuple(np.flatnonzero(step_of >= k).tolist()))
+
+
+def _record_levels(nus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The walk's record levels and the running maximum of its critical
+    traffic.
+
+    A record level is a step whose critical traffic strictly exceeds every
+    earlier step's; step 0 is the first.  best[k] is the maximum over
+    steps 0..k, so a step that is not a record level has best[k] equal to
+    the last record level's value."""
+    best = np.maximum.accumulate(nus)
+    rising = np.empty(len(nus), dtype=bool)
+    rising[:1] = True
+    np.greater(nus[1:], best[:-1], out=rising[1:])
+    return np.flatnonzero(rising), best
 
 
 def has_mct(tm: TrafficMatrix) -> tuple[bool, Subset | None]:
@@ -471,16 +495,13 @@ def has_mct(tm: TrafficMatrix) -> tuple[bool, Subset | None]:
     within it at least its inbound within S, which is at least the
     maximum, so no member of S is critical and none is deleted; a walk set
     at the maximum is a maximizer containing S, so it is S.  The walk ends
-    empty, so it does reach S, and S is the walk set where the running
-    maximum of critical traffic last rises: the members deleted at that
-    step or later.  (This is the threshold peeling behind k-cores.)
+    empty, so it does reach S, and S is the walk set at the last record
+    level: the members deleted at that step or later.  The property holds
+    when step 0 is the only record level.  (This is the threshold peeling
+    behind k-cores.)
     """
-    crits, nus = _deletion_walk(tm)
-    best, witness = nus[0], None
-    for k, nu in enumerate(nus):
-        if nu > best:
-            best, witness = nu, k
-    if witness is None:
+    step_of, nus = _deletion_walk(tm)
+    last = int(_record_levels(nus)[0][-1])
+    if last == 0:
         return True, None
-    return False, Subset._trusted(tuple(sorted(chain.from_iterable(
-        crits[witness:]))))
+    return False, _walk_set(step_of, last)

@@ -10,18 +10,22 @@ critical members each step, and prices out a subset only when its critical
 traffic strictly exceeds everything evaluated before.
 
 The walk itself lives in `network`, which also answers the MCT question
-with it.  It hands over each step's critical members and exact critical
-traffic as two lists; this module rebuilds each step's set from the one
-before it and adds the pricing.  Brute force costs every subset exactly
-as an array, pricing each distinct critical traffic once with
-`optimal_design`, and reads the optimum straight off it.
+with it.  It hands over two arrays: the step at which each member is
+deleted, and each step's exact critical traffic.  The steps priced are the
+record levels, whose critical traffic exceeds every earlier step's, read
+off the running maximum in one array pass; a dense network has only a few.
+The trace keeps those arrays and the priced designs, and builds each
+step's `IdIteration`, with its set and skip reason, only when it is read.
+Brute force costs every subset exactly as an array, pricing each distinct
+critical traffic once with `optimal_design`, and reads the optimum
+straight off it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .design import (
@@ -34,7 +38,13 @@ from .design import (
 )
 import numpy as np
 
-from .network import Subset, TrafficMatrix, _deletion_walk
+from .network import (
+    Subset,
+    TrafficMatrix,
+    _deletion_walk,
+    _record_levels,
+    _walk_set,
+)
 
 __all__ = [
     "IdIteration",
@@ -58,9 +68,66 @@ class IdIteration:
     skip_reason: str | None = None
 
 
+class _DeletionSteps(Sequence):
+    """The deletion search's steps, an `IdIteration` each, built when read.
+
+    Holds the walk's read-only arrays (each member's deletion step and each
+    step's critical traffic), the running maximum of that traffic and the
+    designs priced at the record levels: O(n) in all.  Step k's set is the
+    members deleted at step k or later and its critical members those
+    deleted at step k.  It equals a tuple of the same iterations, and its
+    repr is that tuple's."""
+
+    def __init__(self, step_of: np.ndarray, nus: np.ndarray,
+                 best: np.ndarray, designs: dict[int, DesignResult]) -> None:
+        self._step_of, self._nus, self._best = step_of, nus, best
+        self._designs = designs
+
+    def __len__(self) -> int:
+        return len(self._nus)
+
+    def __getitem__(self, k):
+        picked = range(len(self))[k]
+        if isinstance(picked, range):
+            return tuple(map(self._step, picked))
+        return self._step(picked)
+
+    def _step(self, k: int) -> IdIteration:
+        nu = float(self._nus[k])
+        crit = tuple(np.flatnonzero(self._step_of == k).tolist())
+        design = self._designs.get(k)
+        if design is not None:
+            return IdIteration(design.subset, nu, crit, True, design)
+        subset = _walk_set(self._step_of, k)
+        reason = (f"critical traffic {nu:g} does not exceed the best priced "
+                  f"value {float(self._best[k]):g}; a nested set with "
+                  "no-higher critical traffic costs strictly more")
+        return IdIteration(subset, nu, crit, False, None, reason)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _DeletionSteps)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class IdTrace:
-    iterations: tuple[IdIteration, ...]
+    """The deletion search step by step, from the full set down.
+
+    `iterations` holds one `IdIteration` per walk step.  The search's own
+    trace builds each one only when it is read, from O(n) arrays, so a
+    trace that is never read costs no O(n^2) member tuples; `len` builds
+    none.  It compares equal to a trace holding a tuple of the same
+    iterations."""
+
+    iterations: Sequence[IdIteration]
     chosen: int | None  # index into iterations; None -> empty deployment
 
 
@@ -77,11 +144,13 @@ def iterative_deletion(env: Environment, mon: MonitoringModel,
                        check_assumptions: bool = True) -> StrategyResult:
     """Deletion search for the cost-minimizing deployment set.
 
-    Starts from the full set (always priced), repeatedly deletes all
-    current critical members, and prices a subset only when its critical
-    traffic strictly exceeds the maximum among subsets priced so far.
-    Runs until the set empties.  When no priced subset is feasible, the
-    result degenerates to the empty deployment (everyone at ambient rate).
+    Walks from the full set down, deleting all current critical members
+    each step, and prices only the record levels: the full set, then each
+    step whose critical traffic strictly exceeds that of every step before
+    it, priced or not.  The strictly cheapest feasible design wins.  When
+    none is feasible, the result degenerates to the empty deployment
+    (everyone at ambient rate).  The trace's steps are built from the
+    walk's arrays when they are read.
     """
     if check_assumptions:
         report = validate_assumptions(env, mon, tm)
@@ -92,32 +161,19 @@ def iterative_deletion(env: Environment, mon: MonitoringModel,
                     c.detail for c in report.checks if not c.passed),
                 stacklevel=2,
             )
-    iterations: list[IdIteration] = []
-    best_priced = -math.inf
-    evaluations = 0
-    chosen, best, best_j = None, DesignResult.no_deployment(env, tm), math.inf
-    crits, nus = _deletion_walk(tm)
-    members = list(range(tm.n))  # the current level's, in order
-    for crit, nu in zip(crits, nus):
-        p = Subset._trusted(tuple(members))
-        if nu > best_priced:
-            result = optimal_design(env, mon, tm, p)
-            evaluations += 1
-            best_priced = nu
-            # Strictly cheaper only: ties keep the earlier, larger set.
-            if result.feasible and result.j_star < best_j:
-                chosen, best, best_j = len(iterations), result, result.j_star
-            iterations.append(IdIteration(p, nu, crit, True, result))
-            priced = (f"does not exceed the best priced value "
-                      f"{best_priced:g}; a nested set with no-higher "
-                      "critical traffic costs strictly more")
-        else:
-            reason = f"critical traffic {nu:g} {priced}"
-            iterations.append(IdIteration(p, nu, crit, False, None, reason))
-        for i in reversed(crit):  # from the back, so less is shifted
-            del members[bisect_left(members, i)]
-    return StrategyResult(best.subset, best, evaluations,
-                          IdTrace(tuple(iterations), chosen))
+    step_of, nus = _deletion_walk(tm)
+    levels, best = _record_levels(nus)
+    designs: dict[int, DesignResult] = {}
+    chosen, best_j = None, math.inf
+    result = DesignResult.no_deployment(env, tm)
+    for k in levels.tolist():
+        design = optimal_design(env, mon, tm, _walk_set(step_of, k))
+        designs[k] = design
+        # Strictly cheaper only: ties keep the earlier, larger set.
+        if design.feasible and design.j_star < best_j:
+            chosen, result, best_j = k, design, design.j_star
+    trace = IdTrace(_DeletionSteps(step_of, nus, best, designs), chosen)
+    return StrategyResult(result.subset, result, len(designs), trace)
 
 
 # Brute force enumerates the subsets in blocks of at most 2**_BLOCK_BITS

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -467,6 +468,12 @@ class TestDeletionWalkSteps:
         monkeypatch.setattr(network, "_column_sums", counted)
         return calls
 
+    @staticmethod
+    def critical_sets(step_of, steps):
+        """Each step's critical members: those deleted at that step."""
+        return [tuple(np.flatnonzero(step_of == k).tolist())
+                for k in range(steps)]
+
     def test_tie_free_walk_sums_once(self, monkeypatch):
         # every step of a dense tie-free walk has a lone candidate, so the
         # only column sum is the final exact pass over all 200 steps (not
@@ -476,13 +483,15 @@ class TestDeletionWalkSteps:
         np.fill_diagonal(rates, 0.0)
         tm = TrafficMatrix(rates)
         calls = self.count_column_sums(monkeypatch)
-        crits, nus = network._deletion_walk(tm)
+        step_of, nus = network._deletion_walk(tm)
         assert calls == [200]
+        assert not step_of.flags.writeable and not nus.flags.writeable
+        crits = self.critical_sets(step_of, len(nus))
         assert all(len(c) == 1 for c in crits)
         env, mon = REFERENCE_ENV, MonitoringModel.rational(0.1)
         reference = reference_deletion_trace(env, mon, tm).iterations
         assert crits == [it.critical_ases for it in reference]
-        assert nus == [it.critical_traffic for it in reference]
+        assert nus.tolist() == [it.critical_traffic for it in reference]
 
     def test_drifted_pair_is_summed_again(self, monkeypatch):
         # Once AS 4 is deleted, the running vector reads 0.8 for AS 1 and
@@ -503,13 +512,51 @@ class TestDeletionWalkSteps:
         running = tm.inbound - rates[4]
         assert running[2] < running[1]
         calls = self.count_column_sums(monkeypatch)
-        crits, _ = network._deletion_walk(tm)
-        assert crits == [(4,), (1,), (2,), (3,), (0,)]
+        step_of, nus = network._deletion_walk(tm)
+        assert self.critical_sets(step_of, len(nus)) == [
+            (4,), (1,), (2,), (3,), (0,)]
         assert calls == [2, 5]  # the pair's re-sum, then the final pass
         env, mon = REFERENCE_ENV, MonitoringModel.rational(0.1)
         assert iterative_deletion(env, mon, tm, check_assumptions=False
                                   ).trace == reference_deletion_trace(
                                       env, mon, tm)
+
+
+def loop_record_levels(nus):
+    """The steps where the running maximum rises and that maximum, by the
+    loop the deletion search and has_mct once ran."""
+    levels, best, running = [], -math.inf, []
+    for k, nu in enumerate(nus):
+        if nu > best:
+            best = nu
+            levels.append(k)
+        running.append(best)
+    return levels, running
+
+
+def test_record_levels_match_loop():
+    # tie-heavy walks: equal critical traffic at many steps, so "strictly
+    # exceeds" and "at least" pick different steps
+    rng = np.random.default_rng(71)
+    matrices = []
+    for scale in (1.0, 10.0):  # integers, then tenths
+        for _ in range(10):
+            rates = rng.integers(0, 4, (30, 30)) / scale
+            np.fill_diagonal(rates, 0.0)
+            matrices.append(rates)
+    for _ in range(10):  # one column repeated: every AS hears the same
+        column = rng.integers(0, 3, 30) / 10.0
+        rates = np.tile(column[:, None], (1, 30))
+        np.fill_diagonal(rates, 0.0)
+        matrices.append(rates)
+    for rates in matrices:
+        _, nus = network._deletion_walk(TrafficMatrix(rates))
+        levels, best = network._record_levels(nus)
+        assert (levels.tolist(), best.tolist()) == loop_record_levels(
+            nus.tolist())
+    levels, best = network._record_levels(np.array([2.0, 2.0, 3.0, 1.0, 3.0]))
+    assert levels.tolist() == [0, 2]
+    assert best.tolist() == [2.0, 2.0, 3.0, 3.0, 3.0]
 
 
 class TestCsvRoundTrip:

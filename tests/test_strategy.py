@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,17 +11,20 @@ from mutualsec import (
     TrafficMatrix,
     brute_force_optimal,
     core_periphery_threshold,
+    critical_members,
     critical_traffic,
     iterative_deletion,
     optimal_design,
 )
-from mutualsec import network
+from mutualsec import network, strategy
+from mutualsec.strategy import IdTrace
 
 from support import (
     REFERENCE_ENV,
     random_feasible_instance,
     reference_deletion_trace,
     reference_instance,
+    subset_without,
 )
 
 
@@ -149,7 +155,7 @@ class TestLoneLastBlock:
 
     @staticmethod
     def assert_exact(monkeypatch, tm):
-        steps = len(network._deletion_walk(tm)[0])
+        steps = len(network._deletion_walk(tm)[1])
         assert steps >= 3
         monkeypatch.setattr(network, "_BLOCK_ELEMENTS", (steps - 1) * tm.n)
         env, mon = REFERENCE_ENV, MonitoringModel.rational(0.1)
@@ -199,6 +205,97 @@ class TestLoneLastBlock:
                                        check_assumptions=False).trace
             assert len(trace.iterations[-1].critical_ases) == 16
             assert trace == reference_deletion_trace(env, mon, tm)
+
+
+class TestTraceOnRead:
+    """The search's trace holds O(n) arrays and builds each step when it
+    is read; as a sequence it reads like the tuple of those steps."""
+
+    def test_dense_search_memory(self):
+        n = 1000
+        rng = np.random.default_rng(72)
+        rates = rng.uniform(0.5, 1.5, (n, n))
+        rates = (rates + rates.T) / 2.0
+        np.fill_diagonal(rates, 0.0)
+        tm = TrafficMatrix(rates)
+        env, mon = REFERENCE_ENV, MonitoringModel.rational(0.1)
+        tracemalloc.start()
+        try:
+            result = iterative_deletion(env, mon, tm, check_assumptions=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a member tuple per step took 4.6 MB at this size
+        assert peak < 2e6
+        steps = result.trace.iterations
+        assert steps[0].subset == Subset.full(n)
+        assert steps[-1].subset.members == steps[-1].critical_ases
+        for k in (0, 1, n // 2, -1):
+            it = steps[k]
+            assert critical_traffic(tm, it.subset) == it.critical_traffic
+            assert critical_members(tm, it.subset) == it.critical_ases
+            if k != -1:
+                assert steps[k + 1].subset == subset_without(
+                    it.subset, it.critical_ases)
+
+    def test_reads_like_the_reference_tuple(self):
+        env, mon, tm = six_as_instance()
+        trace = iterative_deletion(env, mon, tm).trace
+        reference = reference_deletion_trace(env, mon, tm)
+        steps, expected = trace.iterations, reference.iterations
+        assert len(steps) == 5
+        assert steps[-1] == expected[-1] and steps[-5] == expected[0]
+        assert steps[1:4] == expected[1:4]
+        assert steps[::-2] == expected[::-2]
+        assert steps[:] == expected and steps[7:] == ()
+        for k in (5, -6):
+            with pytest.raises(IndexError):
+                steps[k]
+        assert list(steps) == list(steps) == list(expected)
+        assert steps == expected and expected == steps
+        assert trace == reference and reference == trace
+        assert hash(trace) == hash(reference)
+
+    def test_one_changed_step_differs(self):
+        env, mon, tm = six_as_instance()
+        trace = iterative_deletion(env, mon, tm).trace
+        expected = reference_deletion_trace(env, mon, tm).iterations
+        changed = list(expected)
+        changed[3] = dataclasses.replace(changed[3], critical_traffic=13.0)
+        for other in (IdTrace(tuple(changed), trace.chosen),
+                      IdTrace(expected[:-1], trace.chosen),
+                      IdTrace(expected, None)):
+            assert trace != other and other != trace
+        assert trace.iterations != list(expected)  # a list is no trace
+
+    def test_repr_is_the_tuple_repr(self):
+        env, mon, tm = six_as_instance()
+        first = repr(iterative_deletion(env, mon, tm).trace)
+        assert repr(iterative_deletion(env, mon, tm).trace) == first
+        assert first == repr(reference_deletion_trace(env, mon, tm))
+        assert "np." not in first  # plain floats and ints
+
+    def test_len_builds_no_step(self, monkeypatch):
+        env, mon, tm = six_as_instance()
+        trace = iterative_deletion(env, mon, tm).trace
+        built = []
+        monkeypatch.setattr(strategy, "IdIteration",
+                            lambda *fields: built.append(fields))
+        assert len(trace.iterations) == 5 and built == []
+        trace.iterations[2]
+        assert len(built) == 1
+
+    def test_no_feasible_design(self):
+        env = Environment(p_high=0.3, p_low=0.05, c=5.0, beta=0.2)
+        mon = MonitoringModel.rational(0.1)
+        tm = TrafficMatrix.from_edges(5, [(0, 1, 1.0), (1, 2, 2.0),
+                                          (2, 3, 1.5), (3, 4, 1.0)])
+        trace = iterative_deletion(env, mon, tm, check_assumptions=False).trace
+        reference = reference_deletion_trace(env, mon, tm)
+        assert trace.chosen is None
+        assert any(it.evaluated for it in trace.iterations[1:])
+        assert trace == reference and reference == trace
+        assert repr(trace) == repr(reference)
 
 
 class TestBruteForce:
