@@ -47,21 +47,28 @@ the end; no path builds a per-period cost matrix.  The entries are:
   saves i as much if it does not (the partner does not); the grudge
   count is one more contraction of the same counts.
 
-And from the first period whose weight is surely 0.0, the totals depend
-only on how often each 0/1 entry is 1, not on when, except in the periods
-a one-shot deviation touches and in the last period, which sets the final
-state.  The rating and tit-for-tat paths share one draw rule, `_stream`:
-it reads one by one the periods through that point, each one-shot period
-and the period after it, and the last period, each span in blocks of its
-own, and books each gap between spans from one binomial count per AS
-(ratings) or per link (tit-for-tat).  A period read one by one takes its
-0/1 flags four to a raw 64-bit word of the bit generator: a flag that is
-1 with probability p is 1 where its 16-bit chunk is below the top 16 of
-the 53 bits of ceil(p * 2**53), and a chunk equal to them (one in 2**16)
-is settled by a uniform from a child of the seed, so each flag has
-exactly the law of a uniform double below p.  Grim trigger needs only
-its first "deviate" signal, which it draws as one geometric wait from
-period 0.  The discounted utilities are those of a whole-horizon run on
+And once no later period can change a discounted sum, the totals depend
+only on how often each 0/1 entry is 1, not on when, except in the
+periods a one-shot deviation touches and in the last period, which sets
+the final state.  That holds from the first period whose weight is surely
+0.0, `zero`, and, for 0 < delta < 1, from `settle`: `_Ledger.lag` periods
+after the one in which the last entry reads its first 1.  Each discounted
+count then holds the weight of its entry's first 1 and the weight sum
+holds 1, and all weights from `settle` on add up to under a quarter of
+the last bit of either, so round-to-nearest leaves every discounted sum
+bit for bit as reading those periods one by one would.  The rating and tit-for-tat
+paths share one draw rule, `_stream`: it reads one by one the periods
+through the earlier of `zero` and `settle`, each one-shot period and the
+period after it, and the last period, each span in blocks of its own, and
+books each gap between spans from one binomial count per AS (ratings) or
+per link (tit-for-tat).  A period read one by one takes its 0/1 flags
+four to a raw 64-bit word of the bit generator: a flag that is 1 with
+probability p is 1 where its 16-bit chunk is below the top 16 of the 53
+bits of ceil(p * 2**53), and a chunk equal to them (one in 2**16) is
+settled by a uniform from a child of the seed, so each flag has exactly
+the law of a uniform double below p.  Grim trigger needs only its first
+"deviate" signal, which it draws as one geometric wait from period 0.
+The discounted utilities are those of a whole-horizon run on
 the same draws to about 1e-12 relative (the summation order depends on
 the blocking).  The seed has two children: spawn key 0 spreads a time
 series' counts over distinct periods, so a time series changes no other
@@ -263,6 +270,9 @@ def _blocks(begin: int, end: int, width: int):
 
 # delta ** t is 0.0 once it falls to 2**-1075, half the least subnormal
 _UNDERFLOW_LOG = 1075 * math.log(2.0)
+# a sum is left as it is by adding 2**-55 of a term it holds, under a
+# quarter of its last bit
+_SETTLE_LOG = 55 * math.log(2.0)
 
 
 class _Ledger:
@@ -288,8 +298,13 @@ class _Ledger:
     starts at `zero` or later adds nothing to the discounted counts.
     Weights that are merely subnormal are still used.  Periods from
     `zero` on can also be booked from each entry's count of 1s alone
-    (`tail`).  A time series is kept when `spread`, the generator that
-    places such counts over their periods, is given."""
+    (`tail`), and for 0 < delta < 1 so can those from `lag` periods after
+    one in which every entry has read a 1: each discounted count then
+    holds some weight w, and the weights from then on sum to at most
+    delta ** lag / (1 - delta) * w <= 2**-55 * w, under a quarter of the
+    count's last bit; the weight sum holds 1 likewise.  A time series is
+    kept when `spread`, the generator that places such counts over their
+    periods, is given."""
 
     def __init__(self, horizon: int, T: float, delta: float,
                  spread: np.random.Generator | None) -> None:
@@ -303,6 +318,12 @@ class _Ledger:
             self.zero = horizon
         else:
             self.zero = math.ceil(_UNDERFLOW_LOG / -math.log(delta)) + 1
+        # the least lag with delta ** lag / (1 - delta) <= 2**-55, in log
+        # space; None when delta is 0 or 1 (nothing to settle)
+        self.lag = None
+        if 0.0 < delta < 1.0:
+            self.lag = math.ceil((_SETTLE_LOG - math.log1p(-delta))
+                                 / -math.log(delta))
         self.ts = None
         self.spread = spread
         if spread is not None:
@@ -351,12 +372,12 @@ class _Ledger:
                 self.ts[self.column][start:start + b] = x.mean(axis=1)
 
     def tail(self, start: int, stop: int, count: np.ndarray) -> None:
-        """Book periods start, ..., stop - 1, all at or past `zero`, from
-        each entry's count of 1s over them.  For a time series, each
-        entry's 1s fall on distinct periods drawn without replacement (or,
-        where they are more than half, its 0s do), entry by entry, each 1
-        adding its entry's `adds` to the period's total cost (and
-        1 / E to `column`)."""
+        """Book periods start, ..., stop - 1, whose weights leave the
+        discounted counts as they are (see `lag`), from each entry's count
+        of 1s over them.  For a time series, each entry's 1s fall on
+        distinct periods drawn without replacement (or, where they are more
+        than half, its 0s do), entry by entry, each 1 adding its entry's
+        `adds` to the period's total cost (and 1 / E to `column`)."""
         self.sums[0] += count
         if self.ts is None:
             return
@@ -437,20 +458,51 @@ def _draw_law(p: float) -> tuple[int, float]:
     return K >> 37, (K & (2 ** 37 - 1)) / 2.0 ** 37
 
 
+def _settled_row(x, unseen):
+    """Clear from the bool array `unseen` its entries that read a 1 in the
+    0/1 block x and return None, or, when x holds a 1 for each of them,
+    return the row in which the last of them reads its first: a bisection
+    on the column sums of x's leading rows, so that nothing the size of
+    the block is built."""
+    # a product with one row is a slow BLAS case, and needs no sum
+    left = unseen & ((x[0] if len(x) == 1 else np.ones(len(x)) @ x) == 0)
+    if left.any():
+        unseen[:] = left
+        return None
+    lo, hi = 0, len(x)  # rows [0, lo) miss an unseen entry, [0, hi) do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (unseen & (np.ones(mid) @ x[:mid] == 0)).any():
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _stream(rng, ledger, horizon, first, p, flipped, flips):
     """Run a path whose period t reads a 0/1 array of E entries drawn in
     period t - 1 (`first` in period 0) and book it into `ledger`.  An
     entry drawn in period t is 1 with probability p, complemented if its
     index is in `flipped`, and xor its flips[t] entry when t is a key of
-    `flips`.  Periods are read one by one in spans, taken in order: 0
-    through `ledger.zero`, each key t of `flips` and t + 1, and the last
-    period, clipped to the horizon.  A span's arrays are drawn in blocks
-    into a buffer of its own and booked by `ledger.add`; the buffer is
-    released before the next gap, so a gap's counts add nothing to the
-    peak.  `ledger.tail` books the periods of a gap between spans from
-    each entry's count of 1s (one binomial draw per entry, complemented
-    where flipped).  Returns the array read in the last period and those
-    read in the keys of `flips`, by period.
+    `flips`.  Periods are read one by one in spans, taken in order: the
+    prefix, each key t of `flips` and t + 1, and the last period, clipped
+    to the horizon.  The prefix runs from 0 through `ledger.zero` or,
+    where it comes first, through `settle` = f + `ledger.lag`, f being the
+    period in which the last entry reads its first 1 (period 0 reads
+    `first`); when some entry reads no 1 by `zero`, or delta is 0 or 1, it
+    runs through `zero`.  A span's arrays are drawn in blocks into a
+    buffer of its own and booked by `ledger.add`; the buffer is released
+    before the next gap, so a gap's counts add nothing to the peak.
+    `ledger.tail` books the periods of a gap between spans from each
+    entry's count of 1s (one binomial draw per entry, complemented where
+    flipped).  Returns the array read in the last period and those read in
+    the keys of `flips`, by period.
+
+    `settle` depends on the flags alone, not on the blocking: the prefix
+    keeps, while it has not settled, only E-sized arrays of the entries
+    yet to read a 1, and when a block runs past `settle` the generators
+    are put back as they were before it (the tie generator unbuilt if the
+    block built it) and the block is drawn again through `settle` only.
 
     The draw rule: with K = ceil(p * 2**53), an entry is 1 where a uniform
     k / 2**53 would be below p, that is with probability K / 2**53, and
@@ -479,15 +531,21 @@ def _stream(rng, ledger, horizon, first, p, flipped, flips):
                     ties = np.random.default_rng(np.random.SeedSequence(
                         rng.bit_generator.seed_seq.entropy, spawn_key=(1,)))
                 out.flat[at] = ties.random(at.size) < tie_p
-        out[:, flipped] = 1.0 - out[:, flipped]
-        for t, mask in flips.items():
-            if start <= t < start + b:
-                out[t - start] = out[t - start] != mask
+        if len(flipped):
+            out[:, flipped] = 1.0 - out[:, flipped]
+        if flips:
+            for t, mask in flips.items():
+                if start <= t < start + b:
+                    out[t - start] = out[t - start] != mask
 
     last = horizon - 1
+    unseen = first == 0  # the entries yet to read a 1
+    lag = ledger.lag
+    end = min(ledger.zero, last)  # the prefix's last period, until settled
+    if lag is not None and not unseen.any():
+        end, lag = min(end, lag), None
     # each span as (its first period, its last), in order
-    spans = sorted([(0, ledger.zero), (last, last),
-                    *((t, t + 1) for t in flips)])
+    spans = [(0, end), *sorted([(last, last), *((t, t + 1) for t in flips)])]
     begin = 0  # the first period not booked yet
     shots = {}
     for s, e in spans:
@@ -498,16 +556,34 @@ def _stream(rng, ledger, horizon, first, p, flipped, flips):
             count = rng.binomial(s - begin, p, first.size)
             count[flipped] = s - begin - count[flipped]
             ledger.tail(begin, s, count)
-        blocks = list(_blocks(s, e + 1, first.size))
-        buf = np.empty((blocks[0][1] - s, first.size))
-        for start, stop in blocks:
-            out = buf[:stop - start]
+        settling = s == 0 and lag is not None  # only the prefix settles
+        for start, stop in _blocks(s, e + 1, first.size):
+            if start > e:
+                break
+            if start == s:  # the first block sets the buffer's length
+                buf = np.empty((stop - start, first.size))
+            out = buf[:min(stop, e + 1) - start]
             k = int(start == 0)  # period 0 reads `first`, not a draw
             out[:k] = first
+            if settling:
+                saved = (rng.bit_generator.state,
+                         None if ties is None else ties.bit_generator.state)
             draw(out[k:], start + k - 1)
+            row = _settled_row(out, unseen) if settling else None
+            if row is not None:
+                settling = False
+                e = min(e, start + row + lag)
+                if e < start + len(out) - 1:  # the block runs past settle
+                    rng.bit_generator.state, tie_state = saved
+                    if tie_state is None:
+                        ties = None
+                    else:
+                        ties.bit_generator.state = tie_state
+                    out = out[:e + 1 - start]
+                    draw(out[k:], start + k - 1)
             ledger.add(start, out)
             shots.update((t, out[t - start].copy()) for t in flips
-                         if start <= t < stop)
+                         if start <= t < start + len(out))
         final = out[-1].copy()
         del buf, out
         begin = e + 1

@@ -243,7 +243,7 @@ def live_periods(env, T, horizon):
     """The first period from which every discount weight delta ** t surely
     underflows, ceil(1075 ln 2 / -ln delta) + 1 (1 for delta = 0, the
     horizon for delta = 1), at most the horizon: a run reads periods 0
-    through it one by one."""
+    through it one by one unless it settles first (`settle_period`)."""
     delta = math.exp(-env.beta * T)
     if delta == 0.0:
         zero = 1
@@ -254,65 +254,114 @@ def live_periods(env, T, horizon):
     return min(horizon, zero)
 
 
-def drawn_periods(env, T, horizon, shots=()):
+def settle_lag(env, T):
+    """The least lag with delta ** lag / (1 - delta) <= 2**-55 for
+    delta = exp(-beta T), from the logs of both sides; None when delta is
+    0 or 1."""
+    delta = math.exp(-env.beta * T)
+    if not 0.0 < delta < 1.0:
+        return None
+    return math.ceil(math.log(2.0 ** -55 * (1.0 - delta)) / math.log(delta))
+
+
+def settle_period(env, T, first, flags):
+    """The period from which no later weight can change a discounted count:
+    settle_lag after the period in which the last entry reads its first 1,
+    period 0 reading `first` and period t the flags row t - 1; None when
+    some entry never reads a 1 there or delta is 0 or 1."""
+    lag = settle_lag(env, T)
+    size = np.size(first)
+    read = np.concatenate((np.reshape(first, (1, size)),
+                           np.reshape(flags, (len(flags), size)))) != 0
+    if lag is None or not read.any(axis=0).all():
+        return None
+    return int(read.argmax(axis=0).max()) + lag
+
+
+def drawn_periods(env, T, horizon, shots=(), settle=None):
     """Periods whose flags a run draws one by one, the flag drawn in period
-    t being read in period t + 1.  A run reads one by one periods 0 through
-    live_periods, each one-shot period and the period after it, and the
-    last period, so it draws the flags of the periods before live_periods,
-    of t - 1 and t for each shot t and of horizon - 2, all clipped to
+    t being read in period t + 1.  A run reads one by one periods 0
+    through the earlier of live_periods and `settle` (None: never), each
+    one-shot period and the period after it, and the last period, so it
+    draws the flags of the periods before the earlier of the two, of
+    t - 1 and t for each shot t and of horizon - 2, all clipped to
     0, ..., horizon - 2."""
-    drawn = {*range(live_periods(env, T, horizon)), horizon - 2}
+    prefix = live_periods(env, T, horizon)
+    if settle is not None:
+        prefix = min(prefix, settle)
+    drawn = {*range(prefix), horizon - 2}
     for t in shots:
         drawn |= {t - 1, t}
     return {t for t in drawn if 0 <= t <= horizon - 2}
 
 
+def chunks_from_words(words, size):
+    """The (m, size) 16-bit chunks of m periods from their
+    (m, ceil(size / 4)) raw 64-bit words: entry e of a period reads bits
+    16 * (e % 4) through 16 * (e % 4) + 15 of its word e // 4."""
+    chunks = np.stack([(words >> np.uint64(16 * k)) & np.uint64(0xFFFF)
+                       for k in range(4)], axis=-1)
+    chunks = chunks.reshape(len(words), 4 * words.shape[1])[:, :size]
+    return chunks.astype(np.int64)
+
+
 def flags_from_words(words, size, p, ties):
     """The (m, size) 0/1 flags of m periods from their (m, ceil(size / 4))
-    raw 64-bit words: with K = ceil(p * 2**53), entry e of a period reads
-    bits 16 * (e % 4) through 16 * (e % 4) + 15 of its word e // 4 as a
-    chunk, and is 1 where the chunk is below K >> 37.  A chunk equal to it
-    is a tie, 1 where the next uniform of `ties` is below
+    raw 64-bit words: with K = ceil(p * 2**53), an entry is 1 where its
+    chunk (`chunks_from_words`) is below K >> 37.  A chunk equal to it is
+    a tie, 1 where the next uniform of `ties` is below
     (K mod 2**37) / 2**37, the ties taken in (period, entry) order."""
     K = math.ceil(Fraction(p) * 2 ** 53)
     cut, rest = K >> 37, K % 2 ** 37
-    chunks = np.stack([(words >> np.uint64(16 * k)) & np.uint64(0xFFFF)
-                       for k in range(4)], axis=-1)
-    chunks = chunks.reshape(len(words), -1)[:, :size].astype(np.int64)
+    chunks = chunks_from_words(words, size)
     flags = chunks < cut
     tied = np.flatnonzero(chunks == cut)
     flags.flat[tied] = ties.random(tied.size) < rest / 2 ** 37
     return flags
 
 
-def _drawn_flags(seed, drawn, p, flip):
+def drawn_flags(seed, env, T, shots, p, flip, first):
     """The 0/1 flags of periods 0, ..., horizon - 2 (flip has one row per
     period of the horizon), each entry's flag being 1 with probability p
     xor its `flip` entry, as a bool array whose row horizon - 1 is False.
-    The periods in `drawn` are drawn one by one, from raw words by
-    `flags_from_words`; each run of the others, a gap (over which flip is
-    steady), takes one binomial count per entry.  Stream order is period
-    order: each run of drawn periods as one raw-word draw of its rows,
-    each gap as one binomial draw (m minus the count where flipped, m the
-    gap's length).  Ties take their uniforms from the second child of the
-    seed's SeedSequence.  An entry's count of 1s falls on distinct periods
-    of its gap drawn without replacement (its 0s do, where the 1s are more
-    than half), gap by gap and entry by entry in C order, by the first
-    child."""
-    rng = np.random.default_rng(seed)
-    spread, ties = map(np.random.default_rng,
-                       np.random.SeedSequence(seed).spawn(2))
+    The periods that `drawn_periods` names are drawn one by one, from raw
+    words by `flags_from_words`, `settle` being the `settle_period` of the
+    live periods' flags (period 0 reading `first`), drawn first on fresh
+    generators of the same seed; each run of the other periods, a gap
+    (over which flip is steady), takes one binomial count per entry.
+    Stream order is period order: each run of drawn periods as one
+    raw-word draw of its rows, each gap as one binomial draw (m minus the
+    count where flipped, m the gap's length).  Ties take their uniforms
+    from the second child of the seed's SeedSequence.  An entry's count of
+    1s falls on distinct periods of its gap drawn without replacement (its
+    0s do, where the 1s are more than half), gap by gap and entry by entry
+    in C order, by the first child."""
+    horizon = len(flip)
     shape = flip.shape[1:]
     size = math.prod(shape)
+    width = -(-size // 4)
+
+    def generators():
+        return (np.random.default_rng(seed),
+                *map(np.random.default_rng,
+                     np.random.SeedSequence(seed).spawn(2)))
+
+    rng, _, ties = generators()
+    m = min(live_periods(env, T, horizon), horizon - 1)
+    live = flags_from_words(rng.bit_generator.random_raw((m, width)), size,
+                            p, ties).reshape(m, *shape) ^ flip[:m]
+    drawn = drawn_periods(env, T, horizon, shots,
+                          settle_period(env, T, first, live))
+    rng, spread, ties = generators()
     flags = np.zeros(flip.shape, dtype=bool)
     t = 0
-    for one_by_one, run in itertools.groupby(range(len(flip) - 1),
+    for one_by_one, run in itertools.groupby(range(horizon - 1),
                                              drawn.__contains__):
         m = len(list(run))
         if one_by_one:
-            words = rng.bit_generator.random_raw((m, -(-size // 4)))
-            drawn_flags = flags_from_words(words, size, p, ties)
-            flags[t:t + m] = drawn_flags.reshape(m, *shape) ^ flip[t:t + m]
+            words = rng.bit_generator.random_raw((m, width))
+            run_flags = flags_from_words(words, size, p, ties)
+            flags[t:t + m] = run_flags.reshape(m, *shape) ^ flip[t:t + m]
         else:
             ones = rng.binomial(m, p, shape)
             ones = np.where(flip[t], m - ones, ones)
@@ -348,7 +397,7 @@ def _whole_horizon_fields(env, T, horizon, seed, cost):
 def whole_horizon_rating_run(design, profile, env, mon, tm, horizon, seed):
     """The rating path of `simulate` from scratch, with whole-horizon
     arrays: the signals of every period in the stream order of
-    `_drawn_flags`, the full cost matrix by the general formula and every
+    `drawn_flags`, the full cost matrix by the general formula and every
     discount weight delta ** t.  Returns the report's fields (and
     time-series columns) as plain values."""
     n, T = tm.n, design.T
@@ -367,8 +416,9 @@ def whole_horizon_rating_run(design, profile, env, mon, tm, horizon, seed):
         elif b.kind == "one-shot-deviator" and b.at_period < horizon:
             actions[b.at_period, i] = ~rec[i]
             shots.append(b.at_period)
-    signal_high = _drawn_flags(seed, drawn_periods(env, T, horizon, shots),
-                               1.0 - eps, actions != rec)
+    # ratings start high
+    signal_high = drawn_flags(seed, env, T, shots, 1.0 - eps,
+                               actions != rec, np.ones(n, dtype=bool))
     ratings = np.concatenate((np.ones((1, n), dtype=bool), signal_high[:-1]))
     deployed_in = actions.astype(float) @ tm.rates
     cost = (np.where(ratings, design.p1, design.p0) * deployed_in
@@ -416,7 +466,7 @@ def whole_horizon_trigger_run(design, env, mon, tm, horizon, seed):
 def whole_horizon_tft_run(design, env, mon, tm, horizon, seed):
     """The tit-for-tat path of `simulate` from scratch: the wrong ("low")
     observations of every link in every period in the stream order of
-    `_drawn_flags`, the price of every link in every period as an np.where
+    `drawn_flags`, the price of every link in every period as an np.where
     quality array, and the full cost matrix by einsum."""
     n, T = tm.n, design.T
     eps = float(mon.epsilon(T))
@@ -425,8 +475,11 @@ def whole_horizon_tft_run(design, env, mon, tm, horizon, seed):
     observable = sends.T  # [j, i]: j sees i's action via i -> j traffic
     nu_mutual = (rates * sends.T).sum(axis=0)
     deploy = math.exp(-env.beta * T) * env.gap * nu_mutual > env.c
-    low = _drawn_flags(seed, drawn_periods(env, T, horizon), eps,
-                       np.zeros((horizon, n, n), dtype=bool))  # [t, j, i]
+    # [t, j, i]; before period 0 the flags read ~deploy[i], which is
+    # "deviate" nowhere
+    low = drawn_flags(seed, env, T, (), eps,
+                       np.zeros((horizon, n, n), dtype=bool),
+                       np.broadcast_to(~deploy, (n, n)))
     obs_deviate = (~deploy[None, None, :] ^ low) & observable[None]
     grudges = np.concatenate((np.zeros((1, n, n), dtype=bool),
                               obs_deviate[:-1]))

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -28,10 +29,14 @@ from mutualsec import (
 )
 
 from support import (
+    chunks_from_words,
+    drawn_flags,
     drawn_periods,
     flags_from_words,
     live_periods,
     reference_instance,
+    settle_lag,
+    settle_period,
     whole_horizon_rating_run,
     whole_horizon_tft_run,
     whole_horizon_trigger_run,
@@ -727,6 +732,10 @@ class TestStreaming:
     def test_memory_does_not_grow_with_horizon(self, kind, n, horizon):
         assert self._peak_bytes(kind, n, horizon) < 16 * 2**20
 
+    def test_tit_for_tat_at_200_ases_runs_in_a_few_mb(self):
+        # the README's claim: 10,000 periods at 200 ASs, 40,000 links
+        assert self._peak_bytes("tit-for-tat", 200, 10_000) < 4 * 2**20
+
     def test_tail_adds_nothing_to_the_peak(self):
         # the live prefix's block buffer is released before the tail is
         # counted, so a run whose horizon passes the zero-weight period
@@ -839,7 +848,11 @@ class TestDiscountWeights:
                                       "tit-for-tat"])
     def test_first_block_powers_stop_near_underflow(self, monkeypatch, kind):
         # beta * T = 1: delta ** t is 0.0 from t = 746, while a block of
-        # the rating and trigger paths at n = 8 holds 8192 periods.
+        # the rating and trigger paths at n = 8 holds 8192 periods.  Every
+        # rating reads 1 in period 0, so a rating run settles at period
+        # lag = 39 and powers only periods 0-39; tit-for-tat under a
+        # perfect monitor never reads a wrong observation, so it never
+        # settles and its prefix runs through the zero-weight period.
         from mutualsec import sim
 
         class CountingNumpy:
@@ -856,9 +869,15 @@ class TestDiscountWeights:
         env = dataclasses.replace(env, beta=1.0)
         plan = RatingDesign(1.0, env.p_high, env.p_low, Subset.full(8))
         profile = BehaviorProfile.uniform(8, kind)
+        if kind == "tit-for-tat":
+            mon = PERFECT
         monkeypatch.setattr(sim, "np", CountingNumpy())
         simulate(plan, profile, env, mon, tm, 20_000, 1)
-        assert 746 <= CountingNumpy.powered <= 750
+        if kind == "compliant":
+            assert settle_lag(env, 1.0) == 39
+            assert CountingNumpy.powered == 40
+        else:
+            assert 746 <= CountingNumpy.powered <= 750
 
 
 # ---- whole-horizon reference -----------------------------------------------
@@ -1298,8 +1317,10 @@ class TestTimeSeriesInvariance:
         # gaps, and its run matches the whole-horizon reference
         d, env, mon, tm = reference_design()
         assert live_periods(env, d.T, 5000) == 747
-        assert drawn_periods(env, d.T, 5000, [2000]) == {
-            *range(747), 1999, 2000, 4998}
+        # every rating reads 1 in period 0, so the run settles at lag = 39
+        assert settle_lag(env, d.T) == 39
+        assert drawn_periods(env, d.T, 5000, [2000], 39) == {
+            *range(39), 1999, 2000, 4998}
         late = dict(_ts_invariance_cases())["late-shot/seed=2"]
         _assert_rating_matches(late)
 
@@ -1328,23 +1349,27 @@ class TestTailEdges:
 
     @pytest.mark.parametrize("anchor,offset", [
         ("zero", 1), ("zero", 2), ("zero", 3),
-        ("end", -4), ("end", -3), ("end", -2), ("end", -1)])
+        ("end", -4), ("end", -3), ("end", -2), ("end", -1),
+        ("settle", -1), ("settle", 0), ("settle", 1)])
     def test_rating_shot_past_the_prefix(self, anchor, offset):
         # the shot's span next to the zero-weight period or one or two
-        # periods after it, and next to, one before or merged with the
-        # last period
+        # periods after it, next to, one before or merged with the last
+        # period, and just before, at or just after the period the run
+        # settles in (every rating reads 1 in period 0)
         d, env, mon, tm = reference_design()
         zero = live_periods(env, d.T, 10**6)
         horizon = zero + 40
-        shot = {"zero": zero, "end": horizon}[anchor] + offset
+        shot = {"zero": zero, "end": horizon,
+                "settle": settle_lag(env, d.T)}[anchor] + offset
         _assert_rating_matches((d, self._shot_profile(shot), env, mon,
                                      tm, horizon, 7))
 
     @pytest.mark.parametrize("shot", [10_000, 990_000])
     def test_late_shot_books_few_rows(self, monkeypatch, shot):
         # however late the shot, periods are booked one by one only
-        # through the zero-weight period, in the shot's span of two and
-        # in the last period
+        # through the period the run settles in (lag, as every rating
+        # reads 1 in period 0), in the shot's span of two and in the last
+        # period
         from mutualsec import sim
 
         d, env, mon, tm = reference_design()
@@ -1361,7 +1386,7 @@ class TestTailEdges:
         profile = BehaviorProfile.compliant(8).replace(
             4, Behavior("one-shot-deviator", at_period=shot))
         simulate(d, profile, env, mon, tm, horizon, 1)
-        assert rows <= live_periods(env, d.T, horizon) + 4
+        assert rows == settle_lag(env, d.T) + 4
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, 2, 40])
     @pytest.mark.parametrize("kind", ["rating", "tit-for-tat",
@@ -1489,3 +1514,240 @@ class TestTailEdges:
             assert abs(frac - (1 - eps)) < 5 * se + 1 / horizon
         assert rep.avg_cost == pytest.approx(
             security_cost(d, env, mon, tm), rel=1e-5)
+
+
+# ---- settling ----------------------------------------------------------------
+
+def _counting_rows(monkeypatch):
+    """A one-item list counting the periods `_Ledger.add` books."""
+    from mutualsec import sim
+
+    rows = [0]
+    add = sim._Ledger.add
+
+    def counting_add(self, start, x):
+        rows[0] += len(x)
+        add(self, start, x)
+
+    monkeypatch.setattr(sim._Ledger, "add", counting_add)
+    return rows
+
+
+def _stream_entries(delta, horizon, seed, p, first):
+    """Run `_stream` on entries that read `first` in period 0, with no
+    flips; returns the ledger, the final flags and the first period booked
+    from a count (None if none)."""
+    from mutualsec import sim
+
+    first = np.asarray(first, dtype=float)
+    ledger = sim._Ledger(horizon, 1.0, delta, None)
+    ledger.entries(np.zeros(first.size), np.ones(first.size))
+    starts = []
+    tail = ledger.tail
+
+    def recording_tail(start, stop, count):
+        starts.append(start)
+        tail(start, stop, count)
+
+    ledger.tail = recording_tail
+    final, _ = sim._stream(np.random.default_rng(seed), ledger, horizon,
+                           first, p, [], {})
+    return ledger, final, (starts or [None])[0]
+
+
+def _assert_stream_matches(seed, p, size, horizon=5000):
+    """`_stream` on `size` entries starting at 0, delta = exp(-0.2),
+    against `drawn_flags`; returns the settle period it finds."""
+    env, _, _ = reference_instance()
+    delta = math.exp(-env.beta)
+    flags = drawn_flags(seed, env, 1.0, (), p,
+                        np.zeros((horizon, size), dtype=bool), np.zeros(size))
+    read = np.concatenate((np.zeros((1, size), dtype=bool), flags[:-1]))
+    ledger, final, tail_start = _stream_entries(delta, horizon, seed, p,
+                                                np.zeros(size))
+    settle = settle_period(env, 1.0, np.zeros(size), flags[:3727])
+    assert tail_start == settle + 1 < 3727
+    np.testing.assert_array_equal(ledger.sums[0], read.sum(axis=0))
+    np.testing.assert_array_equal(final, read[-1])
+    weights = delta ** np.arange(horizon)
+    np.testing.assert_allclose(ledger.sums[1], weights @ read, rtol=1e-12,
+                               atol=0.0)
+    assert math.isclose(ledger.weight, weights.sum(), rel_tol=1e-12)
+    return settle
+
+
+def _tie_rows(seed, size, p, periods):
+    """The drawn periods, among the first `periods`, whose chunks hold a
+    tie, and the decisions of the seed's first three tie uniforms."""
+    from mutualsec import sim
+
+    words = np.random.default_rng(seed).bit_generator.random_raw(
+        (periods, -(-size // 4)))
+    cut, tie_p = sim._draw_law(p)
+    rows = np.flatnonzero((chunks_from_words(words, size) == cut).any(axis=1))
+    u = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+    return rows.tolist(), (u.random(3) < tie_p).tolist()
+
+
+class TestSettle:
+    """The prefix ends lag periods after the one in which the last entry
+    reads its first 1, or at the zero-weight period, whichever is first;
+    the periods after it are booked from counts and change no discounted
+    sum."""
+
+    def test_lag_is_minimal_in_log_space(self):
+        # delta ** lag / (1 - delta) <= 2**-55 with lag least, checked in
+        # 60-digit arithmetic over rates -ln(delta) from 2**-40 to 690
+        from decimal import Decimal, localcontext
+
+        from mutualsec import sim
+
+        deltas = [1e-300, 1.0 - 2.0 ** -40, math.exp(-1.0), 0.5]
+        deltas += [math.exp(-r) for r in np.geomspace(2.0 ** -40, 690.0, 300)]
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for delta in deltas:
+                lag = sim._Ledger(10, 1.0, delta, None).lag
+                d = Decimal(delta)
+                rate = -d.ln()
+                need = 55 * Decimal(2).ln() - (1 - d).ln()
+                assert (lag - 1) * rate < need <= lag * rate, delta
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_no_lag_without_a_discount_in_between(self, delta):
+        from mutualsec import sim
+
+        assert sim._Ledger(10, 1.0, delta, None).lag is None
+        ledger, final, tail_start = _stream_entries(delta, 50, 3, 0.5, [1.0])
+        # delta = 0 reads periods 0 and 1 and the last; delta = 1 all 50
+        assert tail_start == (2 if delta == 0.0 else None)
+        assert ledger.weight == (1.0 if delta == 0.0 else 50.0)
+
+    def test_never_wrong_tit_for_tat_reads_through_zero(self, monkeypatch):
+        # p = 0: a link that starts unpunished never reads a 1, so the run
+        # never settles and reads periods 0 through zero one by one
+        design, env, mon, tm = _tft_cases()["eps=0"]
+        horizon = 10_000
+        zero = live_periods(env, design.T, horizon)
+        assert zero == 3727
+        rows = _counting_rows(monkeypatch)
+        rep = simulate(design, BehaviorProfile.uniform(tm.n, "tit-for-tat"),
+                       env, mon, tm, horizon, 5, time_series=True)
+        assert rows[0] == zero + 2  # and the last period
+        _assert_tft_matches(rep, whole_horizon_tft_run(design, env, mon, tm,
+                                                       horizon, 5))
+
+    @pytest.mark.parametrize("deviator", [None, 3])
+    def test_certain_signals_settle_at_lag(self, monkeypatch, deviator):
+        # p = 1: every rating reads 1 in period 0 (and ever after, or never
+        # again for a steady deviator), so the run settles at lag
+        d, env, _, tm = reference_design()
+        profile = BehaviorProfile.compliant(8)
+        if deviator is not None:
+            profile = profile.replace(deviator,
+                                      Behavior("persistent-deviator"))
+        lag = settle_lag(env, d.T)
+        rows = _counting_rows(monkeypatch)
+        rep = _assert_rating_matches((d, profile, env, PERFECT, tm, 5000, 1))
+        assert rows[0] == lag + 2  # periods 0 through lag, and the last
+        high = [1.0] * 8
+        if deviator is not None:
+            high[deviator] = 1 / 5000
+        assert rep.rating_high_fraction == tuple(high)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("p", [0.01, 0.3])
+    def test_one_entry(self, p, seed):
+        # one entry that starts at 0: the run settles lag periods after its
+        # first 1, inside the first block of 32768 periods, which is drawn
+        # again through settle only
+        _assert_stream_matches(seed, p, 1)
+
+    @pytest.mark.parametrize("seed", [44, 196])
+    def test_ties_in_a_later_block_drawn_again(self, seed):
+        # 64 entries, 512-period blocks: the last first 1 falls in a later
+        # block, which runs past settle and is drawn again through it.
+        # With seed 44 a tie in an earlier block built the tie generator,
+        # whose state is put back; with seed 196 the block's own tie built
+        # it, so it is unbuilt again.  Either way the tie lies in the part
+        # drawn again, and the uniform after its own settles it otherwise.
+        settle = _assert_stream_matches(seed, 0.004, 64)
+        block = settle // 512 * 512  # the first period of settle's block
+        rows, below = _tie_rows(seed, 64, 0.004, settle)
+        # the flag drawn in period t is read in period t + 1
+        built_before = rows[0] + 1 < block
+        assert built_before == (seed == 44)
+        kept = [t for t in rows if t + 1 >= block]
+        assert len(kept) == 1
+        k = rows.index(kept[0])
+        assert below[k] != below[k + 1]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+    def test_horizon_around_settle(self, offset):
+        d, env, mon, tm = reference_design()
+        horizon = settle_lag(env, d.T) + offset
+        _assert_rating_matches((d, BehaviorProfile.compliant(8), env, mon, tm,
+                                horizon, 7))
+
+    @pytest.mark.filterwarnings("ignore:tit-for-tat punishment needs")
+    @pytest.mark.parametrize("seed,first_tie", [(200, "kept"), (1, "dropped")])
+    def test_tie_in_a_block_drawn_again(self, seed, first_tie):
+        # The first block, 3640 periods of 9 links, runs past settle.  With
+        # seed 200 the block's only tie falls in the part drawn again, and
+        # the tie generator's first two uniforms settle it differently, so
+        # the generator must be unbuilt again; with seed 1 the block's only
+        # tie falls in the part dropped.
+        from mutualsec import sim
+
+        design, env, mon, tm = _tft_cases()["mixed"]
+        eps = float(mon.epsilon(design.T))
+        horizon = 5000
+        block = sim._BLOCK_ELEMENTS // 9
+        zero = live_periods(env, design.T, horizon)
+        words = np.random.default_rng(seed).bit_generator.random_raw((zero, 3))
+        ties = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+        flags = flags_from_words(words, 9, eps, ties)
+        # the links into AS 2, which does not deploy, start at 1
+        settle = settle_period(env, design.T, [0, 0, 1] * 3, flags)
+        # flags drawn in periods before settle are read through it
+        assert settle < block - 1
+        rows, below = _tie_rows(seed, 9, eps, block - 1)
+        assert len(rows) == 1
+        assert (rows[0] < settle) == (first_tie == "kept")
+        assert below[0] != below[1] or first_tie == "dropped"
+        rep = simulate(design, BehaviorProfile.uniform(3, "tit-for-tat"), env,
+                       mon, tm, horizon, seed, time_series=True)
+        _assert_tft_matches(rep, whole_horizon_tft_run(design, env, mon, tm,
+                                                       horizon, seed))
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("beta_t", [0.2, 1.0, 3.7])
+    def test_later_periods_leave_the_sums(self, beta_t, block):
+        # once a run settles, booking every entry as 1 in every period from
+        # settle to zero, in blocks, leaves each discounted count and the
+        # weight sum bit for bit
+        from mutualsec import sim
+
+        delta = math.exp(-beta_t)
+        settled = 0
+        for size, p, first, seed in itertools.product(
+                (1, 9, 64), (0.02, 0.3), (0.0, 1.0), (0, 1)):
+            ledger = sim._Ledger(10**6, 1.0, delta, None)
+            zero = ledger.zero
+            ledger.entries(np.zeros(size), np.ones(size))
+            starts = []
+            tail = ledger.tail
+            ledger.tail = lambda a, b, c: (starts.append(a), tail(a, b, c))
+            sim._stream(np.random.default_rng(seed), ledger, zero + 5,
+                        np.full(size, first), p, [], {})
+            settle = starts[0] - 1
+            if settle >= zero:
+                continue
+            settled += 1
+            discounted, weight = ledger.sums[1].copy(), ledger.weight
+            for start in range(settle, zero, block):
+                stop = min(start + block, zero)
+                ledger.add(start, np.ones((stop - start, size)))
+            assert ledger.sums[1].tobytes() == discounted.tobytes()
+            assert ledger.weight == weight
+        assert settled >= 16
