@@ -332,17 +332,29 @@ def _epsilon(mon: MonitoringModel, t: float) -> float:
     return s * (t - t0) + e0
 
 
-def _headroom(env: Environment, mon: MonitoringModel, t: float) -> float:
+def _on_piece(pieces, k: int, t: float) -> float:
+    """epsilon(t) for a finite t on piece k (t0 <= t <= t1) of a table:
+    the float _epsilon returns, without its lookup.  At t == t1 the lookup
+    finds the next piece, whose first value is read."""
+    t0, t1, e0, s = pieces[k]
+    if t == t1:
+        return pieces[k + 1][2]
+    return e0 if s == 0.0 else s * (t - t0) + e0
+
+
+def _headroom(env: Environment, mon: MonitoringModel, t: float,
+              eps: float | None = None) -> float:
     """h(t) = exp(beta*t) / (1 - 2*epsilon(t)) in plain floats, as
     exp(beta*t) * (1 + 2*w0/t) for the rational family; inf where
-    epsilon >= 1/2 or exp overflows."""
+    epsilon >= 1/2 or exp overflows.  A table's eps = epsilon(t) may be
+    passed in when already read."""
     try:
         rise = math.exp(env.beta * t)
     except OverflowError:
         return math.inf
     if mon.kind == "rational":
         return rise * (1.0 + 2.0 * mon.w0 / t)
-    denom = 1.0 - 2.0 * _epsilon(mon, t)
+    denom = 1.0 - 2.0 * (_epsilon(mon, t) if eps is None else eps)
     return rise / denom if denom > 0.0 else math.inf
 
 
@@ -352,9 +364,12 @@ def _deters(env: Environment, h: float, spread: float, nu: float) -> bool:
     return spread * nu >= env.c * h * (1.0 - 1e-9)
 
 
-def _loss_at(env: Environment, mon: MonitoringModel, t: float) -> float:
-    """g(t) in plain floats; inf where epsilon >= 1/2 or exp overflows."""
-    eps = _epsilon(mon, t)
+def _loss_at(env: Environment, mon: MonitoringModel, t: float,
+             eps: float | None = None) -> float:
+    """g(t) in plain floats; inf where epsilon >= 1/2 or exp overflows.
+    eps = epsilon(t) may be passed in when already read."""
+    if eps is None:
+        eps = _epsilon(mon, t)
     denom = 1.0 - 2.0 * eps
     if denom <= 0.0:
         return math.inf
@@ -422,12 +437,20 @@ def _edges(env: Environment, mon: MonitoringModel, nu_crit: float):
         h_m = _headroom(env, mon, t_m)
     else:
         # Each piece's candidate lies on the piece, so the candidates
-        # ascend and ties on h go to the smallest.
-        pieces = [p for p in mon._pieces if p[0] < t_cap]
-        h_m, t_m = min((_headroom(env, mon, t), t) for t in (
-            t0 if s >= 0.0 else
-            min(max(t0 + (0.5 + s / beta - e0) / s, t0), t1, t_cap)
-            for t0, t1, e0, s in pieces))
+        # ascend and ties on h go to the smallest; t_m lies on piece k_m.
+        pieces = mon._pieces
+        h_m = math.inf
+        for k, (t0, t1, e0, s) in enumerate(pieces):
+            if t0 >= t_cap:
+                break
+            t = t0 if s >= 0.0 else \
+                min(max(t0 + (0.5 + s / beta - e0) / s, t0), t1, t_cap)
+            h = _headroom(env, mon, t, _on_piece(pieces, k, t))
+            if h < h_m:
+                h_m, t_m, k_m = h, t, k
+        # whether h at piece k's right end t1 < t_cap is within the bound
+        fits_end = lambda k: _headroom(env, mon, pieces[k][1],
+                                       pieces[k + 1][2]) <= bound
     if h_m > bound:
         return None
 
@@ -440,14 +463,22 @@ def _edges(env: Environment, mon: MonitoringModel, nu_crit: float):
         elif fits(t_cap * 1e-15 if low else t_cap):
             return 0.0 if low else t_cap
         else:
+            # The edge's piece: the first whose right end fits (low), or
+            # from t_m's piece on, the first whose right end does not or
+            # reaches t_cap (high).  Pieces before k_m end at or before
+            # t_m, and h(t_m) fits.
             if low:
-                t0, t1, e0, s = next(p for p in pieces
-                                     if fits(min(p[1], t_m)))
+                k = 0
+                while k < k_m and not fits_end(k):
+                    k += 1
+                t0, t1, e0, s = pieces[k]
                 t = min(t0 if s >= 0.0 else
                         max(t0 + (0.5 - 0.5 / bound - e0) / s, t0), t_m)
             else:
-                t0, t1, e0, s = next(p for p in pieces if p[1] >= t_cap
-                                     or not fits(max(p[1], t_m)))
+                k = k_m
+                while pieces[k][1] < t_cap and fits_end(k):
+                    k += 1
+                t0, t1, e0, s = pieces[k]
                 t = min(t1, t_cap)
             phi = lambda t: (beta * t - math.log1p(-2.0 * (e0 + s * (t - t0)))
                              - log_bound)
@@ -478,12 +509,15 @@ def feasible_period_interval(
 
     Tabulated monitors: epsilon is convex from T=0, so log h is convex.
     On a piece epsilon(T) = e + s*(T - t0) its minimum is where 1 - 2*epsilon
-    = -2*s/beta, clamped to the piece; T_m is the best of these.  Each edge
-    is Newton's method on psi(T) = beta*T - log1p(-2*epsilon(T)) -
-    log(bound) along the piece that brackets it, from the piece's outer end
-    (for the low edge no lower than where 1 - 2*epsilon = 1/bound), stepped
-    inward as above.  lo is 0.0 when h(T) fits as T -> 0, and hi is
-    log(bound)/beta when h fits there."""
+    = -2*s/beta, clamped to the piece; T_m is the best of these, the first
+    on ties, with epsilon read on the piece walked (the float the lookup
+    would return).  The piece that brackets an edge is the first whose
+    right end fits, for the low edge, and from T_m's piece on the first
+    whose right end does not, for the high edge.  Each edge is Newton's
+    method on psi(T) = beta*T - log1p(-2*epsilon(T)) - log(bound) along
+    that piece, from its outer end (for the low edge no lower than where
+    1 - 2*epsilon = 1/bound), stepped inward as above.  lo is 0.0 when h(T)
+    fits as T -> 0, and hi is log(bound)/beta when h fits there."""
     found = _edges(env, mon, nu_crit)
     if found is None:
         return None
@@ -510,35 +544,67 @@ def minimize_loss_factor(
     (epsilon * (1 - 2*epsilon)) vanishes where epsilon = (1 +- sqrt(1 +
     8*s/beta)) / 4.  So T* is the best of the interval ends (the low end
     at least hi * 1e-12), the breakpoints inside and those stationary
-    points, ties going to the smaller T."""
+    points, ties going to the smaller T.  The low edge is seldom needed.
+    T_m, the smallest minimizer of the convex log h, is at least lo, and h
+    strictly falls on (0, T_m); epsilon does not rise there, so where
+    epsilon(T_m) > 0, g = h * epsilon strictly falls on (0, T_m) and every
+    candidate below T_m, the low end among them, loses to g(T_m).  So:
+
+    - T_m < hi * 1e-12: the low end is hi * 1e-12, as lo <= T_m.
+    - Otherwise the candidates above T_m are searched first, and their
+      best is T* when its g is below g(T_m) * (1 - 2**-40), a margin for
+      the relative rounding of exp, the product and the quotient.
+      epsilon rounded on one piece and read at the next piece's start
+      can differ by a few 2**-53, which the margin covers while
+      epsilon(T_m) and 1 - 2*epsilon(T_m) are at least 2**-8.  On a near
+      tie, or outside that range, the low edge is found and every
+      candidate from the low end up is searched."""
+    found = _edges(env, mon, nu_crit)
+    if found is None:
+        return None
+    t_m, edge = found
     if mon.kind == "rational":
-        found = _edges(env, mon, nu_crit)
-        if found is None:
-            return None
-        t_m, edge = found
         t_star = 1.0 / env.beta
         if t_star < t_m:
             t_star = max(t_star, edge(1.0))
         t_star = min(t_star, edge(-1.0))
         return t_star, mon.w0 * math.exp(env.beta * t_star) / t_star
-    interval = feasible_period_interval(env, mon, nu_crit)
-    if interval is None:
-        return None
-    lo, hi = max(interval.lo, interval.hi * 1e-12), interval.hi
-    candidates = [lo, hi]
-    for t0, t1, e0, s in mon._pieces:
+    hi = edge(-1.0)
+    lo = hi * 1e-12
+    if t_m >= lo:
+        eps_m = _epsilon(mon, t_m)
+        if 2.0 ** -8 <= eps_m <= 0.5 - 2.0 ** -9:
+            g_star, t_star = _least_loss(env, mon, t_m, hi, (math.inf, t_m))
+            if g_star < _loss_at(env, mon, t_m, eps_m) * (1.0 - 2.0 ** -40):
+                return t_star, g_star
+        lo = max(edge(1.0), lo)
+    g_star, t_star = _least_loss(env, mon, lo, hi,
+                                 (_loss_at(env, mon, lo), lo))
+    return t_star, g_star
+
+
+def _least_loss(env: Environment, mon: MonitoringModel, lo: float,
+                hi: float, best: tuple[float, float]) -> tuple[float, float]:
+    """The least (g(T), T) among best, hi and a table's candidates strictly
+    between lo and hi: its breakpoints and each piece's stationary points
+    of g, with epsilon read on the piece; ties go to the smaller T."""
+    best = min(best, (_loss_at(env, mon, hi), hi))
+    pieces = mon._pieces
+    for k, (t0, t1, e0, s) in enumerate(pieces):
         if t0 >= hi:
             break
+        if t1 <= lo:
+            continue
         if t0 > lo:
-            candidates.append(t0)
+            best = min(best, (_loss_at(env, mon, t0, e0), t0))
         disc = 1.0 + 8.0 * s / env.beta
         if s < 0.0 and disc >= 0.0:
             for sign in (-1.0, 1.0):
                 t = t0 + ((1.0 + sign * math.sqrt(disc)) / 4.0 - e0) / s
                 if max(lo, t0) < t < min(hi, t1):
-                    candidates.append(t)
-    g_star, t_star = min((_loss_at(env, mon, t), t) for t in candidates)
-    return t_star, g_star
+                    eps = _on_piece(pieces, k, t)
+                    best = min(best, (_loss_at(env, mon, t, eps), t))
+    return best
 
 
 def _check_as_index(i, n: int) -> None:

@@ -360,7 +360,12 @@ class _Ledger:
         the 0/1 row x[t - start]."""
         b = len(x)
         weights = self.weights(start, b)
-        if weights is None:
+        if b == 1:  # the same sums without a (2, 1) @ (1, E) BLAS call
+            self.sums[0] += x[0]
+            if weights is not None:
+                self.sums[1] += weights[0] * x[0]
+                self.weight += weights[0]
+        elif weights is None:
             self.sums[0] += np.ones(b) @ x
         else:
             self.sums += np.array((np.ones(b), weights)) @ x

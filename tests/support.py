@@ -26,9 +26,11 @@ from mutualsec import (
     TrafficMatrix,
     critical_members,
     critical_traffic,
+    feasible_period_interval,
     optimal_design,
     validate_assumptions,
 )
+from mutualsec import design
 
 
 def subset_without(p, remove):
@@ -103,6 +105,112 @@ def random_convex_table(rng):
     drops *= eps0 * rng.uniform(0.3, 0.99) / drops.sum()
     es = eps0 - np.concatenate(([0.0], np.cumsum(drops)))
     return MonitoringModel.tabulated(list(zip(ts.tolist(), es.tolist())))
+
+
+def random_zero_table(rng):
+    """Like random_convex_table, but the error reaches exactly 0, at the
+    last period or, with trailing zeros, before it."""
+    m = int(rng.integers(2, 10))
+    ts = np.linspace(0.0, rng.uniform(2.0, 20.0), m)
+    eps0 = rng.uniform(0.05, 0.5)
+    drops = rng.uniform(0.2, 0.95) ** np.arange(m - 1)
+    drops *= eps0 / drops.sum()
+    es = np.maximum(eps0 - np.concatenate(([0.0], np.cumsum(drops))), 0.0)
+    es[-1] = 0.0
+    table = list(zip(ts.tolist(), es.tolist()))
+    for _ in range(int(rng.integers(0, 3))):
+        table.append((table[-1][0] + float(rng.uniform(0.5, 5.0)), 0.0))
+    return MonitoringModel.tabulated(table)
+
+
+def random_late_table(rng):
+    """A table that starts after T=0, so its first value is held from 0:
+    flat, or falling by under 1e-10 (any steeper fall is a concave kink)."""
+    ts = np.cumsum(rng.uniform(0.1, 4.0, int(rng.integers(2, 5))))
+    eps0 = rng.uniform(0.05, 0.5)
+    falls = np.zeros(len(ts)) if rng.random() < 0.5 else \
+        np.concatenate(([0.0], np.cumsum(rng.uniform(0.0, 5e-11, len(ts) - 1))))
+    return MonitoringModel.tabulated(list(zip(ts.tolist(),
+                                              (eps0 - falls).tolist())))
+
+
+# Hand-built tables at the kernel's edges: epsilon(0) well below 1/2 (so
+# arbitrarily short periods can be feasible), error reaching zero, and two
+# tables that start after T=0.
+EDGE_TABLES = {
+    "table-sharp": [(0.0, 0.12), (0.5, 0.07), (2.0, 0.03), (6.0, 0.015)],
+    "table-to-zero": [(0.0, 0.45), (10.0, 0.0)],
+    "table-late-flat": [(1.5, 0.2), (4.0, 0.2)],
+    "table-late-drop": [(2.0, 0.3), (3.0, 0.3 - 1e-10), (5.0, 0.3 - 1.5e-10)],
+}
+
+
+def table_headroom_minimum(env, mon):
+    """The least headroom h(T) = exp(beta*T) / (1 - 2*epsilon(T)) of a
+    table: on each piece log h is convex, smallest where 1 - 2*epsilon =
+    -2*s/beta for slope s < 0 (clamped to the piece), else at its start."""
+    best = math.inf
+    for t0, t1, e0, s in mon._pieces:
+        t = t0 if s >= 0.0 else \
+            min(max(t0 + (0.5 + s / env.beta - e0) / s, t0), t1)
+        best = min(best, design._headroom(env, mon, t))
+    return best
+
+
+def tabulated_probes(rng, count):
+    """`count` seeded (env, table, nu_crit) probes of the tabulated design
+    kernel: random convex tables from T=0, tables reaching zero error,
+    tables starting after T=0 and EDGE_TABLES, with beta in [1e-4, 100],
+    c in [1e-3, 10] and nu_crit set from the table's least headroom h_m.
+    A third are near-tangent, nu = c*h_m/gap * (1 + 10**U(-15, -1)), where
+    the feasible interval is a sliver around the headroom's minimizer; the
+    rest scale it by 10**U(-0.3, 2), some of them infeasible."""
+    edge = [MonitoringModel.tabulated(t) for t in EDGE_TABLES.values()]
+    draw = (random_convex_table, random_convex_table, random_zero_table,
+            random_late_table)
+    probes = []
+    while len(probes) < count:
+        k = len(probes) // 8
+        mon = edge[k // 10 % len(edge)] if k % 10 == 0 else \
+            draw[k % len(draw)](rng)
+        for _ in range(8):
+            env = Environment(p_high=0.3, p_low=0.05,
+                              c=10.0 ** rng.uniform(-3.0, 1.0),
+                              beta=10.0 ** rng.uniform(-4.0, 2.0))
+            h_m = table_headroom_minimum(env, mon)
+            if not math.isfinite(h_m):
+                continue
+            scale = 1.0 + 10.0 ** rng.uniform(-15.0, -1.0) \
+                if rng.random() < 1 / 3 else 10.0 ** rng.uniform(-0.3, 2.0)
+            probes.append((env, mon, env.c * h_m / env.gap * scale))
+    return probes[:count]
+
+
+def reference_tabulated_minimum(env, mon, nu_crit):
+    """(T*, g*) for a tabulated monitor from the whole feasible interval
+    [lo, hi]: the best of its ends (the low end at least hi * 1e-12), the
+    table's breakpoints inside it and each piece's stationary points of
+    the loss factor, epsilon = (1 +- sqrt(1 + 8*s/beta)) / 4 for slope s,
+    ties going to the smaller T; None when no period is feasible."""
+    interval = feasible_period_interval(env, mon, nu_crit)
+    if interval is None:
+        return None
+    lo, hi = max(interval.lo, interval.hi * 1e-12), interval.hi
+    candidates = [lo, hi]
+    for t0, t1, e0, s in mon._pieces:
+        if t0 >= hi:
+            break
+        if t0 > lo:
+            candidates.append(t0)
+        disc = 1.0 + 8.0 * s / env.beta
+        if s < 0.0 and disc >= 0.0:
+            for sign in (-1.0, 1.0):
+                t = t0 + ((1.0 + sign * math.sqrt(disc)) / 4.0 - e0) / s
+                if max(lo, t0) < t < min(hi, t1):
+                    candidates.append(t)
+    g_star, t_star = min((design._loss_at(env, mon, t), t)
+                         for t in candidates)
+    return t_star, g_star
 
 
 REFERENCE_ENV = Environment(p_high=0.3, p_low=0.05, c=0.3, beta=0.2)

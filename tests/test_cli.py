@@ -855,6 +855,7 @@ BUNDLED_RUNS = [
     ("simulate", "strategy_beta_comparison"),
     ("sweep", "benchmark_error_sweep"),
     ("sweep", "degree_error_sweep"),
+    ("sweep", "tabulated_sweep"),
 ]
 # A float literal: digits with a fraction or an exponent.  Integers stay
 # part of the text, which must match exactly.

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -29,13 +30,17 @@ from mutualsec import (
 from mutualsec import design
 
 from support import (
+    EDGE_TABLES,
     REFERENCE_ENV,
     loss_factor,
     random_connected_matrix,
     random_convex_table,
     random_environment,
     random_feasible_instance,
+    random_zero_table,
     reference_instance,
+    reference_tabulated_minimum,
+    tabulated_probes,
 )
 
 
@@ -93,6 +98,31 @@ class TestMonitoringModel:
                 assert design._epsilon(mon, t) == float(mon.epsilon(t)), t
             assert math.isnan(design._epsilon(mon, math.nan))
             assert math.isnan(float(mon.epsilon(math.nan)))
+
+    def test_on_piece_epsilon_matches_the_lookup(self):
+        # epsilon read on a known piece, as the design kernel walks the
+        # pieces, is the float the lookup returns: at each piece's ends,
+        # next to them and inside, where the right end reads the next
+        # piece's first value, not the piece's own line rounded there
+        rng = np.random.default_rng(22)
+        monitors = [(random_convex_table if k % 2 else random_zero_table)(rng)
+                    for k in range(80)]
+        monitors += [MonitoringModel.tabulated(t) for t in EDGE_TABLES.values()]
+        ends = 0
+        for mon in monitors:
+            pieces = mon._pieces
+            for k, (t0, t1, e0, s) in enumerate(pieces[:-1]):
+                points = [t0, t1, math.nextafter(t0, t1),
+                          math.nextafter(t1, t0), *rng.uniform(t0, t1, 5)]
+                for t in points:
+                    assert design._on_piece(pieces, k, t) == \
+                        design._epsilon(mon, t), (k, t)
+                ends += s * (t1 - t0) + e0 != pieces[k + 1][2]
+            t0 = pieces[-1][0]
+            for t in (t0, t0 + 1.0, t0 * 1e6):
+                assert design._on_piece(pieces, len(pieces) - 1, t) == \
+                    design._epsilon(mon, t)
+        assert ends > 10  # where the piece's own line misses by rounding
 
     def test_rational_validation(self):
         with pytest.raises(ValueError, match="w0"):
@@ -417,6 +447,135 @@ class TestMinimizeLossFactor:
         env = Environment(p_high=0.3, p_low=0.05, c=5.0, beta=0.2)
         mon = MonitoringModel.rational(0.1)
         assert minimize_loss_factor(env, mon, 7.0) is None
+
+
+@pytest.fixture
+def edge_calls(monkeypatch):
+    """The directions of the period edges found while the test runs, in
+    order: -1.0 for the high edge, 1.0 for the low one."""
+    calls = []
+    edges = design._edges
+
+    def recorded(*args):
+        found = edges(*args)
+        if found is None:
+            return None
+        t_m, edge = found
+        return t_m, lambda direction: calls.append(direction) or \
+            edge(direction)
+
+    monkeypatch.setattr(design, "_edges", recorded)
+    return calls
+
+
+class TestTabulatedMinimum:
+    """A table's minimum finds the high period edge, then the low one only
+    when the loss factor at the headroom's minimizer t_m is not clearly
+    beaten above t_m; every result equals the minimum over the whole
+    feasible interval, reference_tabulated_minimum."""
+
+    # sha256 of every probe's interval and minimum as float.hex, as the
+    # kernel computed them when the minimum still found both edges
+    PROBE_DIGEST = \
+        "6075874840381a30ab3ad6744a2c467d2ac6aa88cc5299deb659e869791f7a40"
+
+    def test_matches_the_whole_interval(self, edge_calls):
+        probes = tabulated_probes(np.random.default_rng(4207), 5000)
+        digest = hashlib.sha256()
+        low_edges = feasible = 0
+        for env, mon, nu in probes:
+            edge_calls.clear()
+            found = minimize_loss_factor(env, mon, nu)
+            low_edges += 1.0 in edge_calls
+            assert found == reference_tabulated_minimum(env, mon, nu), \
+                (env, mon._ts.tolist(), mon._eps.tolist(), nu)
+            interval = feasible_period_interval(env, mon, nu)
+            feasible += found is not None
+            digest.update(repr((
+                None if interval is None else (interval.lo.hex(),
+                                               interval.hi.hex()),
+                None if found is None else tuple(v.hex() for v in found),
+            )).encode())
+        assert digest.hexdigest() == self.PROBE_DIGEST
+        assert 4000 < feasible < 5000
+        assert 0.1 * feasible < low_edges < 0.5 * feasible
+
+    def test_interior_optimum_skips_the_low_edge(self, edge_calls):
+        # t_m is the kink T=2 and g falls to the last breakpoint T=3,
+        # strictly inside the interval
+        env, _, tm = reference_instance()
+        mon = MonitoringModel.tabulated(
+            [(0.0, 0.5), (1.0, 0.3), (2.0, 0.1), (3.0, 0.05)])
+        found = minimize_loss_factor(env, mon, 7.0)
+        assert edge_calls == [-1.0]
+        assert found == reference_tabulated_minimum(env, mon, 7.0)
+        interval = feasible_period_interval(env, mon, 7.0)
+        assert interval.lo < found[0] == 3.0 < interval.hi
+
+    def test_minimizer_below_the_low_end(self, edge_calls):
+        # a flat table's headroom is least at t_m = 0, below hi * 1e-12,
+        # and g rises from there: T* is that low end
+        env = Environment(p_high=0.3, p_low=0.05, c=0.25 / 3, beta=0.3)
+        mon = MonitoringModel.tabulated(EDGE_TABLES["table-late-flat"])
+        found = minimize_loss_factor(env, mon, 1.0)
+        assert edge_calls == [-1.0]
+        assert found == reference_tabulated_minimum(env, mon, 1.0)
+        assert found[0] == feasible_period_interval(env, mon, 1.0).hi * 1e-12
+
+    def test_near_tie_finds_the_low_edge(self, edge_calls):
+        # t_m = 10 where the error reaches 0, so g(t_m) = 0 and nothing
+        # above t_m beats it
+        env = Environment(p_high=0.3, p_low=0.05, c=0.25 / 3, beta=0.04)
+        mon = MonitoringModel.tabulated(EDGE_TABLES["table-to-zero"])
+        found = minimize_loss_factor(env, mon, 1.0)
+        assert edge_calls == [-1.0, 1.0]
+        assert found == reference_tabulated_minimum(env, mon, 1.0) \
+            == (10.0, 0.0)
+
+    @pytest.mark.parametrize("env, table, nu, t_star", [
+        # t_m is a kink with the low and high edges a few ulps from it: g
+        # at the high edge is 1 ulp below g(t_m), within the margin, and
+        # equal to g at the low edge, which wins the tie
+        (Environment(p_high=0.3, p_low=0.05, c=0.3164380862023458,
+                     beta=0.0012890430314021141),
+         [(0.0, 0.4377720652644688), (2.0613618646169125, 0.36187510030738373),
+          (4.122723729233825, 0.32663232067832654),
+          (6.184085593850737, 0.31026732483581043),
+          (8.24544745846765, 0.3026682338519437),
+          (10.306809323084563, 0.299139593555497),
+          (12.368171187701474, 0.29750106832028905),
+          (14.429533052318387, 0.2967402186102416),
+          (16.4908949169353, 0.29638691780727533),
+          (18.552256781552213, 0.29622286246792484)],
+         3.172088486903238, 14.429533052318313),
+        # epsilon(t_m) = 1.26e-17: epsilon read one ulp left of the kink
+        # rounds to 0, so the low edge there has g = 0
+        (Environment(p_high=0.3, p_low=0.05, c=0.5279981203252796,
+                     beta=3.0329849873803494e-05),
+         [(0.0, 0.2570691639916013),
+          (5.189822982723575, 1.2582740946900383e-17),
+          (5.189823201549727, 0.0)],
+         2.112324948920923, 5.189822982723574),
+        # 1 - 2*epsilon(t_m) = 6.2e-11: the low edge's rounded epsilon
+        # puts its g below that of every period above t_m
+        (Environment(p_high=0.3, p_low=0.05, c=0.09390974609143321,
+                     beta=0.30371276481335246),
+         [(0.0, 0.5), (3.306490070487464, 0.4999999999688806),
+          (12.847772318273055, 0.4999999999688801)],
+         16475340865.022377, 3.2915774842197245),
+    ])
+    def test_rounding_near_t_m_finds_the_low_edge(
+            self, edge_calls, env, table, nu, t_star):
+        # The low edge can win by rounding alone: where g above t_m beats
+        # g(t_m) by less than the 2**-40 margin, and where epsilon or
+        # 1 - 2*epsilon at t_m is small, since epsilon rounded on one piece
+        # and read at the next piece's start are a few 2**-53 apart.  In
+        # the last two cases a period above t_m beats g(t_m) by the margin.
+        mon = MonitoringModel.tabulated(table)
+        found = minimize_loss_factor(env, mon, nu)
+        assert edge_calls == [-1.0, 1.0]
+        assert found == reference_tabulated_minimum(env, mon, nu)
+        assert found[0] == t_star == feasible_period_interval(env, mon, nu).lo
 
 
 class TestOptimalDesign:
@@ -889,14 +1048,8 @@ def _golden_cases():
                 for w0 in (0.004, 0.05, 0.3, 1.7)}
     for k in range(3):
         monitors[f"table-random-{k}"] = random_convex_table(rng)
-    monitors["table-sharp"] = MonitoringModel.tabulated(
-        [(0.0, 0.12), (0.5, 0.07), (2.0, 0.03), (6.0, 0.015)])
-    monitors["table-to-zero"] = MonitoringModel.tabulated(
-        [(0.0, 0.45), (10.0, 0.0)])
-    monitors["table-late-flat"] = MonitoringModel.tabulated(
-        [(1.5, 0.2), (4.0, 0.2)])
-    monitors["table-late-drop"] = MonitoringModel.tabulated(
-        [(2.0, 0.3), (3.0, 0.3 - 1e-10), (5.0, 0.3 - 1.5e-10)])
+    for name, table in EDGE_TABLES.items():
+        monitors[name] = MonitoringModel.tabulated(table)
     matrices = [random_connected_matrix(rng, n) for n in (3, 5, 8)]
     matrices.append(TrafficMatrix.complete(5, 0.7))
     k = 0

@@ -1101,6 +1101,21 @@ class TestWholeHorizonTitForTat:
         _assert_tft_matches(rep, whole_horizon_tft_run(design, env, mon, tm,
                                                        97, 3))
 
+    def test_one_period_blocks_at_129_ases(self):
+        # 129 * 128 = 16,512 links, so at the default block size every
+        # block is one period long
+        from mutualsec import sim
+
+        env, mon, _ = reference_instance()
+        tm = TrafficMatrix.complete(129, 1.0)
+        assert sim._BLOCK_ELEMENTS // (129 * 128) == 1
+        design = _plan(env, tm)
+        profile = BehaviorProfile.uniform(tm.n, "tit-for-tat")
+        rep = simulate(design, profile, env, mon, tm, 30, 6,
+                       time_series=True)
+        _assert_tft_matches(rep, whole_horizon_tft_run(design, env, mon, tm,
+                                                       30, 6))
+
 
 class TestWholeHorizonTrigger:
     """Grim-trigger reports against a whole-horizon cost-matrix run."""
