@@ -382,16 +382,27 @@ def _loss_at(env: Environment, mon: MonitoringModel, t: float,
 def _newton(phi, dphi, t: float, direction: float) -> float:
     """Newton's method on a convex phi, started on the outer side of a root
     so that the iterates move monotonically toward it (rightward when
-    direction > 0); stops at the first step that makes no progress."""
-    for _ in range(100):
-        slope = dphi(t)
-        if slope == 0.0:
-            break
-        t_new = t - phi(t) / slope
-        if (t_new - t) * direction <= 0.0:
-            break
-        t = t_new
-    return t
+    direction > 0); stops at the first step that makes no progress.  At
+    an iterate where phi or dphi cannot be evaluated (a table's 1 - 2*eps
+    rounding to 0 or below there) it returns the iterate before, found by
+    replaying the steps, so that the loop itself keeps no history."""
+    start = t
+    try:
+        for _ in range(100):
+            slope = dphi(t)
+            if slope == 0.0:
+                break
+            t_new = t - phi(t) / slope
+            if (t_new - t) * direction <= 0.0:
+                break
+            t = t_new
+        return t
+    except (ValueError, ZeroDivisionError):
+        stop = t
+    last = t = start
+    while t != stop:
+        last, t = t, t - phi(t) / dphi(t)
+    return last
 
 
 def _tighten(fits, t: float, t_in: float) -> float:

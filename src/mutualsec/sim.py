@@ -7,72 +7,23 @@ carries malware probability p_{rating(j)} when i runs the service and
 p_high otherwise; AS j pays (sum_i q_ij * lambda_ij) * T plus c * T when
 deploying.  Signals are correct with probability 1 - epsilon(T) and the
 rating is the last signal.  Per-AS utilities discount at exp(-beta*T) per
-period.
+period.  Grim trigger and tit-for-tat run for comparison, under the rules
+README's simulator notes give.
 
-Two rival schemes are modeled for comparison.  Grim trigger: everyone
-deploys and filters fully until any public signal reads "deviate", then
-nobody deploys again (absorbing).  Tit-for-tat: an AS that sees its
-partner skip deployment sends that partner unfiltered traffic for one
-period.  Two modeling choices are deliberate and recorded here: the
-pairwise observation is of the partner's deployment action (punishment
-traffic does not itself trigger counter-punishment, otherwise observation
-noise drives every pair to punish half the time regardless of patience),
-and deployment follows the static myopic break-even rule, deploy iff
-exp(-beta*T) * (p_high - p_low) * nu_mutual > c, where nu_mutual counts
-inbound traffic from reciprocal partners (retaliation arrives one period
-late, hence the discount).
+A period's costs are a fixed row plus one row per 1 in a 0/1 array (the
+ratings, the trigger's fired flag, or tit-for-tat's wrong observations),
+so a run keeps only each entry's plain and discounted count of 1s
+(`_Ledger`).  Periods are read one by one only where they can change a
+sum, the gaps between them booked from binomial counts (`_stream`), and
+grim trigger draws only its first "deviate" signal; README's notes give
+why every discounted sum stays as a period-by-period run would leave it.
 
-Runs are streamed in fixed-size blocks of periods, so memory does not grow
-with the horizon except for the time-series columns, which hold one value
-per period when requested.
-
-Three shortcuts keep runs cheap.  The discounted sums stop at the first
-weight delta ** t that is surely 0.0 (about 745 / (beta*T) periods in),
-also within a block: that weight and later ones are left 0.0 uncomputed.
-Every path books its periods by one rule: period t's cost row is
-lo + sum_e x[t, e] * row_e over a 0/1 array x[t], with lo and the rows
-fixed for the run, so the ledger keeps only each entry's count of 1s and
-its discounted count, and the path contracts them with its rows once at
-the end; no path builds a per-period cost matrix.  The entries are:
-
-- rating: the ratings (1.0 high, 0.0 low), row_e moving AS e from its
-  rated-low to its rated-high cost, since under steady actions an AS's
-  cost is one of the two.  Each one-shot deviation's period adds the
-  difference between its general cost row and that form.
-- grim trigger: the single fired flag, moving every AS from its pre- to
-  its post-trigger cost.
-- tit-for-tat: each link's observation, 1 where it was wrong.  A wrong
-  observation of AS i by a deploying partner costs i gap * T per unit of
-  the partner's traffic to it if i deploys (the partner punishes) and
-  saves i as much if it does not (the partner does not); the grudge
-  count is one more contraction of the same counts.
-
-And once no later period can change a discounted sum, the totals depend
-only on how often each 0/1 entry is 1, not on when, except in the
-periods a one-shot deviation touches and in the last period, which sets
-the final state.  That holds from the first period whose weight is surely
-0.0, `zero`, and, for 0 < delta < 1, from `settle`: `_Ledger.lag` periods
-after the one in which the last entry reads its first 1.  Each discounted
-count then holds the weight of its entry's first 1 and the weight sum
-holds 1, and all weights from `settle` on add up to under a quarter of
-the last bit of either, so round-to-nearest leaves every discounted sum
-bit for bit as reading those periods one by one would.  The rating and tit-for-tat
-paths share one draw rule, `_stream`: it reads one by one the periods
-through the earlier of `zero` and `settle`, each one-shot period and the
-period after it, and the last period, each span in blocks of its own, and
-books each gap between spans from one binomial count per AS (ratings) or
-per link (tit-for-tat).  A period read one by one takes its 0/1 flags
-four to a raw 64-bit word of the bit generator: a flag that is 1 with
-probability p is 1 where its 16-bit chunk is below the top 16 of the 53
-bits of ceil(p * 2**53), and a chunk equal to them (one in 2**16) is
-settled by a uniform from a child of the seed, so each flag has exactly
-the law of a uniform double below p.  Grim trigger needs only its first
-"deviate" signal, which it draws as one geometric wait from period 0.
-The discounted utilities are those of a whole-horizon run on
-the same draws to about 1e-12 relative (the summation order depends on
-the blocking).  The seed has two children: spawn key 0 spreads a time
-series' counts over distinct periods, so a time series changes no other
-field, and spawn key 1 settles the ties.
+Whatever does not depend on the seed is built once, by `_prepare`: the
+argument checks, epsilon(T), delta, the cost rows, the ledger's `zero` and
+`lag`, and each path's fixed arrays, shared read-only.  Its `run(seed)`
+makes only that seed's draws, in the order `simulate` (prepare, then one
+run) makes them, and builds a fresh report; `deviation_gain` and
+`run_strategy_comparison` prepare each plan once and run every seed.
 """
 
 from __future__ import annotations
@@ -284,9 +235,9 @@ class _Ledger:
     flag), so the ledger keeps only each entry's count of 1s and its
     discounted count, as one (2, E) array `sums`, and the discount
     weights' sum `weight`; a path contracts them with its rows once at
-    the end, and no path builds a per-period cost matrix.  `entries`
-    declares the entries: a period's total cost is sum(lo) + x[t] @ adds,
-    and a named time-series `column` reads x[t]'s mean.
+    the end, and no path builds a per-period cost matrix.  A ledger is
+    built once per plan, with the entries' rows, and `open` gives each run
+    a copy with its own sums.
 
     Column sums are products with a vector of ones stacked on the block's
     weights (one BLAS call, where an axis-0 reduction of a tall, narrow
@@ -302,12 +253,13 @@ class _Ledger:
     one in which every entry has read a 1: each discounted count then
     holds some weight w, and the weights from then on sum to at most
     delta ** lag / (1 - delta) * w <= 2**-55 * w, under a quarter of the
-    count's last bit; the weight sum holds 1 likewise.  A time series is
-    kept when `spread`, the generator that places such counts over their
-    periods, is given."""
+    count's last bit; the weight sum holds 1 likewise.  A run keeps a
+    time series when `spread`, the generator that places such counts over
+    their periods, is given."""
 
-    def __init__(self, horizon: int, T: float, delta: float,
-                 spread: np.random.Generator | None) -> None:
+    def __init__(self, horizon: int, T: float, delta: float, lo, adds,
+                 column: str | None = None) -> None:
+        self.horizon = horizon
         self.T = T
         self.delta = delta
         # delta ** t rounds to 0.0 once t * -log(delta) passes
@@ -324,25 +276,29 @@ class _Ledger:
         if 0.0 < delta < 1.0:
             self.lag = math.ceil((_SETTLE_LOG - math.log1p(-delta))
                                  / -math.log(delta))
-        self.ts = None
-        self.spread = spread
-        if spread is not None:
-            self.ts = {
-                "period": np.arange(horizon),
-                "total_cost": np.empty(horizon),
-                "trigger_fired": np.zeros(horizon, dtype=bool),
-                "mean_rating": np.full(horizon, np.nan),
-            }
-
-    def entries(self, lo, adds, column: str | None = None) -> None:
-        """Declare the booked arrays' entries: period t costs
-        sum(lo) + x[t] @ adds in total, and the time-series `column`, if
-        named, reads x[t]'s mean."""
+        # period t costs sum(lo) + x[t] @ adds in total, and the
+        # time-series `column`, if named, reads x[t]'s mean
         self.base = lo.sum()
-        self.adds = np.ravel(adds)
+        self.adds = _frozen(np.ravel(adds))
         self.column = column
-        self.sums = np.zeros((2, self.adds.size))
-        self.weight = 0.0
+
+    def open(self, spread: np.random.Generator | None) -> "_Ledger":
+        """A copy with every sum at zero, for one run; it keeps a time
+        series when `spread` is given."""
+        run = object.__new__(_Ledger)
+        run.__dict__.update(self.__dict__)
+        run.sums = np.zeros((2, self.adds.size))
+        run.weight = 0.0
+        run.spread = spread
+        run.ts = None
+        if spread is not None:
+            run.ts = {
+                "period": np.arange(self.horizon),
+                "total_cost": np.empty(self.horizon),
+                "trigger_fired": np.zeros(self.horizon, dtype=bool),
+                "mean_rating": np.full(self.horizon, np.nan),
+            }
+        return run
 
     def weights(self, start: int, b: int) -> np.ndarray | None:
         """The discount weights of periods start, ..., start + b - 1, those
@@ -402,56 +358,87 @@ class _Ledger:
             self.ts[self.column][start:stop] = hits / self.adds.size
 
 
+def _frozen(*arrays):
+    """Mark arrays that a plan's runs share read-only; returns the first."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0]
+
+
+def _check_seed(seed) -> int:
+    if not _is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
              mon: MonitoringModel, tm: TrafficMatrix, horizon: int, seed: int,
              *, time_series: bool = False) -> SimReport:
     """Run one seeded path and report per-unit-time costs, discounted
     utilities, and scheme-specific state summaries.  Identical arguments
     and seed reproduce the report bit for bit."""
+    _check_seed(seed)
+    return _prepare(design, profile, env, mon, tm, horizon)(seed, time_series)
+
+
+def _prepare(design, profile, env, mon, tm, horizon):
+    """Check `simulate`'s arguments but the seed and build, once, what
+    every seed's run shares.  Returns run(seed, time_series=False), which
+    gives the report `simulate` would."""
     n = tm.n
     _check_profile(profile, n)
     if any(i >= n for i in design.subset):
         raise ValueError(f"design subset {list(design.subset.members)} has "
                          f"an AS out of range for n={n}")
-    for name, value in (("horizon", horizon), ("seed", seed)):
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    horizon, seed = int(horizon), int(seed)
+    if not _is_integer(horizon):
+        raise ValueError(f"horizon must be an integer, got {horizon!r}")
+    horizon = int(horizon)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    if horizon >= 2 ** 63:  # the generator's counts are 64-bit
+        raise ValueError(f"horizon must be below 2**63, got {horizon}")
     _check_prices(design, env)
     eps = float(mon.epsilon(design.T))
     if not 0 <= eps <= 0.5:
         raise ValueError("monitoring error must lie in [0, 1/2]")
     T = design.T
-    rng = np.random.default_rng(seed)
-    # A time series places tail counts from the seed's child of spawn key
-    # 0 (`_stream` settles ties from key 1), leaving the main stream, and
-    # so every other field, as it is.
-    ledger = _Ledger(horizon, T, math.exp(-env.beta * T),
-                     rng.spawn(1)[0] if time_series else None)
+    # A period costs an AS at most p_high * inbound + c per unit time; the
+    # bound is taken in Python floats, which overflow to inf silently.
+    scale = horizon * T
+    if not math.isfinite(scale * (env.p_high * float(tm.inbound.max())
+                                  + env.c)):
+        raise ValueError(f"horizon {horizon} times T {T} overflows the "
+                         "run's cost sums")
+    delta = math.exp(-env.beta * T)
     kinds = set(profile.kinds())
     if kinds == {"tit-for-tat"}:
-        run = _simulate_tft(design, env, tm, horizon, eps, rng, ledger)
+        ledger, path = _tft_plan(design, env, tm, horizon, eps, delta)
     elif kinds == {"grim-trigger"}:
-        run = _simulate_trigger(design, env, tm, horizon, eps, rng, ledger)
+        ledger, path = _trigger_plan(design, env, tm, horizon, eps, delta)
     else:
-        run = _simulate_rating(design, profile, env, tm, horizon, eps, rng,
-                               ledger)
-    cost, discounted, fields = run
-    per_as = cost / (horizon * T)
-    return SimReport(
-        horizon=horizon,
-        period_length=T,
-        seed=seed,
-        avg_cost=float(per_as.sum()),
-        avg_cost_per_as=tuple(float(x) for x in per_as),
-        discounted_utility=tuple(float(-x) for x in discounted),
-        time_series=ledger.ts,
-        **fields,
-    )
+        ledger, path = _rating_plan(design, profile, env, tm, horizon, eps,
+                                    delta)
+
+    def run(seed, time_series=False):
+        seed = _check_seed(seed)
+        rng = np.random.default_rng(seed)
+        # A time series places tail counts from the seed's child of spawn
+        # key 0 (`_stream` settles ties from key 1), leaving the main
+        # stream, and so every other field, as it is.
+        book = ledger.open(rng.spawn(1)[0] if time_series else None)
+        cost, discounted, fields = path(rng, book)
+        per_as = cost / scale
+        return SimReport(
+            horizon=horizon, period_length=T, seed=seed,
+            avg_cost=float(per_as.sum()),
+            avg_cost_per_as=tuple(per_as.tolist()),
+            discounted_utility=tuple((-discounted).tolist()),
+            time_series=book.ts, **fields)
+
+    return run
 
 
 def _draw_law(p: float) -> tuple[int, float]:
@@ -595,7 +582,7 @@ def _stream(rng, ledger, horizon, first, p, flipped, flips):
     return final, shots
 
 
-def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
+def _rating_plan(design, profile, env, tm, horizon, eps, delta):
     n = tm.n
     rec = np.zeros(n, dtype=bool)
     rec[list(design.subset.members)] = True
@@ -624,36 +611,44 @@ def _simulate_rating(design, profile, env, tm, horizon, eps, rng, ledger):
     # rated high, or rated low.
     hi, lo = cost_rows(np.array([steady, steady]), np.array([[True], [False]]))
     step = hi - lo
-    ledger.entries(lo, step, "mean_rating")
     # Ratings start high, and a signal reads high with probability 1 - eps
     # (eps for a deviating AS).
-    final, shots = _stream(rng, ledger, horizon, np.ones(n), 1.0 - eps,
-                           np.flatnonzero(steady != rec), flips)
-    high, weighted = ledger.sums
-    cost = horizon * lo + step * high
-    discounted = ledger.weight * lo + step * weighted
-    # A one-shot deviation flips its ASs' actions (and signals); only
-    # these periods' costs leave the two rows.
-    for t, x in shots.items():
-        fix = cost_rows(steady ^ flips[t], x) - (lo + step * x)
-        cost += fix
-        weight = ledger.weights(t, 1)
-        if weight is not None:
-            discounted += weight[0] * fix
-        if ledger.ts is not None:
-            ledger.ts["total_cost"][t] += fix.sum() / design.T
-    return cost, discounted, {
-        "rating_high_fraction": tuple(float(x) for x in high / horizon),
-        "punishment_fraction": None,
-        "final_state": SimState(horizon, tuple(int(r) for r in final),
-                                tft_grudges=None, trigger_fired=False),
-        "meta": {"mode": "rating", "profile": list(profile.kinds()),
-                 "design": {"T": design.T, "p0": design.p0, "p1": design.p1,
-                            "subset": list(design.subset.members)}},
-    }
+    first, flipped = np.ones(n), np.flatnonzero(steady != rec)
+    _frozen(steady, lo, step, first, flipped, *flips.values())
+    kinds = profile.kinds()
+
+    def path(rng, ledger):
+        final, shots = _stream(rng, ledger, horizon, first, 1.0 - eps,
+                               flipped, flips)
+        high, weighted = ledger.sums
+        cost = horizon * lo + step * high
+        discounted = ledger.weight * lo + step * weighted
+        # A one-shot deviation flips its ASs' actions (and signals); only
+        # these periods' costs leave the two rows.
+        for t, x in shots.items():
+            fix = cost_rows(steady ^ flips[t], x) - (lo + step * x)
+            cost += fix
+            weight = ledger.weights(t, 1)
+            if weight is not None:
+                discounted += weight[0] * fix
+            if ledger.ts is not None:
+                ledger.ts["total_cost"][t] += fix.sum() / design.T
+        return cost, discounted, {
+            "rating_high_fraction": tuple((high / horizon).tolist()),
+            "punishment_fraction": None,
+            "final_state": SimState(horizon,
+                                    tuple(final.astype(int).tolist()),
+                                    tft_grudges=None, trigger_fired=False),
+            "meta": {"mode": "rating", "profile": list(kinds),
+                     "design": {"T": design.T, "p0": design.p0,
+                                "p1": design.p1,
+                                "subset": list(design.subset.members)}},
+        }
+
+    return _Ledger(horizon, design.T, delta, lo, step, "mean_rating"), path
 
 
-def _simulate_trigger(design, env, tm, horizon, eps, rng, ledger):
+def _trigger_plan(design, env, tm, horizon, eps, delta):
     n = tm.n
     rec = np.zeros(n, dtype=bool)
     rec[list(design.subset.members)] = True
@@ -664,36 +659,45 @@ def _simulate_trigger(design, env, tm, horizon, eps, rng, ledger):
                 + rec * env.c) * design.T
     post_cost = env.p_high * inbound * design.T
     step = post_cost - pre_cost
-    ledger.entries(pre_cost, step.sum(), "trigger_fired")
+    _frozen(pre_cost, step)
+    shared = _Ledger(horizon, design.T, delta, pre_cost, step.sum(),
+                     "trigger_fired")
     # Each period's signals read "deviate" somewhere with probability q,
     # so the first period that does is a geometric wait, drawn as one
     # number (none within the horizon: first_bad = horizon).
     q = -math.expm1(n * math.log1p(-eps))
-    first_bad = min(horizon, int(rng.geometric(q)) - 1) if q > 0.0 else horizon
-    # The fired flag is 0 through first_bad and 1 after it: periods are
-    # booked one by one through `zero`, then as a run of 0s and one of 1s.
-    live = min(horizon, ledger.zero)
-    for start, stop in _blocks(0, live, n):
-        ledger.add(start, (np.arange(start, stop) > first_bad)[:, None])
-    fires = min(horizon, max(live, first_bad + 1))
-    if live < fires:
-        ledger.tail(live, fires, [0])
-    if fires < horizon:
-        ledger.tail(fires, horizon, [horizon - fires])
-    fired, weighted = ledger.sums[:, 0]
-    cost = horizon * pre_cost + fired * step
-    discounted = ledger.weight * pre_cost + weighted * step
-    return cost, discounted, {
-        "rating_high_fraction": None,
-        "punishment_fraction": float(fired) / horizon,
-        "final_state": SimState(horizon, ratings=None, tft_grudges=None,
-                                trigger_fired=first_bad < horizon),
-        "meta": {"mode": "trigger", "first_bad_period": first_bad, "design": {
-            "T": design.T, "subset": list(design.subset.members)}},
-    }
+    live = min(horizon, shared.zero)
+
+    def path(rng, ledger):
+        first_bad = (min(horizon, int(rng.geometric(q)) - 1) if q > 0.0
+                     else horizon)
+        # The fired flag is 0 through first_bad and 1 after it: periods
+        # are booked one by one through `zero`, then as a run of 0s and
+        # one of 1s.
+        for start, stop in _blocks(0, live, n):
+            ledger.add(start, (np.arange(start, stop) > first_bad)[:, None])
+        fires = min(horizon, max(live, first_bad + 1))
+        if live < fires:
+            ledger.tail(live, fires, [0])
+        if fires < horizon:
+            ledger.tail(fires, horizon, [horizon - fires])
+        fired, weighted = ledger.sums[:, 0]
+        cost = horizon * pre_cost + fired * step
+        discounted = ledger.weight * pre_cost + weighted * step
+        return cost, discounted, {
+            "rating_high_fraction": None,
+            "punishment_fraction": float(fired) / horizon,
+            "final_state": SimState(horizon, ratings=None, tft_grudges=None,
+                                    trigger_fired=first_bad < horizon),
+            "meta": {"mode": "trigger", "first_bad_period": first_bad,
+                     "design": {"T": design.T,
+                                "subset": list(design.subset.members)}},
+        }
+
+    return shared, path
 
 
-def _simulate_tft(design, env, tm, horizon, eps, rng, ledger):
+def _tft_plan(design, env, tm, horizon, eps, delta):
     n = tm.n
     rates = tm.rates
     sends = rates > 0
@@ -701,13 +705,13 @@ def _simulate_tft(design, env, tm, horizon, eps, rng, ledger):
         warnings.warn(
             "tit-for-tat punishment needs reciprocal traffic; some links "
             "here are one-way and cannot be punished",
-            stacklevel=3,
+            stacklevel=4,  # the caller of simulate or the estimator
         )
     # [j, i]: j sees i's action via i -> j traffic (a C-order copy, so the
     # link arrays built from it are C order too)
     observable = sends.T.copy()
     nu_mutual = (rates * sends.T).sum(axis=0)
-    deploy = math.exp(-env.beta * design.T) * env.gap * nu_mutual > env.c
+    deploy = delta * env.gap * nu_mutual > env.c
     deviates = ~deploy  # static actions
     # Sender j filters its traffic to i (price p_low) when it deploys and
     # did not see i deviate last period.  j's observation of i is wrong
@@ -726,31 +730,35 @@ def _simulate_tft(design, env, tm, horizon, eps, rng, ledger):
     # Costs and grudges are linear in the flags, so a run only sums each
     # link's flags, plainly and discounted, and contracts them once.
     fold = held * step  # a link's flag adds this to its receiver's cost
-    ledger.entries(lo, fold)
     # Before period 0 the flags read `deviates`, which is "deviate" nowhere.
-    final, _ = _stream(rng, ledger, horizon, np.tile(deviates, n), eps, [],
-                       {})
-    cost, discounted = (ledger.sums.reshape(2, n, n) * fold).sum(axis=1)
-    cost += horizon * lo
-    discounted += ledger.weight * lo
+    first = np.tile(deviates, n)
     # A grudge is a low flag on an observed link into an AS that deploys,
     # or its absence on one into an AS that does not.
     sign = np.where(observable, np.where(deviates, -1.0, 1.0), 0.0).ravel()
-    grudge_count = (horizon * np.count_nonzero(observable & deviates)
-                    + ledger.sums[0] @ sign)
-    final = (deviates ^ (final.reshape(n, n) != 0.0)) & observable
-    grudges = tuple(map(tuple, np.argwhere(final).tolist()))
-    return cost, discounted, {
-        "rating_high_fraction": None,
-        "punishment_fraction": None,
-        "final_state": SimState(horizon, ratings=None, tft_grudges=grudges,
-                                trigger_fired=False),
-        "meta": {"mode": "tit-for-tat",
-                 "deploying": [int(i) for i in np.flatnonzero(deploy)],
-                 "mean_grudges_per_period": int(grudge_count) / horizon,
-                 "mutual_links": int((sends & sends.T).sum()),
-                 "design": {"T": design.T}},
-    }
+    grudge_base = horizon * np.count_nonzero(observable & deviates)
+    _frozen(observable, deviates, lo, fold, first, sign)
+    deploying = np.flatnonzero(deploy).tolist()
+    mutual_links = int((sends & sends.T).sum())
+
+    def path(rng, ledger):
+        final, _ = _stream(rng, ledger, horizon, first, eps, [], {})
+        cost, discounted = (ledger.sums.reshape(2, n, n) * fold).sum(axis=1)
+        cost += horizon * lo
+        discounted += ledger.weight * lo
+        grudge_count = grudge_base + ledger.sums[0] @ sign
+        final = (deviates ^ (final.reshape(n, n) != 0.0)) & observable
+        grudges = tuple(map(tuple, np.argwhere(final).tolist()))
+        return cost, discounted, {
+            "rating_high_fraction": None,
+            "punishment_fraction": None,
+            "final_state": SimState(horizon, ratings=None, tft_grudges=grudges,
+                                    trigger_fired=False),
+            "meta": {"mode": "tit-for-tat", "deploying": list(deploying),
+                     "mean_grudges_per_period": int(grudge_count) / horizon,
+                     "mutual_links": mutual_links, "design": {"T": T}},
+        }
+
+    return _Ledger(horizon, T, delta, lo, fold), path
 
 
 @dataclass(frozen=True)
@@ -796,15 +804,10 @@ def deviation_gain(design: RatingDesign, env: Environment,
     i = int(i)
     base = BehaviorProfile.compliant(n)
     dev = base.replace(i, Behavior("persistent-deviator"))
-    gains = []
-    comp_u = []
-    dev_u = []
-    for s in seeds:
-        rc = simulate(design, base, env, mon, tm, horizon, s)
-        rd = simulate(design, dev, env, mon, tm, horizon, s)
-        comp_u.append(rc.discounted_utility[i])
-        dev_u.append(rd.discounted_utility[i])
-        gains.append(dev_u[-1] - comp_u[-1])
+    runs = [_prepare(design, p, env, mon, tm, horizon) for p in (base, dev)]
+    comp_u, dev_u = ([run(s).discounted_utility[i] for s in seeds]
+                     for run in runs)
+    gains = [d - c for c, d in zip(comp_u, dev_u)]
     arr = np.array(gains)
     mean = float(arr.mean())
     tested = len(arr) > 1
@@ -932,14 +935,11 @@ def run_strategy_comparison(kind: str, env: Environment, mon: MonitoringModel,
             design = RatingDesign(T, env.p_high, env.p_low, Subset.full(n))
             behavior = "tit-for-tat" if kind == "tft" else "grim-trigger"
             profile = BehaviorProfile.uniform(n, behavior)
-        costs = []
-        punish = []
-        for s in seeds:
-            rep = simulate(design, profile, env_b, mon, tm, horizon, s)
-            costs.append(rep.avg_cost)
-            if rep.punishment_fraction is not None:
-                punish.append(rep.punishment_fraction)
-        arr = np.array(costs)
+        run = _prepare(design, profile, env_b, mon, tm, horizon)
+        reports = [run(s) for s in seeds]
+        arr = np.array([rep.avg_cost for rep in reports])
+        punish = [rep.punishment_fraction for rep in reports
+                  if rep.punishment_fraction is not None]
         rows.append(ComparisonRow(
             beta=float(beta),
             kind=kind,

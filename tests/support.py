@@ -9,6 +9,7 @@ pass, which the subset-search guarantees need.
 """
 
 import csv
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -16,11 +17,16 @@ from fractions import Fraction
 import numpy as np
 
 from mutualsec import (
+    Behavior,
+    BehaviorProfile,
+    ComparisonRow,
     DesignResult,
+    DeviationGain,
     Environment,
     IdIteration,
     IdTrace,
     MonitoringModel,
+    RatingDesign,
     StrategyResult,
     Subset,
     TrafficMatrix,
@@ -28,9 +34,10 @@ from mutualsec import (
     critical_traffic,
     feasible_period_interval,
     optimal_design,
+    simulate,
     validate_assumptions,
 )
-from mutualsec import design
+from mutualsec import design, sim
 
 
 def subset_without(p, remove):
@@ -602,3 +609,60 @@ def whole_horizon_tft_run(design, env, mon, tm, horizon, seed):
                      for j, i in zip(*np.nonzero(grudges[-1]))],
     )
     return fields
+
+
+def reference_deviation_gain(design, env, mon, tm, i, horizon, seeds):
+    """`deviation_gain` as a loop of `simulate` calls: at each seed, AS i
+    complying and then deviating persistently, everyone else compliant."""
+    comply = BehaviorProfile.compliant(tm.n)
+    deviate = comply.replace(i, Behavior("persistent-deviator"))
+    comp_u, dev_u = ([simulate(design, profile, env, mon, tm, horizon,
+                               s).discounted_utility[i] for s in seeds]
+                     for profile in (comply, deviate))
+    gains = [d - c for c, d in zip(comp_u, dev_u)]
+    mean = float(np.mean(gains))
+    tested = len(gains) > 1
+    std = float(np.std(gains, ddof=1)) if tested else 0.0
+    se = std / math.sqrt(len(gains))
+    return DeviationGain(
+        as_index=i, gains=tuple(gains), mean=mean, std=std, stderr=se,
+        compliant_mean=float(np.mean(comp_u)),
+        deviant_mean=float(np.mean(dev_u)),
+        significantly_positive=tested and mean - sim._Z95 * se > 0,
+        significantly_negative=tested and mean + sim._Z95 * se < 0,
+    )
+
+
+def reference_strategy_comparison(kind, env, mon, tm, T, horizon, seeds,
+                                  beta_grid):
+    """`run_strategy_comparison` as a loop of `simulate` calls, one per
+    beta and seed: the full-set optimum played compliantly, or nobody
+    deploying without one (kind "rating"), else the full set at period T
+    playing tit-for-tat or grim trigger."""
+    n = tm.n
+    rows = []
+    for beta in beta_grid:
+        env_b = dataclasses.replace(env, beta=float(beta))
+        if kind == "rating":
+            result = optimal_design(env_b, mon, tm)
+            if result.feasible:
+                plan = result.design(), BehaviorProfile.compliant(n)
+            else:
+                plan = (RatingDesign(1.0, env.p_high, env.p_high, Subset(())),
+                        BehaviorProfile.never_deploy(n))
+        else:
+            behavior = {"tft": "tit-for-tat", "trigger": "grim-trigger"}[kind]
+            plan = (RatingDesign(T, env.p_high, env.p_low, Subset.full(n)),
+                    BehaviorProfile.uniform(n, behavior))
+        reports = [simulate(*plan, env_b, mon, tm, horizon, s) for s in seeds]
+        costs = [r.avg_cost for r in reports]
+        punish = [r.punishment_fraction for r in reports
+                  if r.punishment_fraction is not None]
+        rows.append(ComparisonRow(
+            beta=float(beta), kind=kind, avg_cost=float(np.mean(costs)),
+            avg_cost_std=(float(np.std(costs, ddof=1)) if len(costs) > 1
+                          else 0.0),
+            punishment_fraction=float(np.mean(punish)) if punish else None,
+            seeds=len(reports),
+        ))
+    return tuple(rows)

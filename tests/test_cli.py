@@ -1,21 +1,26 @@
+import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mutualsec import (
     Behavior,
     BehaviorProfile,
+    Environment,
     MonitoringModel,
     TrafficMatrix,
+    feasible_period_interval,
     optimal_design,
     simulate,
 )
-from mutualsec import cli
+from mutualsec import cli, design
 from mutualsec.cli import main
 
 from support import REFERENCE_ENV, write_matrix_csv
@@ -76,6 +81,37 @@ class TestDesignCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["t_star"] == pytest.approx(0.968, abs=5e-4)
         assert out["p0_star"] == 0.29999999999999993
+
+    def test_table_within_ulps_of_one_half(self, tmp_path, capsys):
+        # 1 - 2*eps is a few ulps here and rounds to 0 on much of the first
+        # piece, where the high edge's Newton iterate used to land
+        env = Environment(p_high=0.3, p_low=0.05, c=0.07181946893595247,
+                          beta=0.6995171801458919)
+        table = [[0, 0.5], [8.237060802188033, 0.4999999999999997],
+                 [16.78041312235522, 0.4999999999999997]]
+        rate = 8191622292050104.0
+        cfg = write_config(tmp_path, {
+            "environment": dataclasses.asdict(env),
+            "monitoring": {"kind": "tabulated", "points": table},
+            "network": {"kind": "complete", "n": 2, "rate": rate},
+        })
+        assert main(["design", "--config", cfg]) == 0
+        t_star = json.loads(capsys.readouterr().out)["t_star"]
+        # a dense float scan of h(t) <= bound at the critical traffic
+        mon = MonitoringModel.tabulated(table)
+        bound = env.gap * rate / env.c
+        fits = lambda t: design._headroom(env, mon, t) <= bound
+        scan = np.linspace(0.0, 20.0, 100001).tolist()
+        feasible = [t for t in scan if fits(t)]
+        interval = feasible_period_interval(env, mon, rate)
+        assert interval.lo == t_star
+        assert fits(t_star) and not fits(math.nextafter(t_star, 0.0))
+        assert fits(interval.hi)
+        assert not fits(math.nextafter(interval.hi, math.inf))
+        assert all(fits(t) for t in scan if interval.lo <= t <= interval.hi)
+        assert min(feasible) > t_star
+        assert design._loss_at(env, mon, t_star) <= min(
+            design._loss_at(env, mon, t) for t in feasible)
 
     def test_out_file(self, tmp_path):
         cfg = reference_config(tmp_path)
@@ -470,6 +506,29 @@ class TestSimulateCommand:
         assert rep["horizon"] == 200
         assert rep["seed"] == 4
         assert len(ts.read_text().strip().splitlines()) == 201
+
+    @pytest.mark.parametrize("config, setting, message", [
+        ("reference_simulation", "simulate.horizon=10000000000000000000",
+         "horizon must be below 2**63"),
+        ("strategy_beta_comparison", "simulate.T=1e308",
+         "horizon 4000 times T 1e+308 overflows"),
+    ])
+    def test_overflowing_runs_are_config_errors(self, capsys, config,
+                                                setting, message):
+        code = main(["simulate", "--config", str(CONFIGS / f"{config}.json"),
+                     "--set", setting])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith(f"config error: simulate: {message}")
+        assert err.count("\n") == 1  # no numpy warning on the way
+
+    def test_a_large_period_within_range_runs(self, capsys):
+        assert main(["simulate", "--config",
+                     str(CONFIGS / "strategy_beta_comparison.json"),
+                     "--set", "simulate.T=1e300"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert {row["avg_cost"] for row in json.loads(out)} == {33.6}
 
     def test_unwritable_time_series(self, tmp_path, capsys):
         ts = tmp_path / "missing" / "ts.csv"

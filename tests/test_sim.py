@@ -3,7 +3,10 @@ import hashlib
 import itertools
 import json
 import math
+import re
+import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +37,9 @@ from support import (
     drawn_periods,
     flags_from_words,
     live_periods,
+    reference_deviation_gain,
     reference_instance,
+    reference_strategy_comparison,
     settle_lag,
     settle_period,
     whole_horizon_rating_run,
@@ -120,6 +125,38 @@ class TestArguments:
         d, env, mon, tm = reference_design()
         with pytest.raises(ValueError, match="horizon must be at least 1"):
             simulate(d, BehaviorProfile.compliant(8), env, mon, tm, 0, 0)
+
+    def test_rejects_a_horizon_beyond_64_bits(self):
+        # the generator's counts are 64-bit; below 2**63 every path runs
+        d, env, mon, tm = reference_design()
+        for kind in ("compliant", "grim-trigger", "tit-for-tat"):
+            profile = BehaviorProfile.uniform(8, kind)
+            with pytest.raises(ValueError, match=r"horizon must be below "
+                               r"2\*\*63, got 9223372036854775808$"):
+                simulate(d, profile, env, mon, tm, 2**63, 0)
+            rep = simulate(d, profile, env, mon, tm, 2**63 - 1, 0)
+            assert math.isfinite(rep.avg_cost)
+
+    @pytest.mark.parametrize("T, horizon", [
+        (1e308, 4000),  # horizon * T is inf
+        (1e306, 100),  # horizon * T is finite, the costs over it are not
+    ])
+    def test_rejects_cost_sums_that_overflow(self, T, horizon):
+        env = Environment(p_high=0.3, p_low=0.05, c=0.3, beta=2.3)
+        mon = MonitoringModel.rational(0.1)
+        tm = TrafficMatrix.complete(8, 2.0)
+        d = RatingDesign(T, env.p_high, env.p_low, Subset.full(8))
+        match = re.escape(f"horizon {horizon} times T {T!r} overflows")
+        for kind in ("compliant", "grim-trigger", "tit-for-tat"):
+            with pytest.raises(ValueError, match=match):
+                simulate(d, BehaviorProfile.uniform(8, kind), env, mon, tm,
+                         horizon, 0)
+        with pytest.raises(ValueError, match=match):
+            run_strategy_comparison("tft", env, mon, tm, T, horizon, 2, [2.3])
+        # within the float range it runs, warning-free: nobody deploys
+        row, = run_strategy_comparison("tft", env, mon, tm, 1e300, 4000, 2,
+                                       [2.3])
+        assert (row.avg_cost, row.avg_cost_std) == (33.6, 0.0)
 
     def test_rejects_a_negative_seed(self):
         d, env, mon, tm = reference_design()
@@ -544,6 +581,74 @@ class TestStrategyComparison:
                                     horizon=10, seeds=1, beta_grid=[0.2])
 
 
+class TestPlan:
+    """`deviation_gain` and `run_strategy_comparison` prepare each run's
+    seed-independent parts once and run every seed from them; each report
+    is the one `simulate` gives."""
+
+    def test_deviation_gain_is_a_loop_of_simulate_calls(self):
+        d, env, mon, tm = reference_design()
+        for i, horizon, seeds in ((0, 1500, [4, 0, 9]), (5, 37, [2])):
+            assert deviation_gain(d, env, mon, tm, i, horizon, seeds) == \
+                reference_deviation_gain(d, env, mon, tm, i, horizon, seeds)
+
+    @pytest.mark.parametrize("kind, beta_grid", [
+        ("rating", [0.2, 40.0]),  # no IC design at 40: nobody deploys
+        ("tft", [2.3, 2.5]),  # nobody deploys at 2.5
+        ("trigger", [0.2, 0.4]),
+    ])
+    def test_comparison_is_a_loop_of_simulate_calls(self, kind, beta_grid):
+        # the bundled comparison's instance
+        env = Environment(p_high=0.3, p_low=0.05, c=0.3, beta=2.3)
+        mon = MonitoringModel.rational(0.1)
+        tm = TrafficMatrix.complete(8, 2.0)
+        args = (kind, env, mon, tm, 1.0, 600, [4, 0, 9], beta_grid)
+        assert run_strategy_comparison(*args) == \
+            reference_strategy_comparison(*args)
+
+    @pytest.mark.parametrize("profile", [
+        BehaviorProfile.compliant(8),
+        BehaviorProfile.compliant(8).replace(
+            2, Behavior("one-shot-deviator", 3)),
+        BehaviorProfile.uniform(8, "grim-trigger"),
+        BehaviorProfile.uniform(8, "tit-for-tat"),
+    ], ids=["compliant", "one-shot", "trigger", "tft"])
+    def test_a_repeated_seed_repeats_the_report(self, profile):
+        from mutualsec import sim
+
+        d, env, mon, tm = reference_design()
+        run = sim._prepare(d, profile, env, mon, tm, 40)
+        for time_series in (False, True):
+            a, b, c = (run(s, time_series) for s in (3, 1, 3))
+            assert a.to_json() == c.to_json() != b.to_json()
+            assert a.to_json() == simulate(d, profile, env, mon, tm, 40, 3,
+                                           time_series=time_series).to_json()
+            # nothing mutable is shared between reports
+            for value in a.meta.values():
+                if isinstance(value, (list, dict)):
+                    value.clear()
+            a.meta.clear()
+            if time_series:
+                a.time_series["total_cost"][:] = -1.0
+            assert c.to_json() == simulate(d, profile, env, mon, tm, 40, 3,
+                                           time_series=time_series).to_json()
+
+    def test_one_way_warning_once_per_plan_at_the_callers_line(self):
+        env, mon, _ = reference_instance()
+        tm = TrafficMatrix.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0),
+                                          (0, 2, 1.0)], directed=True)
+        d = RatingDesign(1.0, env.p_high, env.p_low, Subset.full(3))
+        tft = BehaviorProfile.uniform(3, "tit-for-tat")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            run_strategy_comparison("tft", env, mon, tm, 1.0, 9, 3, [1, 2])
+            simulate(d, tft, env, mon, tm, 10, 0)
+        assert [(w.filename, w.lineno) for w in caught] == \
+            [(__file__, line)] * 2 + [(__file__, line + 1)]
+        assert all("reciprocal" in str(w.message) for w in caught)
+
+
 class TestTimeSeries:
     def test_columns_and_csv(self, tmp_path):
         d, env, mon, tm = reference_design()
@@ -777,13 +882,17 @@ _WINDOWS = (
 )
 
 
+# a ledger's lo and adds rows when only its zero or lag is read
+_NO_ENTRY = (np.zeros(1), np.zeros(1))
+
+
 def _booked_weights(delta, windows, horizon=800):
     """The ledger's discounted counts when period t reads 1 in entry t and 0
     elsewhere: entry t holds exactly the weight booked for t."""
     from mutualsec import sim
 
-    ledger = sim._Ledger(horizon, 1.0, delta, None)
-    ledger.entries(np.zeros(horizon), np.zeros(horizon))
+    ledger = sim._Ledger(horizon, 1.0, delta, np.zeros(horizon),
+                         np.zeros(horizon)).open(None)
     for start, stop in windows:
         x = np.zeros((stop - start, horizon))
         x[np.arange(stop - start), np.arange(start, stop)] = 1.0
@@ -806,7 +915,7 @@ class TestDiscountWeights:
         from mutualsec import sim
 
         for delta in _DELTAS[:4] + (math.exp(-3.7), math.exp(-0.01)):
-            zero = sim._Ledger(10**6, 1.0, delta, None).zero
+            zero = sim._Ledger(10**6, 1.0, delta, *_NO_ENTRY).zero
             powers = delta ** np.arange(zero + 1, dtype=float)
             first = int(np.flatnonzero(powers == 0.0)[0])
             assert first <= zero <= first + 2, delta
@@ -1555,8 +1664,8 @@ def _stream_entries(delta, horizon, seed, p, first):
     from mutualsec import sim
 
     first = np.asarray(first, dtype=float)
-    ledger = sim._Ledger(horizon, 1.0, delta, None)
-    ledger.entries(np.zeros(first.size), np.ones(first.size))
+    ledger = sim._Ledger(horizon, 1.0, delta, np.zeros(first.size),
+                         np.ones(first.size)).open(None)
     starts = []
     tail = ledger.tail
 
@@ -1622,7 +1731,7 @@ class TestSettle:
         with localcontext() as ctx:
             ctx.prec = 60
             for delta in deltas:
-                lag = sim._Ledger(10, 1.0, delta, None).lag
+                lag = sim._Ledger(10, 1.0, delta, *_NO_ENTRY).lag
                 d = Decimal(delta)
                 rate = -d.ln()
                 need = 55 * Decimal(2).ln() - (1 - d).ln()
@@ -1632,7 +1741,7 @@ class TestSettle:
     def test_no_lag_without_a_discount_in_between(self, delta):
         from mutualsec import sim
 
-        assert sim._Ledger(10, 1.0, delta, None).lag is None
+        assert sim._Ledger(10, 1.0, delta, *_NO_ENTRY).lag is None
         ledger, final, tail_start = _stream_entries(delta, 50, 3, 0.5, [1.0])
         # delta = 0 reads periods 0 and 1 and the last; delta = 1 all 50
         assert tail_start == (2 if delta == 0.0 else None)
@@ -1747,9 +1856,9 @@ class TestSettle:
         settled = 0
         for size, p, first, seed in itertools.product(
                 (1, 9, 64), (0.02, 0.3), (0.0, 1.0), (0, 1)):
-            ledger = sim._Ledger(10**6, 1.0, delta, None)
+            ledger = sim._Ledger(10**6, 1.0, delta, np.zeros(size),
+                                 np.ones(size)).open(None)
             zero = ledger.zero
-            ledger.entries(np.zeros(size), np.ones(size))
             starts = []
             tail = ledger.tail
             ledger.tail = lambda a, b, c: (starts.append(a), tail(a, b, c))
