@@ -205,8 +205,8 @@ def _check_profile(profile: BehaviorProfile, n: int) -> None:
 
 # Periods run in blocks of at most this many elements (periods x n, or
 # periods x n^2 for tit-for-tat's pairwise observations), so working memory
-# does not grow with the horizon.  A block's draw holds its raw words (a
-# quarter of the block's 8-byte floats) and a tie scan beside the buffer.
+# does not grow with the horizon.  A block is drawn in place into its float
+# buffer, with nothing the size of the block beside it.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -426,8 +426,7 @@ def _prepare(design, profile, env, mon, tm, horizon):
         seed = _check_seed(seed)
         rng = np.random.default_rng(seed)
         # A time series places tail counts from the seed's child of spawn
-        # key 0 (`_stream` settles ties from key 1), leaving the main
-        # stream, and so every other field, as it is.
+        # key 0, leaving the main stream, and so every other field, as it is.
         book = ledger.open(rng.spawn(1)[0] if time_series else None)
         cost, discounted, fields = path(rng, book)
         per_as = cost / scale
@@ -439,15 +438,6 @@ def _prepare(design, profile, env, mon, tm, horizon):
             time_series=book.ts, **fields)
 
     return run
-
-
-def _draw_law(p: float) -> tuple[int, float]:
-    """(K >> 37, (K mod 2**37) / 2**37) for K = ceil(p * 2**53): a flag
-    whose 16-bit chunk is below the first, or equal to it and whose tie
-    uniform is below the second, is 1 with probability K / 2**53, the
-    chance that a uniform k / 2**53 is below p."""
-    K = math.ceil(p * 2.0 ** 53)
-    return K >> 37, (K & (2 ** 37 - 1)) / 2.0 ** 37
 
 
 def _settled_row(x, unseen):
@@ -492,43 +482,23 @@ def _stream(rng, ledger, horizon, first, p, flipped, flips):
 
     `settle` depends on the flags alone, not on the blocking: the prefix
     keeps, while it has not settled, only E-sized arrays of the entries
-    yet to read a 1, and when a block runs past `settle` the generators
-    are put back as they were before it (the tie generator unbuilt if the
-    block built it) and the block is drawn again through `settle` only.
+    yet to read a 1, and when a block runs past `settle` the generator is
+    put back as it was before it and the block is drawn again through
+    `settle` only.
 
-    The draw rule: with K = ceil(p * 2**53), an entry is 1 where a uniform
-    k / 2**53 would be below p, that is with probability K / 2**53, and
-    the top 16 bits of k settle that but for one case in 2**16.  So a
-    drawn period takes ceil(E / 4) raw 64-bit words from the bit generator
-    for its E entries, entry e reading the word's little-endian 16-bit
-    chunk e (chunk e % 4 of word e // 4).  An entry is 1 where its chunk
-    is below K >> 37; a chunk equal to it is a tie, 1 where a uniform u is
-    below (K mod 2**37) / 2**37, the u drawn in (period, entry) order by
-    the seed's child of spawn key 1, built at the first tie."""
-    words = -(-first.size // 4)  # raw words per drawn period
-    cut, tie_p = _draw_law(p)
-    ties = None
+    The draw rule: an entry is 1 where a uniform k / 2**53 is below p,
+    that is with probability ceil(p * 2**53) / 2**53.  A drawn period takes
+    E uniforms, entry e reading the period's e-th, filled into the block's
+    float buffer and compared there in place."""
 
     def draw(out, start):
-        nonlocal ties
-        b = len(out)
-        raw = rng.bit_generator.random_raw(b * words)
-        chunks = raw.astype("<u8", copy=False).view("<u2")
-        chunks = chunks.reshape(b, 4 * words)[:, :first.size]
-        np.less(chunks, cut, out=out)
-        if tie_p:
-            at = np.flatnonzero(chunks == cut)
-            if at.size:
-                if ties is None:
-                    ties = np.random.default_rng(np.random.SeedSequence(
-                        rng.bit_generator.seed_seq.entropy, spawn_key=(1,)))
-                out.flat[at] = ties.random(at.size) < tie_p
+        rng.random(out=out)
+        np.less(out, p, out=out)
         if len(flipped):
             out[:, flipped] = 1.0 - out[:, flipped]
-        if flips:
-            for t, mask in flips.items():
-                if start <= t < start + b:
-                    out[t - start] = out[t - start] != mask
+        for t, mask in flips.items():
+            if start <= t < start + len(out):
+                out[t - start] = out[t - start] != mask
 
     last = horizon - 1
     unseen = first == 0  # the entries yet to read a 1
@@ -558,19 +528,14 @@ def _stream(rng, ledger, horizon, first, p, flipped, flips):
             k = int(start == 0)  # period 0 reads `first`, not a draw
             out[:k] = first
             if settling:
-                saved = (rng.bit_generator.state,
-                         None if ties is None else ties.bit_generator.state)
+                saved = rng.bit_generator.state
             draw(out[k:], start + k - 1)
             row = _settled_row(out, unseen) if settling else None
             if row is not None:
                 settling = False
                 e = min(e, start + row + lag)
                 if e < start + len(out) - 1:  # the block runs past settle
-                    rng.bit_generator.state, tie_state = saved
-                    if tie_state is None:
-                        ties = None
-                    else:
-                        ties.bit_generator.state = tie_state
+                    rng.bit_generator.state = saved
                     out = out[:e + 1 - start]
                     draw(out[k:], start + k - 1)
             ledger.add(start, out)
@@ -584,8 +549,7 @@ def _stream(rng, ledger, horizon, first, p, flipped, flips):
 
 def _rating_plan(design, profile, env, tm, horizon, eps, delta):
     n = tm.n
-    rec = np.zeros(n, dtype=bool)
-    rec[list(design.subset.members)] = True
+    rec = np.isin(np.arange(n), design.subset.members)
     steady = rec.copy()  # each AS's action outside one-shot deviations
     flips = {}  # period -> mask of the ASs deviating once in it
     for i, b in enumerate(profile.behaviors):
@@ -650,8 +614,7 @@ def _rating_plan(design, profile, env, tm, horizon, eps, delta):
 
 def _trigger_plan(design, env, tm, horizon, eps, delta):
     n = tm.n
-    rec = np.zeros(n, dtype=bool)
-    rec[list(design.subset.members)] = True
+    rec = np.isin(np.arange(n), design.subset.members)
     inbound = tm.inbound
     deployed_in = rec.astype(float) @ tm.rates
     pre_cost = (env.p_low * deployed_in
@@ -779,8 +742,8 @@ class DeviationGain:
 
 def _seed_list(seeds) -> list[int]:
     """A count n (seeds 0..n-1) or an iterable of seeds, as a nonempty list.
-    A bool is neither."""
-    if isinstance(seeds, (bool, np.bool_)):
+    A bool or a float is neither."""
+    if not (_is_integer(seeds) or np.iterable(seeds)):
         raise ValueError(f"seeds must be a count or a list, got {seeds!r}")
     seeds = list(range(seeds) if _is_integer(seeds) else seeds)
     if not seeds:

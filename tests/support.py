@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -410,72 +409,39 @@ def drawn_periods(env, T, horizon, shots=(), settle=None):
     return {t for t in drawn if 0 <= t <= horizon - 2}
 
 
-def chunks_from_words(words, size):
-    """The (m, size) 16-bit chunks of m periods from their
-    (m, ceil(size / 4)) raw 64-bit words: entry e of a period reads bits
-    16 * (e % 4) through 16 * (e % 4) + 15 of its word e // 4."""
-    chunks = np.stack([(words >> np.uint64(16 * k)) & np.uint64(0xFFFF)
-                       for k in range(4)], axis=-1)
-    chunks = chunks.reshape(len(words), 4 * words.shape[1])[:, :size]
-    return chunks.astype(np.int64)
-
-
-def flags_from_words(words, size, p, ties):
-    """The (m, size) 0/1 flags of m periods from their (m, ceil(size / 4))
-    raw 64-bit words: with K = ceil(p * 2**53), an entry is 1 where its
-    chunk (`chunks_from_words`) is below K >> 37.  A chunk equal to it is
-    a tie, 1 where the next uniform of `ties` is below
-    (K mod 2**37) / 2**37, the ties taken in (period, entry) order."""
-    K = math.ceil(Fraction(p) * 2 ** 53)
-    cut, rest = K >> 37, K % 2 ** 37
-    chunks = chunks_from_words(words, size)
-    flags = chunks < cut
-    tied = np.flatnonzero(chunks == cut)
-    flags.flat[tied] = ties.random(tied.size) < rest / 2 ** 37
-    return flags
-
-
 def drawn_flags(seed, env, T, shots, p, flip, first):
     """The 0/1 flags of periods 0, ..., horizon - 2 (flip has one row per
     period of the horizon), each entry's flag being 1 with probability p
     xor its `flip` entry, as a bool array whose row horizon - 1 is False.
-    The periods that `drawn_periods` names are drawn one by one, from raw
-    words by `flags_from_words`, `settle` being the `settle_period` of the
-    live periods' flags (period 0 reading `first`), drawn first on fresh
-    generators of the same seed; each run of the other periods, a gap
-    (over which flip is steady), takes one binomial count per entry.
-    Stream order is period order: each run of drawn periods as one
-    raw-word draw of its rows, each gap as one binomial draw (m minus the
-    count where flipped, m the gap's length).  Ties take their uniforms
-    from the second child of the seed's SeedSequence.  An entry's count of
-    1s falls on distinct periods of its gap drawn without replacement (its
-    0s do, where the 1s are more than half), gap by gap and entry by entry
-    in C order, by the first child."""
+    The periods that `drawn_periods` names are drawn one by one, an entry
+    being 1 where its uniform is below p, `settle` being the
+    `settle_period` of the live periods' flags (period 0 reading `first`),
+    drawn first on a fresh generator of the same seed; each run of the
+    other periods, a gap (over which flip is steady), takes one binomial
+    count per entry.  Stream order is period order: each run of drawn
+    periods as one draw of its rows' uniforms, each gap as one binomial
+    draw (m minus the count where flipped, m the gap's length).  An
+    entry's count of 1s falls on distinct periods of its gap drawn without
+    replacement (its 0s do, where the 1s are more than half), gap by gap
+    and entry by entry in C order, by the first child of the seed's
+    SeedSequence."""
     horizon = len(flip)
     shape = flip.shape[1:]
     size = math.prod(shape)
-    width = -(-size // 4)
-
-    def generators():
-        return (np.random.default_rng(seed),
-                *map(np.random.default_rng,
-                     np.random.SeedSequence(seed).spawn(2)))
-
-    rng, _, ties = generators()
     m = min(live_periods(env, T, horizon), horizon - 1)
-    live = flags_from_words(rng.bit_generator.random_raw((m, width)), size,
-                            p, ties).reshape(m, *shape) ^ flip[:m]
+    live = (np.random.default_rng(seed).random((m, size)) < p).reshape(
+        m, *shape) ^ flip[:m]
     drawn = drawn_periods(env, T, horizon, shots,
                           settle_period(env, T, first, live))
-    rng, spread, ties = generators()
+    rng = np.random.default_rng(seed)
+    spread = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     flags = np.zeros(flip.shape, dtype=bool)
     t = 0
     for one_by_one, run in itertools.groupby(range(horizon - 1),
                                              drawn.__contains__):
         m = len(list(run))
         if one_by_one:
-            words = rng.bit_generator.random_raw((m, width))
-            run_flags = flags_from_words(words, size, p, ties)
+            run_flags = rng.random((m, size)) < p
             flags[t:t + m] = run_flags.reshape(m, *shape) ^ flip[t:t + m]
         else:
             ones = rng.binomial(m, p, shape)
