@@ -341,12 +341,31 @@ def _emit(payload: str, out: str | None) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
     else:
-        with _section("--out"), open(out, "w") as fh:
-            fh.write(payload)
+        _write(out, payload, "--out")
+
+
+def _write(path: str, text: str, section: str) -> None:
+    with _section(section), open(path, "w") as fh:
+        fh.write(text)
 
 
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False)
+
+
+def _csv(header: list[str], rows) -> str:
+    """CSV text: the header, then each row's cells in header order."""
+
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return str(int(v))
+        return str(v)  # a float's shortest round-trip form, as repr
+
+    lines = [",".join(header)]
+    lines.extend(",".join(map(cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _table(args, header: list[str], rows: list[dict], payload) -> str:
@@ -354,19 +373,7 @@ def _table(args, header: list[str], rows: list[dict], payload) -> str:
     asks."""
     if args.format == "json":
         return _json(payload)
-
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, bool):
-            return str(int(v))
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(row[h]) for h in header) for row in rows)
-    return "\n".join(lines) + "\n"
+    return _csv(header, ([row[h] for h in header] for row in rows))
 
 
 def _require_json(args) -> None:
@@ -555,11 +562,13 @@ def cmd_simulate(cfg: dict, args) -> tuple[str, int]:
     else:
         raise ConfigError(f"simulate.mode: unknown mode {mode!r}")
 
+    d = report.to_dict()
     # the time series first, so that a failed write leaves no report behind
     if args.time_series is not None:
-        with _section("--time-series"):
-            report.write_time_series_csv(args.time_series)
-    return report.to_json(indent=2, allow_nan=False), 0
+        ts = d["time_series"]
+        _write(args.time_series, _csv(list(ts), zip(*ts.values())),
+               "--time-series")
+    return _json(d), 0
 
 
 _SWEEP_SECTIONS = {"w0": "monitoring", "beta": "environment",

@@ -442,7 +442,13 @@ def _edges(env: Environment, mon: MonitoringModel, nu_crit: float):
     fits = lambda t: _headroom(env, mon, t) <= bound
     if mon.kind == "rational":
         w0 = mon.w0
+        t_cap = min(t_cap, sys.float_info.max)  # the high edge's start
         t_m = (2.0 * w0 / beta) / (w0 + math.sqrt(w0 * w0 + 2.0 * w0 / beta))
+        if not 0.0 < t_m < math.inf:  # 2*w0/beta or w0**2 left the range
+            # 2 / (beta + sqrt(beta**2 + 2*beta/w0)) with no term out of range
+            q = math.sqrt(2.0) * math.sqrt(beta) / math.sqrt(w0)
+            root = math.hypot(beta, q)
+            t_m = min(1.0 / (0.5 * beta + 0.5 * root), sys.float_info.max)
         if beta * t_m + math.log1p(2.0 * w0 / t_m) > log_bound:
             return None
         h_m = _headroom(env, mon, t_m)

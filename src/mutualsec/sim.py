@@ -166,27 +166,13 @@ class SimReport:
                 v = np.asarray(v)
                 if v.dtype.kind == "f":
                     ts[k] = [None if math.isnan(x) else x for x in v.tolist()]
-                else:  # period and trigger_fired, as the CSV writes them
+                else:  # period and trigger_fired, as integers
                     ts[k] = v.astype(int).tolist()
             d["time_series"] = ts
         return d
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
-
-    def write_time_series_csv(self, path) -> None:
-        if self.time_series is None:
-            raise ValueError("run simulate(..., time_series=True) first")
-        ts = self.time_series
-        with open(path, "w", newline="") as fh:
-            fh.write("period,total_cost,trigger_fired,mean_rating\n")
-            for k in range(self.horizon):
-                cost = repr(float(ts["total_cost"][k]))
-                rating = float(ts["mean_rating"][k])
-                rating_cell = "" if math.isnan(rating) else repr(rating)
-                fh.write(
-                    f"{k},{cost},{int(ts['trigger_fired'][k])},{rating_cell}\n"
-                )
 
 
 def _check_profile(profile: BehaviorProfile, n: int) -> None:
@@ -243,19 +229,19 @@ class _Ledger:
     weights (one BLAS call, where an axis-0 reduction of a tall, narrow
     block is a slow strided loop).  Discount weights are non-increasing in
     the period, and from period `zero` on, delta ** t surely underflows to
-    0.0, so a block's weights are computed only for its periods before
-    `zero` and the rest are left 0.0 (the underflowing tail is most of a
-    long first block and the slowest part to compute); a block that
-    starts at `zero` or later adds nothing to the discounted counts.
-    Weights that are merely subnormal are still used.  Periods from
-    `zero` on can also be booked from each entry's count of 1s alone
-    (`tail`), and for 0 < delta < 1 so can those from `lag` periods after
-    one in which every entry has read a 1: each discounted count then
-    holds some weight w, and the weights from then on sum to at most
-    delta ** lag / (1 - delta) * w <= 2**-55 * w, under a quarter of the
-    count's last bit; the weight sum holds 1 likewise.  A run keeps a
-    time series when `spread`, the generator that places such counts over
-    their periods, is given."""
+    0.0, so a block that starts at `zero` or later adds nothing to the
+    discounted counts and computes no weight.  A span that `_stream` reads
+    one by one and that starts before `zero` ends at `zero` at the latest
+    (the prefix ends there, and a one-shot span is two periods), so a block
+    powers at most one weight from `zero` on, which is 0.0.  Weights that
+    are merely subnormal are still used.  Periods from `zero` on can also
+    be booked from each entry's count of 1s alone (`tail`), and for 0 <
+    delta < 1 so can those from `lag` periods after one in which every
+    entry has read a 1: each discounted count then holds some weight w, and
+    the weights from then on sum to at most delta ** lag / (1 - delta) * w
+    <= 2**-55 * w, under a quarter of the count's last bit; the weight sum
+    holds 1 likewise.  A run keeps a time series when `spread`, the
+    generator that places such counts over their periods, is given."""
 
     def __init__(self, horizon: int, T: float, delta: float, lo, adds,
                  column: str | None = None) -> None:
@@ -301,15 +287,11 @@ class _Ledger:
         return run
 
     def weights(self, start: int, b: int) -> np.ndarray | None:
-        """The discount weights of periods start, ..., start + b - 1, those
-        from `zero` on left 0.0 uncomputed (None when every one is)."""
+        """The discount weights of periods start, ..., start + b - 1, or
+        None when start is `zero` or later and every one is 0.0."""
         if start >= self.zero:
             return None
-        weights = np.zeros(b)
-        k = min(b, self.zero - start)
-        np.power(self.delta, np.arange(start, start + k, dtype=float),
-                 out=weights[:k])
-        return weights
+        return np.power(self.delta, np.arange(start, start + b, dtype=float))
 
     def add(self, start: int, x: np.ndarray) -> None:
         """Book periods start, ..., start + len(x) - 1, period t reading
@@ -547,6 +529,16 @@ def _stream(rng, ledger, horizon, first, p, flipped, flips):
     return final, shots
 
 
+def _cost_rows(env, tm, T, actions, p_recv):
+    """Each AS's cost over a period of length T when the ASs with action 1
+    in `actions` deploy (a 0/1 row by AS, or a stack of them): traffic from
+    a deploying sender arrives at price p_recv (per receiver, or one price),
+    the rest at p_high, and a deploying AS pays c."""
+    deployed_in = actions.astype(float) @ tm.rates
+    return (p_recv * deployed_in + env.p_high * (tm.inbound - deployed_in)
+            + actions * env.c) * T
+
+
 def _rating_plan(design, profile, env, tm, horizon, eps, delta):
     n = tm.n
     rec = np.isin(np.arange(n), design.subset.members)
@@ -562,14 +554,10 @@ def _rating_plan(design, profile, env, tm, horizon, eps, delta):
         elif b.kind == "one-shot-deviator" and b.at_period < horizon:
             mask = flips.setdefault(int(b.at_period), np.zeros(n, dtype=bool))
             mask[i] = True
-    inbound = tm.inbound
 
     def cost_rows(actions, ratings):
-        deployed_in = actions.astype(float) @ tm.rates
-        p_recv = np.where(ratings, design.p1, design.p0)
-        return (p_recv * deployed_in
-                + env.p_high * (inbound - deployed_in)
-                + actions * env.c) * design.T
+        return _cost_rows(env, tm, design.T, actions,
+                          np.where(ratings, design.p1, design.p0))
 
     # Under steady actions an AS's cost in a period is one of two rows:
     # rated high, or rated low.
@@ -615,12 +603,8 @@ def _rating_plan(design, profile, env, tm, horizon, eps, delta):
 def _trigger_plan(design, env, tm, horizon, eps, delta):
     n = tm.n
     rec = np.isin(np.arange(n), design.subset.members)
-    inbound = tm.inbound
-    deployed_in = rec.astype(float) @ tm.rates
-    pre_cost = (env.p_low * deployed_in
-                + env.p_high * (inbound - deployed_in)
-                + rec * env.c) * design.T
-    post_cost = env.p_high * inbound * design.T
+    pre_cost = _cost_rows(env, tm, design.T, rec, env.p_low)
+    post_cost = _cost_rows(env, tm, design.T, np.zeros(n), env.p_high)
     step = post_cost - pre_cost
     _frozen(pre_cost, step)
     shared = _Ledger(horizon, design.T, delta, pre_cost, step.sum(),

@@ -203,6 +203,17 @@ class TestDesignCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["feasible"] is False
 
+    def test_huge_w0_is_infeasible(self, capsys):
+        # 2*w0/beta overflows here, and so did the headroom's minimizer,
+        # whose NaN once passed for a feasible design that failed ic_check
+        code = main(["design", "--config",
+                     str(CONFIGS / "reference_design.json"),
+                     "--set", "monitoring.w0=1e300",
+                     "--set", "environment.beta=1e-10"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        assert json.loads(out)["feasible"] is False
+
     def test_missing_config(self, capsys):
         assert main(["design", "--config", "/nonexistent.json"]) == 1
         assert "not found" in capsys.readouterr().err
@@ -506,6 +517,55 @@ class TestSimulateCommand:
         assert rep["horizon"] == 200
         assert rep["seed"] == 4
         assert len(ts.read_text().strip().splitlines()) == 201
+
+    @pytest.mark.parametrize("profile", ["compliant", "grim-trigger",
+                                         "tit-for-tat"])
+    def test_time_series_is_the_reports_columns(self, tmp_path, capsys,
+                                                 profile):
+        # the CSV is the report's to_dict()["time_series"], written by
+        # hand here: repr for a float, empty for null, digits for an int
+        ts = tmp_path / "ts.csv"
+        code = main(["simulate", "--config",
+                     str(CONFIGS / "reference_simulation.json"),
+                     "--horizon", "300", "--seed", "3",
+                     "--set", f"simulate.profile={json.dumps(profile)}",
+                     "--time-series", str(ts)])
+        out = capsys.readouterr().out
+        assert code == 0
+        env, mon, tm = REFERENCE_ENV, MonitoringModel.rational(0.1), \
+            TrafficMatrix.complete(8, 1.0)
+        rep = simulate(optimal_design(env, mon, tm).design(),
+                       BehaviorProfile.uniform(8, profile), env, mon, tm,
+                       300, 3, time_series=True)
+        assert out == rep.to_json(indent=2, allow_nan=False) + "\n"
+        series = rep.to_dict()["time_series"]
+        assert list(series) == ["period", "total_cost", "trigger_fired",
+                                "mean_rating"]
+        lines = ["period,total_cost,trigger_fired,mean_rating"]
+        for k, cost, fired, rating in zip(*series.values()):
+            assert type(k) is int and type(fired) is int
+            assert type(cost) is float
+            lines.append(f"{k},{cost!r},{fired},"
+                         + ("" if rating is None else repr(rating)))
+        assert ts.read_bytes() == ("\n".join(lines) + "\n").encode()
+        if profile == "grim-trigger":
+            assert set(series["trigger_fired"]) == {0, 1}
+            assert set(series["mean_rating"]) == {None}
+        elif profile == "compliant":
+            assert None not in series["mean_rating"]
+
+    def test_time_series_dash_is_a_file_name(self, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["simulate", "--config",
+                     str(CONFIGS / "reference_simulation.json"),
+                     "--horizon", "20", "--time-series", "-"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out)["horizon"] == 20
+        lines = (tmp_path / "-").read_text().splitlines()
+        assert lines[0] == "period,total_cost,trigger_fired,mean_rating"
+        assert len(lines) == 21
 
     @pytest.mark.parametrize("config, setting, message", [
         ("reference_simulation", "simulate.horizon=10000000000000000000",
@@ -933,7 +993,10 @@ def assert_same_output(got: str, want: str, label: str):
 class TestBundledRuns:
     def test_outputs_match_golden(self, capsys):
         # cli_golden.json holds each bundled run's exit code, stdout and
-        # stderr as printed before the typed config reader.
+        # stderr as printed before the typed config reader.  The design
+        # and sweep runs print design-kernel output alone, which
+        # design_golden.json pins bit for bit, so their text must match
+        # exactly.
         golden = json.loads(GOLDEN.read_text())
         assert [f"{c}:{n}" for c, n in BUNDLED_RUNS] == list(golden)
         for command, name in BUNDLED_RUNS:
@@ -942,6 +1005,8 @@ class TestBundledRuns:
             out, err = capsys.readouterr()
             want = golden[label]
             assert (code, err) == (want["code"], want["stderr"]), label
+            if command in ("design", "sweep"):
+                assert out == want["stdout"], label
             assert_same_output(out, want["stdout"], label)
 
 

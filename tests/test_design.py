@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -650,6 +651,40 @@ class TestOptimalDesign:
                                           mon, tm) for c in (1e-300, 1e-290))
             assert math.isfinite(tiny.t_star)
             assert dataclasses.astuple(tiny) == dataclasses.astuple(small)
+
+    @pytest.mark.parametrize("rate", [1.0, 1e300])
+    @pytest.mark.parametrize("beta", [5e-324, 1e-300, 1e-10, 0.2, 10.0])
+    @pytest.mark.parametrize("w0", [1e150, 1e154, 1.4e154, 1e200, 1e300])
+    def test_huge_rational_w0(self, w0, beta, rate):
+        # the headroom's minimizer (2*w0/beta) / (w0 + sqrt(w0**2 +
+        # 2*w0/beta)) came out 0 once w0**2 overflowed (a division by zero
+        # followed) and NaN once 2*w0/beta did (a NaN minimum passed the
+        # feasibility test; at a subnormal beta, the period came out inf)
+        env = dataclasses.replace(REFERENCE_ENV, beta=beta)
+        mon = MonitoringModel.rational(w0)
+        tm = TrafficMatrix.complete(4, rate)
+        r = optimal_design(env, mon, tm)
+        values = (r.t_star, r.p0_star, r.p1_star, r.g_star, r.j_star)
+        if r.feasible:
+            assert all(math.isfinite(v) for v in values)
+            assert all(ic_check(r.design(), env, mon, tm, i)
+                       for i in range(4))
+        else:
+            assert values == (None,) * 5
+
+    def test_period_cap_beyond_float_range(self):
+        # log(bound)/beta overflows at these rates and discount rates; the
+        # cap is held at the largest float, so the period is 1/beta, or the
+        # largest float beyond it (Newton's method from an infinite cap put
+        # the high edge at the headroom's minimizer, about 1.4e153 here)
+        tm = TrafficMatrix.complete(4, 1e300)
+        for beta in (1e-307, 1e-310, 5e-324):
+            env = dataclasses.replace(REFERENCE_ENV, beta=beta)
+            for w0 in (0.1, 1e150):
+                mon = MonitoringModel.rational(w0)
+                r = optimal_design(env, mon, tm)
+                assert r.t_star == min(1.0 / beta, sys.float_info.max)
+                assert ic_check(r.design(), env, mon, tm, r.binding_as)
 
     def test_price_bounds_respected(self):
         rng = np.random.default_rng(8)

@@ -660,28 +660,6 @@ class TestPlan:
 
 
 class TestTimeSeries:
-    def test_columns_and_csv(self, tmp_path):
-        d, env, mon, tm = reference_design()
-        rep = simulate(d, BehaviorProfile.compliant(8), env, mon, tm, 40, 0,
-                       time_series=True)
-        ts = rep.time_series
-        assert set(ts) == {"period", "total_cost", "trigger_fired",
-                           "mean_rating"}
-        assert len(ts["total_cost"]) == 40
-        path = tmp_path / "ts.csv"
-        rep.write_time_series_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "period,total_cost,trigger_fired,mean_rating"
-        assert len(lines) == 41
-        first = lines[1].split(",")
-        assert float(first[1]) == pytest.approx(ts["total_cost"][0])
-
-    def test_requires_time_series_run(self):
-        d, env, mon, tm = reference_design()
-        rep = simulate(d, BehaviorProfile.compliant(8), env, mon, tm, 10, 0)
-        with pytest.raises(ValueError):
-            rep.write_time_series_csv("/tmp/nope.csv")
-
     def test_json_round_trip(self):
         d, env, mon, tm = reference_design()
         rep = simulate(d, BehaviorProfile.uniform(8, "grim-trigger"),
@@ -691,7 +669,7 @@ class TestTimeSeries:
         ts = parsed["time_series"]
         # rating columns are null for schemes without ratings
         assert ts["mean_rating"] == [None] * 30
-        # period and trigger_fired are integers, as in the CSV
+        # period and trigger_fired are integers
         assert ts["period"] == list(range(30))
         fired = rep.time_series["trigger_fired"]
         assert ts["trigger_fired"] == [int(f) for f in fired]
@@ -799,14 +777,18 @@ class TestStreaming:
 
     def test_matches_whole_horizon_reports(self):
         # sim_golden.json holds _fingerprint of each case as reported by the
-        # simulator before it was streamed (whole-horizon arrays).
+        # simulator before it was streamed (whole-horizon arrays), each
+        # checked against the whole-horizon references.  The meta block
+        # holds the design and exact counts of the draws, no rounded sum,
+        # so it must match exactly.
         golden = json.loads(GOLDEN.read_text())
         cases = dict(_golden_cases())
         assert cases.keys() == golden.keys()
         for name, args in cases.items():
             rep = simulate(*args, time_series=True)
-            _assert_matches(json.loads(json.dumps(_fingerprint(rep))),
-                            golden[name], name)
+            got = json.loads(json.dumps(_fingerprint(rep)))
+            assert got["meta"] == golden[name]["meta"], name
+            _assert_matches(got, golden[name], name)
 
     @pytest.mark.parametrize("elements", [1, 7, 64, 1000])
     def test_block_length_does_not_matter(self, monkeypatch, elements):
@@ -912,8 +894,9 @@ def _booked_weights(delta, windows, horizon=800):
 
 
 class TestDiscountWeights:
-    """Weights are computed only up to where delta ** t underflows; the
-    rest of a block is left 0.0, which is what the power gives there."""
+    """A block's weights are the powers delta ** t bit for bit, 0.0 where
+    they underflow; a block that starts where they surely do computes
+    none."""
 
     @pytest.mark.parametrize("windows", _WINDOWS)
     @pytest.mark.parametrize("delta", _DELTAS)
