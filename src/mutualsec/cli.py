@@ -16,15 +16,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import csv
 import itertools
 import json
+import math
 import os
 import sys
 import warnings
 from dataclasses import fields
 from functools import cache, partial
-
-import numpy as np
 
 from .design import (
     DesignResult,
@@ -40,8 +40,6 @@ from .network import (
     TrafficMatrix,
     critical_traffic,
     has_mct,
-    load_edge_csv,
-    load_matrix_csv,
 )
 from .sim import (
     Behavior,
@@ -119,13 +117,13 @@ def _field(sec: dict, section: str, key: str, read, default=_ABSENT):
 
 @contextlib.contextmanager
 def _section(name: str):
-    """Report a library ValueError, or a file error, as a config error in
-    section `name`."""
+    """Report a library ValueError, or a file or CSV error, as a config
+    error in section `name`."""
     try:
         yield
     except ConfigError:
         raise
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, csv.Error) as e:
         raise ConfigError(f"{name}: {e}")
 
 
@@ -230,6 +228,54 @@ def _seeds_field(name: str, value) -> int | list[int]:
     return seeds
 
 
+def _csv_rows(path: str) -> list[list[str]]:
+    """The rows of CSV file `path`, cells stripped, blank rows left out."""
+    with open(path, newline="") as fh:
+        rows = [[cell.strip() for cell in row] for row in csv.reader(fh)]
+    return [row for row in rows if any(row)]
+
+
+def _csv_cell(row: str, column: str, text: str, read, what: str):
+    """Cell `text` of an edge CSV row, read by `read`, and finite."""
+    with contextlib.suppress(ConfigError):
+        value = read(column, text)
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"{row}: column {column} must be {what}, got {text!r}")
+
+
+def _edge_csv(path: str, n: int | None) -> TrafficMatrix:
+    """Edge CSV `path`: rows i,j,rate[,directed], 1-based, made 0-based,
+    after an optional header; the size is the largest index, or n."""
+    rows = _csv_rows(path)
+    if not rows:
+        raise ValueError("edge CSV is empty")
+    if all(_number(cell) is None for cell in rows[0][:3]):
+        rows = rows[1:]  # a header
+    edges = []
+    for rec in rows:
+        row = f"edge CSV row {','.join(rec)!r}"
+        if len(rec) < 3:
+            raise ValueError(f"{row}: needs at least i,j,rate")
+        i = _csv_cell(row, "i", rec[0], _int_field, "a 1-based integer") - 1
+        j = _csv_cell(row, "j", rec[1], _int_field, "a 1-based integer") - 1
+        rate = _csv_cell(row, "rate", rec[2], _float_field, "a finite number")
+        if i < 0 or j < 0:
+            raise ValueError(f"{row}: indices are 1-based")
+        flag = rec[3].lower() if len(rec) > 3 else ""
+        if flag not in ("", "0", "false", "1", "true"):
+            raise ValueError(f"{row}: directed flag must be 0, 1, true, "
+                             "false or empty")
+        edges.append((i, j, rate))
+        if flag in ("", "0", "false"):
+            edges.append((j, i, rate))
+    size = max((max(i, j) + 1 for i, j, _ in edges), default=0)
+    if n is not None and n < size:
+        raise ValueError(f"edge CSV references AS {size} but n={n}")
+    return TrafficMatrix.from_edges(size if n is None else n, edges,
+                                    directed=True)
+
+
 def _build_environment(cfg: dict) -> Environment:
     get = partial(_field, _require(cfg, "environment"), "environment")
     with _section("environment"):
@@ -246,10 +292,8 @@ def _build_monitoring(cfg: dict) -> MonitoringModel:
             return MonitoringModel.rational(get("w0", _float_field))
         if kind == "tabulated":
             if "path" in sec:
-                rows = np.loadtxt(get("path", _str_field), delimiter=",",
-                                  ndmin=2)
-                points = _list_of(_point_field)("monitoring.path",
-                                                rows.tolist())
+                points = _list_of(_point_field)(
+                    "monitoring.path", _csv_rows(get("path", _str_field)))
             elif "points" in sec:
                 points = get("points", _list_of(_point_field))
             else:
@@ -282,16 +326,17 @@ def _build_network(cfg: dict) -> TrafficMatrix:
                 count("cores"), count("periphery_per_core"), rate())
         if kind == "edges":
             if "path" in sec:
-                return load_edge_csv(get("path", _str_field),
-                                     n=get("n", _int_field, None))
+                return _edge_csv(get("path", _str_field),
+                                 get("n", _int_field, None))
             edges = get("edges", _list_of(_edge_field))
             return TrafficMatrix.from_edges(
                 count("n"), edges, directed=get("directed", _bool_field, False))
         if kind == "matrix":
+            rates = _list_of(_list_of(_float_field))
             if "path" in sec:
-                return load_matrix_csv(get("path", _str_field))
-            rows = get("rates", _list_of(_list_of(_float_field)))
-            return TrafficMatrix(rows)
+                return TrafficMatrix(rates(
+                    "network.path", _csv_rows(get("path", _str_field))))
+            return TrafficMatrix(get("rates", rates))
     raise ConfigError(f"network.kind: unknown kind {kind!r}")
 
 
@@ -328,8 +373,6 @@ def _design_dict(result: DesignResult) -> dict:
 
 
 def _emit(payload: str, out: str | None) -> None:
-    if not payload.endswith("\n"):
-        payload += "\n"
     if out is None or out == "-":
         try:
             sys.stdout.write(payload)
@@ -350,7 +393,7 @@ def _write(path: str, text: str, section: str) -> None:
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False)
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _csv(header: list[str], rows) -> str:
@@ -388,10 +431,12 @@ def cmd_design(cfg: dict, args) -> tuple[str, int]:
     report = validate_assumptions(env, mon, tm, subset)
     payload = _design_dict(result)
     payload["j_first_best"] = first_best(env, tm)
-    payload["assumptions"] = report.to_dict()
-    for check in report.checks:
-        if not check.passed:
-            payload["assumptions"][check.name]["ases"] = _ones(check.ases)
+    payload["assumptions"] = assumptions = {
+        c.name: {"passed": c.passed, "detail": c.detail,
+                 **({} if c.passed else {"ases": _ones(c.ases)})}
+        for c in report.checks}
+    if report.subset_note:
+        assumptions["subset_note"] = report.subset_note
     return _json(payload), 0 if result.feasible else 2
 
 
@@ -443,8 +488,7 @@ def cmd_bruteforce(cfg: dict, args) -> tuple[str, int]:
 
 
 def cmd_threshold(cfg: dict, args) -> tuple[str, int]:
-    env = _build_environment(cfg)
-    mon = _build_monitoring(cfg)
+    env, mon = _build_environment(cfg), _build_monitoring(cfg)
     get = partial(_field, _require(cfg, "threshold"), "threshold")
     with _section("threshold"):
         result = core_periphery_threshold(
@@ -563,6 +607,11 @@ def cmd_simulate(cfg: dict, args) -> tuple[str, int]:
         raise ConfigError(f"simulate.mode: unknown mode {mode!r}")
 
     d = report.to_dict()
+    # AS indices 1-based, in a copy: to_dict returns the report's own meta
+    meta = d["meta"] = copy.deepcopy(d["meta"])
+    for sec, key in ((meta, "deploying"), (meta["design"], "subset")):
+        if key in sec:
+            sec[key] = _ones(sec[key])
     # the time series first, so that a failed write leaves no report behind
     if args.time_series is not None:
         ts = d["time_series"]
@@ -633,20 +682,18 @@ def cmd_sweep(cfg: dict, args) -> tuple[str, int]:
     if not isinstance(params, dict) or not params:
         raise ConfigError("sweep.parameters: must map parameter names to "
                           "value lists")
-    names = list(params.keys())
-    grids = []
-    for name in names:
-        vals = params[name]
+    names = list(params)
+    for name, vals in params.items():
         if not isinstance(vals, list) or not vals:
             raise ConfigError(f"sweep.parameters.{name}: must be a nonempty "
                               "list")
-        grids.append(vals)
     for name in names:
         unread = _unread_sweep_kind(cfg, names, name)
         if unread is not None:
             raise ConfigError(f"sweep.parameters.{name}: {unread} does not "
                               f"read {name}, so every row would be the same")
-    rows = [_sweep_point(cfg, names, v) for v in itertools.product(*grids)]
+    rows = [_sweep_point(cfg, names, v)
+            for v in itertools.product(*params.values())]
     return _table(args, list(rows[0]), rows, rows), 0
 
 

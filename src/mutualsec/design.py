@@ -280,13 +280,6 @@ class AssumptionReport:
     def all_ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self) -> dict:
-        d = {c.name: {"passed": c.passed, "detail": c.detail}
-             for c in self.checks}
-        if self.subset_note:
-            d["subset_note"] = self.subset_note
-        return d
-
 
 # ---- numeric helpers ------------------------------------------------------
 

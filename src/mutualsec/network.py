@@ -27,7 +27,6 @@ input and output.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -41,8 +40,6 @@ __all__ = [
     "critical_traffic",
     "has_mct",
     "inbound_within",
-    "load_edge_csv",
-    "load_matrix_csv",
 ]
 
 
@@ -226,79 +223,6 @@ class TrafficMatrix:
                 arr[core, p] = rate
                 arr[p, core] = rate
         return cls(arr)
-
-
-def load_matrix_csv(path) -> TrafficMatrix:
-    """Header-free N x N CSV of rates."""
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
-            if not rec:
-                continue
-            rows.append([float(x) for x in rec])
-    return TrafficMatrix(rows)
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _edge_cell(row: str, column: str, text: str, parse, what: str):
-    try:
-        value = parse(text)
-        if math.isfinite(value):
-            return value
-    except (ValueError, OverflowError):
-        pass
-    raise ValueError(f"{row}: column {column} must be {what}, got {text!r}")
-
-
-def load_edge_csv(path, n: int | None = None) -> TrafficMatrix:
-    """Edge list CSV with columns i,j,rate and an optional directed flag
-    column: 1 or true (any case) for one way, 0, false or empty for both
-    ways; anything else is an error.  Indices are 1-based (this format is
-    CLI-facing).  Rows without the flag are applied in both directions.
-    A first row with no number among its first three cells is a header
-    and is skipped.  The collection size is inferred from the largest index
-    unless ``n`` is given."""
-    records = []
-    with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
-            if not rec or not any(field.strip() for field in rec):
-                continue
-            records.append([field.strip() for field in rec])
-    if not records:
-        raise ValueError("edge CSV is empty")
-    if not any(_is_number(cell) for cell in records[0][:3]):
-        records = records[1:]
-    edges = []
-    size = 0
-    for rec in records:
-        row = f"edge CSV row {','.join(rec)!r}"
-        if len(rec) < 3:
-            raise ValueError(f"{row}: needs at least i,j,rate")
-        i = _edge_cell(row, "i", rec[0], int, "a 1-based integer") - 1
-        j = _edge_cell(row, "j", rec[1], int, "a 1-based integer") - 1
-        rate = _edge_cell(row, "rate", rec[2], float, "a finite number")
-        if i < 0 or j < 0:
-            raise ValueError(f"{row}: indices are 1-based")
-        flag = rec[3].lower() if len(rec) > 3 else ""
-        if flag not in ("", "0", "false", "1", "true"):
-            raise ValueError(f"{row}: directed flag must be 0, 1, true, "
-                             "false or empty")
-        edges.append((i, j, rate))
-        if flag in ("", "0", "false"):
-            edges.append((j, i, rate))
-        size = max(size, i + 1, j + 1)
-    if n is not None:
-        if n < size:
-            raise ValueError(f"edge CSV references AS {size} but n={n}")
-        size = int(n)
-    return TrafficMatrix.from_edges(size, edges, directed=True)
 
 
 # ---- analysis -----------------------------------------------------------

@@ -28,7 +28,6 @@ run) makes them, and builds a fresh report; `deviation_gain` and
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -170,9 +169,6 @@ class SimReport:
                     ts[k] = v.astype(int).tolist()
             d["time_series"] = ts
         return d
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def _check_profile(profile: BehaviorProfile, n: int) -> None:

@@ -46,8 +46,8 @@ def subset_without(p, remove):
 
 
 def write_matrix_csv(tm, path):
-    """Write the rates as the header-free CSV that load_matrix_csv reads,
-    each rate in repr form so the round trip is exact."""
+    """Write the rates as the header-free CSV that a `matrix` network's
+    `path` names, each rate in repr form so the round trip is exact."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         for row in tm.rates:

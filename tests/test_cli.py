@@ -15,15 +15,19 @@ from mutualsec import (
     BehaviorProfile,
     Environment,
     MonitoringModel,
+    Subset,
     TrafficMatrix,
+    brute_force_optimal,
     feasible_period_interval,
+    has_mct,
+    iterative_deletion,
     optimal_design,
     simulate,
 )
 from mutualsec import cli, design
 from mutualsec.cli import main
 
-from support import REFERENCE_ENV, write_matrix_csv
+from support import REFERENCE_ENV, random_connected_matrix, write_matrix_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -40,6 +44,18 @@ def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def printed_report(rep) -> str:
+    """What `simulate` prints for library report `rep`: its to_dict() as
+    JSON, with the AS indices in its meta 1-based."""
+    d = rep.to_dict()
+    meta = d["meta"] = json.loads(json.dumps(d["meta"]))
+    if "deploying" in meta:
+        meta["deploying"] = [i + 1 for i in meta["deploying"]]
+    if "subset" in meta["design"]:
+        meta["design"]["subset"] = [i + 1 for i in meta["design"]["subset"]]
+    return json.dumps(d, indent=2, allow_nan=False) + "\n"
 
 
 def reference_config(tmp_path, **extra):
@@ -239,6 +255,31 @@ class TestDesignCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["subset"] == [1, 2, 3]
 
+    def test_assumptions_block(self, tmp_path, capsys):
+        # each check's passed and detail, the failing ASs 1-based, then the
+        # subset's note, in this order
+        cfg = reference_config(tmp_path, subset=[1, 2, 3])
+        assert main(["design", "--config", cfg, "--set", "environment.c=0.5",
+                     "--set", 'network={"kind": "star", "n": 6, '
+                     '"rate": 1.0}']) == 2
+        assumptions = json.loads(capsys.readouterr().out)["assumptions"]
+        assert list(assumptions) == ["monitor", "viability", "social_gain",
+                                     "subset_note"]
+        assert assumptions == {
+            "monitor": {"passed": True, "detail": (
+                "rational family w0=0.1: decreasing and convex with "
+                "epsilon(0)=1/2 analytically")},
+            "viability": {"passed": False, "detail": (
+                "cost covers no achievable benefit for 5 of 6 ASs"),
+                "ases": [2, 3, 4, 5, 6]},
+            "social_gain": {"passed": False, "detail": (
+                "no IC design exists for the full set, loss factor "
+                "undefined"), "ases": []},
+            "subset_note": "subset critical traffic 1",
+        }
+        for check in ("viability", "social_gain"):
+            assert list(assumptions[check]) == ["passed", "detail", "ases"]
+
     def test_subset_out_of_range(self, tmp_path, capsys):
         cfg = reference_config(tmp_path, subset=[9])
         assert main(["design", "--config", cfg]) == 1
@@ -293,6 +334,156 @@ class TestNetworkLoading:
         })
         assert main(["mct", "--config", cfg]) == 1
         assert "1-based" in capsys.readouterr().err
+
+
+@pytest.fixture
+def read_network(tmp_path, capsys, monkeypatch):
+    """Run `mct` on a config with the given network section, and return
+    its exit code, stderr and the matrix that it read (None if none)."""
+    seen = []
+    real = cli.has_mct
+    monkeypatch.setattr(cli, "has_mct", lambda tm: seen.append(tm) or real(tm))
+
+    def run(network):
+        seen.clear()
+        code = main(["mct", "--config",
+                     write_config(tmp_path, {"network": network})])
+        err = capsys.readouterr().err
+        return code, err, (seen[0] if seen else None)
+
+    return run
+
+
+def edge_file(tmp_path, text, **network):
+    """An edges network section reading `text` from a CSV file."""
+    path = tmp_path / "e.csv"
+    path.write_text(text)
+    return {"kind": "edges", "path": str(path), **network}
+
+
+class TestFileFormats:
+    """The CSV files that a `path` field names, read through the CLI."""
+
+    def test_matrix_round_trip(self, tmp_path, read_network):
+        tm = random_connected_matrix(np.random.default_rng(3), 5)
+        path = tmp_path / "m.csv"
+        write_matrix_csv(tm, path)
+        assert read_network({"kind": "matrix", "path": str(path)}) == \
+            (0, "", tm)
+
+    def test_edge_header(self, tmp_path, read_network):
+        network = edge_file(tmp_path, "i,j,rate\n1,2,2.5\n2,3,1.0\n")
+        assert read_network(network) == (0, "", TrafficMatrix.from_edges(
+            3, [(0, 1, 2.5), (1, 2, 1.0)]))
+
+    def test_edge_directed_flag_and_n(self, tmp_path, read_network):
+        text = "1,2,2.5,1\n2,3,1.0,0\n"
+        want = TrafficMatrix.from_edges(
+            4, [(0, 1, 2.5), (1, 2, 1.0), (2, 1, 1.0)], directed=True)
+        assert read_network(edge_file(tmp_path, text, n=4)) == (0, "", want)
+        assert read_network(edge_file(tmp_path, text, n=2)) == (
+            1, "config error: network: edge CSV references AS 3 but n=2\n",
+            None)
+
+    def test_edge_flag_spellings(self, tmp_path, read_network):
+        network = edge_file(tmp_path, "1,2,1.0,TRUE\n2,3,2.0,FALSE\n"
+                                      "3,4,3.0,\n4,1,4.0,True\n")
+        assert read_network(network) == (0, "", TrafficMatrix.from_edges(
+            4, [(0, 1, 1.0), (1, 2, 2.0), (2, 1, 2.0), (2, 3, 3.0),
+                (3, 2, 3.0), (3, 0, 4.0)], directed=True))
+        network = edge_file(tmp_path, "1,2,1.0,0\n2,3,2.0,no\n")
+        assert read_network(network) == (
+            1, "config error: network: edge CSV row '2,3,2.0,no': directed "
+               "flag must be 0, 1, true, false or empty\n", None)
+
+    @pytest.mark.parametrize("text", ["", "\n \n", ",,\n , ,\n"],
+                             ids=["empty", "blank", "commas"])
+    def test_empty_edge_file(self, tmp_path, read_network, text):
+        assert read_network(edge_file(tmp_path, text)) == (
+            1, "config error: network: edge CSV is empty\n", None)
+
+    def test_blank_lines_are_skipped(self, tmp_path, read_network):
+        network = edge_file(tmp_path, "\n1,2,1.0\n\n 2 , 3 , 2.0 \n,\n")
+        assert read_network(network) == (0, "", TrafficMatrix.from_edges(
+            3, [(0, 1, 1.0), (1, 2, 2.0)]))
+        path = tmp_path / "m.csv"
+        path.write_text("0,1\n\n1,0\n\n")
+        assert read_network({"kind": "matrix", "path": str(path)}) == \
+            (0, "", TrafficMatrix.line(2, 1.0))
+
+    def test_edge_index_follows_the_integer_rule(self, tmp_path,
+                                                 read_network):
+        # as an inline [i, j, rate] does, an integral float is an index
+        network = edge_file(tmp_path, "1,2.0,1.0\n2e0,3,2.0\n")
+        assert read_network(network) == (0, "", TrafficMatrix.from_edges(
+            3, [(0, 1, 1.0), (1, 2, 2.0)]))
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.5,2,1.0", "row '1.5,2,1.0': column i must be a 1-based integer, "
+                      "got '1.5'"),
+        ("1,x,1.0", "row '1,x,1.0': column j must be a 1-based integer, "
+                    "got 'x'"),
+        ("1,2,abc", "row '1,2,abc': column rate must be a finite number, "
+                    "got 'abc'"),
+        ("1,2,nan", "row '1,2,nan': column rate must be a finite number, "
+                    "got 'nan'"),
+        ("1,2,-inf", "row '1,2,-inf': column rate must be a finite number, "
+                     "got '-inf'"),
+        ("0,2,1.0", "row '0,2,1.0': indices are 1-based"),
+        ("1,2", "row '1,2': needs at least i,j,rate"),
+    ])
+    def test_edge_errors_name_row_and_column(self, tmp_path, read_network,
+                                             row, message):
+        network = edge_file(tmp_path, f"1,3,1.0\n{row}\n")
+        assert read_network(network) == (
+            1, f"config error: network: edge CSV {message}\n", None)
+
+    def test_edge_zero_index(self, tmp_path, read_network):
+        assert read_network(edge_file(tmp_path, "0,1,2.0\n")) == (
+            1, "config error: network: edge CSV row '0,1,2.0': indices are "
+               "1-based\n", None)
+
+    def test_bad_first_row_is_not_a_header(self, tmp_path, read_network):
+        assert read_network(edge_file(tmp_path, "x,2,1.0\n2,3,1.0\n")) == (
+            1, "config error: network: edge CSV row 'x,2,1.0': column i must "
+               "be a 1-based integer, got 'x'\n", None)
+
+    def test_unreadable_csv_is_a_config_error(self, tmp_path, read_network):
+        # a cell beyond the csv module's field limit
+        code, err, _ = read_network(edge_file(tmp_path, "1" * 200_000))
+        assert code == 1
+        assert err.startswith("config error: network: field larger than")
+
+    def test_matrix_cell_names_the_path_field(self, tmp_path, read_network):
+        path = tmp_path / "m.csv"
+        path.write_text("0,abc\n1,0\n")
+        assert read_network({"kind": "matrix", "path": str(path)}) == (
+            1, "config error: network.path: expected a number, got 'abc'\n",
+            None)
+
+    @pytest.mark.parametrize("text, err", [
+        ("\n0.0,0.4\n\n 2.0 , 0.2 \n6.0,0.1\n\n", ""),
+        ("0.0,0.4\n2.0,abc\n6.0,0.1\n",
+         "config error: monitoring.path: expected a number, got 'abc'\n"),
+        ("# T,eps\n0.0,0.4\n2.0,0.2\n6.0,0.1\n",
+         "config error: monitoring.path: expected a number, got '# T'\n"),
+    ], ids=["blank-lines", "non-numeric", "comment"])
+    def test_curve_file(self, tmp_path, capsys, text, err):
+        path = tmp_path / "curve.csv"
+        path.write_text(text)
+        inline = {"kind": "tabulated",
+                  "points": [[0.0, 0.4], [2.0, 0.2], [6.0, 0.1]]}
+        cfg = reference_config(tmp_path)
+        outputs = []
+        for monitoring in ({"kind": "tabulated", "path": str(path)}, inline):
+            code = main(["design", "--config", cfg,
+                         "--set", f"monitoring={json.dumps(monitoring)}"])
+            outputs.append((code, *capsys.readouterr()))
+        if err:
+            assert outputs[0] == (1, "", err)
+        else:
+            assert outputs[0] == outputs[1]
+            assert outputs[0][0] == 0
 
 
 class TestMctCommand:
@@ -522,8 +713,9 @@ class TestSimulateCommand:
                                          "tit-for-tat"])
     def test_time_series_is_the_reports_columns(self, tmp_path, capsys,
                                                  profile):
-        # the CSV is the report's to_dict()["time_series"], written by
-        # hand here: repr for a float, empty for null, digits for an int
+        # stdout is the report's to_dict() with 1-based meta, and the CSV
+        # its time series, written by hand here: repr for a float, empty
+        # for null, digits for an int
         ts = tmp_path / "ts.csv"
         code = main(["simulate", "--config",
                      str(CONFIGS / "reference_simulation.json"),
@@ -537,7 +729,7 @@ class TestSimulateCommand:
         rep = simulate(optimal_design(env, mon, tm).design(),
                        BehaviorProfile.uniform(8, profile), env, mon, tm,
                        300, 3, time_series=True)
-        assert out == rep.to_json(indent=2, allow_nan=False) + "\n"
+        assert out == printed_report(rep)
         series = rep.to_dict()["time_series"]
         assert list(series) == ["period", "total_cost", "trigger_fired",
                                 "mean_rating"]
@@ -686,7 +878,7 @@ class TestSimulateCommand:
         rep = simulate(optimal_design(REFERENCE_ENV, mon, tm).design(),
                        profile, REFERENCE_ENV, mon, tm, 40, 2)
         out = capsys.readouterr().out
-        assert out == rep.to_json(indent=2, allow_nan=False) + "\n"
+        assert out == printed_report(rep)
 
     def test_optimal_design_needs_a_feasible_instance(self, tmp_path, capsys):
         cfg = reference_config(tmp_path, simulate={"horizon": 10})
@@ -857,6 +1049,21 @@ class TestEntryPoint:
         assert err == b""
 
 
+    def test_reader_leaving_mid_output(self):
+        # the report (a 10,000-period time series) is far larger than a
+        # pipe's buffer, so the write fails part way through
+        with subprocess.Popen(
+                [sys.executable, "-m", "mutualsec", "simulate", "--config",
+                 str(CONFIGS / "reference_simulation.json"),
+                 "--set", "simulate.time_series=true"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=child_env()) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait() == 0
+        assert err == b""
+
     @pytest.mark.parametrize("argv, code", [
         (["mct", "--config", str(CONFIGS / "square_mct_true.json")], 0),
         (["design", "--config", str(CONFIGS / "reference_design.json"),
@@ -874,6 +1081,111 @@ class TestEntryPoint:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (code, b"")
+
+
+class TestOneBasedIndices:
+    """README: AS indices are 1-based in configs and in all output, so each
+    printed index is the library's 0-based one plus one."""
+
+    @staticmethod
+    def instance(name):
+        # the instance of a bundled edges config, read by the library
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        net = cfg["network"]
+        tm = TrafficMatrix.from_edges(
+            net["n"], [(i - 1, j - 1, r) for i, j, r in net["edges"]])
+        if "environment" not in cfg:
+            return tm
+        return (Environment(**cfg["environment"]),
+                MonitoringModel.rational(cfg["monitoring"]["w0"]), tm)
+
+    @staticmethod
+    def ones(indices):
+        return [i + 1 for i in indices]
+
+    def run(self, capsys, *argv):
+        assert main(list(argv)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def design_fields(self, result):
+        return {"subset": self.ones(result.subset.members),
+                "binding_as": (None if result.binding_as is None
+                               else result.binding_as + 1)}
+
+    def assert_design(self, printed, result):
+        assert {k: printed[k] for k in ("subset", "binding_as")} == \
+            self.design_fields(result)
+
+    def test_search_commands(self, capsys):
+        six = str(CONFIGS / "six_as_deletion.json")
+        env, mon, tm = self.instance("six_as_deletion")
+        out = self.run(capsys, "design", "--config", six,
+                       "--set", "subset=[3,4,6]")
+        lib = optimal_design(env, mon, tm, Subset.of([2, 3, 5]))
+        assert out["subset"] == [3, 4, 6] and lib.binding_as is not None
+        self.assert_design(out, lib)
+
+        out = self.run(capsys, "id", "--config", six)
+        lib = iterative_deletion(env, mon, tm)
+        assert out["subset"] == self.ones(lib.subset.members) == [3, 4, 5, 6]
+        self.assert_design(out["design"], lib.design)
+        for printed, it in zip(out["iterations"], lib.trace.iterations,
+                               strict=True):
+            assert printed["subset"] == self.ones(it.subset.members)
+            assert printed["critical_ases"] == self.ones(it.critical_ases)
+            if it.design is not None:
+                self.assert_design(printed["design"], it.design)
+
+        out = self.run(capsys, "bruteforce", "--config", six)
+        lib = brute_force_optimal(env, mon, tm)
+        assert len(lib.subset) < tm.n
+        assert out["subset"] == self.ones(lib.subset.members)
+        self.assert_design(out["design"], lib.design)
+
+        out = self.run(capsys, "mct", "--config",
+                       str(CONFIGS / "square_mct_false.json"))
+        _, witness = has_mct(self.instance("square_mct_false"))
+        assert out["witness"] == self.ones(witness.members) == [2, 3, 4]
+
+    @pytest.mark.parametrize("profile", ["compliant", "grim-trigger"])
+    def test_simulated_design_subset(self, capsys, monkeypatch, profile):
+        reports = []
+        real = cli.simulate
+        monkeypatch.setattr(cli, "simulate",
+                            lambda *a, **k: reports.append(real(*a, **k))
+                            or reports[-1])
+        out = self.run(capsys, "simulate", "--config",
+                       str(CONFIGS / "reference_simulation.json"),
+                       "--set", "subset=[2,3,4]", "--horizon", "5",
+                       "--set", f"simulate.profile={json.dumps(profile)}")
+        assert out["meta"]["design"]["subset"] == [2, 3, 4]
+        # the report itself keeps the library's indices
+        assert reports[0].meta["design"]["subset"] == [1, 2, 3]
+
+    def test_tit_for_tat_deploying(self, tmp_path, capsys):
+        # a star whose hub is AS 3: only the hub deploys
+        cfg = reference_config(tmp_path, network={
+            "kind": "edges", "n": 5,
+            "edges": [[3, 1, 2.0], [3, 2, 2.0], [3, 4, 2.0], [3, 5, 2.0]]},
+            simulate={"design": {"T": 5.0, "p0": 0.2, "p1": 0.05},
+                      "profile": "tit-for-tat", "horizon": 5})
+        out = self.run(capsys, "simulate", "--config", cfg)
+        assert out["meta"]["deploying"] == [3]
+
+    def test_benchmark_keeps_the_report_meta(self, capsys, monkeypatch):
+        # run_benchmark copies the simulated meta shallowly, so the CLI
+        # must not convert the design block in place
+        reports = []
+        real = cli.run_benchmark
+        monkeypatch.setattr(cli, "run_benchmark",
+                            lambda *a, **k: reports.append(real(*a, **k))
+                            or reports[-1])
+        out = self.run(capsys, "simulate", "--config",
+                       str(CONFIGS / "reference_simulation.json"),
+                       "--horizon", "5", "--set", 'simulate.mode="benchmark"',
+                       "--set", 'simulate.benchmark="optimal"')
+        assert out["meta"]["design"]["subset"] == list(range(1, 9))
+        assert reports[0].meta["design"]["subset"] == list(range(8))
 
 
 class TestJsonOnlyCommands:

@@ -14,8 +14,6 @@ from mutualsec import (
     has_mct,
     inbound_within,
     iterative_deletion,
-    load_edge_csv,
-    load_matrix_csv,
     optimal_design,
 )
 from mutualsec import network
@@ -30,7 +28,6 @@ from support import (
     reference_deletion_trace,
     reference_inbound,
     subset_without,
-    write_matrix_csv,
 )
 
 
@@ -557,85 +554,3 @@ def test_record_levels_match_loop():
     levels, best = network._record_levels(np.array([2.0, 2.0, 3.0, 1.0, 3.0]))
     assert levels.tolist() == [0, 2]
     assert best.tolist() == [2.0, 2.0, 3.0, 3.0, 3.0]
-
-
-class TestCsvRoundTrip:
-    def test_matrix_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        tm = random_connected_matrix(rng, 5)
-        path = tmp_path / "m.csv"
-        write_matrix_csv(tm, path)
-        assert load_matrix_csv(path) == tm
-
-    def test_edge_csv(self, tmp_path):
-        path = tmp_path / "e.csv"
-        path.write_text("i,j,rate\n1,2,2.5\n2,3,1.0\n")
-        tm = load_edge_csv(path)
-        assert tm.n == 3
-        assert tm.rates[0, 1] == 2.5
-        assert tm.rates[1, 0] == 2.5
-
-    def test_edge_csv_directed_flag_and_n(self, tmp_path):
-        path = tmp_path / "e.csv"
-        path.write_text("1,2,2.5,1\n2,3,1.0,0\n")
-        tm = load_edge_csv(path, n=4)
-        assert tm.n == 4
-        assert tm.rates[0, 1] == 2.5
-        assert tm.rates[1, 0] == 0.0
-        assert tm.rates[2, 1] == 1.0
-        with pytest.raises(ValueError):
-            load_edge_csv(path, n=2)
-
-    def test_empty_edge_csv(self, tmp_path):
-        path = tmp_path / "e.csv"
-        path.write_text("")
-        with pytest.raises(ValueError, match="edge CSV is empty"):
-            load_edge_csv(path)
-
-    def test_blank_lines_are_skipped(self, tmp_path):
-        edges = tmp_path / "e.csv"
-        edges.write_text("\n1,2,1.0\n\n2,3,2.0\n\n")
-        assert load_edge_csv(edges) == TrafficMatrix.from_edges(
-            3, [(0, 1, 1.0), (1, 2, 2.0)])
-        matrix = tmp_path / "m.csv"
-        matrix.write_text("0,1\n\n1,0\n\n")
-        assert load_matrix_csv(matrix) == TrafficMatrix.line(2, 1.0)
-
-    def test_edge_csv_rejects_zero_index(self, tmp_path):
-        path = tmp_path / "e.csv"
-        path.write_text("0,1,2.0\n")
-        with pytest.raises(ValueError):
-            load_edge_csv(path)
-
-    def test_edge_csv_flag_spellings(self, tmp_path):
-        path = tmp_path / "e.csv"
-        path.write_text("1,2,1.0,TRUE\n2,3,2.0,FALSE\n3,4,3.0,\n4,1,4.0,True\n")
-        tm = load_edge_csv(path)
-        assert (tm.rates[0, 1], tm.rates[1, 0]) == (1.0, 0.0)
-        assert (tm.rates[1, 2], tm.rates[2, 1]) == (2.0, 2.0)
-        assert (tm.rates[2, 3], tm.rates[3, 2]) == (3.0, 3.0)
-        assert (tm.rates[3, 0], tm.rates[0, 3]) == (4.0, 0.0)
-        path.write_text("1,2,1.0,0\n2,3,2.0,no\n")
-        with pytest.raises(ValueError, match="2,3,2.0,no"):
-            load_edge_csv(path)
-
-    @pytest.mark.parametrize("row, message", [
-        ("1.5,2,1.0", "row '1.5,2,1.0': column i must be a 1-based integer"),
-        ("1,x,1.0", "row '1,x,1.0': column j must be a 1-based integer"),
-        ("1,2,abc", "row '1,2,abc': column rate must be a finite number"),
-        ("1,2,nan", "row '1,2,nan': column rate must be a finite number"),
-        ("1,2,-inf", "row '1,2,-inf': column rate must be a finite number"),
-        ("0,2,1.0", "row '0,2,1.0': indices are 1-based"),
-        ("1,2", "row '1,2': needs at least i,j,rate"),
-    ])
-    def test_edge_csv_names_row_and_column(self, tmp_path, row, message):
-        path = tmp_path / "e.csv"
-        path.write_text(f"1,3,1.0\n{row}\n")
-        with pytest.raises(ValueError, match=re.escape(message)):
-            load_edge_csv(path)
-
-    def test_edge_csv_bad_first_row_is_not_a_header(self, tmp_path):
-        path = tmp_path / "e.csv"
-        path.write_text("x,2,1.0\n2,3,1.0\n")
-        with pytest.raises(ValueError, match="row 'x,2,1.0': column i"):
-            load_edge_csv(path)
