@@ -74,6 +74,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config: file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: invalid JSON: {e}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be a JSON object")
     return cfg

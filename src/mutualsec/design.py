@@ -418,6 +418,13 @@ def _tighten(fits, t: float, t_in: float) -> float:
 # ---- operations -----------------------------------------------------------
 
 
+def _rational_t_m(w0: float, beta: float) -> float:
+    """The rational headroom's minimizer (2*w0/beta) / (w0 + sqrt(w0**2 +
+    2*w0/beta)) in this direct form, 0 or NaN where a term leaves the
+    float range.  _edges and _closed_form must read the same float."""
+    return (2.0 * w0 / beta) / (w0 + math.sqrt(w0 * w0 + 2.0 * w0 / beta))
+
+
 def _edges(env: Environment, mon: MonitoringModel, nu_crit: float):
     """None when no period is feasible at nu_crit, else (t_m, edge), where
     t_m is the headroom's minimizer and edge(1.0) and edge(-1.0) find the
@@ -436,7 +443,7 @@ def _edges(env: Environment, mon: MonitoringModel, nu_crit: float):
     if mon.kind == "rational":
         w0 = mon.w0
         t_cap = min(t_cap, sys.float_info.max)  # the high edge's start
-        t_m = (2.0 * w0 / beta) / (w0 + math.sqrt(w0 * w0 + 2.0 * w0 / beta))
+        t_m = _rational_t_m(w0, beta)
         if not 0.0 < t_m < math.inf:  # 2*w0/beta or w0**2 left the range
             # 2 / (beta + sqrt(beta**2 + 2*beta/w0)) with no term out of range
             q = math.sqrt(2.0) * math.sqrt(beta) / math.sqrt(w0)
@@ -499,6 +506,24 @@ def _edges(env: Environment, mon: MonitoringModel, nu_crit: float):
     return t_m, edge
 
 
+def _closed_form(env: Environment, mon: MonitoringModel):
+    """(1/beta, g(1/beta), threshold) for a rational monitor, or None:
+    minimize_loss_factor returns (1/beta, g(1/beta)) wherever the bound
+    (p_high - p_low) * nu_crit / c is at least threshold, h(1/beta) raised
+    by a relative 2**-30.  None for tables, where _edges' T_m formula does
+    not give 0 < T_m <= 1/beta, and where 1/beta or the threshold is
+    infinite."""
+    if mon.kind != "rational":
+        return None
+    beta, w0 = env.beta, mon.w0
+    t = 1.0 / beta
+    t_m = _rational_t_m(w0, beta)
+    threshold = _headroom(env, mon, t) / (1.0 - 2.0 ** -30)
+    if not (0.0 < t_m <= t < math.inf and threshold < math.inf):
+        return None
+    return t, w0 * math.exp(beta * t) / t, threshold
+
+
 def feasible_period_interval(
     env: Environment, mon: MonitoringModel, nu_crit: float
 ) -> PeriodInterval | None:
@@ -550,6 +575,38 @@ def minimize_loss_factor(
     1e16); then the low edge is found too.  So the clamp gives the same
     float as on the whole interval in every case.
 
+    Where 1/beta is feasible with room to spare no edge is found:
+    _closed_form gives (1/beta, g(1/beta)) when bound = (p_high - p_low) *
+    nu_crit / c is at least threshold = h(1/beta) / (1 - 2**-30), with the
+    float 1/beta and h computed as _headroom does, and when the computed
+    T_m lies in (0, 1/beta].  The threshold is finite, so a bound that
+    _edges holds at the largest float still reaches it.  Those are the
+    floats the search returns:
+
+    - Each float h(t) is within a few 2**-53 relative of the exact one.
+      On [T_m, 1/beta] the exact h is at most h(1/beta), up to a
+      second-order term at the exact minimizer next to the computed T_m,
+      since log h is convex.  So every float t in [T_m, 1/beta] fits, with
+      its float h below bound * (1 - 2**-31); and phi(T_m), whose absolute
+      rounding is a few 2**-53 * log(bound), is below log(bound).  So
+      _edges does not return None.
+    - d log h / dT = beta - 2*w0 / (T*(T + 2*w0)) < beta, so log h rises
+      by at most beta*(t - 1/beta) right of 1/beta: every float up to
+      1/beta * (1 + 2**-31) fits too, and the exact high edge lies at least
+      2**-30 / beta right of 1/beta.
+    - Newton on phi from log(bound)/beta approaches that edge from the
+      right.  Rounding moves an iterate by about the absolute error of
+      phi, a few 2**-53 * log(bound) with log(bound) < 710, over phi' at
+      the edge, and by convexity phi' there is at least 2**-30 over the
+      edge's distance d from 1/beta.  That is below d * 2**-10, so every
+      iterate stays right of 1/beta.
+    - Each iterate _tighten rejects does not fit, so it lies above 1/beta *
+      (1 + 2**-31).  Its ulp steps stop at one ulp below a rejected point,
+      and its bisection, which only raises a fitting point from T_m, ends
+      within one ulp of one too.  So hi >= 1/beta, the low edge is not
+      needed (1/beta >= T_m) and min(1/beta, hi) = 1/beta, the float the
+      closed form returns, with g* computed by the same expression.
+
     Tabulated monitors: on a piece of slope s, d log g / dT = beta + s /
     (epsilon * (1 - 2*epsilon)) vanishes where epsilon = (1 +- sqrt(1 +
     8*s/beta)) / 4.  So T* is the best of the interval ends (the low end
@@ -569,6 +626,9 @@ def minimize_loss_factor(
       epsilon(T_m) and 1 - 2*epsilon(T_m) are at least 2**-8.  On a near
       tie, or outside that range, the low edge is found and every
       candidate from the low end up is searched."""
+    closed = _closed_form(env, mon)
+    if closed is not None and env.gap * nu_crit / env.c >= closed[2]:
+        return closed[:2]
     found = _edges(env, mon, nu_crit)
     if found is None:
         return None

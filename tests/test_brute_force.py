@@ -16,6 +16,7 @@ from mutualsec import (
     brute_force_optimal,
     critical_members,
     critical_traffic,
+    design,
     optimal_design,
     strategy,
 )
@@ -141,20 +142,35 @@ def test_prices_each_critical_traffic_once(monkeypatch):
 
     monkeypatch.setattr(strategy, "optimal_design", counted)
     rng = np.random.default_rng(12)
-    # a 1/16 grid, where critical traffic repeats, and non-dyadic rates
+    # a 1/16 grid, where critical traffic repeats, non-dyadic rates, and a
+    # table, which has no closed form
     grid = grid_instance(rng, 12)
-    for env, mon, tm in (grid, random_feasible_instance(rng, 11, 11)):
+    plain = random_feasible_instance(rng, 11, 11)
+    env, _, tm = random_feasible_instance(rng, 10, 10)
+    table = (env, random_convex_table(rng), tm)
+    for env, mon, tm in (grid, plain, table):
         n = tm.n
         values = {critical_traffic(tm, Subset(members_of(mask, n)))
                   for mask in range(1, 1 << n)}
+        closed = design._closed_form(env, mon)
+        if mon.kind == "rational":
+            # optimal_design prices the values below the threshold, the
+            # array the rest
+            priced = {nu for nu in values
+                      if env.gap * nu / env.c < closed[2]}
+        else:
+            assert closed is None
+            priced = values
         if tm is grid[2]:
             assert len(values) < (1 << n) // 8
+            assert 0 < len(priced) < len(values)
         calls.clear()
         result = brute_force_optimal(env, mon, tm)
         assert result.evaluations == 1 << n
         assert len(result.subset) > 0
-        # one call per distinct critical traffic, and one for the winner
-        assert len(calls) == len(values) + 1
+        # one call per distinct critical traffic outside the closed form,
+        # and one for the winner
+        assert len(calls) == len(priced) + 1
 
 
 def test_array_costs_equal_optimal_design():

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -244,6 +245,22 @@ class TestDesignCommand:
         assert main(["design", "--config", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"config error: {message}")
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert main(["design", "--config", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"config error: config: [Errno {errno.EISDIR}] "
+                       f"{os.strerror(errno.EISDIR)}: '{tmp_path}'\n")
+
+    def test_config_of_undecodable_bytes(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\x81{\xff}")
+        with pytest.raises(UnicodeDecodeError) as decoding:
+            path.read_text()  # the encoding open() uses by default
+        assert main(["design", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"config error: config: {decoding.value}\n")
 
     def test_csv_not_supported(self, tmp_path, capsys):
         cfg = reference_config(tmp_path)

@@ -450,6 +450,77 @@ class TestMinimizeLossFactor:
         assert minimize_loss_factor(env, mon, 7.0) is None
 
 
+def log_uniform(rng, lo, hi, size):
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), size)).tolist()
+
+
+class TestClosedForm:
+    """Where 1/beta is feasible with room to spare, a rational minimum is
+    (1/beta, g(1/beta)) with no period edge found.  Every result must equal
+    1/beta clamped into the interval feasible_period_interval finds by
+    Newton's method, an independent path, to the bit."""
+
+    # family: calls
+    FAMILIES = {"wide": 20000, "near_tangent": 4000, "large_w0_beta": 4000}
+
+    @staticmethod
+    def cases(rng, family, count):
+        """(env, mon, nu) over beta 1e-8 to 1e4, w0 1e-10 to 1e22, c
+        1e-12 to 1e2 and nu 1e-6 to 1e8 ("wide"); with c set so that the
+        bound lies within 1e-9 relative of h(1/beta) ("near_tangent"); or
+        with w0*beta from 1e16 to 1e22 and the bound within 1e-9 below to
+        1e-6 above h(1/beta) ("large_w0_beta")."""
+        betas = log_uniform(rng, 1e-8, 1e4, count)
+        w0s = log_uniform(rng, 1e-10, 1e22, count)
+        cs = log_uniform(rng, 1e-12, 1e2, count)
+        nus = log_uniform(rng, 1e-6, 1e8, count)
+        rises = rng.uniform(-1e-9, 1e-9, count).tolist()
+        if family == "large_w0_beta":
+            w0s = [k / b for k, b in
+                   zip(log_uniform(rng, 1e16, 1e22, count), betas)]
+            rises = rng.uniform(-1e-9, 1e-6, count).tolist()
+        for beta, w0, c, nu, rise in zip(betas, w0s, cs, nus, rises):
+            env = Environment(p_high=0.3, p_low=0.05, c=c, beta=beta)
+            mon = MonitoringModel.rational(w0)
+            if family != "wide":
+                h = design._headroom(env, mon, 1.0 / beta)
+                env = dataclasses.replace(
+                    env, c=env.gap * nu / (h * (1 + rise)))
+            yield env, mon, nu
+
+    def test_equals_the_clamp_on_the_searched_interval(self, monkeypatch):
+        edges = []
+        found_edges = design._edges
+        monkeypatch.setattr(design, "_edges",
+                            lambda *args: edges.append(args) or
+                            found_edges(*args))
+        rng = np.random.default_rng(4637)
+        taken = dict.fromkeys(self.FAMILIES, 0)
+        declined = dict.fromkeys(self.FAMILIES, 0)
+        for family, count in self.FAMILIES.items():
+            for env, mon, nu in self.cases(rng, family, count):
+                interval = feasible_period_interval(env, mon, nu)
+                edges.clear()
+                found = minimize_loss_factor(env, mon, nu)
+                assert (found is None) == (interval is None)
+                if found is None:
+                    continue
+                t_star, g_star = found
+                beta = env.beta
+                assert t_star == min(max(1.0 / beta, interval.lo),
+                                     interval.hi)
+                assert g_star == mon.w0 * math.exp(beta * t_star) / t_star
+                if not edges:
+                    taken[family] += 1
+                elif t_star == 1.0 / beta:
+                    declined[family] += 1
+        # the closed form is taken in every family and stands aside on
+        # some feasible cases where 1/beta is the optimum
+        assert min(taken.values()) > 100
+        assert declined["near_tangent"] > 100
+        assert declined["large_w0_beta"] > 100
+
+
 @pytest.fixture
 def edge_calls(monkeypatch):
     """The directions of the period edges found while the test runs, in
