@@ -303,6 +303,28 @@ def _loss_rate(env: Environment, mon: MonitoringModel,
     return None if found is None else found[1] * env.c / nu
 
 
+def _loss_rates(env: Environment, mon: MonitoringModel,
+                nus: np.ndarray) -> np.ndarray:
+    """_loss_rate of each entry of the float array nus, to the bit; NaN
+    where it is None and where nu is not finite.  Each distinct value is
+    priced once: those where _closed_form applies as one array, in the
+    float operations _loss_rate performs on minimize_loss_factor's
+    closed-form return, and every other finite one by _loss_rate."""
+    values, inverse = np.unique(nus, return_inverse=True)
+    rates = np.full(len(values), np.nan)
+    rest = np.isfinite(values)
+    closed = _closed_form(env, mon)
+    if closed is not None:
+        fast = rest & (env.gap * values / env.c >= closed[2])
+        rates[fast] = closed[1] * env.c / values[fast]
+        rest &= ~fast
+    for k in np.flatnonzero(rest).tolist():
+        r = _loss_rate(env, mon, float(values[k]))
+        if r is not None:
+            rates[k] = r
+    return rates[inverse]
+
+
 def _epsilon(mon: MonitoringModel, t: float) -> float:
     """epsilon(t) in plain floats, equal to float(mon.epsilon(t)): the same
     formula for the rational family; for tables, s*(t - t0) + e0 on the
@@ -449,6 +471,10 @@ def _edges(env: Environment, mon: MonitoringModel, nu_crit: float):
             q = math.sqrt(2.0) * math.sqrt(beta) / math.sqrt(w0)
             root = math.hypot(beta, q)
             t_m = min(1.0 / (0.5 * beta + 0.5 * root), sys.float_info.max)
+            if t_m == 0.0:  # q overflowed: the same, beta and q scaled by s
+                s = 2.0 ** -600
+                q = math.sqrt(2.0) * (math.sqrt(beta) * s) / math.sqrt(w0)
+                t_m = s / (0.5 * (beta * s) + 0.5 * math.hypot(beta * s, q))
         if beta * t_m + math.log1p(2.0 * w0 / t_m) > log_bound:
             return None
         h_m = _headroom(env, mon, t_m)
@@ -638,7 +664,10 @@ def minimize_loss_factor(
         if t_star < t_m:
             t_star = max(t_star, edge(1.0))
         t_star = min(t_star, edge(-1.0))
-        return t_star, mon.w0 * math.exp(env.beta * t_star) / t_star
+        g_star = mon.w0 * math.exp(env.beta * t_star) / t_star
+        if g_star == math.inf:  # w0 * exp overflowed before the division
+            g_star = mon.w0 / t_star * math.exp(env.beta * t_star)
+        return t_star, g_star
     hi = edge(-1.0)
     lo = hi * 1e-12
     if t_m >= lo:

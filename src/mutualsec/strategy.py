@@ -16,10 +16,8 @@ record levels, whose critical traffic exceeds every earlier step's, read
 off the running maximum in one array pass; a dense network has only a few.
 The trace keeps those arrays and the priced designs, and builds each
 step's `IdIteration`, with its set and skip reason, only when it is read.
-Brute force costs every subset exactly as an array and reads the optimum
-straight off it.  The critical traffics where the loss rate has its closed
-form are priced as one array, and each other distinct value once with
-`optimal_design`.
+Brute force costs every subset exactly as an array, its loss rates from
+`design._loss_rates`, and reads the optimum straight off it.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .design import (
     DesignResult,
     Environment,
     MonitoringModel,
-    _closed_form,
+    _loss_rates,
     _set_cost,
     optimal_design,
     validate_assumptions,
@@ -249,56 +247,30 @@ def brute_force_optimal(env: Environment, mon: MonitoringModel,
     `evaluations` counts the 2^n sets.  Exponential; refuses n above `cap`.
 
     The sets are enumerated as bit masks by `_subset_blocks`, which gives
-    each set's critical traffic bit-equal to `critical_traffic`.  A
-    design's `T*`, `g*` and `p0*`, and whether one is feasible at all,
-    depend on the critical traffic alone.  Where `design._closed_form`
-    applies (a rational monitor whose `1/beta` fits that traffic with
-    room to spare), `g*` is the same for every such value, so those
-    values are priced as one array, in the operations
-    `minimize_loss_factor` and `optimal_design` perform.  `optimal_design`
-    prices each other distinct value once, on the lowest mask that has
-    it, and every set with that value shares the result.  Each feasible
-    set's cost
+    each set's critical traffic nu bit-equal to `critical_traffic`.  A
+    design's loss rate r(nu), and whether one is feasible at all, depend on
+    nu alone, so `design._loss_rates` prices each block's critical traffics
+    as one array, NaN where no design is feasible.  Each feasible set's cost
 
-        J = (p_low + g*·c/nu)·mu_in + p_high·(M - mu_in) + |P|·c
+        J = (p_low + r(nu))·mu_in + p_high·(M - mu_in) + |P|·c
 
     is then an array from `design._set_cost`, which prices every set cost.
     Its mu_in adds the members in member order, as `network` sums every
     outbound total, so each array cost is its set's `j_star` to the bit:
-    the winner is read off the array and priced once more.
+    the winner is read off the array, and `optimal_design` prices it alone.
 
-    Memory is bounded: the blocks hold at most 2**16 sets, and the sets
-    carried between blocks are the priced values and the tied best.  The
-    run time is still exponential in n.
+    Memory is bounded: the blocks hold at most 2**16 sets, and only the
+    tied best masks are carried between blocks.  The run time is still
+    exponential in n.
     """
     n = tm.n
     if n > cap:
         raise ValueError(f"brute force capped at n={cap} (got n={n})")
-    closed = _closed_form(env, mon)
-    # p_low + g*·c/nu of each critical traffic priced by optimal_design so
-    # far, NaN where no design is feasible; the empty set's inf is never
-    # priced.
-    coefficient = {math.inf: math.nan}
     lowest = math.inf
     tied: list[int] = []  # the masks at the lowest cost
     for first, _, crit, mu_in, size in _subset_blocks(tm):
-        values, lowest_row, inverse = np.unique(crit, return_index=True,
-                                                return_inverse=True)
-        coef = np.empty(len(values))
-        fast = np.zeros(len(values), dtype=bool)
-        if closed is not None:
-            fast = np.isfinite(values) & (env.gap * values / env.c
-                                          >= closed[2])
-            coef[fast] = env.p_low + closed[1] * env.c / values[fast]
-        for k in np.flatnonzero(~fast).tolist():
-            nu = float(values[k])
-            if nu not in coefficient:
-                result = optimal_design(env, mon, tm, Subset._trusted(
-                    _members(first + int(lowest_row[k]), n)))
-                coefficient[nu] = (env.p_low + result.g_star * env.c / nu
-                                   if result.feasible else math.nan)
-            coef[k] = coefficient[nu]
-        cost = _set_cost(env, tm, coef[inverse], mu_in, size)
+        cost = _set_cost(env, tm, env.p_low + _loss_rates(env, mon, crit),
+                         mu_in, size)
         low = float(np.fmin.reduce(cost, initial=lowest))  # skips NaN
         if low < lowest:
             lowest, tied = low, []
@@ -365,8 +337,7 @@ def core_periphery_threshold(env: Environment, mon: MonitoringModel, *,
         tm = TrafficMatrix.restricted_core_periphery(k, l, rate)
         full = optimal_design(env, mon, tm)
         core = optimal_design(env, mon, tm, Subset(tuple(range(k))))
-        j_full = full.j_star if full.feasible else None
-        j_core = core.j_star if core.feasible else None
+        j_full, j_core = full.j_star, core.j_star  # None when infeasible
         exact = None
         if j_full is not None and j_core is not None:
             exact = j_full - j_core
@@ -377,11 +348,10 @@ def core_periphery_threshold(env: Environment, mon: MonitoringModel, *,
                 - (env.gap * l * rate - l * env.c)
             )
         rows.append(ThresholdRow(k, tm.n, j_full, j_core, exact, closed))
-        if k_star == 0:
-            full_cost = j_full if j_full is not None else math.inf
-            core_cost = j_core if j_core is not None else math.inf
-            if full_cost > core_cost:
-                k_star = k
+        # an infeasible design costs inf
+        if k_star == 0 and j_core is not None and (j_full is None
+                                                    or j_full > j_core):
+            k_star = k
     if never_worth:
         note = ("the periphery never pays for its deployment cost: its "
                 "filtering benefit does not cover c")

@@ -2,6 +2,7 @@
 enumeration, the shared pricing, the exact array costs and the block path
 must give the same `StrategyResult` to the bit."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -67,7 +68,23 @@ def two_pairs_instance(rng):
     return env, MonitoringModel.rational(float(rng.uniform(0.02, 0.3))), tm
 
 
-# name: (instance maker, instances); 320 instances in all.
+def unique_outside_closed_form_instance(rng):
+    """Dense continuous rates, so nearly every set has its own critical
+    traffic, and c at which almost every value lies below the closed
+    form's threshold: brute force searches each loss rate apart."""
+    n = int(rng.integers(5, 11))
+    rates = rng.uniform(0.5, 4.0, (n, n))
+    np.fill_diagonal(rates, 0.0)
+    tm = TrafficMatrix(rates)
+    env = random_environment(rng, 1.0)
+    mon = MonitoringModel.rational(float(rng.uniform(0.02, 0.5)))
+    h = design._headroom(env, mon, 1.0 / env.beta)
+    c = env.gap * critical_traffic(tm, Subset.full(n)) / \
+        (h * rng.uniform(0.9, 1.0))
+    return dataclasses.replace(env, c=c), mon, tm
+
+
+# name: (instance maker, instances); 360 instances in all.
 FAMILIES = {
     "random_feasible": (lambda rng: random_feasible_instance(rng, 3, 10), 120),
     "grid": (lambda rng: grid_instance(rng, int(rng.integers(3, 11))), 80),
@@ -75,6 +92,7 @@ FAMILIES = {
     "silent_receiver": (silent_receiver_instance, 30),
     "two_pairs": (two_pairs_instance, 10),
     "near_tie": (near_tie_instance, 40),
+    "unique_outside_closed_form": (unique_outside_closed_form_instance, 40),
 }
 
 
@@ -134,43 +152,53 @@ def test_binding_as_is_first_argmin():
 
 
 def test_prices_each_critical_traffic_once(monkeypatch):
-    calls = []
+    """Each block searches the loss rate once per distinct critical traffic
+    below the closed form's threshold, and `optimal_design` prices the
+    winner alone.  With 2**3-set blocks, values repeat across blocks."""
+    searches, designs = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return optimal_design(*args)
+    def counted(calls, function):
+        return lambda *args: calls.append(args) or function(*args)
 
-    monkeypatch.setattr(strategy, "optimal_design", counted)
+    monkeypatch.setattr(design, "minimize_loss_factor",
+                        counted(searches, design.minimize_loss_factor))
+    monkeypatch.setattr(strategy, "optimal_design",
+                        counted(designs, optimal_design))
     rng = np.random.default_rng(12)
-    # a 1/16 grid, where critical traffic repeats, non-dyadic rates, and a
-    # table, which has no closed form
+    # a 1/16 grid, where critical traffic repeats, non-dyadic rates, a
+    # table, which has no closed form, and a cost at which nobody deploys
     grid = grid_instance(rng, 12)
     plain = random_feasible_instance(rng, 11, 11)
     env, _, tm = random_feasible_instance(rng, 10, 10)
     table = (env, random_convex_table(rng), tm)
-    for env, mon, tm in (grid, plain, table):
+    env, mon, tm = grid
+    nobody = (dataclasses.replace(env, c=env.gap * float(tm.outbound.sum())),
+              mon, tm)
+    for env, mon, tm in (grid, plain, table, nobody):
         n = tm.n
-        values = {critical_traffic(tm, Subset(members_of(mask, n)))
-                  for mask in range(1, 1 << n)}
         closed = design._closed_form(env, mon)
-        if mon.kind == "rational":
-            # optimal_design prices the values below the threshold, the
-            # array the rest
-            priced = {nu for nu in values
-                      if env.gap * nu / env.c < closed[2]}
-        else:
-            assert closed is None
-            priced = values
-        if tm is grid[2]:
-            assert len(values) < (1 << n) // 8
-            assert 0 < len(priced) < len(values)
-        calls.clear()
-        result = brute_force_optimal(env, mon, tm)
-        assert result.evaluations == 1 << n
-        assert len(result.subset) > 0
-        # one call per distinct critical traffic outside the closed form,
-        # and one for the winner
-        assert len(calls) == len(priced) + 1
+        assert (closed is None) == (mon.kind == "tabulated")
+        values = {mask: critical_traffic(tm, Subset(members_of(mask, n)))
+                  for mask in range(1, 1 << n)}
+        # the sets whose loss rate is searched
+        searched = {mask: nu for mask, nu in values.items()
+                    if closed is None or env.gap * nu / env.c < closed[2]}
+        if env is grid[0]:
+            distinct = set(searched.values())
+            assert len(set(values.values())) < (1 << n) // 8
+            assert 0 < len(distinct) < len(set(values.values()))
+            assert len({(mask >> 3, nu) for mask, nu in searched.items()}) \
+                > len(distinct)
+        for bits in (strategy._BLOCK_BITS, 3):
+            monkeypatch.setattr(strategy, "_BLOCK_BITS", bits)
+            searches.clear()
+            designs.clear()
+            result = brute_force_optimal(env, mon, tm)
+            assert result.evaluations == 1 << n
+            assert (len(result.subset) > 0) == (env is not nobody[0])
+            assert len(designs) == (1 if result.subset else 0)
+            blocks = {(mask >> bits, nu) for mask, nu in searched.items()}
+            assert len(searches) == len(blocks) + len(designs)
 
 
 def test_array_costs_equal_optimal_design():

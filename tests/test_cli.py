@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,22 @@ class TestDesignCommand:
         out, err = capsys.readouterr()
         assert (code, err) == (2, "")
         assert json.loads(out)["feasible"] is False
+
+    @pytest.mark.parametrize("sets", [
+        ["monitoring.w0=5e-324", "environment.beta=1e300"],
+        ["monitoring.w0=8e307", "environment.beta=1e-10",
+         "network.rate=1e300"],
+    ])
+    def test_rational_at_float_range_edges(self, capsys, sets):
+        # a ZeroDivisionError and an inf loss factor once exited 3
+        code = main(["design", "--config",
+                     str(CONFIGS / "reference_design.json"),
+                     *(arg for s in sets for arg in ("--set", s))])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        out = json.loads(out)
+        assert all(math.isfinite(out[key]) for key in (
+            "t_star", "p0_star", "p1_star", "g_star", "j_star"))
 
     def test_missing_config(self, capsys):
         assert main(["design", "--config", "/nonexistent.json"]) == 1
@@ -569,6 +586,28 @@ class TestIdCommand:
         # the message alone: no source path, line number or source line
         assert err.startswith("warning: validity conditions fail; ")
         assert "cli.py" not in err and "UserWarning" not in err
+
+    @pytest.mark.filterwarnings("always::FutureWarning")
+    def test_other_warnings_reach_the_previous_handler(self, capsys,
+                                                       monkeypatch):
+        # only a library UserWarning is printed as "warning: <message>";
+        # any other category goes to the handler main found installed
+        shown = []
+        handler = cli._COMMANDS["mct"][0]
+
+        def warns(cfg, args):
+            warnings.warn("numpy is changing", FutureWarning)
+            return handler(cfg, args)
+
+        monkeypatch.setitem(cli._COMMANDS, "mct",
+                            (warns, cli._COMMANDS["mct"][1]))
+        monkeypatch.setattr(warnings, "showwarning",
+                            lambda message, category, *rest:
+                            shown.append((str(message), category)))
+        assert main(["mct", "--config",
+                     str(CONFIGS / "square_mct_true.json")]) == 0
+        assert shown == [("numpy is changing", FutureWarning)]
+        assert "warning:" not in capsys.readouterr().err
 
 
 class TestBruteforceCommand:

@@ -520,6 +520,47 @@ class TestClosedForm:
         assert declined["near_tangent"] > 100
         assert declined["large_w0_beta"] > 100
 
+    def test_loss_rates_equal_loss_rate(self):
+        """design._loss_rates prices an array as _loss_rate prices each
+        entry, to the bit, with NaN exactly where that is None or nu is
+        inf; the arrays hold repeats, 0.0, inf and, around each case's nu,
+        bounds within 1e-9 relative of h(1/beta)."""
+        rng = np.random.default_rng(4638)
+        cases = [(family, case) for family in self.FAMILIES
+                 for case in self.cases(rng, family, 200)]
+        for _ in range(100):
+            env, _, tm = random_feasible_instance(rng, 3, 8)
+            cases.append(("table", (env, random_convex_table(rng),
+                                    float(tm.inbound.min()))))
+        closed_side = {"table": [0, 0]}
+        for family, (env, mon, nu) in cases:
+            nus = np.array([nu, nu, 0.0, math.inf, 0.0, *(
+                nu * (1.0 + k * 2e-10) for k in range(-6, 7)), *log_uniform(
+                    rng, nu * 1e-3, nu * 1e3, 6)])
+            rng.shuffle(nus)
+            rates = design._loss_rates(env, mon, nus)
+            assert rates.shape == nus.shape
+            closed = design._closed_form(env, mon)
+            side = closed_side.setdefault(family, [0, 0])
+            for nu, rate in zip(nus.tolist(), rates.tolist()):
+                expected = None
+                if math.isfinite(nu):
+                    expected = design._loss_rate(env, mon, nu)
+                    side[closed is not None and
+                         env.gap * nu / env.c >= closed[2]] += 1
+                if expected is None:
+                    assert math.isnan(rate)
+                else:
+                    assert rate.hex() == expected.hex()
+        # the array and the search each price some values in the wide and
+        # near-tangent families; tables have no closed form
+        assert min(closed_side["wide"]) > 100
+        assert min(closed_side["near_tangent"]) > 100
+        assert closed_side["table"][1] == 0
+        assert any(design._closed_form(env, mon) is None
+                   for family, (env, mon, _) in cases
+                   if family == "large_w0_beta")
+
 
 @pytest.fixture
 def edge_calls(monkeypatch):
@@ -731,6 +772,21 @@ class TestOptimalDesign:
         # 2*w0/beta)) came out 0 once w0**2 overflowed (a division by zero
         # followed) and NaN once 2*w0/beta did (a NaN minimum passed the
         # feasibility test; at a subnormal beta, the period came out inf)
+        self.assert_finite_and_ic(w0, beta, rate)
+
+    @pytest.mark.parametrize("rate", [1.0, 1e300])
+    @pytest.mark.parametrize("beta", [1e-300, 1e-10, 0.2, 1e10, 1e300,
+                                      1.5e300])
+    @pytest.mark.parametrize("w0", [5e-324, 1e-320, 1e-310, 1e-300, 8e307,
+                                    1.7e308])
+    def test_rational_at_float_range_edges(self, w0, beta, rate):
+        # a subnormal w0 at beta >= 1e300 divided by a headroom minimizer
+        # that underflowed to 0, and at w0 = 8e307, rate 1e300, w0 *
+        # exp(beta*T*) overflowed before the division by T*, so g* was inf
+        self.assert_finite_and_ic(w0, beta, rate)
+
+    @staticmethod
+    def assert_finite_and_ic(w0, beta, rate):
         env = dataclasses.replace(REFERENCE_ENV, beta=beta)
         mon = MonitoringModel.rational(w0)
         tm = TrafficMatrix.complete(4, rate)
