@@ -15,11 +15,11 @@ both `has_mct` and the deletion search in `strategy`; both read its record
 levels, the steps whose critical traffic exceeds every earlier step's, from
 `_record_levels`.  The walk is one array pass: only picking each step's
 critical members is sequential, and the exact critical traffic of every
-step is summed afterwards, in blocks of steps, by the same blocked column
-sum that breaks ties.  A step costs one argmin and one count over a running
-inbound vector; it re-sums exactly only when several members lie within the
-vector's drift window of its minimum, which on tie-free rates is almost
-never.
+step is summed afterwards, over contiguous column slices, as one masked
+product sum per slice.  A step costs two argmins over a running inbound
+vector (its minimum, then the least of the rest); it re-sums exactly only
+when several members lie within the vector's drift window of its minimum,
+which on tie-free rates is almost never.
 
 Indices are 0-based throughout the library; the CLI converts to 1-based on
 input and output.
@@ -217,11 +217,10 @@ class TrafficMatrix:
         arr = np.zeros((n, n))
         arr[:k, :k] = rate
         np.fill_diagonal(arr, 0.0)
-        for core in range(k):
-            for leaf in range(l):
-                p = k + core * l + leaf
-                arr[core, p] = rate
-                arr[p, core] = rate
+        # core node c carries leaves k + c*l .. k + c*l + l - 1
+        core, leaf = np.arange(k).repeat(l), np.arange(k, n)
+        arr[core, leaf] = rate
+        arr[leaf, core] = rate
         return cls(arr)
 
 
@@ -327,6 +326,31 @@ def _column_sums(rates: np.ndarray, cols: np.ndarray, level: np.ndarray,
     return sums
 
 
+def _step_sums(rates: np.ndarray, step_of: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+    """Sum column cols[k] of `rates` over the rows r with step_of[r] >=
+    step_of[cols[k]], adding them one by one in row order: the same sums,
+    to the bit, as `_column_sums` over each column's own step.
+
+    The columns are read in contiguous slices of at least two and at most
+    _BLOCK_ELEMENTS elements, only the slices that hold one of `cols`; a
+    lone last column is read with the one before it.  Each slice times its
+    bool mask is a new C-ordered block, whose axis-0 sum adds its rows in
+    order.  A masked-out rate becomes +0.0, and adding +0.0 leaves the sum
+    as it was; the sum starts from +0.0, as the where-masked sum does, so
+    a column of -0.0 rates reads +0.0 either way."""
+    n = rates.shape[0]
+    width = max(2, _BLOCK_ELEMENTS // n)
+    sums = np.empty(n)
+    for start in np.unique(cols // width).tolist():
+        start = min(start * width, n - 2)
+        stop = min(start + width, n)
+        mask = step_of[:, None] >= step_of[start:stop]
+        sums[start:stop] = (rates[:, start:stop] * mask).sum(axis=0,
+                                                             initial=0.0)
+    return sums[cols]
+
+
 def _deletion_walk(tm: TrafficMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Walk from the full set down, deleting the critical members each
     step, and return each member's step and each step's exact critical
@@ -338,14 +362,19 @@ def _deletion_walk(tm: TrafficMatrix) -> tuple[np.ndarray, np.ndarray]:
     vector is kept, with the deleted rows subtracted from it and inf at the
     deleted members.  Its drift stays below an absolute window sized from
     the largest column sum, so the members within that window of its
-    minimum include every true critical member.  A step costs one argmin
-    and one count of the members within the window, both O(n).  A lone
-    candidate is the critical member, and its row is subtracted as it
+    minimum include every true critical member.  A step costs two argmins,
+    both O(n): the minimum, then, with the minimum set to inf, the least
+    of the rest.  When that lies beyond the window the minimum is the lone
+    candidate and the critical member, and its row is subtracted as it
     stands.  Only when several lie in the window are they summed again by
     `_column_sums` over the live rows, in member order as
     `critical_traffic` sums them, and the exact minimum and its ties are
     taken from those sums.  The critical traffic of every step is then
-    summed exactly the same way, over each step's set.
+    summed exactly the same way, over each step's set, by `_step_sums`:
+    step k's critical traffic is its first critical member's column summed
+    over the members deleted at step k or later.  A walk of few steps,
+    such as one that deletes many tied members at once, reads only the
+    slices that hold those members' columns.
     """
     n = tm.n
     rates = tm.rates
@@ -358,14 +387,16 @@ def _deletion_walk(tm: TrafficMatrix) -> tuple[np.ndarray, np.ndarray]:
     while left:
         k = len(first)
         i = int(inbound.argmin())
-        bar = inbound[i] + window
-        if np.count_nonzero(inbound <= bar) == 1:  # the common step
+        low = inbound[i]
+        bar = low + window
+        inbound[i] = np.inf
+        if inbound[inbound.argmin()] > bar:  # the common step
             step_of[i] = k
             first.append(i)
             left -= 1
             inbound -= rates[i]
-            inbound[i] = np.inf
             continue
+        inbound[i] = low
         cand = np.flatnonzero(inbound <= bar)
         exact = _column_sums(rates, cand, step_of, np.full(len(cand), k))
         cand = cand[exact == exact.min()]
@@ -375,8 +406,7 @@ def _deletion_walk(tm: TrafficMatrix) -> tuple[np.ndarray, np.ndarray]:
         for start in range(0, len(cand), rows):
             inbound -= rates[cand[start:start + rows]].sum(axis=0)
         inbound[cand] = np.inf
-    nus = _column_sums(rates, np.array(first, dtype=np.intp), step_of,
-                       np.arange(len(first)))
+    nus = _step_sums(rates, step_of, np.array(first, dtype=np.intp))
     step_of.setflags(write=False)
     nus.setflags(write=False)
     return step_of, nus

@@ -336,7 +336,7 @@ def core_periphery_threshold(env: Environment, mon: MonitoringModel, *,
     for k in range(max(3, l + 1), k_max + 1):
         tm = TrafficMatrix.restricted_core_periphery(k, l, rate)
         full = optimal_design(env, mon, tm)
-        core = optimal_design(env, mon, tm, Subset(tuple(range(k))))
+        core = optimal_design(env, mon, tm, Subset._trusted(tuple(range(k))))
         j_full, j_core = full.j_star, core.j_star  # None when infeasible
         exact = None
         if j_full is not None and j_core is not None:

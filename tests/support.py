@@ -227,6 +227,22 @@ def reference_instance(w0=0.1, n=8, rate=1.0):
             TrafficMatrix.complete(n, rate))
 
 
+def loop_core_periphery(cores, periphery_per_core, rate):
+    """The restricted core-periphery rates filled entry by entry: a full
+    core, and leaf k + c*l + j (j < l) linked both ways to core node c."""
+    k, l = cores, periphery_per_core
+    n = (1 + l) * k
+    arr = np.zeros((n, n))
+    arr[:k, :k] = rate
+    np.fill_diagonal(arr, 0.0)
+    for core in range(k):
+        for leaf in range(l):
+            p = k + core * l + leaf
+            arr[core, p] = rate
+            arr[p, core] = rate
+    return arr
+
+
 def random_grid_matrix(rng, n, density=0.6):
     """Directed matrix with rates on the 1/16 grid: sums are exact, so
     critical traffic ties between subsets are real ties."""

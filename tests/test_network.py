@@ -22,6 +22,7 @@ from mutualsec.network import _inbound_vector, _member_index
 from support import (
     REFERENCE_ENV,
     canonical_mct_witness,
+    loop_core_periphery,
     random_connected_matrix,
     random_environment,
     random_grid_matrix,
@@ -193,6 +194,12 @@ class TestTrafficMatrix:
             TrafficMatrix.restricted_core_periphery(2, 1, 1.0)
         with pytest.raises(ValueError):
             TrafficMatrix.restricted_core_periphery(4, 4, 1.0)
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_core_periphery_matches_loop(self, k):
+        for l in range(k):
+            tm = TrafficMatrix.restricted_core_periphery(k, l, 0.3)
+            assert np.array_equal(tm.rates, loop_core_periphery(k, l, 0.3))
 
 
 class TestTrafficAnalysis:
@@ -451,18 +458,21 @@ class TestMct:
 class TestDeletionWalkSteps:
     """A walk step whose running minimum stands alone in the drift window
     takes its critical member straight from the running vector; only a
-    step with several members in the window re-sums them exactly."""
+    step with several members in the window re-sums them exactly.  Every
+    step's critical traffic is then summed in one `_step_sums` pass."""
 
     @staticmethod
-    def count_column_sums(monkeypatch):
+    def count_calls(monkeypatch, name):
+        """Record the number of columns each call to network.<name> sums:
+        the length of its last argument."""
         calls = []
-        column_sums = network._column_sums
+        summed = getattr(network, name)
 
         def counted(*args):
-            calls.append(len(args[1]))
-            return column_sums(*args)
+            calls.append(len(args[-1]))
+            return summed(*args)
 
-        monkeypatch.setattr(network, "_column_sums", counted)
+        monkeypatch.setattr(network, name, counted)
         return calls
 
     @staticmethod
@@ -472,16 +482,18 @@ class TestDeletionWalkSteps:
                 for k in range(steps)]
 
     def test_tie_free_walk_sums_once(self, monkeypatch):
-        # every step of a dense tie-free walk has a lone candidate, so the
-        # only column sum is the final exact pass over all 200 steps (not
-        # symmetric rates, whose last two members tie)
+        # every step of a dense tie-free walk has a lone candidate, so no
+        # step re-sums and the only sum is the final pass over all 200
+        # columns (not symmetric rates, whose last two members tie)
         rng = np.random.default_rng(70)
         rates = rng.uniform(0.5, 1.5, (200, 200))
         np.fill_diagonal(rates, 0.0)
         tm = TrafficMatrix(rates)
-        calls = self.count_column_sums(monkeypatch)
+        calls = self.count_calls(monkeypatch, "_column_sums")
+        steps = self.count_calls(monkeypatch, "_step_sums")
         step_of, nus = network._deletion_walk(tm)
-        assert calls == [200]
+        assert calls == []
+        assert steps == [200]
         assert not step_of.flags.writeable and not nus.flags.writeable
         crits = self.critical_sets(step_of, len(nus))
         assert all(len(c) == 1 for c in crits)
@@ -508,15 +520,72 @@ class TestDeletionWalkSteps:
         assert inbound_within(tm, live, 1) < inbound_within(tm, live, 2)
         running = tm.inbound - rates[4]
         assert running[2] < running[1]
-        calls = self.count_column_sums(monkeypatch)
+        calls = self.count_calls(monkeypatch, "_column_sums")
+        steps = self.count_calls(monkeypatch, "_step_sums")
         step_of, nus = network._deletion_walk(tm)
         assert self.critical_sets(step_of, len(nus)) == [
             (4,), (1,), (2,), (3,), (0,)]
-        assert calls == [2, 5]  # the pair's re-sum, then the final pass
+        assert calls == [2]  # the pair's re-sum
+        assert steps == [5]  # then the final pass over every column
         env, mon = REFERENCE_ENV, MonitoringModel.rational(0.1)
         assert iterative_deletion(env, mon, tm, check_assumptions=False
                                   ).trace == reference_deletion_trace(
                                       env, mon, tm)
+
+    @pytest.mark.parametrize("width", [2, 3, 13, None])
+    def test_step_sums_add_rows_in_order(self, monkeypatch, width):
+        # 40 columns in slices of 2, 3 (a lone last column, read with the
+        # one before it), 13 (the same) or one slice.  The last column is
+        # summed over every row, and with rates from 1e-8 to 1e8 NumPy's
+        # pairwise 1-D sum of it differs from the in-order one, as a lone
+        # (40, 1) slice would read.  A column of -0.0 rates sums to +0.0,
+        # as a where-masked sum does.
+        n = 40
+        rng = np.random.default_rng(72)
+        rates = 10.0 ** rng.uniform(-8, 8, (n, n))
+        rates[:, 5] = -0.0
+        step_of = rng.integers(0, 12, n)
+        step_of[-1] = 0
+        if width is not None:
+            monkeypatch.setattr(network, "_BLOCK_ELEMENTS", width * n)
+        expected = []
+        for c in range(n):
+            total = 0.0
+            for r in range(n):
+                if step_of[r] >= step_of[c]:
+                    total += rates[r, c]
+            expected.append(total.hex())
+        sums = network._step_sums(rates, step_of, np.arange(n))
+        assert [x.hex() for x in sums.tolist()] == expected
+        assert rates[:, -1].sum().hex() != expected[-1]
+        assert math.copysign(1.0, sums[5]) == 1.0
+        # a few columns, in any order and repeated
+        cols = np.array([n - 1, 7, 5, 7])
+        sums = network._step_sums(rates, step_of, cols)
+        assert [x.hex() for x in sums.tolist()] == [expected[c] for c in cols]
+
+    @pytest.mark.parametrize("n", [300, 600])
+    def test_sliced_walk_matches_reference(self, n):
+        # dense rates at n = 300 and 600 span 2 and 6 slices of the final
+        # pass; integer rates tie many members at a step
+        rng = np.random.default_rng(73 + n)
+        env, mon = REFERENCE_ENV, MonitoringModel.rational(0.1)
+        widest = []
+        for rates in (rng.uniform(0.5, 1.5, (n, n)),
+                      rng.integers(0, 4, (n, n)).astype(float)):
+            np.fill_diagonal(rates, 0.0)
+            tm = TrafficMatrix(rates)
+            reference = reference_deletion_trace(env, mon, tm)
+            step_of, nus = network._deletion_walk(tm)
+            steps = reference.iterations
+            crits = self.critical_sets(step_of, len(nus))
+            assert crits == [it.critical_ases for it in steps]
+            widest.append(max(map(len, crits)))
+            assert [nu.hex() for nu in nus.tolist()] == [
+                it.critical_traffic.hex() for it in steps]
+            assert iterative_deletion(env, mon, tm, check_assumptions=False
+                                      ).trace == reference
+        assert widest[0] == 1 and widest[1] > 1
 
 
 def loop_record_levels(nus):
