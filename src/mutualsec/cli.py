@@ -641,14 +641,22 @@ def _unread_sweep_kind(cfg: dict, names: list[str], name: str) -> str | None:
     return None
 
 
-def _sweep_point(cfg: dict, names: list[str], values: tuple) -> dict:
-    point = copy.deepcopy(cfg)
+def _sweep_point(cfg: dict, names: list[str], values: tuple,
+                 built: dict) -> dict:
+    """The sweep row at `values` of parameters `names`.  The point's config
+    shares cfg's sections but copies those a parameter writes, so cfg is
+    left as it was.  Each section is built in the order _build_instance
+    reads them, once per distinct (type, value) of the parameters that
+    write it: `built` holds what the earlier points built."""
+    point = dict(cfg)
     for name, value in zip(names, values):
         if name not in _SWEEP_SECTIONS:
             raise ConfigError(f"sweep.parameters: unknown parameter {name!r}")
         section = _SWEEP_SECTIONS[name]
         point.setdefault(section, {})
         sec = _require(point, section)
+        if sec is cfg.get(section):
+            sec = point[section] = dict(sec)
         if name == "d":
             sec["degree"] = value
             if sec.get("kind") != "ring_lattice":
@@ -657,7 +665,21 @@ def _sweep_point(cfg: dict, names: list[str], values: tuple) -> dict:
                 sec.pop("n", None)
         else:
             sec[name] = value
-    env, mon, tm = _build_instance(point)
+    instance = []
+    for section, build in (("environment", _build_environment),
+                           ("monitoring", _build_monitoring),
+                           ("network", _build_network)):
+        key = (section, *((type(value), value)
+                          for name, value in zip(names, values)
+                          if _SWEEP_SECTIONS[name] == section))
+        try:
+            part = built[key]
+        except KeyError:
+            part = built[key] = build(point)
+        except TypeError:  # a list or object value, which the build rejects
+            part = build(point)
+        instance.append(part)
+    env, mon, tm = instance
     subset = _build_subset(point, tm.n)
     result = optimal_design(env, mon, tm, subset)
     jfb = first_best(env, tm)
@@ -694,7 +716,8 @@ def cmd_sweep(cfg: dict, args) -> tuple[str, int]:
         if unread is not None:
             raise ConfigError(f"sweep.parameters.{name}: {unread} does not "
                               f"read {name}, so every row would be the same")
-    rows = [_sweep_point(cfg, names, v)
+    built = {}
+    rows = [_sweep_point(cfg, names, v, built)
             for v in itertools.product(*params.values())]
     return _table(args, list(rows[0]), rows, rows), 0
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -227,7 +227,7 @@ class PeriodInterval:
     hi: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DesignResult:
     subset: Subset
     feasible: bool
@@ -238,6 +238,25 @@ class DesignResult:
     j_star: float | None
     binding_as: int | None
     diagnostic: str | None = None
+
+    def __init__(self, subset: Subset, feasible: bool, t_star: float | None,
+                 p0_star: float | None, p1_star: float | None,
+                 g_star: float | None, j_star: float | None,
+                 binding_as: int | None, diagnostic: str | None = None
+                 ) -> None:
+        # Each field is written once through its slot's setter: the
+        # generated __init__'s object.__setattr__ per field took about a
+        # third of a closed-form design call.
+        put = _RESULT_SLOTS
+        put[0](self, subset)
+        put[1](self, feasible)
+        put[2](self, t_star)
+        put[3](self, p0_star)
+        put[4](self, p1_star)
+        put[5](self, g_star)
+        put[6](self, j_star)
+        put[7](self, binding_as)
+        put[8](self, diagnostic)
 
     @classmethod
     def infeasible(cls, subset: Subset, diagnostic: str) -> "DesignResult":
@@ -253,6 +272,11 @@ class DesignResult:
         if not self.feasible or self.t_star is None:
             raise ValueError("no design parameters available")
         return RatingDesign(self.t_star, self.p0_star, self.p1_star, self.subset)
+
+
+# DesignResult's slot setters, in field order, for its __init__
+_RESULT_SLOTS = tuple(DesignResult.__dict__[f.name].__set__
+                      for f in fields(DesignResult))
 
 
 @dataclass(frozen=True)
@@ -448,11 +472,14 @@ def _rational_t_m(w0: float, beta: float) -> float:
 
 
 def _edges(env: Environment, mon: MonitoringModel, nu_crit: float):
-    """None when no period is feasible at nu_crit, else (t_m, edge), where
-    t_m is the headroom's minimizer and edge(1.0) and edge(-1.0) find the
+    """None when no period is feasible at nu_crit, else (t_m, eps_m, edge),
+    where t_m is the headroom's minimizer, eps_m = epsilon(t_m) for a table
+    (None for the rational family) and edge(1.0) and edge(-1.0) find the
     feasible interval's low and high edges, as feasible_period_interval
-    describes.  A bound beyond the float range is held at its largest float,
-    where the edges no longer move."""
+    describes.  A table is walked once: the scan that finds t_m also prices
+    epsilon(t_m), the float _epsilon returns, and finds the piece that
+    brackets the high edge.  A bound beyond the float range is held at its
+    largest float, where the edges no longer move."""
     bound = env.gap * nu_crit / env.c
     if bound > sys.float_info.max:
         bound = sys.float_info.max
@@ -477,23 +504,30 @@ def _edges(env: Environment, mon: MonitoringModel, nu_crit: float):
                 t_m = s / (0.5 * (beta * s) + 0.5 * math.hypot(beta * s, q))
         if beta * t_m + math.log1p(2.0 * w0 / t_m) > log_bound:
             return None
-        h_m = _headroom(env, mon, t_m)
+        h_m, eps_m = _headroom(env, mon, t_m), None
     else:
         # Each piece's candidate lies on the piece, so the candidates
         # ascend and ties on h go to the smallest; t_m lies on piece k_m.
+        # The high edge's piece k_hi is walked in the same pass: from k_m,
+        # on to each next piece while its start t0 < t_cap fits, priced
+        # with epsilon = e0 (the float epsilon(t0) the lookup returns),
+        # which is the candidate's own h when the candidate is t0.  The
+        # walk runs while k_hi == k - 1; a new minimum restarts it.
         pieces = mon._pieces
-        h_m = math.inf
+        h_m, k_hi = math.inf, None
         for k, (t0, t1, e0, s) in enumerate(pieces):
             if t0 >= t_cap:
                 break
             t = t0 if s >= 0.0 else \
                 min(max(t0 + (0.5 + s / beta - e0) / s, t0), t1, t_cap)
-            h = _headroom(env, mon, t, _on_piece(pieces, k, t))
+            eps = _on_piece(pieces, k, t)
+            h = _headroom(env, mon, t, eps)
             if h < h_m:
-                h_m, t_m, k_m = h, t, k
-        # whether h at piece k's right end t1 < t_cap is within the bound
-        fits_end = lambda k: _headroom(env, mon, pieces[k][1],
-                                       pieces[k + 1][2]) <= bound
+                h_m, t_m, eps_m, k_m = h, t, eps, k
+                k_hi = k
+            elif k_hi == k - 1 and \
+                    (h if t == t0 else _headroom(env, mon, t0, e0)) <= bound:
+                k_hi = k
     if h_m > bound:
         return None
 
@@ -507,21 +541,18 @@ def _edges(env: Environment, mon: MonitoringModel, nu_crit: float):
             return 0.0 if low else t_cap
         else:
             # The edge's piece: the first whose right end fits (low), or
-            # from t_m's piece on, the first whose right end does not or
-            # reaches t_cap (high).  Pieces before k_m end at or before
-            # t_m, and h(t_m) fits.
+            # k_hi from the scan (high).  Pieces before k_m end at or
+            # before t_m, and h(t_m) fits.
             if low:
                 k = 0
-                while k < k_m and not fits_end(k):
+                while k < k_m and _headroom(env, mon, pieces[k][1],
+                                            pieces[k + 1][2]) > bound:
                     k += 1
                 t0, t1, e0, s = pieces[k]
                 t = min(t0 if s >= 0.0 else
                         max(t0 + (0.5 - 0.5 / bound - e0) / s, t0), t_m)
             else:
-                k = k_m
-                while pieces[k][1] < t_cap and fits_end(k):
-                    k += 1
-                t0, t1, e0, s = pieces[k]
+                t0, t1, e0, s = pieces[k_hi]
                 t = min(t1, t_cap)
             phi = lambda t: (beta * t - math.log1p(-2.0 * (e0 + s * (t - t0)))
                              - log_bound)
@@ -529,7 +560,7 @@ def _edges(env: Environment, mon: MonitoringModel, nu_crit: float):
         t = _newton(phi, dphi, t, direction)
         return _tighten(fits, min(t, t_m) if low else max(t, t_m), t_m)
 
-    return t_m, edge
+    return t_m, eps_m, edge
 
 
 def _closed_form(env: Environment, mon: MonitoringModel):
@@ -574,7 +605,9 @@ def feasible_period_interval(
     on ties, with epsilon read on the piece walked (the float the lookup
     would return).  The piece that brackets an edge is the first whose
     right end fits, for the low edge, and from T_m's piece on the first
-    whose right end does not, for the high edge.  Each edge is Newton's
+    whose right end does not, for the high edge; the walk that finds T_m
+    finds that piece too, pricing each piece start past the running
+    minimum (a new minimum restarts it).  Each edge is Newton's
     method on psi(T) = beta*T - log1p(-2*epsilon(T)) - log(bound) along
     that piece, from its outer end (for the low edge no lower than where
     1 - 2*epsilon = 1/bound), stepped inward as above.  lo is 0.0 when h(T)
@@ -582,7 +615,7 @@ def feasible_period_interval(
     found = _edges(env, mon, nu_crit)
     if found is None:
         return None
-    _, edge = found
+    edge = found[2]
     return PeriodInterval(edge(1.0), edge(-1.0))
 
 
@@ -637,11 +670,14 @@ def minimize_loss_factor(
     (epsilon * (1 - 2*epsilon)) vanishes where epsilon = (1 +- sqrt(1 +
     8*s/beta)) / 4.  So T* is the best of the interval ends (the low end
     at least hi * 1e-12), the breakpoints inside and those stationary
-    points, ties going to the smaller T.  The low edge is seldom needed.
-    T_m, the smallest minimizer of the convex log h, is at least lo, and h
-    strictly falls on (0, T_m); epsilon does not rise there, so where
-    epsilon(T_m) > 0, g = h * epsilon strictly falls on (0, T_m) and every
-    candidate below T_m, the low end among them, loses to g(T_m).  So:
+    points, ties going to the smaller T.  One walk over the table gives
+    T_m, the high edge's piece and epsilon(T_m), the float the lookup
+    returns, so neither is looked up again here.  The low edge is seldom
+    needed.  T_m, the smallest minimizer of the convex log h, is at least
+    lo, and h strictly falls on (0, T_m); epsilon does not rise there, so
+    where epsilon(T_m) > 0, g = h * epsilon strictly falls on (0, T_m) and
+    every candidate below T_m, the low end among them, loses to g(T_m).
+    So:
 
     - T_m < hi * 1e-12: the low end is hi * 1e-12, as lo <= T_m.
     - Otherwise the candidates above T_m are searched first, and their
@@ -658,7 +694,7 @@ def minimize_loss_factor(
     found = _edges(env, mon, nu_crit)
     if found is None:
         return None
-    t_m, edge = found
+    t_m, eps_m, edge = found
     if mon.kind == "rational":
         t_star = 1.0 / env.beta
         if t_star < t_m:
@@ -671,7 +707,6 @@ def minimize_loss_factor(
     hi = edge(-1.0)
     lo = hi * 1e-12
     if t_m >= lo:
-        eps_m = _epsilon(mon, t_m)
         if 2.0 ** -8 <= eps_m <= 0.5 - 2.0 ** -9:
             g_star, t_star = _least_loss(env, mon, t_m, hi, (math.inf, t_m))
             if g_star < _loss_at(env, mon, t_m, eps_m) * (1.0 - 2.0 ** -40):

@@ -113,11 +113,11 @@ class TrafficMatrix:
             raise ValueError("traffic matrix must be square")
         if arr.shape[0] < 2:
             raise ValueError("traffic matrix needs at least 2 ASs")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("traffic rates must be finite")
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError("traffic rates must be non-negative")
-        if np.any(np.diagonal(arr) != 0):
+        if arr.diagonal().any():
             raise ValueError("traffic matrix diagonal must be zero")
         arr.setflags(write=False)
         self._rates = arr

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -190,6 +191,21 @@ def tabulated_probes(rng, count):
                 if rng.random() < 1 / 3 else 10.0 ** rng.uniform(-0.3, 2.0)
             probes.append((env, mon, env.c * h_m / env.gap * scale))
     return probes[:count]
+
+
+def reference_high_piece(env, mon, nu_crit, k_m):
+    """The piece of a table that brackets the high period edge, walked on
+    its own from t_m's piece k_m: the first whose right end t1 reaches
+    log(bound)/beta or does not fit, h(t1) > bound with epsilon(t1) read
+    as the next piece's first value."""
+    bound = min(env.gap * nu_crit / env.c, sys.float_info.max)
+    t_cap = math.log(bound) / env.beta
+    pieces = mon._pieces
+    k = k_m
+    while pieces[k][1] < t_cap and design._headroom(
+            env, mon, pieces[k][1], pieces[k + 1][2]) <= bound:
+        k += 1
+    return k
 
 
 def reference_tabulated_minimum(env, mon, nu_crit):

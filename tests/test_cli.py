@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import errno
 import json
@@ -1083,6 +1084,80 @@ class TestSweepCommand:
         assert key == [(4, 0.1), (4, 0.2), (5, 0.1), (5, 0.2),
                        (6, 0.1), (6, 0.2)]
 
+    def test_config_left_unmodified(self):
+        cfg = {
+            "environment": {"p_high": 0.3, "p_low": 0.05, "c": 0.3,
+                            "beta": 0.2},
+            "monitoring": {"kind": "rational", "w0": 0.1},
+            "network": {"kind": "complete", "n": 8, "rate": 1.0},
+            "sweep": {"parameters": {"d": [3, 4], "w0": [0.1, 0.2],
+                                     "beta": [0.1, 0.3]}},
+        }
+        before = json.dumps(cfg)
+        args = argparse.Namespace(format="json")
+        rows = json.loads(cli.cmd_sweep(cfg, args)[0])
+        assert json.dumps(cfg) == before
+        assert [r["n"] for r in rows] == [4] * 4 + [5] * 4
+
+    @pytest.mark.parametrize("degrees", [[1, True], [True, 1]])
+    def test_bool_after_equal_int_is_rejected(self, tmp_path, capsys,
+                                              degrees):
+        # True == 1, but the network built for d = 1 is not reused for it
+        cfg = reference_config(tmp_path, sweep={
+            "parameters": {"d": degrees}})
+        assert main(["sweep", "--config", cfg]) == 1
+        assert "config error: network.degree: expected an integer, got " \
+            "True" in capsys.readouterr().err
+
+    def test_path_network_is_read_once(self, tmp_path, capsys, monkeypatch):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("1,2,1.0\n2,3,2.0\n3,4,3.0\n4,1,1.5\n")
+        reads = []
+        csv_rows = cli._csv_rows
+        monkeypatch.setattr(cli, "_csv_rows",
+                            lambda path: reads.append(path) or csv_rows(path))
+        cfg = reference_config(
+            tmp_path, network={"kind": "edges", "path": str(edges)},
+            sweep={"parameters": {"w0": [0.05 * k for k in range(1, 11)]}})
+        assert main(["sweep", "--config", cfg]) == 0
+        assert reads == [str(edges)]
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 11 and all(",4," in line for line in lines[1:])
+
+    @pytest.mark.parametrize("name", ["benchmark_error_sweep",
+                                      "degree_error_sweep", "tabulated_sweep"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reuse_prints_what_fresh_builds_print(self, capsys, monkeypatch,
+                                                  name, fmt):
+        # each section is built once per distinct value of the parameters
+        # that write it, and the rows are those of points built afresh
+        argv = ["sweep", "--config", str(CONFIGS / f"{name}.json"),
+                "--format", fmt]
+        builds = []
+        for section in ("environment", "monitoring", "network"):
+            build = getattr(cli, f"_build_{section}")
+            monkeypatch.setattr(
+                cli, f"_build_{section}",
+                lambda cfg, section=section, build=build:
+                builds.append(section) or build(cfg))
+        assert main(argv) == 0
+        reused = capsys.readouterr().out
+        params = json.loads((CONFIGS / f"{name}.json").read_text())[
+            "sweep"]["parameters"]
+        points = math.prod(map(len, params.values()))
+        for section in ("environment", "monitoring", "network"):
+            swept = [v for p, v in params.items()
+                     if cli._SWEEP_SECTIONS[p] == section]
+            assert builds.count(section) == math.prod(map(len, swept))
+        sweep_point = cli._sweep_point
+        monkeypatch.setattr(cli, "_sweep_point",
+                            lambda cfg, names, values, built:
+                            sweep_point(cfg, names, values, {}))
+        builds.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == reused
+        assert len(builds) == 3 * points
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
@@ -1396,6 +1471,9 @@ class TestTypedFields:
          "network.rates"),
         ("sweep", "benchmark_error_sweep",
          'sweep={"parameters": {"w0": [true]}}', "monitoring.w0"),
+        # a list value cannot key the sections a sweep reuses
+        ("sweep", "benchmark_error_sweep",
+         'sweep={"parameters": {"w0": [0.1, [0.2]]}}', "monitoring.w0"),
         ("design", "reference_design", "subset=[true, 2]", "subset"),
         ("mct", "square_mct_true", "network.edges=[[1.5, 2, 1.0]]",
          "network.edges"),

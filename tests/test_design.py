@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import sys
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from support import (
     random_environment,
     random_feasible_instance,
     random_zero_table,
+    reference_high_piece,
     reference_instance,
     reference_tabulated_minimum,
     tabulated_probes,
@@ -573,8 +575,8 @@ def edge_calls(monkeypatch):
         found = edges(*args)
         if found is None:
             return None
-        t_m, edge = found
-        return t_m, lambda direction: calls.append(direction) or \
+        t_m, eps_m, edge = found
+        return t_m, eps_m, lambda direction: calls.append(direction) or \
             edge(direction)
 
     monkeypatch.setattr(design, "_edges", recorded)
@@ -689,6 +691,165 @@ class TestTabulatedMinimum:
         assert edge_calls == [-1.0, 1.0]
         assert found == reference_tabulated_minimum(env, mon, nu)
         assert found[0] == t_star == feasible_period_interval(env, mon, nu).lo
+
+
+def closure_value(fn, name):
+    """The value of the variable `name` that closure fn reads."""
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+def scanned(env, mon, nu):
+    """_edges' (t_m, eps_m, k_m, k_hi) for a table at nu: t_m, epsilon(t_m),
+    t_m's piece and the piece that brackets the high edge."""
+    t_m, eps_m, edge = design._edges(env, mon, nu)
+    return (t_m, eps_m, closure_value(edge, "k_m"),
+            closure_value(edge, "k_hi"))
+
+
+def candidate(env, mon, k):
+    """(t, h(t)) of piece k's headroom candidate, with no cap."""
+    t0, t1, e0, s = mon._pieces[k]
+    t = t0 if s >= 0.0 else min(max(t0 + (0.5 + s / env.beta - e0) / s, t0),
+                                t1)
+    return t, design._headroom(env, mon, t,
+                               design._on_piece(mon._pieces, k, t))
+
+
+class TestHighEdgePiece:
+    """The scan that finds a table's t_m also walks to the piece that
+    brackets the high edge, k_hi, and reads epsilon(t_m): both equal what
+    a separate walk and the lookup give."""
+
+    def test_every_probe_matches_the_walk(self):
+        probes = tabulated_probes(np.random.default_rng(4207), 5000)
+        walked = 0
+        for env, mon, nu in probes:
+            if design._edges(env, mon, nu) is None:
+                continue
+            t_m, eps_m, k_m, k_hi = scanned(env, mon, nu)
+            t0, t1 = mon._pieces[k_m][:2]
+            assert t0 <= t_m <= t1
+            assert eps_m == design._epsilon(mon, t_m)
+            assert k_hi == reference_high_piece(env, mon, nu, k_m)
+            walked += k_hi > k_m
+        assert walked > 2000  # of about 4,600 feasible probes
+
+    # At T = 1e-3 the slope steepens by 1e-7, a kink concave within the
+    # convexity check's tolerance, so h rises from t_m on piece 0 to T =
+    # 1e-3 and falls again on piece 1.
+    CONCAVE_KINK = [(0.0, 0.4 - 0.6e-7 + 1e-4), (1e-3, 0.4 - 0.6e-7)]
+
+    @pytest.mark.parametrize("rest", [
+        # piece 1's candidate is interior
+        [(2e-3, 0.4 - 0.6e-7 - (0.1 + 1e-7) * 1e-3)],
+        # piece 1 falls throughout, so its candidate is its end, where
+        # piece 2's start fits again
+        [(1e-3 + 2e-7, 0.4 - 0.6e-7 - (0.1 + 1e-7) * 2e-7),
+         (1e-2, 0.4 - 0.6e-7 - (0.1 + 1e-7) * 2e-7 - 0.09 * (9e-3 - 2e-7))],
+    ])
+    def test_candidate_past_t_m_off_its_start(self, rest):
+        # Piece 1's candidate lies above h(t_m) and below the bound, while
+        # piece 1's start does not fit: the walk must price that start,
+        # not the candidate, and end at piece 0 whatever follows.
+        mon = MonitoringModel.tabulated(self.CONCAVE_KINK + rest)
+        env = Environment(p_high=0.3, p_low=0.05, c=0.25, beta=1.0)
+        t, h = candidate(env, mon, 1)
+        start = design._headroom(env, mon, 1e-3, mon._pieces[1][2])
+        assert 1e-3 < t and h < start
+        nu = (h + start) / 2 * env.c / env.gap
+        t_m, _, k_m, k_hi = scanned(env, mon, nu)
+        assert (k_m, k_hi) == (0, 0)
+        assert reference_high_piece(env, mon, nu, k_m) == 0
+        assert design._headroom(env, mon, t_m) < h
+        interval = feasible_period_interval(env, mon, nu)
+        assert interval.lo <= t_m <= interval.hi < 1e-3
+        assert minimize_loss_factor(env, mon, nu) == \
+            reference_tabulated_minimum(env, mon, nu)
+
+    @pytest.mark.parametrize("table, beta, bound, k_m, k_hi, last", [
+        # piece 0's candidate is its end t = 1, where piece 1's candidate,
+        # its start, ties h_m: the walk goes on through the tie and stops
+        # at piece 2's start, T = 11, which does not fit
+        ([(0.0, 0.4), (1.0, 0.2), (11.0, 0.1), (21.0, 0.0)], 0.2, 10.0, 0,
+         1, 2),
+        # h falls to an interior minimum on piece 1, where log(bound)/beta
+        # lies too: the minimum is on the last piece scanned
+        ([(0.0, 0.4), (1.0, 0.2), (11.0, 0.0)], 0.05, 1.7, 1, 1, 1),
+        # log(bound)/beta lies inside piece 0, the only piece scanned
+        ([(0.0, 0.4), (1.0, 0.2), (11.0, 0.0)], 2.0, 6.0, 0, 0, 0),
+    ])
+    def test_named_walks(self, table, beta, bound, k_m, k_hi, last):
+        mon = MonitoringModel.tabulated(table)
+        env = Environment(p_high=0.3, p_low=0.05, c=0.25, beta=beta)
+        nu = bound * env.c / env.gap
+        t_m, eps_m, found_k_m, found_k_hi = scanned(env, mon, nu)
+        assert (found_k_m, found_k_hi) == (k_m, k_hi)
+        assert k_hi == reference_high_piece(env, mon, nu, k_m)
+        assert eps_m == design._epsilon(mon, t_m)
+        # `last` is the last piece the scan reaches, below log(bound)/beta
+        t_cap = math.log(env.gap * nu / env.c) / beta
+        assert mon._pieces[last][0] < t_cap <= mon._pieces[last][1]
+        if k_hi > k_m:
+            assert candidate(env, mon, k_m)[1] == candidate(env, mon, k_hi)[1]
+        # the high edge is searched on piece k_hi: h(t_cap) does not fit
+        assert design._headroom(env, mon, t_cap) > env.gap * nu / env.c
+        interval = feasible_period_interval(env, mon, nu)
+        assert mon._pieces[k_hi][0] <= interval.hi <= mon._pieces[k_hi][1]
+        assert minimize_loss_factor(env, mon, nu) == \
+            reference_tabulated_minimum(env, mon, nu)
+
+
+@dataclasses.dataclass(frozen=True)
+class DictDesignResult:
+    """DesignResult as a plain frozen dataclass, each instance with a
+    __dict__: the reference for the slotted class's behaviour."""
+
+    subset: Subset
+    feasible: bool
+    t_star: float | None
+    p0_star: float | None
+    p1_star: float | None
+    g_star: float | None
+    j_star: float | None
+    binding_as: int | None
+    diagnostic: str | None = None
+
+
+class TestDesignResult:
+    ARGS = [
+        (Subset.full(3), True, 5.0, 0.17, 0.05, 0.054, 5.33, 1),
+        (Subset((0, 2)), False, None, None, None, None, None, None, "none"),
+        (Subset(()), True, None, None, None, None, 2.5, None,
+         "no deployment"),
+    ]
+
+    @pytest.mark.parametrize("args", ARGS)
+    def test_behaves_as_a_plain_frozen_dataclass(self, args):
+        new, old = design.DesignResult(*args), DictDesignResult(*args)
+        assert [f.name for f in dataclasses.fields(new)] == \
+            [f.name for f in dataclasses.fields(old)]
+        assert repr(new) == repr(old).replace("DictDesignResult",
+                                              "DesignResult")
+        assert hash(new) == hash(old)
+        assert dataclasses.astuple(new) == dataclasses.astuple(old)
+        assert new == design.DesignResult(*args)
+        assert new != dataclasses.replace(new, diagnostic="other")
+        assert dataclasses.astuple(dataclasses.replace(new, t_star=1.0)) == \
+            dataclasses.astuple(dataclasses.replace(old, t_star=1.0))
+        assert new == design.DesignResult(**{
+            f.name: getattr(old, f.name) for f in dataclasses.fields(old)})
+        back = pickle.loads(pickle.dumps(new))
+        assert type(back) is design.DesignResult and back == new
+        assert dataclasses.astuple(back) == dataclasses.astuple(new)
+
+    def test_frozen_without_a_dict(self):
+        result = design.DesignResult(*self.ARGS[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.t_star = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del result.t_star
+        assert not hasattr(result, "__dict__")
+        assert result.t_star == 5.0
 
 
 class TestOptimalDesign:

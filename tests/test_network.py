@@ -92,6 +92,27 @@ class TestTrafficMatrix:
         with pytest.raises(ValueError, match="totals must be finite"):
             TrafficMatrix(np.roll(np.eye(3), 1, axis=1) * 1e308)
 
+    @pytest.mark.parametrize("cell, value, message", [
+        ((0, 1), np.nan, "traffic rates must be finite"),
+        ((1, 0), -np.inf, "traffic rates must be finite"),
+        ((0, 1), -1e-300, "traffic rates must be non-negative"),
+        ((2, 2), 1e-300, "traffic matrix diagonal must be zero"),
+        ((2, 2), -1.0, "traffic rates must be non-negative"),
+        ((2, 2), np.inf, "traffic rates must be finite"),
+    ])
+    def test_each_check_names_its_fault(self, cell, value, message):
+        rates = np.ones((3, 3)) - np.eye(3)
+        rates[cell] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrafficMatrix(rates)
+
+    def test_negative_zero_diagonal_passes(self):
+        rates = np.ones((3, 3))
+        np.fill_diagonal(rates, -0.0)
+        tm = TrafficMatrix(rates)
+        assert tm.rates.diagonal().tolist() == [0.0] * 3
+        assert tm.inbound.tolist() == [2.0] * 3
+
     def test_rates_are_read_only(self):
         tm = TrafficMatrix.complete(3, 1.0)
         with pytest.raises(ValueError):
