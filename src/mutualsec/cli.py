@@ -641,13 +641,27 @@ def _unread_sweep_kind(cfg: dict, names: list[str], name: str) -> str | None:
     return None
 
 
+def _once(built: dict, key: tuple, make):
+    """built[key], made by make() on its first use; a key that holds a list
+    or object value (which the build rejects) is not kept."""
+    try:
+        return built[key]
+    except KeyError:
+        part = built[key] = make()
+        return part
+    except TypeError:
+        return make()
+
+
 def _sweep_point(cfg: dict, names: list[str], values: tuple,
                  built: dict) -> dict:
     """The sweep row at `values` of parameters `names`.  The point's config
     shares cfg's sections but copies those a parameter writes, so cfg is
     left as it was.  Each section is built in the order _build_instance
     reads them, once per distinct (type, value) of the parameters that
-    write it: `built` holds what the earlier points built."""
+    write it, and the subset, its critical traffic and the first best once
+    per network (and environment) built: `built` holds what the earlier
+    points built."""
     point = dict(cfg)
     for name, value in zip(names, values):
         if name not in _SWEEP_SECTIONS:
@@ -665,28 +679,25 @@ def _sweep_point(cfg: dict, names: list[str], values: tuple,
                 sec.pop("n", None)
         else:
             sec[name] = value
-    instance = []
-    for section, build in (("environment", _build_environment),
-                           ("monitoring", _build_monitoring),
-                           ("network", _build_network)):
-        key = (section, *((type(value), value)
-                          for name, value in zip(names, values)
-                          if _SWEEP_SECTIONS[name] == section))
-        try:
-            part = built[key]
-        except KeyError:
-            part = built[key] = build(point)
-        except TypeError:  # a list or object value, which the build rejects
-            part = build(point)
-        instance.append(part)
-    env, mon, tm = instance
-    subset = _build_subset(point, tm.n)
+    env_key, mon_key, net_key = (
+        (section, *((type(value), value)
+                    for name, value in zip(names, values)
+                    if _SWEEP_SECTIONS[name] == section))
+        for section in ("environment", "monitoring", "network"))
+    env = _once(built, env_key, lambda: _build_environment(point))
+    mon = _once(built, mon_key, lambda: _build_monitoring(point))
+    tm = _once(built, net_key, lambda: _build_network(point))
+    subset = _once(built, ("subset", net_key),
+                   lambda: _build_subset(point, tm.n))
     result = optimal_design(env, mon, tm, subset)
-    jfb = first_best(env, tm)
+    jfb = _once(built, ("first_best", env_key, net_key),
+                lambda: first_best(env, tm))
+    nu = _once(built, ("critical_traffic", net_key),
+               lambda: critical_traffic(tm, subset))
     row = {name: value for name, value in zip(names, values)}
     row.update({
         "n": tm.n,
-        "critical_traffic": critical_traffic(tm, subset),
+        "critical_traffic": nu,
         "feasible": result.feasible,
         "t_star": result.t_star,
         "g_star": result.g_star,

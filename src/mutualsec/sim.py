@@ -41,6 +41,7 @@ from .design import (
     RatingDesign,
     _check_as_index,
     _check_prices,
+    _epsilon,
     ic_check,
     minimize_loss_factor,
     optimal_design,
@@ -379,7 +380,7 @@ def _prepare(design, profile, env, mon, tm, horizon):
     if horizon >= 2 ** 63:  # the generator's counts are 64-bit
         raise ValueError(f"horizon must be below 2**63, got {horizon}")
     _check_prices(design, env)
-    eps = float(mon.epsilon(design.T))
+    eps = _epsilon(mon, design.T)
     if not 0 <= eps <= 0.5:
         raise ValueError("monitoring error must lie in [0, 1/2]")
     T = design.T
@@ -460,23 +461,31 @@ def _stream(rng, ledger, horizon, first, p, flipped, flips):
 
     `settle` depends on the flags alone, not on the blocking: the prefix
     keeps, while it has not settled, only E-sized arrays of the entries
-    yet to read a 1, and when a block runs past `settle` the generator is
-    put back as it was before it and the block is drawn again through
-    `settle` only.
+    yet to read a 1, and fills its blocks in chunks, each lag + 1 periods
+    longer than the prefix before it (so they double), clipped to the
+    block.  Unsettled periods put `settle` at least lag periods past
+    them, so only a longer chunk can run past it: the generator state is
+    saved around one, and put back to draw it again through `settle` when
+    it does.  Each block is still booked whole, by one `ledger.add`.
 
     The draw rule: an entry is 1 where a uniform k / 2**53 is below p,
     that is with probability ceil(p * 2**53) / 2**53.  A drawn period takes
     E uniforms, entry e reading the period's e-th, filled into the block's
     float buffer and compared there in place."""
 
-    def draw(out, start):
+    def draw(block, start, a, b):
+        """Fill rows a, ..., b - 1 of `block`, row r holding the array
+        read in period start + r (drawn in the period before it)."""
+        if start + a == 0:  # period 0 reads `first`, not a draw
+            block[0], a = first, 1
+        out = block[a:b]
         rng.random(out=out)
         np.less(out, p, out=out)
         if len(flipped):
             out[:, flipped] = 1.0 - out[:, flipped]
         for t, mask in flips.items():
-            if start <= t < start + len(out):
-                out[t - start] = out[t - start] != mask
+            if a <= t + 1 - start < b:
+                out[t + 1 - start - a] = out[t + 1 - start - a] != mask
 
     last = horizon - 1
     unseen = first == 0  # the entries yet to read a 1
@@ -503,19 +512,24 @@ def _stream(rng, ledger, horizon, first, p, flipped, flips):
             if start == s:  # the first block sets the buffer's length
                 buf = np.empty((stop - start, first.size))
             out = buf[:min(stop, e + 1) - start]
-            k = int(start == 0)  # period 0 reads `first`, not a draw
-            out[:k] = first
-            if settling:
-                saved = rng.bit_generator.state
-            draw(out[k:], start + k - 1)
-            row = _settled_row(out, unseen) if settling else None
-            if row is not None:
-                settling = False
-                e = min(e, start + row + lag)
-                if e < start + len(out) - 1:  # the block runs past settle
-                    rng.bit_generator.state = saved
-                    out = out[:e + 1 - start]
-                    draw(out[k:], start + k - 1)
+            at = 0  # rows [0, at) are filled
+            while settling and at < len(out):
+                # lag + 1 periods more than the prefix has filled
+                to = min(len(out), 2 * at + start + lag + 1)
+                if to - at > lag + 1:  # the chunk may run past settle
+                    saved = rng.bit_generator.state
+                draw(out, start, at, to)
+                row = _settled_row(out[at:to], unseen)
+                if row is not None:
+                    settling = False
+                    e = min(e, start + at + row + lag)
+                    if e < start + to - 1:  # the chunk runs past settle
+                        rng.bit_generator.state = saved
+                        to = e + 1 - start
+                        draw(out, start, at, to)
+                    out = buf[:min(stop, e + 1) - start]
+                at = to
+            draw(out, start, at, len(out))
             ledger.add(start, out)
             shots.update((t, out[t - start].copy()) for t in flips
                          if start <= t < start + len(out))
@@ -535,9 +549,16 @@ def _cost_rows(env, tm, T, actions, p_recv):
             + actions * env.c) * T
 
 
+def _mask(n, members):
+    """The bool array of length n that is True at `members`."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(members)] = True
+    return mask
+
+
 def _rating_plan(design, profile, env, tm, horizon, eps, delta):
     n = tm.n
-    rec = np.isin(np.arange(n), design.subset.members)
+    rec = _mask(n, design.subset.members)
     steady = rec.copy()  # each AS's action outside one-shot deviations
     flips = {}  # period -> mask of the ASs deviating once in it
     for i, b in enumerate(profile.behaviors):
@@ -598,7 +619,7 @@ def _rating_plan(design, profile, env, tm, horizon, eps, delta):
 
 def _trigger_plan(design, env, tm, horizon, eps, delta):
     n = tm.n
-    rec = np.isin(np.arange(n), design.subset.members)
+    rec = _mask(n, design.subset.members)
     pre_cost = _cost_rows(env, tm, design.T, rec, env.p_low)
     post_cost = _cost_rows(env, tm, design.T, np.zeros(n), env.p_high)
     step = post_cost - pre_cost

@@ -1158,6 +1158,21 @@ class TestSweepCommand:
         assert capsys.readouterr().out == reused
         assert len(builds) == 3 * points
 
+    def test_subset_and_prices_once_per_network(self, monkeypatch):
+        # degree_error_sweep: 6 degrees by 3 w0s, one environment; the
+        # subset, its critical traffic and the first best are read once
+        # for each of the 6 networks
+        calls = []
+        for name in ("_build_subset", "critical_traffic", "first_best"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name,
+                                lambda *a, name=name, real=real:
+                                calls.append(name) or real(*a))
+        assert main(["sweep", "--config",
+                     str(CONFIGS / "degree_error_sweep.json")]) == 0
+        assert sorted(calls) == sorted(
+            ["_build_subset", "critical_traffic", "first_best"] * 6)
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

@@ -648,6 +648,17 @@ class TestPlan:
             assert as_json(c) == as_json(simulate(
                 d, profile, env, mon, tm, 40, 3, time_series=time_series))
 
+    @pytest.mark.parametrize("subset", [
+        Subset(()), Subset.full(8), Subset((1, 4, 6))],
+        ids=["no-otc", "full", "proper"])
+    def test_recommended_mask_is_isin(self, subset):
+        from mutualsec import sim
+
+        got = sim._mask(8, subset.members)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(
+            got, np.isin(np.arange(8), subset.members))
+
     def test_one_way_warning_once_per_plan_at_the_callers_line(self):
         env, mon, _ = reference_instance()
         tm = TrafficMatrix.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0),
@@ -776,6 +787,73 @@ def _assert_matches(got, want, path="report"):
             f"{path}: {got!r} != {want!r}"
 
 
+def _settling_cases():
+    """Named simulate() argument tuples whose live prefix ends where its
+    chunks differ: tit-for-tat at 4 ASs (16 links, 2048-period blocks),
+    where beta T = 0.2 gives lag = 200 and chunks that end at periods 200,
+    602 and 1406 and then at the block's end; lags of 3 and past a block;
+    and one-shot deviations inside a rating run's prefix."""
+    env, mon, tm = reference_instance(n=4)
+    tft = BehaviorProfile.uniform(4, "tit-for-tat")
+    # (w0, seed): the last link reads its first 1 in period 200, the first
+    # chunk's last row; in period 402, so that settle is 602, the second
+    # chunk's last period; or in period 2846, in the second block
+    for name, w0, seed in (("on-first-chunk-row", 0.01, 207),
+                           ("on-chunk-edge", 0.005, 1461),
+                           ("past-first-block", 0.001, 2)):
+        yield name, (_plan(env, tm), tft, env, MonitoringModel.rational(w0),
+                     tm, 5000, seed)
+    # observations never wrong: no link reads a 1, so the chunks run to zero
+    yield "no-settle", (_plan(env, tm), tft, env, PERFECT, tm, 5000, 3)
+    # beta T = 13: lag 3 and zero 59, where links of rate 1e7 keep every AS
+    # deploying
+    fast = dataclasses.replace(env, beta=13.0)
+    busy = TrafficMatrix.complete(4, 1e7)
+    yield "lag=3", (_plan(fast, busy), tft, fast, mon, busy, 300, 5)
+    # beta T = 1e-3: lag 45,032, past a block and past the horizon
+    slow = dataclasses.replace(env, beta=1e-3)
+    yield "lag-past-block", (_plan(slow, tm), tft, slow, mon, tm, 3000, 5)
+    # ratings start high, so the prefix runs through lag: deviations early
+    # in it, on its last period and the one before
+    d, env8, mon8, tm8 = reference_design()
+    lag = settle_lag(env8, d.T)
+    yield "one-shot-in-prefix", (
+        d, _shots([5, None, lag, None, lag - 1, None, None, 1]), env8, mon8,
+        tm8, 1000, 3)
+
+
+def _counting_uniforms(monkeypatch):
+    """A one-item list counting the uniforms that `random` draws on every
+    generator np.random.default_rng makes."""
+    drawn = [0]
+    make = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed=None):
+            self._rng = make(seed)
+
+        def random(self, *, out):
+            drawn[0] += out.size
+            return self._rng.random(out=out)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    return drawn
+
+
+def _tft_settle(design, env, mon, tm, horizon, seed):
+    """(lag, settle) of a tit-for-tat run in which every AS deploys, from
+    its live flags drawn on a fresh generator."""
+    size = tm.n ** 2
+    zero = live_periods(env, design.T, horizon)
+    eps = float(mon.epsilon(design.T))
+    flags = np.random.default_rng(seed).random((zero, size)) < eps
+    return (settle_lag(env, design.T),
+            settle_period(env, design.T, np.zeros(size), flags))
+
+
 class TestStreaming:
     """Runs are streamed in fixed-size period blocks; the reports must not
     depend on the block length."""
@@ -806,12 +884,82 @@ class TestStreaming:
         d, env, mon, tm = reference_design()
         late = _shots([None, 8191, None, 8192, *[None] * 4])
         cases.append((d, late, env, mon, tm, 9000, 2))
+        cases += [args for _, args in _settling_cases()]
         default = [_fingerprint(simulate(*a, time_series=True))
                    for a in cases]
         monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", elements)
         for args, want in zip(cases, default):
             got = _fingerprint(simulate(*args, time_series=True))
             _assert_matches(got, want)
+
+    @pytest.mark.filterwarnings("ignore:tit-for-tat punishment needs")
+    def test_settling_cases_settle_where_named(self):
+        from mutualsec import sim
+
+        assert sim._BLOCK_ELEMENTS // 16 == 2048
+        settles = {}
+        for name, args in _settling_cases():
+            d, _, env, mon, tm, horizon, seed = args
+            if name != "one-shot-in-prefix":
+                # every AS deploys, so every link starts at 0
+                assert whole_horizon_tft_run(d, env, mon, tm, 5, 0)[
+                    "deploying"] == [0, 1, 2, 3], name
+                settles[name] = _tft_settle(d, env, mon, tm, horizon, seed)
+        assert settles["on-first-chunk-row"] == (200, 400)
+        assert settles["on-chunk-edge"] == (200, 602)
+        lag, settle = settles["past-first-block"]
+        assert lag == 200 and 2048 <= settle - lag < 3727 - lag
+        assert settles["no-settle"] == (200, None)
+        lag, settle = settles["lag=3"]
+        assert lag == 3 and settle < 59
+        lag, settle = settles["lag-past-block"]
+        assert lag > 2048 and settle > 3000
+
+    def test_settling_cases_match_whole_horizon(self):
+        for name, args in _settling_cases():
+            if name == "one-shot-in-prefix":
+                _assert_rating_matches(args)
+                continue
+            design, _, env, mon, tm, horizon, seed = args
+            rep = simulate(*args, time_series=True)
+            _assert_tft_matches(rep, whole_horizon_tft_run(
+                design, env, mon, tm, horizon, seed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 207])
+    def test_settling_run_draws_one_chunk_past_its_booking(self, monkeypatch,
+                                                           seed):
+        # tit-for-tat at 4 ASs, lag 200, settling in the first block: a
+        # chunk that runs past settle is drawn again through it, so the run
+        # draws what it books plus at most that chunk.  Drawing the first
+        # block whole (2047 periods) and again through settle draws more.
+        env, mon, tm = reference_instance(w0=0.01, n=4)
+        design, horizon = _plan(env, tm), 5000
+        lag, settle = _tft_settle(design, env, mon, tm, horizon, seed)
+        assert settle < 2048
+        booked = len(drawn_periods(env, design.T, horizon, settle=settle))
+        # the chunk in which the last link reads its first 1
+        begin, length = 0, lag + 1
+        while begin + length <= settle - lag:
+            begin, length = begin + length, 2 * length
+        drawn = _counting_uniforms(monkeypatch)
+        simulate(design, BehaviorProfile.uniform(4, "tit-for-tat"), env, mon,
+                 tm, horizon, seed)
+        assert 16 * booked <= drawn[0] <= 16 * (booked + length)
+
+    def test_comparison_config_draws_about_what_it_books(self, monkeypatch,
+                                                         tmp_path):
+        # 18 tit-for-tat runs of 64 links (lag 16 or 17) book 906 periods,
+        # 888 of them drawn (period 0 reads the start): 56,832 uniforms.
+        # Drawing each first block through zero and again through settle
+        # drew 301,440.
+        from mutualsec.cli import main
+
+        config = (Path(__file__).resolve().parent.parent / "configs"
+                  / "strategy_beta_comparison.json")
+        drawn = _counting_uniforms(monkeypatch)
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "rows.json")]) == 0
+        assert 56_832 <= drawn[0] <= 75_000
 
     @staticmethod
     def _peak_bytes(kind, n, horizon):
@@ -1775,17 +1923,17 @@ class TestSettle:
     @pytest.mark.parametrize("p", [0.01, 0.3])
     def test_one_entry(self, p, seed):
         # one entry that starts at 0: the run settles lag periods after its
-        # first 1, inside the first block of 32768 periods, which is drawn
-        # again through settle only
+        # first 1, inside the first block of 32768 periods, whose chunks
+        # are drawn through settle only
         _assert_stream_matches(seed, p, 1)
 
     @pytest.mark.parametrize("seed,again", [(2, True), (196, True),
                                             (44, False)])
     def test_settle_in_a_later_block(self, seed, again):
         # 64 entries, 512-period blocks: the last first 1 falls in a later
-        # block.  With seeds 2 and 196 that block runs past settle and is
-        # drawn again through it; with seed 44 settle falls in the block
-        # after it, which is cut at settle and drawn once.
+        # block, which is one chunk.  With seeds 2 and 196 that block runs
+        # past settle and is drawn again through it; with seed 44 settle
+        # falls in the block after it, which is cut at settle and drawn once.
         env, _, _ = reference_instance()
         settle = _assert_stream_matches(seed, 0.004, 64)
         last_first = settle - settle_lag(env, 1.0)
@@ -1801,9 +1949,9 @@ class TestSettle:
 
     @pytest.mark.filterwarnings("ignore:tit-for-tat punishment needs")
     @pytest.mark.parametrize("seed", [1, 200])
-    def test_first_block_drawn_again(self, seed):
-        # The first block, 3640 periods of 9 links, runs past settle and is
-        # drawn again through it.
+    def test_settle_in_the_first_block(self, seed):
+        # Settle falls in the first block, 3640 periods of 9 links, which
+        # is filled in chunks through it.
         from mutualsec import sim
 
         design, env, mon, tm = _tft_cases()["mixed"]
