@@ -15,11 +15,12 @@ both `has_mct` and the deletion search in `strategy`; both read its record
 levels, the steps whose critical traffic exceeds every earlier step's, from
 `_record_levels`.  The walk is one array pass: only picking each step's
 critical members is sequential, and the exact critical traffic of every
-step is summed afterwards, over contiguous column slices, as one masked
-product sum per slice.  A step costs two argmins over a running inbound
-vector (its minimum, then the least of the rest); it re-sums exactly only
-when several members lie within the vector's drift window of its minimum,
-which on tie-free rates is almost never.
+step is summed afterwards by `_column_sums`, the one exact column sum,
+which reads adjacent columns as slices and gathers the rest.  A step costs
+two argmins over a running inbound vector (its minimum, then the least of
+the rest); it re-sums exactly, by `_column_sums` again, only when several
+members lie within the vector's drift window of its minimum, which on
+tie-free rates is almost never.
 
 Indices are 0-based throughout the library; the CLI converts to 1-based on
 input and output.
@@ -242,8 +243,7 @@ def inbound_within(tm: TrafficMatrix, subset, i: int) -> float:
         raise ValueError(f"AS {i} is not in the subset")
     rows = np.zeros(tm.n, dtype=bool)
     rows[list(p.members)] = True
-    return float(_column_sums(tm.rates, np.array([i]), rows,
-                              np.array([True]))[0])
+    return float(_column_sums(tm.rates, rows, [i])[0])
 
 
 def _member_index(tm: TrafficMatrix, p: Subset) -> np.ndarray | None:
@@ -296,59 +296,41 @@ def critical_members(tm: TrafficMatrix, subset) -> tuple[int, ...]:
     return tuple(m for m, v in zip(p.members, inb) if v == low)
 
 
-# Column sums gather at most this many matrix elements at a time (and at
+# Column sums read at most this many matrix elements at a time (and at
 # least two columns), and the walk subtracts deleted rows in blocks of at
 # most this many elements, which bounds their arrays at any n.
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _column_sums(rates: np.ndarray, cols: np.ndarray, level: np.ndarray,
-                 least: np.ndarray) -> np.ndarray:
-    """Sum column cols[k] of `rates` over the rows r with level[r] >=
-    least[k], adding them one by one in row order, as `critical_traffic`
-    sums a set's members.
+def _column_sums(rates: np.ndarray, level: np.ndarray,
+                 cols: np.ndarray) -> np.ndarray:
+    """Sum column c of `rates`, for each c in `cols` (ascending, no
+    repeats), over the rows r with level[r] >= level[c], adding them one by
+    one in row order, as `critical_traffic` sums a set's members.
 
-    The columns are gathered in blocks of at most _BLOCK_ELEMENTS elements,
-    and each block is summed down axis 0 under a where-mask of its full
-    shape: a broadcast (n, 1) mask on a narrow block lets NumPy reorder the
-    reduction.  A block of one column would be a 1-D reduction, which NumPy
-    adds pairwise, so a lone column is summed as two copies of itself."""
+    The columns are read in blocks of at most _BLOCK_ELEMENTS elements: a
+    block of adjacent columns as a slice, any other by `take`, each copied
+    into a new C-ordered array and multiplied in place by its bool mask,
+    whose axis-0 sum adds its rows in order.  A masked-out rate becomes
+    +0.0, which leaves a sum started from +0.0 as it was, so a column of
+    -0.0 rates reads +0.0.  A block of one column would be a 1-D reduction,
+    which NumPy adds pairwise, so a lone column is read twice."""
     width = max(2, _BLOCK_ELEMENTS // rates.shape[0])
     sums = np.empty(len(cols))
     for start in range(0, len(cols), width):
-        stop = min(start + width, len(cols))
-        ks = np.arange(start, stop)
-        if len(ks) == 1:
-            ks = ks.repeat(2)
-        block = rates[:, cols[ks]].sum(axis=0,
-                                       where=level[:, None] >= least[ks])
-        sums[start:stop] = block[:stop - start]
+        ks = cols[start:start + width]
+        size = len(ks)
+        if size == 1:
+            ks = np.repeat(ks, 2)
+        mask = level[:, None] >= level[ks]
+        if ks[-1] - ks[0] == len(ks) - 1:
+            block = rates[:, ks[0]:ks[-1] + 1].copy()
+        else:
+            block = rates.take(ks, axis=1)
+        block *= mask
+        sums[start:start + size] = block.sum(axis=0, initial=0.0)[:size]
+        del block  # else two blocks are alive while the next is made
     return sums
-
-
-def _step_sums(rates: np.ndarray, step_of: np.ndarray,
-               cols: np.ndarray) -> np.ndarray:
-    """Sum column cols[k] of `rates` over the rows r with step_of[r] >=
-    step_of[cols[k]], adding them one by one in row order: the same sums,
-    to the bit, as `_column_sums` over each column's own step.
-
-    The columns are read in contiguous slices of at least two and at most
-    _BLOCK_ELEMENTS elements, only the slices that hold one of `cols`; a
-    lone last column is read with the one before it.  Each slice times its
-    bool mask is a new C-ordered block, whose axis-0 sum adds its rows in
-    order.  A masked-out rate becomes +0.0, and adding +0.0 leaves the sum
-    as it was; the sum starts from +0.0, as the where-masked sum does, so
-    a column of -0.0 rates reads +0.0 either way."""
-    n = rates.shape[0]
-    width = max(2, _BLOCK_ELEMENTS // n)
-    sums = np.empty(n)
-    for start in np.unique(cols // width).tolist():
-        start = min(start * width, n - 2)
-        stop = min(start + width, n)
-        mask = step_of[:, None] >= step_of[start:stop]
-        sums[start:stop] = (rates[:, start:stop] * mask).sum(axis=0,
-                                                             initial=0.0)
-    return sums[cols]
 
 
 def _deletion_walk(tm: TrafficMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -370,11 +352,10 @@ def _deletion_walk(tm: TrafficMatrix) -> tuple[np.ndarray, np.ndarray]:
     `_column_sums` over the live rows, in member order as
     `critical_traffic` sums them, and the exact minimum and its ties are
     taken from those sums.  The critical traffic of every step is then
-    summed exactly the same way, over each step's set, by `_step_sums`:
-    step k's critical traffic is its first critical member's column summed
-    over the members deleted at step k or later.  A walk of few steps,
-    such as one that deletes many tied members at once, reads only the
-    slices that hold those members' columns.
+    summed by the same `_column_sums`, in one call: step k's critical
+    traffic is its first critical member's column summed over the members
+    deleted at step k or later.  A walk of few steps, such as one that
+    deletes many tied members at once, reads only those members' columns.
     """
     n = tm.n
     rates = tm.rates
@@ -398,7 +379,8 @@ def _deletion_walk(tm: TrafficMatrix) -> tuple[np.ndarray, np.ndarray]:
             continue
         inbound[i] = low
         cand = np.flatnonzero(inbound <= bar)
-        exact = _column_sums(rates, cand, step_of, np.full(len(cand), k))
+        # the candidates are live, step_of == n, so only live rows count
+        exact = _column_sums(rates, step_of, cand)
         cand = cand[exact == exact.min()]
         step_of[cand] = k
         first.append(int(cand[0]))
@@ -406,7 +388,11 @@ def _deletion_walk(tm: TrafficMatrix) -> tuple[np.ndarray, np.ndarray]:
         for start in range(0, len(cand), rows):
             inbound -= rates[cand[start:start + rows]].sum(axis=0)
         inbound[cand] = np.inf
-    nus = _step_sums(rates, step_of, np.array(first, dtype=np.intp))
+    first.sort()
+    cols = np.array(first, dtype=np.intp)
+    sums = _column_sums(rates, step_of, cols)
+    nus = np.empty(len(cols))
+    nus[step_of[cols]] = sums
     step_of.setflags(write=False)
     nus.setflags(write=False)
     return step_of, nus

@@ -480,7 +480,8 @@ class TestDeletionWalkSteps:
     """A walk step whose running minimum stands alone in the drift window
     takes its critical member straight from the running vector; only a
     step with several members in the window re-sums them exactly.  Every
-    step's critical traffic is then summed in one `_step_sums` pass."""
+    step's critical traffic is then summed in one final `_column_sums`
+    call."""
 
     @staticmethod
     def count_calls(monkeypatch, name):
@@ -511,10 +512,8 @@ class TestDeletionWalkSteps:
         np.fill_diagonal(rates, 0.0)
         tm = TrafficMatrix(rates)
         calls = self.count_calls(monkeypatch, "_column_sums")
-        steps = self.count_calls(monkeypatch, "_step_sums")
         step_of, nus = network._deletion_walk(tm)
-        assert calls == []
-        assert steps == [200]
+        assert calls == [200]
         assert not step_of.flags.writeable and not nus.flags.writeable
         crits = self.critical_sets(step_of, len(nus))
         assert all(len(c) == 1 for c in crits)
@@ -542,48 +541,78 @@ class TestDeletionWalkSteps:
         running = tm.inbound - rates[4]
         assert running[2] < running[1]
         calls = self.count_calls(monkeypatch, "_column_sums")
-        steps = self.count_calls(monkeypatch, "_step_sums")
         step_of, nus = network._deletion_walk(tm)
         assert self.critical_sets(step_of, len(nus)) == [
             (4,), (1,), (2,), (3,), (0,)]
-        assert calls == [2]  # the pair's re-sum
-        assert steps == [5]  # then the final pass over every column
+        # the pair's re-sum, then the final pass over every column
+        assert calls == [2, 5]
         env, mon = REFERENCE_ENV, MonitoringModel.rational(0.1)
         assert iterative_deletion(env, mon, tm, check_assumptions=False
                                   ).trace == reference_deletion_trace(
                                       env, mon, tm)
 
     @pytest.mark.parametrize("width", [2, 3, 13, None])
-    def test_step_sums_add_rows_in_order(self, monkeypatch, width):
-        # 40 columns in slices of 2, 3 (a lone last column, read with the
-        # one before it), 13 (the same) or one slice.  The last column is
-        # summed over every row, and with rates from 1e-8 to 1e8 NumPy's
-        # pairwise 1-D sum of it differs from the in-order one, as a lone
-        # (40, 1) slice would read.  A column of -0.0 rates sums to +0.0,
-        # as a where-masked sum does.
-        n = 40
-        rng = np.random.default_rng(72)
+    def test_column_sums_add_rows_in_order(self, monkeypatch, width):
+        # Every column of 60, and 40 of them: an adjacent run of 20, runs
+        # and single columns between gaps, and a lone last column.  In
+        # blocks of 2, 3 (a lone last block, read twice), 13 (the same) or
+        # one block, adjacent columns are read as slices, the rest
+        # gathered.  The last column is summed over every row, and with
+        # rates from 1e-8 to 1e8 NumPy's pairwise 1-D sum of it differs
+        # from the in-order one, as a lone (60, 1) block would read.
+        # Columns of -0.0 rates, one in a run and one between gaps, sum to
+        # +0.0, as the in-order loop does.
+        n = 60
+        rng = np.random.default_rng(74)
         rates = 10.0 ** rng.uniform(-8, 8, (n, n))
-        rates[:, 5] = -0.0
-        step_of = rng.integers(0, 12, n)
-        step_of[-1] = 0
+        rates[:, [5, 44]] = -0.0
+        level = rng.integers(0, 12, n)
+        level[-1] = 0
         if width is not None:
             monkeypatch.setattr(network, "_BLOCK_ELEMENTS", width * n)
         expected = []
         for c in range(n):
             total = 0.0
             for r in range(n):
-                if step_of[r] >= step_of[c]:
+                if level[r] >= level[c]:
                     total += rates[r, c]
             expected.append(total.hex())
-        sums = network._step_sums(rates, step_of, np.arange(n))
-        assert [x.hex() for x in sums.tolist()] == expected
         assert rates[:, -1].sum().hex() != expected[-1]
-        assert math.copysign(1.0, sums[5]) == 1.0
-        # a few columns, in any order and repeated
-        cols = np.array([n - 1, 7, 5, 7])
-        sums = network._step_sums(rates, step_of, cols)
-        assert [x.hex() for x in sums.tolist()] == [expected[c] for c in cols]
+        assert expected[5] == expected[44] == (0.0).hex()
+        mixed = np.r_[0:20, 22, 25, 27:36, 40, 44, 47, 50, 51, 53, 55, 57,
+                      n - 1]
+        assert len(mixed) == 40
+        for cols in (np.arange(n), mixed):
+            sums = network._column_sums(rates, level, cols)
+            assert [x.hex() for x in sums.tolist()] == [
+                expected[c] for c in cols]
+
+    @pytest.mark.parametrize("cores, leaves", [(4, 2), (60, 3)])
+    def test_tied_core_periphery_walk(self, monkeypatch, cores, leaves):
+        # In blocks of 7 columns the first step's tied leaves (columns
+        # cores.. n-1) are read as slices, with a lone last leaf gathered
+        # at cores 4; the second step's tied core as slices; and the final
+        # pass, over the first leaf and the first core, as one gathered
+        # block.
+        tm = TrafficMatrix.restricted_core_periphery(cores, leaves, 0.1)
+        monkeypatch.setattr(network, "_BLOCK_ELEMENTS", 7 * tm.n)
+        calls = self.count_calls(monkeypatch, "_column_sums")
+        step_of, nus = network._deletion_walk(tm)
+        assert calls == [cores * leaves, cores, 2]
+        env, mon = REFERENCE_ENV, MonitoringModel.rational(0.1)
+        reference = reference_deletion_trace(env, mon, tm)
+        steps = reference.iterations
+        assert self.critical_sets(step_of, len(nus)) == [
+            it.critical_ases for it in steps]
+        assert [nu.hex() for nu in nus.tolist()] == [
+            it.critical_traffic.hex() for it in steps]
+        assert iterative_deletion(env, mon, tm, check_assumptions=False
+                                  ).trace == reference
+        # the core is the witness; direct enumeration runs at 12 ASs only
+        expected = (False, Subset(tuple(range(cores))))
+        if tm.n <= 12:
+            assert canonical_mct_witness(tm) == expected
+        assert has_mct(tm) == expected
 
     @pytest.mark.parametrize("n", [300, 600])
     def test_sliced_walk_matches_reference(self, n):
