@@ -172,11 +172,13 @@ _bool_field = _instance_of(bool, "true or false")
 _str_field = _instance_of(str, "a string")
 
 
-def _list_of(read):
-    """A reader for a JSON list whose items are each read by `read`."""
+def _list_of(read, nonempty: bool = False):
+    """A reader for a JSON list, a nonempty one if asked, whose items are
+    each read by `read`."""
     def read_list(name: str, value) -> list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{name}: expected a list, got {value!r}")
+        if not isinstance(value, list) or (nonempty and not value):
+            what = "a nonempty list" if nonempty else "a list"
+            raise ConfigError(f"{name}: expected {what}, got {value!r}")
         return [read(name, item) for item in value]
     return read_list
 
@@ -600,7 +602,8 @@ def cmd_simulate(cfg: dict, args) -> tuple[str, int]:
                 T=get("T", _float_field, 1.0),
                 horizon=horizon,
                 seeds=seeds,
-                beta_grid=get("beta_grid", _list_of(_float_field)),
+                beta_grid=get("beta_grid",
+                              _list_of(_float_field, nonempty=True)),
             )
         rows = [r.__dict__ for r in rows]
         return _table(args, [f.name for f in fields(ComparisonRow)], rows,

@@ -20,10 +20,12 @@ why every discounted sum stays as a period-by-period run would leave it.
 
 Whatever does not depend on the seed is built once, by `_prepare`: the
 argument checks, epsilon(T), delta, the cost rows, the ledger's `zero` and
-`lag`, and each path's fixed arrays, shared read-only.  Its `run(seed)`
-makes only that seed's draws, in the order `simulate` (prepare, then one
-run) makes them, and builds a fresh report; `deviation_gain` and
-`run_strategy_comparison` prepare each plan once and run every seed.
+`lag`, and each path's fixed arrays, shared read-only.  Its `run(rng)`
+makes one seed's draws, as `simulate` (prepare, then one run) makes them,
+and returns the cost sums and a `finish()` that builds the report's
+fields.  `deviation_gain` and `run_strategy_comparison` prepare each plan
+once, seed each seed's generator once, and read every run's sums, with
+no report, from the seed's start state put back.
 """
 
 from __future__ import annotations
@@ -359,14 +361,21 @@ def simulate(design: RatingDesign, profile: BehaviorProfile, env: Environment,
     """Run one seeded path and report per-unit-time costs, discounted
     utilities, and scheme-specific state summaries.  Identical arguments
     and seed reproduce the report bit for bit."""
-    _check_seed(seed)
-    return _prepare(design, profile, env, mon, tm, horizon)(seed, time_series)
+    seed = _check_seed(seed)
+    run = _prepare(design, profile, env, mon, tm, horizon)
+    rng = np.random.default_rng(seed)
+    # A time series places tail counts from the seed's child of spawn key
+    # 0, leaving the main stream, and so every other field, as it is.
+    _, _, finish = run(rng, rng.spawn(1)[0] if time_series else None)
+    return SimReport(seed=seed, **finish())
 
 
 def _prepare(design, profile, env, mon, tm, horizon):
     """Check `simulate`'s arguments but the seed and build, once, what
-    every seed's run shares.  Returns run(seed, time_series=False), which
-    gives the report `simulate` would."""
+    every seed's run shares.  Returns run(rng, spread=None), which draws
+    as `simulate` does from `rng` and gives each AS's cost per unit time,
+    its discounted cost, and finish(), every report field but the seed
+    (with a time series when `spread` is given, see `_Ledger`)."""
     n = tm.n
     _check_profile(profile, n)
     if any(i >= n for i in design.subset):
@@ -401,20 +410,15 @@ def _prepare(design, profile, env, mon, tm, horizon):
         ledger, path = _rating_plan(design, profile, env, tm, horizon, eps,
                                     delta)
 
-    def run(seed, time_series=False):
-        seed = _check_seed(seed)
-        rng = np.random.default_rng(seed)
-        # A time series places tail counts from the seed's child of spawn
-        # key 0, leaving the main stream, and so every other field, as it is.
-        book = ledger.open(rng.spawn(1)[0] if time_series else None)
+    def run(rng, spread=None):
+        book = ledger.open(spread)
         cost, discounted, fields = path(rng, book)
         per_as = cost / scale
-        return SimReport(
-            horizon=horizon, period_length=T, seed=seed,
+        return per_as, discounted, lambda: dict(
+            fields(), horizon=horizon, period_length=T, time_series=book.ts,
             avg_cost=float(per_as.sum()),
             avg_cost_per_as=tuple(per_as.tolist()),
-            discounted_utility=tuple((-discounted).tolist()),
-            time_series=book.ts, **fields)
+            discounted_utility=tuple((-discounted).tolist()))
 
     return run
 
@@ -602,7 +606,7 @@ def _rating_plan(design, profile, env, tm, horizon, eps, delta):
                 discounted += weight[0] * fix
             if ledger.ts is not None:
                 ledger.ts["total_cost"][t] += fix.sum() / design.T
-        return cost, discounted, {
+        return cost, discounted, lambda: {
             "rating_high_fraction": tuple((high / horizon).tolist()),
             "punishment_fraction": None,
             "final_state": SimState(horizon,
@@ -648,7 +652,7 @@ def _trigger_plan(design, env, tm, horizon, eps, delta):
         fired, weighted = ledger.sums[:, 0]
         cost = horizon * pre_cost + fired * step
         discounted = ledger.weight * pre_cost + weighted * step
-        return cost, discounted, {
+        return cost, discounted, lambda: {
             "rating_high_fraction": None,
             "punishment_fraction": float(fired) / horizon,
             "final_state": SimState(horizon, ratings=None, tft_grudges=None,
@@ -709,18 +713,23 @@ def _tft_plan(design, env, tm, horizon, eps, delta):
         cost, discounted = (ledger.sums.reshape(2, n, n) * fold).sum(axis=1)
         cost += horizon * lo
         discounted += ledger.weight * lo
-        grudge_count = grudge_base + ledger.sums[0] @ sign
-        final = (deviates ^ (final.reshape(n, n) != 0.0)) & observable
-        grudges = tuple(map(tuple, np.argwhere(final).tolist()))
-        return cost, discounted, {
-            "rating_high_fraction": None,
-            "punishment_fraction": None,
-            "final_state": SimState(horizon, ratings=None, tft_grudges=grudges,
-                                    trigger_fired=False),
-            "meta": {"mode": "tit-for-tat", "deploying": list(deploying),
-                     "mean_grudges_per_period": int(grudge_count) / horizon,
-                     "mutual_links": mutual_links, "design": {"T": T}},
-        }
+
+        def fields():
+            count = grudge_base + ledger.sums[0] @ sign
+            grudged = (deviates ^ (final.reshape(n, n) != 0.0)) & observable
+            grudges = tuple(map(tuple, np.argwhere(grudged).tolist()))
+            return {
+                "rating_high_fraction": None,
+                "punishment_fraction": None,
+                "final_state": SimState(horizon, ratings=None,
+                                        tft_grudges=grudges,
+                                        trigger_fired=False),
+                "meta": {"mode": "tit-for-tat", "deploying": list(deploying),
+                         "mean_grudges_per_period": int(count) / horizon,
+                         "mutual_links": mutual_links, "design": {"T": T}},
+            }
+
+        return cost, discounted, fields
 
     return _Ledger(horizon, T, delta, lo, fold), path
 
@@ -752,6 +761,23 @@ def _seed_list(seeds) -> list[int]:
     return seeds
 
 
+def _replays(seeds):
+    """Check each seed and seed its generator once.  Returns replay(run),
+    which yields run(rng) for each seed in turn, from its start state put
+    back: a fresh generator's draws, not its spawn count (so never spawn)."""
+    states = []
+    for s in seeds:
+        rng = np.random.default_rng(_check_seed(s))
+        states.append(rng.bit_generator.state)
+
+    def replay(run):
+        for state in states:
+            rng.bit_generator.state = state
+            yield run(rng)
+
+    return replay
+
+
 def deviation_gain(design: RatingDesign, env: Environment,
                    mon: MonitoringModel, tm: TrafficMatrix, i: int,
                    horizon: int, seeds) -> DeviationGain:
@@ -769,8 +795,9 @@ def deviation_gain(design: RatingDesign, env: Environment,
     base = BehaviorProfile.compliant(n)
     dev = base.replace(i, Behavior("persistent-deviator"))
     runs = [_prepare(design, p, env, mon, tm, horizon) for p in (base, dev)]
-    comp_u, dev_u = ([run(s).discounted_utility[i] for s in seeds]
-                     for run in runs)
+    replay = _replays(seeds)
+    comp_u, dev_u = ([float(-discounted[i]) for _, discounted, _ in
+                      replay(run)] for run in runs)
     gains = [d - c for c, d in zip(comp_u, dev_u)]
     arr = np.array(gains)
     mean = float(arr.mean())
@@ -889,7 +916,7 @@ def run_strategy_comparison(kind: str, env: Environment, mon: MonitoringModel,
         raise ValueError(f"unknown comparison kind: {kind!r}")
     seeds = _seed_list(seeds)
     n = tm.n
-    rows = []
+    rows, replay = [], None
     for beta in beta_grid:
         env_b = replace(env, beta=float(beta))
         # The design and profile do not depend on the seed.
@@ -900,10 +927,14 @@ def run_strategy_comparison(kind: str, env: Environment, mon: MonitoringModel,
             behavior = "tit-for-tat" if kind == "tft" else "grim-trigger"
             profile = BehaviorProfile.uniform(n, behavior)
         run = _prepare(design, profile, env_b, mon, tm, horizon)
-        reports = [run(s) for s in seeds]
-        arr = np.array([rep.avg_cost for rep in reports])
-        punish = [rep.punishment_fraction for rep in reports
-                  if rep.punishment_fraction is not None]
+        if replay is None:  # after the first plan: its errors come first
+            replay = _replays(seeds)
+        costs, punish = [], []
+        for per_as, _, finish in replay(run):
+            costs.append(float(per_as.sum()))
+            if kind == "trigger":
+                punish.append(finish()["punishment_fraction"])
+        arr = np.array(costs)
         rows.append(ComparisonRow(
             beta=float(beta),
             kind=kind,

@@ -192,6 +192,9 @@ class TestDesignCommand:
              "sweep.parameters: must map parameter names to value lists"),
             ("sweep", 'sweep={"parameters": {"w0": []}}',
              "sweep.parameters.w0: must be a nonempty list"),
+            ("simulate", 'simulate={"mode": "comparison", "kind": "tft", '
+             '"beta_grid": []}',
+             "simulate.beta_grid: expected a nonempty list, got []"),
         ]
         for command, setting, field in cases:
             code = main([command, "--config", cfg, "--set", setting])

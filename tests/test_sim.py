@@ -53,6 +53,12 @@ def as_json(report) -> str:
     return json.dumps(report.to_dict())
 
 
+def zero_weight_period(beta_t: float) -> int:
+    """A bound past the first period whose discount weight exp(-beta_t)
+    ** t underflows to 0.0, as the simulator's ledger takes it."""
+    return math.ceil(1075 * math.log(2.0) / beta_t) + 1
+
+
 def reference_design():
     env, mon, tm = reference_instance()
     return optimal_design(env, mon, tm).design(), env, mon, tm
@@ -603,23 +609,77 @@ class TestPlan:
 
     def test_deviation_gain_is_a_loop_of_simulate_calls(self):
         d, env, mon, tm = reference_design()
-        for i, horizon, seeds in ((0, 1500, [4, 0, 9]), (5, 37, [2])):
+        # 1500 periods run past the first zero weight, so the tail is booked
+        assert zero_weight_period(env.beta * d.T) < 1500
+        for i, horizon, seeds in ((0, 1500, [4, 0, 9]), (5, 37, [2]),
+                                  (3, 1500, [4, 0, 4, 9])):
             assert deviation_gain(d, env, mon, tm, i, horizon, seeds) == \
                 reference_deviation_gain(d, env, mon, tm, i, horizon, seeds)
 
+    @pytest.mark.parametrize("horizon", [600, 4000])
+    @pytest.mark.parametrize("seeds", [[4, 0, 9], [4, 0, 4, 9]])
     @pytest.mark.parametrize("kind, beta_grid", [
         ("rating", [0.2, 40.0]),  # no IC design at 40: nobody deploys
         ("tft", [2.3, 2.5]),  # nobody deploys at 2.5
         ("trigger", [0.2, 0.4]),
     ])
-    def test_comparison_is_a_loop_of_simulate_calls(self, kind, beta_grid):
-        # the bundled comparison's instance
+    def test_comparison_is_a_loop_of_simulate_calls(self, kind, beta_grid,
+                                                    seeds, horizon):
+        # the bundled comparison's instance; 4000 periods run past the
+        # first zero weight at every beta and period here, the latest
+        # being beta 0.2 at T = 1 (the rating design's T is 5 there)
+        assert zero_weight_period(0.2) < 4000
         env = Environment(p_high=0.3, p_low=0.05, c=0.3, beta=2.3)
         mon = MonitoringModel.rational(0.1)
         tm = TrafficMatrix.complete(8, 2.0)
-        args = (kind, env, mon, tm, 1.0, 600, [4, 0, 9], beta_grid)
+        args = (kind, env, mon, tm, 1.0, horizon, seeds, beta_grid)
         assert run_strategy_comparison(*args) == \
             reference_strategy_comparison(*args)
+
+    def test_each_seed_is_seeded_once_per_call(self, monkeypatch):
+        d, env, mon, tm = reference_design()
+        seeded = []
+        fresh = np.random.default_rng
+
+        def counting(seed=None):
+            seeded.append(seed)
+            return fresh(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        deviation_gain(d, env, mon, tm, 0, 300, [4, 0, 9])
+        assert seeded == [4, 0, 9]
+        seeded.clear()
+        run_strategy_comparison("trigger", env, mon, tm, 1.0, 300,
+                                [4, 0, 9], [0.2, 0.3])
+        assert seeded == [4, 0, 9]
+        seeded.clear()
+        simulate(d, BehaviorProfile.compliant(8), env, mon, tm, 300, 4)
+        assert seeded == [4]
+
+    @pytest.mark.parametrize("seeds", [[-1], [0, 2.5]])
+    def test_a_bad_horizon_is_reported_before_a_bad_seed(self, seeds):
+        d, env, mon, tm = reference_design()
+        match = "horizon must be at least 1"
+        with pytest.raises(ValueError, match=match):
+            deviation_gain(d, env, mon, tm, 0, 0, seeds)
+        for kind in ("rating", "tft", "trigger"):
+            with pytest.raises(ValueError, match=match):
+                run_strategy_comparison(kind, env, mon, tm, 1.0, 0, seeds,
+                                        [0.2])
+
+    @pytest.mark.parametrize("seeds, message", [
+        ([0, -1], "seed must be non-negative, got -1"),
+        ([3, 2.5], "seed must be an integer, got 2.5"),
+    ])
+    def test_a_bad_seed_alone_keeps_its_message(self, seeds, message):
+        d, env, mon, tm = reference_design()
+        match = re.escape(message) + "$"
+        with pytest.raises(ValueError, match=match):
+            deviation_gain(d, env, mon, tm, 0, 50, seeds)
+        for kind in ("rating", "tft", "trigger"):
+            with pytest.raises(ValueError, match=match):
+                run_strategy_comparison(kind, env, mon, tm, 1.0, 50, seeds,
+                                        [0.2, 0.3])
 
     @pytest.mark.parametrize("profile", [
         BehaviorProfile.compliant(8),
@@ -633,8 +693,21 @@ class TestPlan:
 
         d, env, mon, tm = reference_design()
         run = sim._prepare(d, profile, env, mon, tm, 40)
+        rng = np.random.default_rng(3)
+        starts = {s: np.random.default_rng(s).bit_generator.state
+                  for s in (1, 3)}
+
+        def report(seed, time_series):
+            # the main stream from a start state put back; a time series
+            # from a fresh child of spawn key 0, as `simulate` spawns it
+            rng.bit_generator.state = starts[seed]
+            spread = (np.random.default_rng(
+                np.random.SeedSequence(seed).spawn(1)[0])
+                if time_series else None)
+            return sim.SimReport(seed=seed, **run(rng, spread)[2]())
+
         for time_series in (False, True):
-            a, b, c = (run(s, time_series) for s in (3, 1, 3))
+            a, b, c = (report(s, time_series) for s in (3, 1, 3))
             assert as_json(a) == as_json(c) != as_json(b)
             assert as_json(a) == as_json(simulate(
                 d, profile, env, mon, tm, 40, 3, time_series=time_series))
