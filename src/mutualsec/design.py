@@ -134,7 +134,8 @@ class MonitoringModel:
                 raise ValueError("w0 must be positive and finite")
         elif kind == "tabulated":
             ts = np.array([t for t, _ in table], dtype=float)
-            es = np.array([e for _, e in table], dtype=float)
+            # + 0.0 reads -0.0 as 0.0, so no epsilon is -0.0
+            es = np.array([e for _, e in table], dtype=float) + 0.0
             if len(ts) < 2:
                 raise ValueError("tabulated curve needs at least 2 points")
             if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(es))):
@@ -178,7 +179,9 @@ class MonitoringModel:
     def epsilon(self, T):
         if self.kind == "rational":
             return self.w0 / (np.asarray(T, dtype=float) + 2 * self.w0)
-        return np.interp(np.asarray(T, dtype=float), self._ts, self._eps)
+        # held at 0 where it rounds below, as design._on_piece holds it
+        return np.maximum(np.interp(np.asarray(T, dtype=float), self._ts,
+                                    self._eps), 0.0)
 
     def validity_report(self) -> tuple[bool, str]:
         if self.kind == "rational":
@@ -351,34 +354,34 @@ def _loss_rates(env: Environment, mon: MonitoringModel,
 
 def _epsilon(mon: MonitoringModel, t: float) -> float:
     """epsilon(t) in plain floats, equal to float(mon.epsilon(t)): the same
-    formula for the rational family; for tables, s*(t - t0) + e0 on the
-    stored piece whose start t0 is the last at or below t.  That is
-    np.interp's operation on the same operands: its slope is the piece's
-    (e1 - e0) / (t1 - t0), it returns e0 at t == t0, and the pieces held
-    flat (below a table that starts after 0 and beyond its end) have slope
-    0.  Negative t reads the first value, and NaN is returned as is."""
+    formula for the rational family; for tables, `_on_piece` on the stored
+    piece whose start is the last at or below t.  Negative t reads the
+    first value, and NaN is returned as is."""
     if mon.kind == "rational":
         return mon.w0 / (t + 2 * mon.w0)
     if t != t:
         return t
-    pieces = mon._pieces
     j = bisect_right(mon._starts, t) - 1
     if j < 0:
-        return pieces[0][2]
-    t0, _, e0, s = pieces[j]
-    if s == 0.0:  # s*(t - t0) would be NaN at t = inf, on the last piece
-        return e0
-    return s * (t - t0) + e0
+        return mon._pieces[0][2]
+    return _on_piece(mon._pieces, j, t)
 
 
 def _on_piece(pieces, k: int, t: float) -> float:
-    """epsilon(t) for a finite t on piece k (t0 <= t <= t1) of a table:
-    the float _epsilon returns, without its lookup.  At t == t1 the lookup
-    finds the next piece, whose first value is read."""
+    """epsilon(t) for t on piece (t0, t1, e0, s) k of a table, t0 <= t <=
+    t1: s*(t - t0) + e0, held at 0 where it rounds below (just under a
+    breakpoint whose value is 0).  That is np.interp's operation on the
+    same operands: its slope is the piece's (e1 - e0) / (t1 - t0), it
+    returns e0 at t == t0, and the pieces held flat (below a table that
+    starts after 0 and beyond its end) read e0.  At t == t1 of a sloped
+    piece the lookup finds the next piece, whose first value is read."""
     t0, t1, e0, s = pieces[k]
+    if s == 0.0:  # s*(t - t0) would be NaN at t = inf, on the last piece
+        return e0
     if t == t1:
         return pieces[k + 1][2]
-    return e0 if s == 0.0 else s * (t - t0) + e0
+    eps = s * (t - t0) + e0
+    return eps if eps >= 0.0 else 0.0
 
 
 def _headroom(env: Environment, mon: MonitoringModel, t: float,
@@ -421,27 +424,24 @@ def _loss_at(env: Environment, mon: MonitoringModel, t: float,
 def _newton(phi, dphi, t: float, direction: float) -> float:
     """Newton's method on a convex phi, started on the outer side of a root
     so that the iterates move monotonically toward it (rightward when
-    direction > 0); stops at the first step that makes no progress.  At
-    an iterate where phi or dphi cannot be evaluated (a table's 1 - 2*eps
-    rounding to 0 or below there) it returns the iterate before, found by
-    replaying the steps, so that the loop itself keeps no history."""
-    start = t
-    try:
-        for _ in range(100):
+    direction > 0); stops at the first step that makes no progress, or
+    where dphi is 0, after at most 100 steps.  At an iterate where phi or
+    dphi cannot be evaluated (a table's 1 - 2*eps rounding to 0 or below
+    there) it returns the iterate before, or the start if that is the
+    first.  Each iterate's phi and dphi are evaluated once."""
+    last = t
+    for _ in range(100):
+        try:
             slope = dphi(t)
             if slope == 0.0:
-                break
-            t_new = t - phi(t) / slope
-            if (t_new - t) * direction <= 0.0:
-                break
-            t = t_new
-        return t
-    except (ValueError, ZeroDivisionError):
-        stop = t
-    last = t = start
-    while t != stop:
-        last, t = t, t - phi(t) / dphi(t)
-    return last
+                return t
+            step = t - phi(t) / slope
+        except (ValueError, ZeroDivisionError):
+            return last
+        if (step - t) * direction <= 0.0:
+            return t
+        last, t = t, step
+    return t
 
 
 def _tighten(fits, t: float, t_in: float) -> float:

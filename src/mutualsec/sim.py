@@ -389,9 +389,7 @@ def _prepare(design, profile, env, mon, tm, horizon):
     if horizon >= 2 ** 63:  # the generator's counts are 64-bit
         raise ValueError(f"horizon must be below 2**63, got {horizon}")
     _check_prices(design, env)
-    eps = _epsilon(mon, design.T)
-    if not 0 <= eps <= 0.5:
-        raise ValueError("monitoring error must lie in [0, 1/2]")
+    eps = _epsilon(mon, design.T)  # in [0, 1/2] for every valid monitor
     T = design.T
     # A period costs an AS at most p_high * inbound + c per unit time; the
     # bound is taken in Python floats, which overflow to inf silently.
@@ -444,14 +442,14 @@ def _settled_row(x, unseen):
     return lo
 
 
-def _stream(rng, ledger, horizon, first, p, flipped, flips):
+def _stream(rng, ledger, first, p, flipped, flips):
     """Run a path whose period t reads a 0/1 array of E entries drawn in
     period t - 1 (`first` in period 0) and book it into `ledger`.  An
     entry drawn in period t is 1 with probability p, complemented if its
     index is in `flipped`, and xor its flips[t] entry when t is a key of
     `flips`.  Periods are read one by one in spans, taken in order: the
     prefix, each key t of `flips` and t + 1, and the last period, clipped
-    to the horizon.  The prefix runs from 0 through `ledger.zero` or,
+    to `ledger.horizon`.  The prefix runs from 0 through `ledger.zero` or,
     where it comes first, through `settle` = f + `ledger.lag`, f being the
     period in which the last entry reads its first 1 (period 0 reads
     `first`); when some entry reads no 1 by `zero`, or delta is 0 or 1, it
@@ -465,12 +463,12 @@ def _stream(rng, ledger, horizon, first, p, flipped, flips):
 
     `settle` depends on the flags alone, not on the blocking: the prefix
     keeps, while it has not settled, only E-sized arrays of the entries
-    yet to read a 1, and fills its blocks in chunks, each lag + 1 periods
-    longer than the prefix before it (so they double), clipped to the
-    block.  Unsettled periods put `settle` at least lag periods past
-    them, so only a longer chunk can run past it: the generator state is
-    saved around one, and put back to draw it again through `settle` when
-    it does.  Each block is still booked whole, by one `ledger.add`.
+    yet to read a 1, and fills its blocks in chunks of lag + 1 periods,
+    clipped to the block.  A chunk starts unsettled, so the period f in
+    which it may settle is at or after its first, and `settle` = f + lag
+    at or after its last: no chunk runs past `settle`, and the run draws
+    exactly the periods it books.  Each block is still booked whole, by
+    one `ledger.add`.
 
     The draw rule: an entry is 1 where a uniform k / 2**53 is below p,
     that is with probability ceil(p * 2**53) / 2**53.  A drawn period takes
@@ -491,7 +489,7 @@ def _stream(rng, ledger, horizon, first, p, flipped, flips):
             if a <= t + 1 - start < b:
                 out[t + 1 - start - a] = out[t + 1 - start - a] != mask
 
-    last = horizon - 1
+    last = ledger.horizon - 1
     unseen = first == 0  # the entries yet to read a 1
     lag = ledger.lag
     end = min(ledger.zero, last)  # the prefix's last period, until settled
@@ -518,19 +516,12 @@ def _stream(rng, ledger, horizon, first, p, flipped, flips):
             out = buf[:min(stop, e + 1) - start]
             at = 0  # rows [0, at) are filled
             while settling and at < len(out):
-                # lag + 1 periods more than the prefix has filled
-                to = min(len(out), 2 * at + start + lag + 1)
-                if to - at > lag + 1:  # the chunk may run past settle
-                    saved = rng.bit_generator.state
+                to = min(len(out), at + lag + 1)
                 draw(out, start, at, to)
                 row = _settled_row(out[at:to], unseen)
                 if row is not None:
                     settling = False
                     e = min(e, start + at + row + lag)
-                    if e < start + to - 1:  # the chunk runs past settle
-                        rng.bit_generator.state = saved
-                        to = e + 1 - start
-                        draw(out, start, at, to)
                     out = buf[:min(stop, e + 1) - start]
                 at = to
             draw(out, start, at, len(out))
@@ -591,8 +582,7 @@ def _rating_plan(design, profile, env, tm, horizon, eps, delta):
     kinds = profile.kinds()
 
     def path(rng, ledger):
-        final, shots = _stream(rng, ledger, horizon, first, 1.0 - eps,
-                               flipped, flips)
+        final, shots = _stream(rng, ledger, first, 1.0 - eps, flipped, flips)
         high, weighted = ledger.sums
         cost = horizon * lo + step * high
         discounted = ledger.weight * lo + step * weighted
@@ -709,7 +699,7 @@ def _tft_plan(design, env, tm, horizon, eps, delta):
     mutual_links = int((sends & sends.T).sum())
 
     def path(rng, ledger):
-        final, _ = _stream(rng, ledger, horizon, first, eps, [], {})
+        final, _ = _stream(rng, ledger, first, eps, [], {})
         cost, discounted = (ledger.sums.reshape(2, n, n) * fold).sum(axis=1)
         cost += horizon * lo
         discounted += ledger.weight * lo

@@ -151,6 +151,12 @@ EDGE_TABLES = {
     "table-late-drop": [(2.0, 0.3), (3.0, 0.3 - 1e-10), (5.0, 0.3 - 1.5e-10)],
 }
 
+# A table whose middle piece reaches 0 at its end, where the piece's line
+# rounds below 0 one ulp under that period (to -2.78e-17).
+ZERO_BREAK = [(0.0, 0.21769457601959158),
+              (0.010187084763084824, 0.1635604999087424),
+              (0.07495703908355944, 0.0)]
+
 
 def table_headroom_minimum(env, mon):
     """The least headroom h(T) = exp(beta*T) / (1 - 2*epsilon(T)) of a

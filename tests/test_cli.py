@@ -30,7 +30,8 @@ from mutualsec import (
 from mutualsec import cli, design
 from mutualsec.cli import main
 
-from support import REFERENCE_ENV, random_connected_matrix, write_matrix_csv
+from support import (REFERENCE_ENV, ZERO_BREAK, random_connected_matrix,
+                     write_matrix_csv)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -769,6 +770,24 @@ class TestSimulateCommand:
         assert rep["seed"] == 4
         assert len(ts.read_text().strip().splitlines()) == 201
 
+    def test_period_just_under_a_zero_breakpoint(self, capsys):
+        # T one ulp under the breakpoint where the table reaches 0, whose
+        # line rounds to -2.78e-17 there: epsilon is held at 0, so every
+        # signal reads high and the run completes
+        t = math.nextafter(ZERO_BREAK[-1][0], 0.0)
+        code = main(["simulate", "--config",
+                     str(CONFIGS / "reference_simulation.json"),
+                     "--set", "monitoring=" + json.dumps(
+                         {"kind": "tabulated", "points": ZERO_BREAK}),
+                     "--set", 'network={"kind": "complete", "n": 4, '
+                              '"rate": 1.0}',
+                     "--set", "simulate.design=" + json.dumps(
+                         {"T": t, "p0": 0.3, "p1": 0.05}),
+                     "--horizon", "100"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["rating_high_fraction"] == [1.0] * 4
+
     @pytest.mark.parametrize("profile", ["compliant", "grim-trigger",
                                          "tit-for-tat"])
     def test_time_series_is_the_reports_columns(self, tmp_path, capsys,
@@ -1199,14 +1218,19 @@ class TestEntryPoint:
 
 
     def test_reader_leaving_mid_output(self):
-        # the report (a 10,000-period time series) is far larger than a
-        # pipe's buffer, so the write fails part way through
+        # the report (a 10,000-period time series, 570 KB) is far larger
+        # than a pipe's buffer, so the write fails part way through: the
+        # README's `| head`.  Buffered stdout, the default, raises
+        # BrokenPipeError there, which the CLI absorbs; with
+        # PYTHONUNBUFFERED set the write would stop short without one.
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
         with subprocess.Popen(
                 [sys.executable, "-m", "mutualsec", "simulate", "--config",
                  str(CONFIGS / "reference_simulation.json"),
                  "--set", "simulate.time_series=true"],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                env=child_env()) as proc:
+                env=env) as proc:
             assert len(proc.stdout.read(100)) == 100
             proc.stdout.close()
             err = proc.stderr.read()

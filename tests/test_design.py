@@ -34,6 +34,7 @@ from mutualsec import design
 from support import (
     EDGE_TABLES,
     REFERENCE_ENV,
+    ZERO_BREAK,
     loss_factor,
     random_connected_matrix,
     random_convex_table,
@@ -127,6 +128,47 @@ class TestMonitoringModel:
                     design._epsilon(mon, t)
         assert ends > 10  # where the piece's own line misses by rounding
 
+    def test_epsilon_held_at_zero_under_a_zero_breakpoint(self):
+        # a piece's line can round below 0 just under the breakpoint where
+        # the table reaches 0: 1 ulp under it here, -2.78e-17; both
+        # lookups hold it at 0.0, and the loss factor is 0.0, not negative
+        mon = MonitoringModel.tabulated(ZERO_BREAK)
+        t = math.nextafter(ZERO_BREAK[-1][0], 0.0)
+        t0, t1, e0, s = mon._pieces[1]  # the piece that falls to 0
+        assert t0 < t < t1 and s * (t - t0) + e0 < 0.0
+        assert design._on_piece(mon._pieces, 1, t).hex() == "0x0.0p+0"
+        assert design._epsilon(mon, t).hex() == "0x0.0p+0"
+        assert float(mon.epsilon(t)).hex() == "0x0.0p+0"
+        assert design._loss_at(REFERENCE_ENV, mon, t) == 0.0
+        # and over tables of the same shape, 1-6 ulps under the breakpoint
+        rng = np.random.default_rng(23)
+        below = 0
+        for _ in range(3000):
+            e0, t1 = rng.uniform(0.05, 0.5), 10.0 ** rng.uniform(-4.0, -1.0)
+            e1 = e0 * rng.uniform(0.3, 0.9)
+            t2 = t1 + e1 * t1 / (e0 - e1) / rng.uniform(0.05, 0.99)
+            mon = MonitoringModel.tabulated([(0.0, e0), (t1, e1), (t2, 0.0)])
+            t0, _, e0, s = mon._pieces[1]
+            t = float(t2)
+            for _ in range(6):
+                t = math.nextafter(t, 0.0)
+                eps = design._epsilon(mon, t)
+                assert eps >= 0.0 and \
+                    eps.hex() == float(mon.epsilon(t)).hex(), t
+                below += s * (t - t0) + e0 < 0.0
+        assert below > 0
+
+    def test_negative_zero_table_values_read_as_zero(self):
+        # -0.0 in a table is 0.0, so both lookups agree to the float hex
+        # on the flat pieces too, where s*(t - t0) + e0 would lose the sign
+        for table in ([(0.0, 0.2), (1.0, -0.0), (2.0, -0.0)],
+                      [(1.0, -0.0), (2.0, 0.0), (3.0, -0.0)]):
+            mon = MonitoringModel.tabulated(table)
+            for t in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 9.0, math.inf):
+                eps = design._epsilon(mon, t)
+                assert eps.hex() == float(mon.epsilon(t)).hex(), t
+                assert math.copysign(1.0, eps) == 1.0, t
+
     def test_rational_validation(self):
         with pytest.raises(ValueError, match="w0"):
             MonitoringModel.rational(0.0)
@@ -213,6 +255,67 @@ class TestLossFactor:
         assert design._loss_at(env, mon, 0.0) == math.inf
         flat = MonitoringModel.tabulated([(0.0, 0.5), (1.0, 0.5)])
         assert design._loss_at(env, flat, 0.5) == math.inf
+
+
+def _recorded(f, calls):
+    """f, appending each argument it is called with to `calls`."""
+    def g(t):
+        calls.append(t)
+        return f(t)
+    return g
+
+
+class TestNewton:
+    """design._newton evaluates phi and dphi once at each iterate and keeps
+    the last one it could evaluate."""
+
+    def test_converges_evaluating_each_iterate_once(self):
+        # phi = t**2 - 2 from the right: the iterates fall to sqrt(2) and
+        # stop at the first step that makes no progress
+        phis, dphis = [], []
+        t = design._newton(_recorded(lambda t: t * t - 2.0, phis),
+                           _recorded(lambda t: 2.0 * t, dphis), 3.0, -1.0)
+        assert abs(t - math.sqrt(2.0)) <= 2.0 ** -51
+        assert phis == dphis and len(set(phis)) == len(phis) > 3
+        assert phis[-1] == t
+
+    @pytest.mark.parametrize("where", ["phi", "dphi"])
+    def test_returns_the_last_iterate_that_evaluates(self, where):
+        # phi or dphi raises from the third iterate on, as a table's
+        # log1p(-2*eps) does where 1 - 2*eps rounds to 0 or below
+        def guarded(f):
+            def g(t):
+                if t < 1.6:
+                    raise ValueError("math domain error")
+                return f(t)
+            return g
+
+        phi, dphi = (lambda t: t * t - 2.0), (lambda t: 2.0 * t)
+        if where == "phi":
+            phi = guarded(phi)
+        else:
+            dphi = guarded(dphi)
+        phis, dphis = [], []
+        t = design._newton(_recorded(phi, phis), _recorded(dphi, dphis), 3.0,
+                           -1.0)
+        second = 3.0 - 7.0 / 6.0
+        third = second - (second * second - 2.0) / (2.0 * second)
+        assert t == second
+        assert dphis == [3.0, second, third]
+        assert phis == ([3.0, second, third] if where == "phi"
+                        else [3.0, second])
+
+    def test_returns_the_start_when_it_does_not_evaluate(self):
+        def phi(t):
+            raise ZeroDivisionError("float division by zero")
+        assert design._newton(phi, lambda t: 1.0, 2.5, 1.0) == 2.5
+
+    def test_stops_where_the_slope_is_zero(self):
+        # phi = t**2 + 1 from t = 1 steps to 0.0 exactly, where dphi = 0
+        phis, dphis = [], []
+        t = design._newton(_recorded(lambda t: t * t + 1.0, phis),
+                           _recorded(lambda t: 2.0 * t, dphis), 1.0, -1.0)
+        assert t == 0.0 and phis == [1.0] and dphis == [1.0, 0.0]
 
 
 class TestFeasibleInterval:
